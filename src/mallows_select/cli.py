@@ -47,11 +47,15 @@ def _write_out(path: str, text: str) -> None:
         Path(path).write_text(text)
 
 
-def _default_threads() -> int:
+def _default_threads(parser: _Parser) -> int:
+    """MALLOWS_SELECT_THREADS, else the core count; a value that is not an integer is a usage error."""
     env = os.environ.get("MALLOWS_SELECT_THREADS")
-    if env:
+    if not env:
+        return os.cpu_count() or 1
+    try:
         return max(1, int(env))
-    return os.cpu_count() or 1
+    except ValueError:
+        parser.error(f"MALLOWS_SELECT_THREADS must be an integer, got {env!r}")
 
 
 def _build_parser() -> _Parser:
@@ -259,39 +263,39 @@ def _cmd_topk(args) -> int:
     return 0
 
 
-def _cmd_exp_complexity(args, threads: int) -> int:
+def _cmd_exp_complexity(args) -> int:
     config = _experiment_config(args)
-    _log(command="exp-complexity", threads=threads, **config.metadata())
-    curve = xp.run_complexity_experiment(config, threads=threads)
+    _log(command="exp-complexity", threads=args.threads, **config.metadata())
+    curve = xp.run_complexity_experiment(config, threads=args.threads)
     _emit_curve(args, curve.to_csv(), curve.to_svg())
     return 0
 
 
-def _cmd_exp_distance(args, threads: int) -> int:
+def _cmd_exp_distance(args) -> int:
     config = _experiment_config(args)
     if config.r_grid is None:
         config = dataclasses.replace(config, r_grid=tuple(range(10, 101, 10)))
-    _log(command="exp-distance", threads=threads, **config.metadata())
-    curve = xp.run_distance_experiment(config, threads=threads)
+    _log(command="exp-distance", threads=args.threads, **config.metadata())
+    curve = xp.run_distance_experiment(config, threads=args.threads)
     _emit_curve(args, curve.to_csv(), curve.to_svg())
     return 0
 
 
-def _cmd_exp_topk(args, threads: int) -> int:
+def _cmd_exp_topk(args) -> int:
     config = _experiment_config(args)
     if config.k is None:
         raise InfeasibleSpecError("exp-topk requires --k")
     if config.r_grid is None:
         config = dataclasses.replace(config, r_grid=tuple(range(5, 51, 5)))
-    _log(command="exp-topk", threads=threads, **config.metadata())
-    curve = xp.run_topk_experiment(config, threads=threads)
+    _log(command="exp-topk", threads=args.threads, **config.metadata())
+    curve = xp.run_topk_experiment(config, threads=args.threads)
     _emit_curve(args, curve.to_csv(), curve.to_svg())
     return 0
 
 
-def _cmd_exp_adversarial(args, threads: int) -> int:
-    _log(command="exp-adversarial", n=args.n, beta=args.beta, p=args.p, r=args.r, trials=args.trials, seed=args.seed, threads=threads)
-    report = xp.run_adversarial_demo(args.n, args.beta, args.p, args.r, args.trials, seed=args.seed, threads=threads)
+def _cmd_exp_adversarial(args) -> int:
+    _log(command="exp-adversarial", n=args.n, beta=args.beta, p=args.p, r=args.r, trials=args.trials, seed=args.seed, threads=args.threads)
+    report = xp.run_adversarial_demo(args.n, args.beta, args.p, args.r, args.trials, seed=args.seed, threads=args.threads)
     _write_out(args.out, report.to_csv())
     return 0
 
@@ -307,34 +311,27 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 2
 
 
+_COMMANDS = {
+    "sample": _cmd_sample,
+    "select": _cmd_select,
+    "posest": _cmd_posest,
+    "mle": _cmd_mle,
+    "topk": _cmd_topk,
+    "verify": _cmd_verify,
+    "exp-complexity": _cmd_exp_complexity,
+    "exp-distance": _cmd_exp_distance,
+    "exp-topk": _cmd_exp_topk,
+    "exp-adversarial": _cmd_exp_adversarial,
+}
+
+
 def dispatch(argv: list[str]) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    threads = getattr(args, "threads", None)
-    if threads is None:
-        threads = _default_threads()
     try:
-        if args.command == "sample":
-            return _cmd_sample(args)
-        if args.command == "select":
-            return _cmd_select(args)
-        if args.command == "posest":
-            return _cmd_posest(args)
-        if args.command == "mle":
-            return _cmd_mle(args)
-        if args.command == "topk":
-            return _cmd_topk(args)
-        if args.command == "exp-complexity":
-            return _cmd_exp_complexity(args, threads)
-        if args.command == "exp-distance":
-            return _cmd_exp_distance(args, threads)
-        if args.command == "exp-topk":
-            return _cmd_exp_topk(args, threads)
-        if args.command == "exp-adversarial":
-            return _cmd_exp_adversarial(args, threads)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        parser.error(f"unknown command {args.command!r}")
+        if args.command.startswith("exp-") and args.threads is None:
+            args.threads = _default_threads(parser)
+        return _COMMANDS[args.command](args)
     except (
         InfeasibleSpecError,
         BudgetExceededError,
@@ -345,7 +342,6 @@ def dispatch(argv: list[str]) -> int:
     ) as exc:
         print(f"mallows-select: error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 def main() -> None:

@@ -11,7 +11,6 @@ resulting scores are broken uniformly at random from the caller's stream.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -168,11 +167,6 @@ def log_likelihood(pi: Ranking, profile: SampleProfile, beta: float) -> float:
     return total
 
 
-def total_distance(pi: Ranking, profile: SampleProfile) -> int:
-    """Sum of generalized Kendall tau distances from ``pi`` to every sample."""
-    return sum(kendall_tau_incomplete(pi, rk) for rk in profile.rankings)
-
-
 _BRUTE_FORCE_LIMIT = 10
 
 
@@ -211,17 +205,3 @@ def top_k(pi: Ranking, k: int) -> Ranking:
     if not 1 <= k <= len(pi.items):
         raise ValueError(f"k must lie in [1, {len(pi.items)}], got {k}")
     return Ranking(pi.items[:k], validate=False)
-
-
-def exact_two_item_success(r: int, beta: float) -> float:
-    """Closed-form exact-recovery probability for n = 2 and r complete samples.
-
-    The correct order wins each sample with probability 1/(1+e^{-beta});
-    recovery succeeds on a strict majority and on half the exact splits.
-    """
-    q = 1.0 / (1.0 + math.exp(-beta))
-    pmf = [math.comb(r, w) * q**w * (1 - q) ** (r - w) for w in range(r + 1)]
-    success = sum(pmf[w] for w in range(r + 1) if 2 * w > r)
-    if r % 2 == 0:
-        success += 0.5 * pmf[r // 2]
-    return success

@@ -10,7 +10,7 @@ trials are scheduled across workers.
 
 from __future__ import annotations
 
-import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
@@ -130,6 +130,33 @@ def run_trial(
     return est, pi0
 
 
+def _cell(
+    root: Stream,
+    trials: range,
+    n: int,
+    beta: float,
+    p: float,
+    r: int,
+    selection_kind: str,
+    estimator: str = "posest",
+    center: Ranking | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run trials ``root.child(t)`` for t in ``trials``; returns (estimate, center) item arrays.
+
+    Both arrays have one row of n items per trial.  Every experiment is a
+    reduction over these rows.
+    """
+    rows = [run_trial(n, beta, p, r, selection_kind, root.child(t), estimator, center) for t in trials]
+    est = np.array([e.items for e, _ in rows], dtype=np.int64).reshape(len(rows), n)
+    pi0 = np.array([c.items for _, c in rows], dtype=np.int64).reshape(len(rows), n)
+    return est, pi0
+
+
+def _prefix_matches(est: np.ndarray, pi0: np.ndarray, k: int) -> int:
+    """Number of trials whose estimate agrees with the center on the first k positions."""
+    return int((est[:, :k] == pi0[:, :k]).all(axis=1).sum())
+
+
 def estimate_success_rate(
     n: int,
     beta: float,
@@ -153,14 +180,8 @@ def estimate_success_rate(
         raise ValueError("match must be 'exact' or 'topk'")
     if match == "topk" and not (k and 1 <= k <= n):
         raise ValueError("topk matching requires 1 <= k <= n")
-    hits = 0
-    for t in range(trials):
-        est, pi0 = run_trial(n, beta, p, r, selection_kind, stream.child(t), estimator)
-        if match == "exact":
-            hits += est.items == pi0.items
-        else:
-            hits += est.items[:k] == pi0.items[:k]
-    return hits / trials
+    est, pi0 = _cell(stream, range(trials), n, beta, p, r, selection_kind, estimator)
+    return _prefix_matches(est, pi0, n if match == "exact" else k) / trials
 
 
 def binary_search_complexity(
@@ -216,14 +237,8 @@ class ComplexityCurve:
     metadata: dict = field(compare=False)
 
     def to_csv(self) -> str:
-        lines = _metadata_lines(self.metadata)
-        lines.append("p,inv_p,mean_r_star,std_r_star,searches,trials")
-        for p, inv_p, mean, std in self.points:
-            lines.append(
-                f"{_fmt(p)},{_fmt(inv_p)},{_fmt(mean)},{_fmt(std)},"
-                f"{self.metadata['searches']},{self.metadata['trials_per_point']}"
-            )
-        return "\n".join(lines) + "\n"
+        extra = (self.metadata["searches"], self.metadata["trials_per_point"])
+        return _csv(self.metadata, "p,inv_p,mean_r_star,std_r_star,searches,trials", (pt + extra for pt in self.points))
 
     def to_svg(self) -> str:
         from .plotting import line_plot_svg
@@ -246,12 +261,9 @@ class DistanceCurve:
     metadata: dict = field(compare=False)
 
     def to_csv(self) -> str:
-        lines = _metadata_lines(self.metadata)
-        lines.append("p,r,mean_kt,std_kt,trials")
-        for p, rows in self.series:
-            for r, mean, std in rows:
-                lines.append(f"{_fmt(p)},{r},{_fmt(mean)},{_fmt(std)},{self.metadata['trials_per_point']}")
-        return "\n".join(lines) + "\n"
+        trials = self.metadata["trials_per_point"]
+        rows = ((p,) + row + (trials,) for p, rows in self.series for row in rows)
+        return _csv(self.metadata, "p,r,mean_kt,std_kt,trials", rows)
 
     def to_svg(self) -> str:
         from .plotting import line_plot_svg
@@ -277,11 +289,8 @@ class TopkCurve:
     metadata: dict = field(compare=False)
 
     def to_csv(self) -> str:
-        lines = _metadata_lines(self.metadata)
-        lines.append("k,r,topk_success,full_success,trials")
-        for r, topk_rate, full_rate in self.rows:
-            lines.append(f"{self.k},{r},{_fmt(topk_rate)},{_fmt(full_rate)},{self.metadata['trials_per_point']}")
-        return "\n".join(lines) + "\n"
+        trials = self.metadata["trials_per_point"]
+        return _csv(self.metadata, "k,r,topk_success,full_success,trials", ((self.k,) + row + (trials,) for row in self.rows))
 
     def to_svg(self) -> str:
         from .plotting import line_plot_svg
@@ -306,11 +315,7 @@ class AdversarialReport:
     metadata: dict = field(compare=False)
 
     def to_csv(self) -> str:
-        lines = _metadata_lines(self.metadata)
-        lines.append("regime,r,failure_rate,trials")
-        for regime, r, rate, trials in self.rows:
-            lines.append(f"{regime},{r},{_fmt(rate)},{trials}")
-        return "\n".join(lines) + "\n"
+        return _csv(self.metadata, "regime,r,failure_rate,trials", self.rows)
 
 
 def _fmt(x) -> str:
@@ -319,43 +324,42 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _metadata_lines(meta: dict) -> list[str]:
+def _csv(meta: dict, header: str, rows) -> str:
+    """``# key=value`` metadata lines, the column header, then one line per row."""
     lines = []
     for key, value in meta.items():
         if isinstance(value, tuple):
             value = "|".join(_fmt(v) for v in value)
         lines.append(f"# {key}={_fmt(value)}")
-    return lines
+    lines.append(header)
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
-def _map_tasks(worker, tasks, threads: int):
-    if threads <= 1 or len(tasks) <= 1:
-        return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        chunk = max(1, len(tasks) // (threads * 4))
-        return list(pool.map(worker, tasks, chunksize=chunk))
+def _map_tasks(fn, tasks: list[tuple], threads: int) -> list:
+    """``[fn(*task) for task in tasks]``, spread over at most ``threads`` worker processes.
 
-
-def _complexity_task(args) -> int:
-    config, p_idx, search_idx = args
-    stream = Stream.from_seed(config.seed).child(_EXP_COMPLEXITY, p_idx, search_idx)
-    return binary_search_complexity(
-        config.n,
-        config.beta,
-        config.p_values[p_idx],
-        config.target_success,
-        config.trials_per_point,
-        config.selection_kind,
-        stream,
-        max_r=config.max_r,
-        estimator=config.estimator,
-    )
+    Workers are capped at the task count and the core count, because every
+    worker of a pool is started at its first submit.
+    """
+    workers = min(threads, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
+        return [fn(*task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunk = max(1, len(tasks) // (workers * 4))
+        return list(pool.map(fn, *zip(*tasks), chunksize=chunk))
 
 
 def run_complexity_experiment(config: ExperimentConfig, threads: int = 1) -> ComplexityCurve:
     """Average binary-search sample-complexity estimates per frequency p."""
-    tasks = [(config, p_idx, s) for p_idx in range(len(config.p_values)) for s in range(config.searches)]
-    results = _map_tasks(_complexity_task, tasks, threads)
+    root = Stream.from_seed(config.seed)
+    tasks = [
+        (config.n, config.beta, p, config.target_success, config.trials_per_point, config.selection_kind,
+         root.child(_EXP_COMPLEXITY, p_idx, s), config.max_r, config.estimator)
+        for p_idx, p in enumerate(config.p_values)
+        for s in range(config.searches)
+    ]
+    results = _map_tasks(binary_search_complexity, tasks, threads)
     points = []
     for p_idx, p in enumerate(config.p_values):
         rs = np.array(results[p_idx * config.searches : (p_idx + 1) * config.searches], dtype=np.float64)
@@ -366,19 +370,15 @@ def run_complexity_experiment(config: ExperimentConfig, threads: int = 1) -> Com
 
 def distance_cell(config: ExperimentConfig, p_idx: int, r: int) -> np.ndarray:
     """Per-trial distances for one (p, r) cell of the distance experiment."""
-    p = config.p_values[p_idx]
     root = Stream.from_seed(config.seed).child(_EXP_DISTANCE, p_idx, r)
-    dists = np.empty(config.trials_per_point, dtype=np.int64)
-    for t in range(config.trials_per_point):
-        est, pi0 = run_trial(config.n, config.beta, p, r, config.selection_kind, root.child(t), config.estimator)
-        dists[t] = kendall_tau(est, pi0)
-    return dists
-
-
-def _distance_task(args) -> tuple[float, float]:
-    config, p_idx, r = args
-    dists = distance_cell(config, p_idx, r).astype(np.float64)
-    return float(dists.mean()), float(dists.std())
+    est, pi0 = _cell(
+        root, range(config.trials_per_point), config.n, config.beta, config.p_values[p_idx], r,
+        config.selection_kind, config.estimator,
+    )
+    return np.array(
+        [kendall_tau(Ranking(e, validate=False), Ranking(c, validate=False)) for e, c in zip(est.tolist(), pi0.tolist())],
+        dtype=np.int64,
+    )
 
 
 def run_distance_experiment(config: ExperimentConfig, threads: int = 1) -> DistanceCurve:
@@ -386,29 +386,13 @@ def run_distance_experiment(config: ExperimentConfig, threads: int = 1) -> Dista
     if not config.r_grid:
         raise ValueError("distance experiment requires a nonempty r_grid")
     tasks = [(config, p_idx, r) for p_idx in range(len(config.p_values)) for r in config.r_grid]
-    results = _map_tasks(_distance_task, tasks, threads)
-    series = []
+    results = [d.astype(np.float64) for d in _map_tasks(distance_cell, tasks, threads)]
     width = len(config.r_grid)
-    for p_idx, p in enumerate(config.p_values):
-        rows = tuple(
-            (r, results[p_idx * width + r_idx][0], results[p_idx * width + r_idx][1])
-            for r_idx, r in enumerate(config.r_grid)
-        )
-        series.append((p, rows))
-    return DistanceCurve(series=tuple(series), metadata=config.metadata())
-
-
-def _topk_task(args) -> tuple[float, float]:
-    config, r = args
-    p = config.p_values[0]
-    root = Stream.from_seed(config.seed).child(_EXP_TOPK, r)
-    topk_hits = 0
-    full_hits = 0
-    for t in range(config.trials_per_point):
-        est, pi0 = run_trial(config.n, config.beta, p, r, config.selection_kind, root.child(t), config.estimator)
-        topk_hits += est.items[: config.k] == pi0.items[: config.k]
-        full_hits += est.items == pi0.items
-    return topk_hits / config.trials_per_point, full_hits / config.trials_per_point
+    series = tuple(
+        (p, tuple((r, float(d.mean()), float(d.std())) for r, d in zip(config.r_grid, results[p_idx * width :])))
+        for p_idx, p in enumerate(config.p_values)
+    )
+    return DistanceCurve(series=series, metadata=config.metadata())
 
 
 def run_topk_experiment(config: ExperimentConfig, threads: int = 1) -> TopkCurve:
@@ -417,21 +401,18 @@ def run_topk_experiment(config: ExperimentConfig, threads: int = 1) -> TopkCurve
         raise ValueError("top-k experiment requires a nonempty r_grid")
     if not (config.k and 1 <= config.k <= config.n):
         raise ValueError("top-k experiment requires 1 <= k <= n")
-    tasks = [(config, r) for r in config.r_grid]
-    results = _map_tasks(_topk_task, tasks, threads)
-    rows = tuple((r, results[i][0], results[i][1]) for i, r in enumerate(config.r_grid))
+    trials = config.trials_per_point
+    root = Stream.from_seed(config.seed)
+    tasks = [
+        (root.child(_EXP_TOPK, r), range(trials), config.n, config.beta, config.p_values[0], r,
+         config.selection_kind, config.estimator)
+        for r in config.r_grid
+    ]
+    rows = tuple(
+        (r, _prefix_matches(est, pi0, config.k) / trials, _prefix_matches(est, pi0, config.n) / trials)
+        for r, (est, pi0) in zip(config.r_grid, _map_tasks(_cell, tasks, threads))
+    )
     return TopkCurve(k=config.k, rows=rows, metadata=config.metadata())
-
-
-def _adversarial_task(args) -> int:
-    n, beta, p, r, regime, lo, hi, seed, kind = args
-    root = Stream.from_seed(seed).child(_EXP_ADVERSARIAL, 0 if regime == "adversarial" else 1)
-    failures = 0
-    planted = Ranking.identity(n) if regime == "adversarial" else None
-    for t in range(lo, hi):
-        est, pi0 = run_trial(n, beta, p, r, kind, root.child(t), "posest", center=planted)
-        failures += est.items != pi0.items
-    return failures
 
 
 def run_adversarial_demo(
@@ -452,42 +433,20 @@ def run_adversarial_demo(
     """
     if n % 2 != 0:
         raise ValueError("the matching construction requires an even number of alternatives")
+    regimes = (
+        ("adversarial", "adversarial_matching", Ranking.identity(n)),
+        ("mixed", "mixed_pfrequent", None),
+    )
+    root = Stream.from_seed(seed)
+    tasks = [
+        (root.child(_EXP_ADVERSARIAL, idx), range(t, t + 1), n, beta, p, r, kind, "posest", planted)
+        for idx, (_, kind, planted) in enumerate(regimes)
+        for t in range(trials)
+    ]
+    cells = _map_tasks(_cell, tasks, threads)
     rows = []
-    chunk = max(1, math.ceil(trials / max(1, threads * 4)))
-    for regime, kind in (("adversarial", "adversarial_matching"), ("mixed", "mixed_pfrequent")):
-        tasks = [
-            (n, beta, p, r, regime, lo, min(lo + chunk, trials), seed, kind)
-            for lo in range(0, trials, chunk)
-        ]
-        failures = sum(_map_tasks(_adversarial_task, tasks, threads))
+    for idx, (regime, _, _) in enumerate(regimes):
+        failures = sum(1 - _prefix_matches(est, pi0, n) for est, pi0 in cells[idx * trials : (idx + 1) * trials])
         rows.append((regime, r, failures / trials, trials))
     meta = {"n": n, "beta": beta, "p": p, "r": r, "trials": trials, "seed": seed}
     return AdversarialReport(rows=tuple(rows), metadata=meta)
-
-
-def linear_fit(xs, ys) -> tuple[float, float, float]:
-    """Least-squares line fit; returns (slope, intercept, r_squared)."""
-    x = np.asarray(xs, dtype=np.float64)
-    y = np.asarray(ys, dtype=np.float64)
-    slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    ss_res = float(((y - pred) ** 2).sum())
-    ss_tot = float(((y - y.mean()) ** 2).sum())
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return float(slope), float(intercept), r2
-
-
-def bootstrap_mean_diff_lower(a, b, stream: Stream, level: float = 0.99, reps: int = 2000) -> float:
-    """One-sided lower confidence bound for mean(a) - mean(b) by bootstrap."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    idx_a = _bounded_draws(stream, len(a), reps * len(a)).reshape(reps, len(a))
-    idx_b = _bounded_draws(stream, len(b), reps * len(b)).reshape(reps, len(b))
-    diffs = a[idx_a].mean(axis=1) - b[idx_b].mean(axis=1)
-    return float(np.quantile(diffs, 1.0 - level))
-
-
-def _bounded_draws(stream: Stream, bound: int, count: int) -> np.ndarray:
-    # 32-bit multiply-shift keeps everything in uint64; bias < bound/2^32
-    u = stream.u64_array(count) >> np.uint64(32)
-    return ((u * np.uint64(bound)) >> np.uint64(32)).astype(np.int64)

@@ -55,50 +55,59 @@ def _parse_header(line: str) -> tuple[int, int, float | None]:
     return n, r, beta
 
 
-def collect_profile_errors(text: str, p: float | None = None) -> list[dict]:
-    """Validate profile text; returns an itemized error list (empty when valid)."""
-    lines = [ln for ln in text.splitlines()]
+def _ints(text: str) -> tuple[int, ...]:
+    """Comma-separated integers; an empty token is an error, an empty text no integers."""
+    return tuple(int(tok) for tok in text.split(",")) if text else ()
+
+
+def _scan(text: str) -> tuple[int, float | None, list[tuple[int, ...]], list[tuple[int, ...] | None]]:
+    """Tokenize and check every line once; raises FileFormatError listing every error.
+
+    Returns ``(n, beta, sets, rankings)``: the sorted selection set of every
+    sample line, and its ranking, or None on a selection-only line.  Every
+    invariant the core types check on construction has been checked.
+    """
+    lines = text.splitlines()
     if not lines or not lines[0].strip():
-        return [_err(1, "missing header line")]
-    try:
-        n, r, _beta = _parse_header(lines[0])
-    except FileFormatError as exc:
-        return exc.errors
+        raise FileFormatError([_err(1, "missing header line")])
+    n, r, beta = _parse_header(lines[0])
 
     errors: list[dict] = []
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != r:
         errors.append(_err(1, f"header declares r={r} but file holds {len(body)} sample lines"))
-    sets = []
-    for offset, raw in enumerate(body, start=2):
-        line_no = offset
+    sets: list[tuple[int, ...]] = []
+    rankings: list[tuple[int, ...] | None] = []
+    for line_no, raw in enumerate(body, start=2):
         part = raw.strip()
         if not part.startswith("S:"):
             errors.append(_err(line_no, "sample line must start with 'S:'"))
             continue
         payload = part[2:]
-        s_text, _, r_text = payload.partition("|R:")
+        s_text, has_ranking, r_text = payload.partition("|R:")
         try:
-            s_items = [int(tok) for tok in s_text.split(",") if tok != ""]
+            s_items = _ints(s_text)
         except ValueError:
             errors.append(_err(line_no, f"unparseable selection set {s_text!r}"))
             continue
-        if len(set(s_items)) != len(s_items):
+        s_sorted = tuple(sorted(s_items))
+        if len(set(s_sorted)) != len(s_sorted):
             dup = sorted({x for x in s_items if s_items.count(x) > 1})
             errors.append(_err(line_no, f"duplicate alternative {dup[0]} in selection set", item=dup[0]))
             continue
-        if len(s_items) < 2:
+        if len(s_sorted) < 2:
             errors.append(_err(line_no, "selection set needs at least two alternatives"))
             continue
-        bad = [x for x in s_items if x < 0 or x >= n]
-        if bad:
+        if s_sorted[0] < 0 or s_sorted[-1] >= n:
+            bad = [x for x in s_items if x < 0 or x >= n]
             errors.append(_err(line_no, f"alternative {bad[0]} outside [0, {n})", item=bad[0]))
             continue
-        sets.append(tuple(sorted(s_items)))
-        if "|R:" not in payload:
-            continue  # selection-only line is fine in a mixed audit
+        sets.append(s_sorted)
+        if not has_ranking:
+            rankings.append(None)
+            continue
         try:
-            r_items = [int(tok) for tok in r_text.split(",") if tok != ""]
+            r_items = _ints(r_text)
         except ValueError:
             errors.append(_err(line_no, f"unparseable ranking {r_text!r}"))
             continue
@@ -106,57 +115,41 @@ def collect_profile_errors(text: str, p: float | None = None) -> list[dict]:
             dup = sorted({x for x in r_items if r_items.count(x) > 1})
             errors.append(_err(line_no, f"duplicate alternative {dup[0]} in ranking", item=dup[0]))
             continue
-        if sorted(r_items) != sorted(s_items):
+        if tuple(sorted(r_items)) != s_sorted:
             errors.append(_err(line_no, "ranking is not a permutation of its selection set"))
-    if p is not None and not errors and sets:
-        report = verify_p_frequent(SelectionSequence(sets, n), p)
-        if not report.ok:
-            pair = report.worst_pairs()[0]
-            count = int(report.counts[pair[0], pair[1]])
-            errors.append(
-                _err(
-                    1,
-                    f"sequence is not {p:g}-frequent: pair {pair} co-appears in {count}/{len(sets)} sets",
-                    pair=list(pair),
-                    count=count,
-                )
-            )
-    return errors
+            continue
+        rankings.append(r_items)
+    if errors:
+        raise FileFormatError(errors)
+    return n, beta, sets, rankings
+
+
+def collect_profile_errors(text: str, p: float | None = None) -> list[dict]:
+    """Validate profile text; returns an itemized error list (empty when valid)."""
+    try:
+        n, _beta, sets, _rankings = _scan(text)
+    except FileFormatError as exc:
+        return exc.errors
+    if p is None or not sets:
+        return []
+    report = verify_p_frequent(SelectionSequence(sets, n, validate=False), p)
+    if report.ok:
+        return []
+    pair = report.worst_pairs()[0]
+    count = int(report.counts[pair[0], pair[1]])
+    message = f"sequence is not {p:g}-frequent: pair {pair} co-appears in {count}/{len(sets)} sets"
+    return [_err(1, message, pair=list(pair), count=count)]
 
 
 def parse_profile(text: str) -> tuple[SampleProfile, float | None]:
     """Parse a profile file; raises FileFormatError with itemized errors."""
-    errors = collect_profile_errors(text)
-    if errors:
-        raise FileFormatError(errors)
-    lines = text.splitlines()
-    n, r, beta = _parse_header(lines[0])
-    sets = []
-    rankings = []
-    for raw in lines[1:]:
-        if not raw.strip():
-            continue
-        payload = raw.strip()[2:]
-        s_text, _, r_text = payload.partition("|R:")
-        if not r_text:
-            raise FileFormatError([_err(1, "profile file has selection-only lines; use parse_selection")])
-        sets.append(tuple(int(tok) for tok in s_text.split(",")))
-        rankings.append(Ranking(int(tok) for tok in r_text.split(",")))
-    selection = SelectionSequence(sets, n)
-    return SampleProfile(rankings, selection), beta
+    n, beta, sets, rankings = _scan(text)
+    if None in rankings:
+        raise FileFormatError([_err(1, "profile file has selection-only lines; use parse_selection")])
+    selection = SelectionSequence(sets, n, validate=False)
+    return SampleProfile([Ranking(rk, validate=False) for rk in rankings], selection, validate=False), beta
 
 
 def parse_selection(text: str) -> SelectionSequence:
-    errors = collect_profile_errors(text)
-    if errors:
-        raise FileFormatError(errors)
-    lines = text.splitlines()
-    n, r, _ = _parse_header(lines[0])
-    sets = []
-    for raw in lines[1:]:
-        if not raw.strip():
-            continue
-        payload = raw.strip()[2:]
-        s_text, _, _ = payload.partition("|R:")
-        sets.append(tuple(int(tok) for tok in s_text.split(",")))
-    return SelectionSequence(sets, n)
+    n, _beta, sets, _rankings = _scan(text)
+    return SelectionSequence(sets, n, validate=False)

@@ -30,6 +30,10 @@ from .rng import Stream, draw_matrix
 _SCALE_BITS = 63
 _SCALE = 1 << _SCALE_BITS
 
+# a bernoulli_random spec whose rejection loop is expected to consume more
+# uniforms than this is refused: the loop has no other bound
+_MAX_BERNOULLI_UNIFORMS = 1 << 30
+
 
 class InfeasibleSpecError(ValueError):
     """Raised when a selection spec cannot produce a valid sequence."""
@@ -46,7 +50,8 @@ class SelectionSpec:
                            the full sets alone guarantee p-frequency
       bernoulli_random     each alternative enters each set independently with
                            probability q (default sqrt(p), so each pair co-appears
-                           with probability >= p); sets with < 2 elements are redrawn
+                           with probability >= p); sets with < 2 elements are redrawn,
+                           and a spec expected to need over 2^30 uniforms is refused
       adversarial_matching ceil(p*r) full sets plus pairs drawn from the non-starved
                            perfect matchings, leaving the pairs of the first matching
                            observed only in the full sets
@@ -137,7 +142,15 @@ def generate_selection(spec: SelectionSpec, r: int, stream: Stream | None = None
     elif spec.kind == "bernoulli_random":
         if stream is None:
             raise ValueError("bernoulli_random selection requires a stream")
-        threshold = np.uint64(min(_SCALE, round(spec.inclusion_probability() * _SCALE)))
+        q = spec.inclusion_probability()
+        accept = 1.0 - (1.0 - q) ** n - n * q * (1.0 - q) ** (n - 1)  # P(a draw has >= 2 members)
+        uniforms = r * n / accept if accept > 0 else math.inf
+        if uniforms > _MAX_BERNOULLI_UNIFORMS:
+            raise InfeasibleSpecError(
+                f"bernoulli_random with n={n}, q={q:g} accepts a set with probability {accept:.3g}; "
+                f"{r} sets would take about {uniforms:.3g} uniforms, over the limit of 2^30"
+            )
+        threshold = np.uint64(min(_SCALE, round(q * _SCALE)))
         sets = []
         while len(sets) < r:
             want = r - len(sets)
@@ -265,10 +278,6 @@ def sample_profile(params: MallowsParams, selection: SelectionSequence, stream: 
     center = params.center
     rankings: list[Ranking | None] = [None] * r
     for m, idxs in by_size.items():
-        if m == 1:  # unreachable: SelectionSequence rejects singletons
-            for ell in idxs:
-                rankings[ell] = Ranking(selection.sets[ell], validate=False)
-            continue
         tables = _insertion_thresholds(m, beta)
         draws = draw_matrix(keys[np.asarray(idxs, dtype=np.int64)], m - 1) >> np.uint64(1)
         codes = np.empty((len(idxs), m - 1), dtype=np.int64)
@@ -296,20 +305,3 @@ def sample_profile(params: MallowsParams, selection: SelectionSequence, stream: 
                         base = restricted[s] = _restricted_center_items(center, s)
                 rankings[ell] = Ranking(_apply_insertion_codes(base, code_rows[row]), validate=False)
     return SampleProfile(rankings, selection, validate=False)
-
-
-def mallows_pmf(center: Ranking, beta: float) -> dict[tuple[int, ...], float]:
-    """Exact Mallows probabilities for every permutation of a small item set."""
-    from itertools import permutations
-
-    from .core import kendall_tau, partition_function
-
-    m = len(center)
-    if m > 8:
-        raise ValueError("exact pmf is limited to 8 alternatives")
-    z = partition_function(m, beta)
-    out = {}
-    for perm in permutations(center.items):
-        d = kendall_tau(center, Ranking(perm, validate=False))
-        out[perm] = math.exp(-beta * d) / z
-    return out

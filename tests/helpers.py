@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids the library's optimized code paths:
 distances by quadratic pair scans, maximizers by exhaustive enumeration,
-counts by a second bookkeeping pass.
+counts by a second bookkeeping pass.  The closed forms and statistics
+helpers at the end (exact pmf, two-item success, line fit, bootstrap
+bound) serve only the tests, so they live here rather than in the package.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 
 import numpy as np
 
-from mallows_select.core import Ranking, SampleProfile, SelectionSequence
+from mallows_select.core import Ranking, SampleProfile, SelectionSequence, kendall_tau_incomplete
 from mallows_select.rng import Stream
 
 
@@ -99,3 +101,67 @@ def exact_pair_flip_probability(beta: float) -> float:
 def argmax_set(values, keys) -> set:
     best = max(values)
     return {k for v, k in zip(values, keys) if v == best}
+
+
+def mallows_pmf(center: Ranking, beta: float) -> dict[tuple[int, ...], float]:
+    """Exact Mallows probabilities for every permutation of a small item set."""
+    from itertools import permutations
+
+    from mallows_select.core import kendall_tau, partition_function
+
+    m = len(center)
+    if m > 8:
+        raise ValueError("exact pmf is limited to 8 alternatives")
+    z = partition_function(m, beta)
+    out = {}
+    for perm in permutations(center.items):
+        d = kendall_tau(center, Ranking(perm, validate=False))
+        out[perm] = math.exp(-beta * d) / z
+    return out
+
+
+def total_distance(pi: Ranking, profile: SampleProfile) -> int:
+    """Sum of generalized Kendall tau distances from ``pi`` to every sample."""
+    return sum(kendall_tau_incomplete(pi, rk) for rk in profile.rankings)
+
+
+def exact_two_item_success(r: int, beta: float) -> float:
+    """Closed-form exact-recovery probability for n = 2 and r complete samples.
+
+    The correct order wins each sample with probability 1/(1+e^{-beta});
+    recovery succeeds on a strict majority and on half the exact splits.
+    """
+    q = 1.0 / (1.0 + math.exp(-beta))
+    pmf = [math.comb(r, w) * q**w * (1 - q) ** (r - w) for w in range(r + 1)]
+    success = sum(pmf[w] for w in range(r + 1) if 2 * w > r)
+    if r % 2 == 0:
+        success += 0.5 * pmf[r // 2]
+    return success
+
+
+def linear_fit(xs, ys) -> tuple[float, float, float]:
+    """Least-squares line fit; returns (slope, intercept, r_squared)."""
+    x = np.asarray(xs, dtype=np.float64)
+    y = np.asarray(ys, dtype=np.float64)
+    slope, intercept = np.polyfit(x, y, 1)
+    pred = slope * x + intercept
+    ss_res = float(((y - pred) ** 2).sum())
+    ss_tot = float(((y - y.mean()) ** 2).sum())
+    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+    return float(slope), float(intercept), r2
+
+
+def bootstrap_mean_diff_lower(a, b, stream: Stream, level: float = 0.99, reps: int = 2000) -> float:
+    """One-sided lower confidence bound for mean(a) - mean(b) by bootstrap."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    idx_a = _bounded_draws(stream, len(a), reps * len(a)).reshape(reps, len(a))
+    idx_b = _bounded_draws(stream, len(b), reps * len(b)).reshape(reps, len(b))
+    diffs = a[idx_a].mean(axis=1) - b[idx_b].mean(axis=1)
+    return float(np.quantile(diffs, 1.0 - level))
+
+
+def _bounded_draws(stream: Stream, bound: int, count: int) -> np.ndarray:
+    # 32-bit multiply-shift keeps everything in uint64; bias < bound/2^32
+    u = stream.u64_array(count) >> np.uint64(32)
+    return ((u * np.uint64(bound)) >> np.uint64(32)).astype(np.int64)

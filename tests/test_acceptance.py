@@ -17,7 +17,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import enumerate_window, pair_scan_kendall, random_incomplete_profile
+from helpers import (
+    bootstrap_mean_diff_lower,
+    enumerate_window,
+    linear_fit,
+    mallows_pmf,
+    pair_scan_kendall,
+    random_incomplete_profile,
+)
 from mallows_select.core import (
     MallowsParams,
     Ranking,
@@ -32,10 +39,8 @@ from mallows_select.estimators import (
 )
 from mallows_select.experiments import (
     binary_search_complexity,
-    bootstrap_mean_diff_lower,
     distance_cell,
     estimate_success_rate,
-    linear_fit,
     preset,
     run_adversarial_demo,
     run_complexity_experiment,
@@ -53,7 +58,6 @@ from mallows_select.rng import Stream
 from mallows_select.sampling import (
     SelectionSpec,
     generate_selection,
-    mallows_pmf,
     sample_mallows,
     sample_profile,
 )

@@ -145,6 +145,16 @@ class TestCliErrors:
             dispatch(["frobnicate"])
         assert excinfo.value.code == 1
 
+    def test_bad_threads_variable_exits_one_only_for_experiments(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("MALLOWS_SELECT_THREADS", "abc")
+        with pytest.raises(SystemExit) as excinfo:
+            dispatch(["exp-adversarial", "--n", "4", "--trials", "2"])
+        assert excinfo.value.code == 1
+        assert "MALLOWS_SELECT_THREADS" in capsys.readouterr().err
+        sel_path = tmp_path / "sel.txt"
+        assert run(capsys, "select", "--n", "4", "--r", "2", "--out", str(sel_path))[0] == 0
+        assert run(capsys, "verify", str(sel_path))[0] == 0
+
     def test_runtime_error_exits_two(self, tmp_path, capsys):
         code, _, err = run(capsys, "posest", "--in", str(tmp_path / "missing.txt"), "--seed", "0")
         assert code == 2

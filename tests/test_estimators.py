@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import regression_pins
-from helpers import argmax_set, random_incomplete_profile, recount_pairwise
+from helpers import argmax_set, exact_two_item_success, random_incomplete_profile, recount_pairwise, total_distance
 from mallows_select.core import (
     MallowsParams,
     Ranking,
@@ -18,13 +18,11 @@ from mallows_select.core import (
 from mallows_select.estimators import (
     accumulate_counts,
     brute_force_mle,
-    exact_two_item_success,
     log_likelihood,
     positional_estimator,
     score,
     score_permutation_array,
     top_k,
-    total_distance,
 )
 from mallows_select.experiments import run_trial
 from mallows_select.rng import Stream

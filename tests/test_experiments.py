@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mallows_select.estimators import exact_two_item_success
+from helpers import bootstrap_mean_diff_lower, exact_two_item_success, linear_fit
+from mallows_select import experiments as xp
 from mallows_select.experiments import (
     ExperimentConfig,
     SearchCapError,
     binary_search_complexity,
-    bootstrap_mean_diff_lower,
     estimate_success_rate,
-    linear_fit,
     preset,
     run_adversarial_demo,
     run_complexity_experiment,
@@ -323,3 +322,42 @@ class TestEstimatorSelector:
         cfg = preset("figure1")
         reduced = dataclasses.replace(cfg, searches=3)
         assert reduced.searches == 3 and reduced.n == cfg.n
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the worker count and maps in-process."""
+
+    def __init__(self, made, max_workers):
+        made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        assert chunksize >= 1
+        return map(fn, *iterables)
+
+
+class TestWorkerCap:
+    def test_workers_capped_by_threads_tasks_and_cores(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(xp, "ProcessPoolExecutor", lambda max_workers: _RecordingPool(made, max_workers))
+        monkeypatch.setattr(xp.os, "cpu_count", lambda: 4)
+        tasks = [(2, k) for k in range(10)]
+        assert xp._map_tasks(pow, tasks[:3], 10**6) == [1, 2, 4]
+        assert xp._map_tasks(pow, tasks, 10**6) == [2**k for k in range(10)]
+        assert xp._map_tasks(pow, tasks, 2) == [2**k for k in range(10)]
+        assert xp._map_tasks(pow, tasks[:1], 10**6) == [1]
+        assert made == [3, 4, 2]
+
+    def test_huge_threads_value_keeps_bytes(self, monkeypatch):
+        made = []
+        serial = run_adversarial_demo(n=8, beta=1.0, p=0.5, r=4, trials=30, seed=10, threads=1).to_csv()
+        monkeypatch.setattr(xp, "ProcessPoolExecutor", lambda max_workers: _RecordingPool(made, max_workers))
+        monkeypatch.setattr(xp.os, "cpu_count", lambda: 4)
+        capped = run_adversarial_demo(n=8, beta=1.0, p=0.5, r=4, trials=30, seed=10, threads=10**6).to_csv()
+        assert capped == serial
+        assert made == [4]

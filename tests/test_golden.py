@@ -1,0 +1,90 @@
+"""Golden bytes: sha256 digests of small CLI runs, pinned so refactors keep every output.
+
+Each case runs through ``cli.dispatch`` in-process and hashes the files it
+writes (CSV, SVG, sampled profile) or its stdout.  stderr carries paths and
+is not hashed.  A digest changes only when an output byte changes.
+"""
+
+import hashlib
+
+import pytest
+
+from mallows_select.cli import dispatch
+
+EXPERIMENTS = {
+    "complexity_mixed": [
+        "exp-complexity", "--n", "6", "--beta", "1.5", "--p-values", "1,0.5",
+        "--trials", "10", "--searches", "3", "--seed", "3",
+    ],
+    "complexity_bernoulli": [
+        "exp-complexity", "--n", "6", "--beta", "1.5", "--p-values", "1,0.25",
+        "--trials", "10", "--searches", "3", "--kind", "bernoulli_random", "--seed", "4",
+    ],
+    "distance_figure2": ["exp-distance", "--preset", "figure2", "--trials", "3", "--seed", "5"],
+    "topk": [
+        "exp-topk", "--n", "8", "--beta", "1", "--p-values", "0.5", "--k", "3",
+        "--trials", "10", "--r-grid", "5,10,20", "--seed", "6",
+    ],
+    "adversarial": ["exp-adversarial", "--n", "8", "--beta", "1", "--p", "0.5", "--r", "4", "--trials", "50", "--seed", "7"],
+}
+
+SAMPLE = [
+    "sample", "--n", "8", "--beta", "1.5", "--r", "30", "--p", "0.5",
+    "--kind", "bernoulli_random", "--center", "random", "--seed", "8",
+]
+
+READERS = {
+    "posest": ["posest", "--emit-raw-scores", "--seed", "9"],
+    "mle": ["mle", "--mode", "mle", "--p", "0.5", "--seed", "9"],
+    "ltn": ["mle", "--mode", "ltn", "--p", "0.5", "--seed", "9"],
+}
+
+GOLDEN = {
+    "complexity_mixed.csv": "d1e898efd017ef50c8ef983fb3b3abbeb07834c2f0bad67f5f3bdf52fe547a41",
+    "complexity_mixed.svg": "f2a31fb7c722d3b4a45aac0b5c259a03e695fcc811e47194c4eca3c318282dd9",
+    "complexity_bernoulli.csv": "354fce2d12a77f4010b6c9f04d1884dabccff189586884813b67c8311555a002",
+    "complexity_bernoulli.svg": "80fb7d395606f9a1a1dd1901b29b7868def1919bc1a770ac4098c48501ed3ed8",
+    "distance_figure2.csv": "b8b3aefc1b427399ec6f79dd8a3220d59f06461e7c94083c89f99d93a2d7d7f7",
+    "distance_figure2.svg": "1083aa6407bd854480601365a158493f9f4f70416d0222cdcb948e51e03f1211",
+    "topk.csv": "d36a1a365b73108b2d9d6010602da813dfd200ba8619993ebe2364fe9dc7a529",
+    "topk.svg": "aca5f7bf2c22983924352ff2309ef41c99121329627794ba018246ba858fd0e1",
+    "adversarial.csv": "835ec6e730965a859247f1362dd23a11a75e5fcba2ff17bd7a2e67adee34f7cc",
+    "sample.txt": "8930d9ba0ff8ae081f669fdac22fccf6c1ecc7540f02af1488e64243a5ef4a31",
+    "posest": "a84d274cb78344aa15083d58fe40554d4bf60b37c4404935f69ee1cb99b2b892",
+    "mle": "eec01e30f7ba0286b54f1a23c0f92b1d1b7725b5da631b11f866318a94dd7d5b",
+    "ltn": "a38c179d3e868e60bf399ee9222405d27c602b8d6a8c4b87e2dcf216e7790ee2",
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("golden")
+    out = {}
+    for name, argv in EXPERIMENTS.items():
+        csv = tmp / f"{name}.csv"
+        assert dispatch(argv + ["--threads", "1", "--out", str(csv)]) == 0
+        out[csv.name] = _sha(csv.read_bytes())
+        svg = csv.with_suffix(".svg")
+        if svg.exists():
+            out[svg.name] = _sha(svg.read_bytes())
+    profile = tmp / "sample.txt"
+    assert dispatch(SAMPLE + ["--out", str(profile)]) == 0
+    out[profile.name] = _sha(profile.read_bytes())
+    for name, argv in READERS.items():
+        result = tmp / f"{name}.out"
+        assert dispatch(argv + ["--in", str(profile), "--out", str(result)]) == 0
+        out[name] = _sha(result.read_bytes())
+    return out
+
+
+def test_outputs_cover_every_pinned_file(digests):
+    assert sorted(digests) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_bytes_unchanged(digests, name):
+    assert digests[name] == GOLDEN[name]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import exact_pair_flip_probability
+from helpers import exact_pair_flip_probability, mallows_pmf
 from mallows_select.core import (
     MallowsParams,
     Ranking,
@@ -19,7 +19,6 @@ from mallows_select.sampling import (
     InfeasibleSpecError,
     SelectionSpec,
     generate_selection,
-    mallows_pmf,
     matching_family,
     sample_mallows,
     sample_profile,
@@ -229,6 +228,14 @@ class TestGenerateSelection:
         spec = SelectionSpec(kind="bernoulli_random", n=6, p=0.25)
         with pytest.raises(ValueError, match="stream"):
             generate_selection(spec, 3)
+
+    def test_bernoulli_refuses_unreachable_sets_before_drawing(self):
+        # P(size >= 2) is about 2e-14 here, so the rejection loop would never end
+        spec = SelectionSpec(kind="bernoulli_random", n=20, p=1e-16, q=1e-8)
+        stream = Stream.from_seed(15)
+        with pytest.raises(InfeasibleSpecError, match="uniforms"):
+            generate_selection(spec, 1, stream)
+        assert stream.u64() == Stream.from_seed(15).u64()
 
     def test_explicit_passthrough_and_length_check(self):
         spec = SelectionSpec(kind="explicit", n=4, sets=((0, 1), (1, 2, 3)))
