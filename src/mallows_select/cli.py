@@ -167,26 +167,15 @@ def _experiment_config(args) -> xp.ExperimentConfig:
         if args.n is None or args.beta is None:
             raise InfeasibleSpecError("--n and --beta are required without --preset")
         config = xp.ExperimentConfig(n=args.n, beta=args.beta)
-    updates = {}
-    if args.n is not None:
-        updates["n"] = args.n
-    if args.beta is not None:
-        updates["beta"] = args.beta
+    flags = {
+        "n": args.n, "beta": args.beta, "target_success": args.target, "trials_per_point": args.trials,
+        "searches": args.searches, "k": args.k, "selection_kind": args.kind, "seed": args.seed,
+    }
+    updates = {name: value for name, value in flags.items() if value is not None}
     if args.p_values is not None:
         updates["p_values"] = tuple(float(tok) for tok in args.p_values.split(","))
-    if args.target is not None:
-        updates["target_success"] = args.target
-    if args.trials is not None:
-        updates["trials_per_point"] = args.trials
-    if args.searches is not None:
-        updates["searches"] = args.searches
     if args.r_grid is not None:
         updates["r_grid"] = tuple(int(tok) for tok in args.r_grid.split(","))
-    if args.k is not None:
-        updates["k"] = args.k
-    if args.kind is not None:
-        updates["selection_kind"] = args.kind
-    updates["seed"] = args.seed
     return dataclasses.replace(config, **updates)
 
 

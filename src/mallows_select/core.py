@@ -68,7 +68,10 @@ class Ranking:
 
     @classmethod
     def from_line(cls, line: str) -> "Ranking":
-        parts = [p for p in line.strip().split(",") if p != ""]
+        text = line.strip()
+        parts = text.split(",") if text else []
+        if "" in parts:
+            raise ValueError(f"empty alternative in ranking {text!r}")
         return cls(int(p) for p in parts)
 
     def __len__(self) -> int:

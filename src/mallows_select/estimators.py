@@ -16,14 +16,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (
-    Ranking,
-    SampleProfile,
-    kendall_tau_incomplete,
-    log_partition_function,
-)
+from .core import Ranking, SampleProfile, log_partition_function
 from .rng import Stream
-from .sampling import _triu_pairs
+from .sampling import _precedence_blocks, _triu_pairs
 
 
 @dataclass(frozen=True)
@@ -49,27 +44,8 @@ def accumulate_counts(profile: SampleProfile) -> PairwiseCounts:
     """Tally appearances and precedences in one pass over the profile."""
     n = profile.n
     wins = np.zeros((n, n), dtype=np.int64)
-    complete_rows = []
-    pair_first: list[np.ndarray] = []
-    pair_second: list[np.ndarray] = []
-    for rk in profile.rankings:
-        m = len(rk.items)
-        its = np.fromiter(rk.items, dtype=np.int64, count=m)
-        if m == n:
-            pos = np.empty(n, dtype=np.int64)
-            pos[its] = np.arange(n)
-            complete_rows.append(pos)
-        else:
-            a, b = _triu_pairs(m)
-            pair_first.append(its[a])
-            pair_second.append(its[b])
-    if complete_rows:
-        P = np.stack(complete_rows)
-        for lo in range(0, len(P), 4096):  # bound the temporary boolean block
-            block = P[lo : lo + 4096]
-            wins += (block[:, :, None] < block[:, None, :]).sum(axis=0, dtype=np.int64)
-    if pair_first:
-        np.add.at(wins, (np.concatenate(pair_first), np.concatenate(pair_second)), 1)
+    for block in _precedence_blocks([rk.items for rk in profile.rankings], n):
+        wins += block.sum(axis=0, dtype=np.int64)
     return PairwiseCounts(n=n, appear=wins + wins.T, wins=wins)
 
 
@@ -144,9 +120,7 @@ def score(pi: Ranking, counts: PairwiseCounts) -> int:
     Maximizing this over complete rankings is equivalent to maximizing the
     profile likelihood at any spread parameter.
     """
-    its = np.fromiter(pi.items, dtype=np.int64, count=len(pi.items))
-    a, b = _triu_pairs(len(its))
-    return int(counts.wins[its[a], its[b]].sum())
+    return int(score_permutation_array(np.array([pi.items], dtype=np.int64), counts)[0])
 
 
 def score_permutation_array(perms: np.ndarray, counts: PairwiseCounts) -> np.ndarray:
@@ -157,13 +131,22 @@ def score_permutation_array(perms: np.ndarray, counts: PairwiseCounts) -> np.nda
 
 
 def log_likelihood(pi: Ranking, profile: SampleProfile, beta: float) -> float:
-    """Log-probability of the profile under center ``pi`` and spread ``beta``."""
+    """Log-probability of the profile under center ``pi`` and spread ``beta``, summed in sample order."""
     if beta <= 0:
         raise ValueError("spread parameter beta must be positive")
+    n = profile.n
+    rows = [rk.items for rk in profile.rankings]
+    missing = set(itertools.chain.from_iterable(rows)).difference(pi.items)
+    if missing:
+        raise ValueError(f"profile contains alternatives not in the ranking: {sorted(missing)}")
+    after_in_pi = next(_precedence_blocks([[x for x in pi.items if x < n]], n))[0].T
+    discordant = itertools.chain.from_iterable(
+        np.logical_and(block, after_in_pi, out=block).sum(axis=(1, 2)).tolist() for block in _precedence_blocks(rows, n)
+    )
     total = 0.0
-    for rk in profile.rankings:
-        total -= beta * kendall_tau_incomplete(pi, rk)
-        total -= log_partition_function(len(rk.items), beta)
+    for d, items in zip(discordant, rows):
+        total -= beta * d
+        total -= log_partition_function(len(items), beta)
     return total
 
 

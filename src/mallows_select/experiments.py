@@ -17,11 +17,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import MallowsParams, Ranking, kendall_tau
+from .core import MallowsParams, Ranking
 from .estimators import positional_estimator
 from .mle import recover_likelier_than_nature, recover_mle
 from .rng import Stream
-from .sampling import SelectionSpec, generate_selection, sample_profile
+from .sampling import SelectionSpec, _precedence_blocks, generate_selection, sample_profile
 
 _EXP_COMPLEXITY = 1
 _EXP_DISTANCE = 2
@@ -375,10 +375,9 @@ def distance_cell(config: ExperimentConfig, p_idx: int, r: int) -> np.ndarray:
         root, range(config.trials_per_point), config.n, config.beta, config.p_values[p_idx], r,
         config.selection_kind, config.estimator,
     )
-    return np.array(
-        [kendall_tau(Ranking(e, validate=False), Ranking(c, validate=False)) for e, c in zip(est.tolist(), pi0.tolist())],
-        dtype=np.int64,
-    )
+    # Kendall tau per trial: the pairs the estimate puts one way and the center the other
+    blocks = zip(_precedence_blocks(est.tolist(), config.n), _precedence_blocks(pi0.tolist(), config.n))
+    return np.concatenate([(e & c.transpose(0, 2, 1)).sum(axis=(1, 2)) for e, c in blocks])
 
 
 def run_distance_experiment(config: ExperimentConfig, threads: int = 1) -> DistanceCurve:

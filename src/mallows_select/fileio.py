@@ -12,6 +12,10 @@ from .core import Ranking, SampleProfile, SelectionSequence
 from .sampling import verify_p_frequent
 
 
+# a larger header n is refused before any n x n table is made; one int64 table at this n takes 512 MiB
+_MAX_HEADER_N = 8192
+
+
 class FileFormatError(ValueError):
     """A profile or selection file violates the format or its invariants."""
 
@@ -52,6 +56,8 @@ def _parse_header(line: str) -> tuple[int, int, float | None]:
         raise FileFormatError([_err(1, f"unparseable header {line.strip()!r}")]) from None
     if n < 1 or r < 0:
         raise FileFormatError([_err(1, f"header values out of range: n={n}, r={r}")])
+    if n > _MAX_HEADER_N:
+        raise FileFormatError([_err(1, f"header n={n} is over the limit of {_MAX_HEADER_N} alternatives")])
     return n, r, beta
 
 

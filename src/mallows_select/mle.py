@@ -219,25 +219,25 @@ def dp_maximize(counts: PairwiseCounts, config: DpConfig) -> Ranking:
     return result
 
 
-def pointwise_window(n: int, beta: float, p: float, r: int, alpha: float = 1.0, c1: float = 1.0) -> int:
+def pointwise_window(n: int, beta: float, p: float, r: int, alpha: float = 1.0) -> int:
     """Radius within which the positional estimate traps the center whp.
 
-    The theory pins only the shape (beta^2+1)/(beta^3 p^2 r) * log n; the
-    constant c1 is a tunable and the widening policy makes the pipeline
+    The theory pins only the shape (beta^2+1)/(beta^3 p^2 r) * log n, so the
+    constant is taken as 1; the widening policy makes the pipeline
     self-certifying regardless of its value.
     """
     if beta <= 0 or not (0 < p <= 1) or r < 1:
         raise ValueError("need beta > 0, p in (0,1], r >= 1")
-    raw = c1 * (beta * beta + 1.0) / (beta**3 * p * p * r) * math.log(n * (2.0 + alpha))
+    raw = (beta * beta + 1.0) / (beta**3 * p * p * r) * math.log(n * (2.0 + alpha))
     return max(1, math.ceil(raw))
 
 
-def mle_window(n: int, beta: float, p: float, r: int, alpha: float = 1.0, c1: float = 1.0, c2: float = 1.0) -> int:
+def mle_window(n: int, beta: float, p: float, r: int, alpha: float = 1.0) -> int:
     """Enlarged radius that also traps the global score maximizer whp."""
     if beta <= 0 or not (0 < p <= 1) or r < 1:
         raise ValueError("need beta > 0, p in (0,1], r >= 1")
-    extra = c2 * (1.0 / (beta * p**3) + math.log(n * (2.0 + alpha)) / (beta * p**4 * r))
-    return pointwise_window(n, beta, p, r, alpha, c1) + max(1, math.ceil(extra))
+    extra = 1.0 / (beta * p**3) + math.log(n * (2.0 + alpha)) / (beta * p**4 * r)
+    return pointwise_window(n, beta, p, r, alpha) + max(1, math.ceil(extra))
 
 
 @dataclass(frozen=True)
@@ -289,18 +289,17 @@ def recover_likelier_than_nature(
     beta: float,
     p: float,
     alpha: float = 1.0,
-    stream: Stream | None = None,
-    c1: float = 1.0,
+    *,
+    stream: Stream,
     budget: int = 1 << 22,
     radius_override: int | None = None,
 ) -> MleReport:
     """Anchor on the positional estimate and maximize over its trap window.
 
     Whenever the true center lies inside the final window, the result is
-    at least as likely as the center.
+    at least as likely as the center.  ``stream`` breaks the anchor's score ties.
     """
-    stream = stream if stream is not None else Stream.from_seed(0)
-    radius = radius_override if radius_override is not None else pointwise_window(profile.n, beta, p, len(profile), alpha, c1)
+    radius = radius_override if radius_override is not None else pointwise_window(profile.n, beta, p, len(profile), alpha)
     return _recover(profile, beta, radius, budget, stream, "likelier_than_nature")
 
 
@@ -309,13 +308,11 @@ def recover_mle(
     beta: float,
     p: float,
     alpha: float = 1.0,
-    stream: Stream | None = None,
-    c1: float = 1.0,
-    c2: float = 1.0,
+    *,
+    stream: Stream,
     budget: int = 1 << 22,
     radius_override: int | None = None,
 ) -> MleReport:
     """Same pipeline with the enlarged window that traps the global maximizer."""
-    stream = stream if stream is not None else Stream.from_seed(0)
-    radius = radius_override if radius_override is not None else mle_window(profile.n, beta, p, len(profile), alpha, c1, c2)
+    radius = radius_override if radius_override is not None else mle_window(profile.n, beta, p, len(profile), alpha)
     return _recover(profile, beta, radius, budget, stream, "maximum_likelihood")

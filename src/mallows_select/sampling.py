@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -29,6 +29,9 @@ from .rng import Stream, draw_matrix
 
 _SCALE_BITS = 63
 _SCALE = 1 << _SCALE_BITS
+
+# rows per precedence block are chosen so one boolean block holds about this many bytes
+_PRECEDENCE_BLOCK_BYTES = 1 << 24
 
 # a bernoulli_random spec whose rejection loop is expected to consume more
 # uniforms than this is refused: the loop has no other bound
@@ -180,14 +183,10 @@ class PFrequencyReport:
     counts: np.ndarray  # n x n symmetric co-appearance counts, zero diagonal
 
     def worst_pairs(self) -> list[tuple[int, int]]:
-        n = self.counts.shape[0]
-        lo = self.counts[np.triu_indices(n, 1)].min()
-        out = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.counts[i, j] == lo:
-                    out.append((i, j))
-        return out
+        a, b = _triu_pairs(self.counts.shape[0])
+        pair_counts = self.counts[a, b]
+        worst = pair_counts == pair_counts.min()
+        return list(zip(a[worst].tolist(), b[worst].tolist()))
 
 
 def verify_p_frequent(selection: SelectionSequence, p: float) -> PFrequencyReport:
@@ -197,10 +196,8 @@ def verify_p_frequent(selection: SelectionSequence, p: float) -> PFrequencyRepor
         raise ValueError("cannot audit an empty selection sequence")
     n = selection.n
     counts = np.zeros((n, n), dtype=np.int64)
-    for s in selection:
-        idx = np.fromiter(s, dtype=np.int64, count=len(s))
-        a, b = _triu_pairs(len(s))
-        np.add.at(counts, (idx[a], idx[b]), 1)
+    for block in _precedence_blocks(selection.sets, n):
+        counts += block.sum(axis=0, dtype=np.int64)
     counts = counts + counts.T
     min_frac = counts[np.triu_indices(n, 1)].min() / r
     return PFrequencyReport(ok=bool(min_frac >= p - 1e-12), min_pair_fraction=float(min_frac), counts=counts)
@@ -209,6 +206,30 @@ def verify_p_frequent(selection: SelectionSequence, p: float) -> PFrequencyRepor
 @lru_cache(maxsize=None)
 def _triu_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(m, 1)
+
+
+def _precedence_blocks(rows, n: int):
+    """Yield boolean blocks ``before[k, i, j]``: row k holds both i and j, with i ahead of j.
+
+    ``rows`` is a sequence of item sequences over [0, n).  A block covers
+    consecutive rows, as many as keep it near ``_PRECEDENCE_BLOCK_BYTES``,
+    and is built from a ``(k, n)`` position matrix in which ``n`` marks an
+    absent item.  All blocks share one buffer: a block is valid until the
+    next one is drawn, and the caller may overwrite it.
+    """
+    step = max(1, _PRECEDENCE_BLOCK_BYTES // max(1, n * n))
+    buf = np.empty((min(step, len(rows)), n, n), dtype=bool)
+    for lo in range(0, len(rows), step):
+        chunk = rows[lo : lo + step]
+        lens = np.fromiter(map(len, chunk), dtype=np.int64, count=len(chunk))
+        items = np.fromiter(chain.from_iterable(chunk), dtype=np.int64, count=int(lens.sum()))
+        starts = np.repeat(np.cumsum(lens) - lens, lens)
+        pos = np.full((len(chunk), n), n, dtype=np.int64)
+        pos[np.repeat(np.arange(len(chunk)), lens), items] = np.arange(len(items)) - starts
+        before = buf[: len(chunk)]
+        np.less(pos[:, :, None], pos[:, None, :], out=before)
+        before &= pos[:, None, :] < n
+        yield before
 
 
 @lru_cache(maxsize=256)

@@ -14,7 +14,13 @@ import math
 
 import numpy as np
 
-from mallows_select.core import Ranking, SampleProfile, SelectionSequence, kendall_tau_incomplete
+from mallows_select.core import (
+    Ranking,
+    SampleProfile,
+    SelectionSequence,
+    kendall_tau_incomplete,
+    log_partition_function,
+)
 from mallows_select.rng import Stream
 
 
@@ -92,6 +98,31 @@ def random_incomplete_profile(n: int, r: int, stream: Stream, min_size: int = 2)
         sets.append(tuple(members))
         rankings.append(Ranking(order))
     return SampleProfile(rankings, SelectionSequence(sets, n))
+
+
+def widened(profile: SampleProfile, extra: int) -> SampleProfile:
+    """The same samples over ``extra`` more alternatives, none of them observed."""
+    selection = SelectionSequence(profile.selection.sets, profile.n + extra)
+    return SampleProfile(profile.rankings, selection)
+
+
+def sequential_log_likelihood(pi: Ranking, profile: SampleProfile, beta: float) -> float:
+    """Profile log-likelihood summed sample by sample, each distance by merge sort."""
+    total = 0.0
+    for rk in profile.rankings:
+        total -= beta * kendall_tau_incomplete(pi, rk)
+        total -= log_partition_function(len(rk.items), beta)
+    return total
+
+
+def pair_scan_coappearance(selection: SelectionSequence) -> np.ndarray:
+    """Symmetric co-appearance counts by a scan over every pair of every set."""
+    counts = np.zeros((selection.n, selection.n), dtype=np.int64)
+    for s in selection:
+        for a, b in itertools.combinations(s, 2):
+            counts[a, b] += 1
+            counts[b, a] += 1
+    return counts
 
 
 def exact_pair_flip_probability(beta: float) -> float:

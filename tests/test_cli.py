@@ -179,6 +179,12 @@ class TestCliErrors:
         assert errors[0]["pair"] == [0, 2]
         assert errors[0]["count"] == 0
 
+    def test_center_with_empty_tokens_exits_two(self, capsys):
+        code, out, err = run(capsys, "sample", "--n", "3", "--beta", "1", "--r", "1", "--center", "0,,1,2,")
+        assert code == 2
+        assert out == ""
+        assert "empty alternative in ranking '0,,1,2,'" in err
+
     def test_infeasible_spec_exits_two(self, capsys):
         code, _, err = run(
             capsys, "sample", "--n", "5", "--beta", "1", "--r", "3",

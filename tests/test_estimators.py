@@ -1,11 +1,21 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import regression_pins
-from helpers import argmax_set, exact_two_item_success, random_incomplete_profile, recount_pairwise, total_distance
+from helpers import (
+    argmax_set,
+    exact_two_item_success,
+    random_incomplete_profile,
+    recount_pairwise,
+    sequential_log_likelihood,
+    total_distance,
+    widened,
+)
+from mallows_select import sampling
 from mallows_select.core import (
     MallowsParams,
     Ranking,
@@ -46,15 +56,19 @@ class TestAccumulateCounts:
         assert counts.appear[0, 1] == 2
         assert counts.wins[0, 1] == 1 and counts.wins[1, 0] == 1
 
-    def test_matches_independent_recount(self):
+    def test_matches_independent_recount(self, monkeypatch):
         stream = Stream.from_seed(100)
-        for trial in range(20):
-            profile = random_incomplete_profile(n=4 + stream.below(4), r=6, stream=stream)
-            counts = accumulate_counts(profile)
-            appear, wins = recount_pairwise(profile)
-            assert (counts.appear == appear).all()
-            assert (counts.wins == wins).all()
-            counts.validate()
+        profiles = [random_incomplete_profile(n=4 + stream.below(4), r=6, stream=stream) for _ in range(20)]
+        profiles.append(widened(random_incomplete_profile(n=5, r=9, stream=stream), 3))
+        # the default block holds every profile whole; 50 bytes splits all of them
+        for block_bytes in (sampling._PRECEDENCE_BLOCK_BYTES, 50):
+            monkeypatch.setattr(sampling, "_PRECEDENCE_BLOCK_BYTES", block_bytes)
+            for profile in profiles:
+                counts = accumulate_counts(profile)
+                appear, wins = recount_pairwise(profile)
+                assert (counts.appear == appear).all()
+                assert (counts.wins == wins).all()
+                counts.validate()
 
     def test_total_comparisons_invariant(self):
         stream = Stream.from_seed(101)
@@ -236,6 +250,54 @@ class TestLogLikelihood:
         profile = complete_profile([(0, 1)], 2)
         with pytest.raises(ValueError):
             log_likelihood(Ranking([0, 1]), profile, 0.0)
+
+    def test_equals_sequential_sum_bit_for_bit(self, monkeypatch):
+        stream = Stream.from_seed(102)
+        cases = []
+        for _ in range(30):
+            n = 3 + stream.below(8)
+            profile = random_incomplete_profile(n=n, r=1 + stream.below(40), stream=stream)
+            cases.append((Ranking(stream.permutation(n)), profile, 0.1 + 3 * stream.below(1000) / 1000))
+        profile = widened(random_incomplete_profile(n=6, r=12, stream=stream), 4)
+        cases.append((Ranking(stream.permutation(10)), profile, 1.3))
+        cases.append((Ranking(stream.permutation(12)), profile, 0.4))  # pi also ranks items beyond n
+        for block_bytes in (sampling._PRECEDENCE_BLOCK_BYTES, 50):
+            monkeypatch.setattr(sampling, "_PRECEDENCE_BLOCK_BYTES", block_bytes)
+            for pi, profile, beta in cases:
+                assert log_likelihood(pi, profile, beta) == sequential_log_likelihood(pi, profile, beta)
+
+    def test_sample_item_missing_from_pi_rejected(self):
+        profile = complete_profile([(0, 1, 2), (2, 1, 0)], 3)
+        with pytest.raises(ValueError, match=r"\[2\]"):
+            log_likelihood(Ranking([1, 0]), profile, 1.0)
+
+
+def _complete_profile_of_size(n: int, r: int, stream: Stream) -> SampleProfile:
+    rows = (stream.u64_array(r * n).reshape(r, n) >> np.uint64(1)).astype(np.int64).argsort(axis=1)
+    selection = SelectionSequence([tuple(range(n))] * r, n, validate=False)
+    return SampleProfile([Ranking(row, validate=False) for row in rows.tolist()], selection, validate=False)
+
+
+class TestKernelMemory:
+    @pytest.mark.parametrize(
+        "reduce",
+        [accumulate_counts, lambda profile: log_likelihood(Ranking.identity(profile.n), profile, 1.0)],
+        ids=["accumulate_counts", "log_likelihood"],
+    )
+    def test_peak_does_not_grow_with_profile_length(self, reduce):
+        stream = Stream.from_seed(103)
+        peaks = []
+        for r in (1000, 4000):
+            profile = _complete_profile_of_size(200, r, stream.child(r))
+            tracemalloc.start()
+            try:
+                reduce(profile)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # one r x n x n boolean block would be 40 MB at r=1000 and 160 MB at r=4000
+        assert peaks[1] <= peaks[0] + (1 << 20)
+        assert peaks[1] <= sampling._PRECEDENCE_BLOCK_BYTES + (8 << 20)
 
 
 class TestBruteForce:

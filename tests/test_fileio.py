@@ -1,5 +1,7 @@
 """Profile text format: round trips, itemized errors, and validator/parser agreement."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,3 +111,21 @@ def test_selection_only_lines_need_parse_selection():
     with pytest.raises(FileFormatError, match="selection-only"):
         parse_profile(text)
     assert parse_selection(text).sets == ((0, 1), (1, 2))
+
+
+def test_header_n_over_the_limit_is_refused_before_any_table(tmp_path, capsys):
+    # an n x n int64 table at n = 1e9 would take 8e18 bytes
+    text = "1000000000,1\nS:0,1|R:1,0\n"
+    error = {"line": 1, "message": "header n=1000000000 is over the limit of 8192 alternatives"}
+    assert collect_profile_errors(text, p=0.5) == [error]
+    with pytest.raises(FileFormatError) as excinfo:
+        parse_profile(text)
+    assert excinfo.value.errors == [error]
+    path = tmp_path / "huge.txt"
+    path.write_text(text)
+    for argv in (["posest", "--in", str(path)], ["mle", "--in", str(path), "--p", "0.5", "--beta", "1"]):
+        assert dispatch(argv) == 2
+        assert error["message"] in capsys.readouterr().err
+    assert dispatch(["verify", str(path), "--p", "0.5"]) == 2
+    assert json.loads(capsys.readouterr().out)[0]["errors"] == [error]
+    assert collect_profile_errors("8192,1\nS:0,1|R:1,0\n") == []

@@ -164,6 +164,13 @@ class TestRecoveryPipelines:
             report = recover(profile, 50.0, 0.5, stream=stream.child(2))
             assert report.result == center
 
+    def test_stream_is_required(self):
+        sel = generate_selection(SelectionSpec(kind="complete", n=4), 3)
+        profile = sample_profile(MallowsParams(Ranking.identity(4), 1.0), sel, Stream.from_seed(603))
+        for recover in (recover_likelier_than_nature, recover_mle):
+            with pytest.raises(TypeError, match="stream"):
+                recover(profile, 1.0, 1.0)
+
     def test_report_is_consistent(self):
         stream = Stream.from_seed(601)
         center = Ranking(stream.permutation(8))

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import exact_pair_flip_probability, mallows_pmf
+from helpers import exact_pair_flip_probability, mallows_pmf, pair_scan_coappearance
+from mallows_select import sampling
 from mallows_select.core import (
     MallowsParams,
     Ranking,
@@ -275,3 +276,24 @@ class TestVerifyPFrequent:
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
             verify_p_frequent(SelectionSequence([], n=4), 0.5)
+
+    def test_matches_pair_scan(self, monkeypatch):
+        stream = Stream.from_seed(720)
+        selections = [
+            generate_selection(SelectionSpec(kind="bernoulli_random", n=n, p=0.3), r, stream.child(n, r))
+            for n in (3, 5, 8) for r in (1, 4, 11)
+        ]
+        selections.append(generate_selection(SelectionSpec(kind="mixed_pfrequent", n=6, p=0.5), 9))
+        # alternatives 7..9 are never selected, so every worst pair involves them
+        selections.append(SelectionSequence(selections[-1].sets, 10))
+        for block_bytes in (sampling._PRECEDENCE_BLOCK_BYTES, 50):
+            monkeypatch.setattr(sampling, "_PRECEDENCE_BLOCK_BYTES", block_bytes)
+            for sel in selections:
+                report = verify_p_frequent(sel, 0.3)
+                expected = pair_scan_coappearance(sel)
+                assert (report.counts == expected).all()
+                n = sel.n
+                pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+                least = min(expected[i, j] for i, j in pairs)
+                assert report.worst_pairs() == [(i, j) for i, j in pairs if expected[i, j] == least]
+                assert report.min_pair_fraction == least / len(sel)
