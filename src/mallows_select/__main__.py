@@ -1,0 +1,5 @@
+"""``python -m mallows_select <subcommand>``: the command line without an installed script."""
+from .cli import main
+
+if __name__ == "__main__":
+    main()

@@ -101,7 +101,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--radius-override", type=int, default=None)
-    p.add_argument("--budget", type=int, default=1 << 22, help="max DP states per position")
+    p.add_argument("--budget", type=int, default=1 << 22, help="max window masks 2^min(2R+1,n) per position")
     add_seed(p)
     add_out(p)
 
@@ -179,14 +179,6 @@ def _experiment_config(args) -> xp.ExperimentConfig:
     return dataclasses.replace(config, **updates)
 
 
-def _emit_curve(args, csv_text: str, svg_text: str | None) -> None:
-    _write_out(args.out, csv_text)
-    if svg_text is not None and args.out != "-":
-        svg_path = str(Path(args.out).with_suffix(".svg"))
-        Path(svg_path).write_text(svg_text)
-        _log(svg=svg_path)
-
-
 def _cmd_sample(args) -> int:
     stream = Stream.from_seed(args.seed)
     spec = SelectionSpec(kind=args.kind, n=args.n, p=args.p, q=args.q)
@@ -252,33 +244,25 @@ def _cmd_topk(args) -> int:
     return 0
 
 
-def _cmd_exp_complexity(args) -> int:
+# curve command: (experiment runner, default profile-size grid)
+_CURVES = {
+    "exp-complexity": (xp.run_complexity_experiment, None),
+    "exp-distance": (xp.run_distance_experiment, tuple(range(10, 101, 10))),
+    "exp-topk": (xp.run_topk_experiment, tuple(range(5, 51, 5))),
+}
+
+
+def _cmd_exp_curve(args) -> int:
+    run, default_grid = _CURVES[args.command]
     config = _experiment_config(args)
-    _log(command="exp-complexity", threads=args.threads, **config.metadata())
-    curve = xp.run_complexity_experiment(config, threads=args.threads)
-    _emit_curve(args, curve.to_csv(), curve.to_svg())
-    return 0
-
-
-def _cmd_exp_distance(args) -> int:
-    config = _experiment_config(args)
-    if config.r_grid is None:
-        config = dataclasses.replace(config, r_grid=tuple(range(10, 101, 10)))
-    _log(command="exp-distance", threads=args.threads, **config.metadata())
-    curve = xp.run_distance_experiment(config, threads=args.threads)
-    _emit_curve(args, curve.to_csv(), curve.to_svg())
-    return 0
-
-
-def _cmd_exp_topk(args) -> int:
-    config = _experiment_config(args)
-    if config.k is None:
-        raise InfeasibleSpecError("exp-topk requires --k")
-    if config.r_grid is None:
-        config = dataclasses.replace(config, r_grid=tuple(range(5, 51, 5)))
-    _log(command="exp-topk", threads=args.threads, **config.metadata())
-    curve = xp.run_topk_experiment(config, threads=args.threads)
-    _emit_curve(args, curve.to_csv(), curve.to_svg())
+    config = dataclasses.replace(config, r_grid=config.r_grid or default_grid)
+    _log(command=args.command, threads=args.threads, **config.metadata())
+    curve = run(config, threads=args.threads)
+    _write_out(args.out, curve.to_csv())
+    if args.out != "-":
+        svg_path = str(Path(args.out).with_suffix(".svg"))
+        Path(svg_path).write_text(curve.to_svg())
+        _log(svg=svg_path)
     return 0
 
 
@@ -307,9 +291,9 @@ _COMMANDS = {
     "mle": _cmd_mle,
     "topk": _cmd_topk,
     "verify": _cmd_verify,
-    "exp-complexity": _cmd_exp_complexity,
-    "exp-distance": _cmd_exp_distance,
-    "exp-topk": _cmd_exp_topk,
+    "exp-complexity": _cmd_exp_curve,
+    "exp-distance": _cmd_exp_curve,
+    "exp-topk": _cmd_exp_curve,
     "exp-adversarial": _cmd_exp_adversarial,
 }
 

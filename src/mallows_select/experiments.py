@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -67,30 +67,22 @@ class ExperimentConfig:
 
 
 def preset(name: str) -> ExperimentConfig:
-    """Named experiment parameterizations reproduced by the CLI."""
-    if name == "figure1":
-        return ExperimentConfig(
-            n=20, beta=2.0,
-            p_values=(1.0, 1 / 2, 1 / 3, 1 / 4, 1 / 5, 1 / 6),
-            target_success=0.95, trials_per_point=100, searches=100,
-            selection_kind="mixed_pfrequent",
-        )
-    if name == "figure2":
-        return ExperimentConfig(
-            n=20, beta=0.3,
-            p_values=(0.2, 0.5, 1.0),
-            trials_per_point=100,
-            r_grid=tuple(range(10, 101, 10)),
-            selection_kind="mixed_pfrequent",
-        )
-    if name == "figure3":
-        return ExperimentConfig(
-            n=20, beta=2.0,
-            p_values=(1.0, 1 / 2, 1 / 3, 1 / 4, 1 / 5, 1 / 6),
-            target_success=0.95, trials_per_point=100, searches=50,
-            selection_kind="bernoulli_random",
-        )
-    raise ValueError(f"unknown preset {name!r}; available: figure1, figure2, figure3")
+    """Named experiment parameterizations reproduced by the CLI; figure3 is figure1 on Bernoulli sets."""
+    figure1 = ExperimentConfig(
+        n=20, beta=2.0, p_values=(1.0, 1 / 2, 1 / 3, 1 / 4, 1 / 5, 1 / 6),
+        target_success=0.95, trials_per_point=100, searches=100, selection_kind="mixed_pfrequent",
+    )
+    presets = {
+        "figure1": figure1,
+        "figure2": ExperimentConfig(
+            n=20, beta=0.3, p_values=(0.2, 0.5, 1.0), trials_per_point=100,
+            r_grid=tuple(range(10, 101, 10)), selection_kind="mixed_pfrequent",
+        ),
+        "figure3": replace(figure1, searches=50, selection_kind="bernoulli_random"),
+    }
+    if name not in presets:
+        raise ValueError(f"unknown preset {name!r}; available: figure1, figure2, figure3")
+    return presets[name]
 
 
 @lru_cache(maxsize=4096)

@@ -4,11 +4,15 @@ The search space is the set of complete rankings that are R-pointwise
 close to an anchor: relabel alternatives so the anchor is the identity,
 then every feasible ranking places element e at a position within
 [e-R, e+R].  Sweeping positions t = 0..n-1, the only uncertainty at step
-t is which elements inside the window [t-R, t+R] are already placed, so a
-bitmask over that window is a complete DP state.  Placing element e at
-position t gains the wins of e against every not-yet-placed element,
-split into an in-window part (subset sums over the mask) and a constant
-tail beyond the window (precomputed suffix sums).
+t is which elements inside the window [lo, hi] = [t-R, t+R] are already
+placed.  Every element below lo is, and element t+R cannot be, so the
+state is a fixed-popcount mask: t-lo bits set, the top one clear when
+hi = t+R.  Placing element e at position t gains the wins of e against
+every not-yet-placed element: a subset sum over the mask plus a suffix
+sum beyond the window.  One position is one vectorised step over its
+sorted masks (one product for all subset sums, a rank lookup for each
+successor, a row-wise argmax), costing C(2R, R)*w instead of the
+2^(2R+1)*w^2 of a sweep over every mask and candidate.
 
 The DP is exact on its feasible set.  A maximizer that touches the window
 boundary signals that the window may be truncating the true optimum; the
@@ -71,17 +75,27 @@ class DpConfig:
             raise ValueError("state budget must admit at least one window bit")
 
 
-def _states_required(radius: int, n: int) -> int:
-    return 1 << min(2 * radius + 1, n)
-
-
 def _check_budget(radius: int, n: int, budget: int) -> None:
-    need = _states_required(radius, n)
+    need = 1 << min(2 * radius + 1, n)
     if need > budget:
         raise BudgetExceededError(
             f"window radius {radius} needs {need} states per position, over the budget of {budget}; "
             f"raise max_states_budget to at least {need} or reduce the radius"
         )
+
+
+# multiply-adds in one block of a step's subset-sum product: BLAS runs a
+# product this small on the calling thread, so the DP stays single-threaded
+_STEP_BLOCK = 1 << 18
+
+
+def _popcount_masks(width: int, k: int) -> np.ndarray:
+    """Ascending ``width``-bit masks with exactly ``k`` bits set, built bit by bit: no 2^width table."""
+    rows = [np.zeros(1, dtype=np.int64)] + [np.zeros(0, dtype=np.int64)] * k  # masks over the bits so far, by popcount
+    for b in range(width):  # masks without bit b stay ahead of those with it, so each row stays ascending
+        for j in range(min(k, b + 1), max(1, k - (width - 1 - b)) - 1, -1):  # falling: rows[j - 1] is still old
+            rows[j] = np.concatenate((rows[j], rows[j - 1] | (1 << b)))
+    return rows[k]
 
 
 def _dp_window_max(wins_rel: np.ndarray, radius: int) -> tuple[list[int], int]:
@@ -92,65 +106,56 @@ def _dp_window_max(wins_rel: np.ndarray, radius: int) -> tuple[list[int], int]:
     """
     n = wins_rel.shape[0]
     R = min(radius, n - 1)
+    # every DP value is a sum of wins entries, so float64 holds it exactly
+    assert radius >= 0 and int(np.abs(wins_rel).sum()) < 1 << 53
     if n == 1:
         return [0], 0
+    wins_t = np.ascontiguousarray(wins_rel.T, dtype=np.float64)
     # suf[e, q] = sum_{k >= q} wins_rel[e, k]
-    suf = np.zeros((n, n + 1), dtype=np.int64)
-    suf[:, :n] = wins_rel[:, ::-1].cumsum(axis=1)[:, ::-1]
-    NEG = np.int64(-(1 << 62))
-
-    def bounds(t: int) -> tuple[int, int]:
-        return max(0, t - R), min(n - 1, t + R)
-
-    lo_n = max(0, n - R)
-    w_n = n - lo_n
-    v_next = np.full(1 << w_n, NEG, dtype=np.int64)
-    v_next[(1 << w_n) - 1] = np.int64(0)
-
-    choices: list[np.ndarray] = [None] * n  # type: ignore[list-item]
+    suf = wins_rel[:, ::-1].cumsum(axis=1)[:, ::-1].astype(np.float64)
+    # every element below lo is placed before t and element t+R cannot be, so the
+    # masks of position t are those of (width, popcount) = keys[t], the top bit
+    # clear when hi = t+R; position n holds the full mask alone
+    bounds = [(max(0, t - R), min(n - 1, t + R)) for t in range(n + 1)]
+    keys = [(hi - lo + 1 - (hi == t + R), t - lo) for t, (lo, hi) in enumerate(bounds)]
+    mask_sets = {key: _popcount_masks(*key) for key in set(keys)}
+    v_next, choices, geometry = np.zeros(1), [None] * n, None
     for t in range(n - 1, -1, -1):
-        lo, hi = bounds(t)
-        w = hi - lo + 1
-        lo_nx = max(0, t + 1 - R)
-        shift = lo_nx - lo  # 0 or 1
-        size = 1 << w
-        masks = np.arange(size, dtype=np.int64)
-        best = np.full(size, NEG, dtype=np.int64)
-        choice = np.zeros(size, dtype=np.uint8)
-        for c in range(w - 1, -1, -1):
-            e = lo + c
-            row = wins_rel[e, lo : hi + 1]
-            ss = np.zeros(size, dtype=np.int64)
-            for b in range(w):
-                v = row[b]
-                if v:
-                    ss.reshape(-1, 1 << (b + 1))[:, (1 << b) :] += v
-            gain = int(suf[e, lo]) - ss
-            newmask = masks | (1 << c)
-            if shift:
-                valid = ((masks >> c) & 1 == 0) & (newmask & 1 == 1)
-                nxt = newmask >> 1
-            else:
-                valid = (masks >> c) & 1 == 0
-                nxt = newmask
-            cand = gain + v_next[nxt]
-            upd = valid & (cand >= best)
-            best[upd] = cand[upd]
-            choice[upd] = c
-        choices[t] = choice
-        v_next = best
+        (lo, hi), m, m_next = bounds[t], mask_sets[keys[t]], mask_sets[keys[t + 1]]
+        w, shift = hi - lo + 1, int(t >= R)  # shift: the window slides, so slot 0 must be placed now
+        if geometry != (keys[t], keys[t + 1], w, shift):
+            # placed[s, c], and nxt[s, c]: the index of the state that placing slot c reaches, or
+            # past the next layer's values when that is illegal (c is placed, or the window slides
+            # and slot 0 stays free); both are kept while the next positions share this geometry
+            geometry, placed, nxt, bits = (keys[t], keys[t + 1], w, shift), None, None, 1 << np.arange(w)
+            rank = np.zeros(1 << (w - shift), dtype=np.intp)
+            rank[m_next] = np.arange(len(m_next))
+            placed = m[:, None] & bits != 0
+            nxt = rank[(m[:, None] | bits) >> shift]
+            nxt[placed | (~placed[:, :1] & (bits > 1) & bool(shift))] = len(m_next)
+            placed = placed.astype(np.float64)
+            del rank  # a 2^w table lives for this position only
+        win, suf_lo, v_ext = wins_t[lo : hi + 1, lo : hi + 1], suf[lo : hi + 1, lo], np.append(v_next, -np.inf)
+        v_next, choices[t] = np.empty(len(m)), np.empty(len(m), dtype=np.uint8)
+        step = max(1, _STEP_BLOCK // (w * w))
+        for a in range(0, len(m), step):
+            cand = placed[a : a + step] @ win  # [s, c]: the wins of element lo+c over the elements placed in s
+            np.subtract(suf_lo, cand, out=cand)
+            cand += v_ext[nxt[a : a + step]]
+            choice = cand.argmax(axis=1)  # the first maximum: the smallest c
+            v_next[a : a + step] = cand[np.arange(len(choice)), choice]
+            choices[t][a : a + step] = choice
 
     total = int(v_next[0])  # state before step 0: empty mask
     # forward walk choosing the stored (smallest) optimal element per state
     seq: list[int] = []
     mask = 0
     for t in range(n):
-        lo, hi = bounds(t)
-        c = int(choices[t][mask])
+        c = int(choices[t][np.searchsorted(mask_sets[keys[t]], mask)])
         assert (mask >> c) & 1 == 0
-        seq.append(lo + c)
+        seq.append(bounds[t][0] + c)
         mask |= 1 << c
-        if max(0, t + 1 - R) > lo:
+        if t >= R:
             assert mask & 1
             mask >>= 1
     return seq, total
@@ -204,12 +209,12 @@ def dp_maximize(counts: PairwiseCounts, config: DpConfig) -> Ranking:
     n = counts.n
     if len(config.anchor) != n or not config.anchor.is_complete(n):
         raise ValueError("anchor must be a complete ranking over the counted alternatives")
-    _check_budget(min(config.radius, n - 1), n, config.max_states_budget)
+    radius = min(config.radius, n - 1)
+    _check_budget(radius, n, config.max_states_budget)
     if config.boundary_policy == "widen":
-        result, _, _, _ = _maximize_with_widening(counts, config.anchor, config.radius, config.max_states_budget)
-        return result
-    result, achieved = _dp_once(counts, config.anchor, min(config.radius, n - 1))
-    if _touches_boundary(result, config.anchor, min(config.radius, n - 1)):
+        return _maximize_with_widening(counts, config.anchor, radius, config.max_states_budget)[0]
+    result, achieved = _dp_once(counts, config.anchor, radius)
+    if _touches_boundary(result, config.anchor, radius):
         raise BoundaryTouchError(
             f"window optimum touches the radius-{config.radius} boundary; "
             "the window may be truncating the true optimum (widen or raise the radius)",
@@ -219,6 +224,21 @@ def dp_maximize(counts: PairwiseCounts, config: DpConfig) -> Ranking:
     return result
 
 
+def _window(what: str, beta: float, p: float, r: int, alpha: float, formula) -> int:
+    """ceil of a window formula, at least 1, once the inputs and the result are checked."""
+    for name, value in (("beta", beta), ("alpha", alpha)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if beta <= 0 or not (0 < p <= 1) or r < 1:
+        raise ValueError("need beta > 0, p in (0,1], r >= 1")
+    if 2.0 + alpha <= 0:
+        raise ValueError(f"alpha must exceed -2, got {alpha}")
+    try:  # a power of beta or p that under- or overflows gives a zero division, an infinity or a NaN
+        return max(1, math.ceil(formula()))
+    except (ZeroDivisionError, OverflowError, ValueError):
+        raise ValueError(f"the {what} radius is not finite for beta={beta}, p={p}, r={r}") from None
+
+
 def pointwise_window(n: int, beta: float, p: float, r: int, alpha: float = 1.0) -> int:
     """Radius within which the positional estimate traps the center whp.
 
@@ -226,18 +246,15 @@ def pointwise_window(n: int, beta: float, p: float, r: int, alpha: float = 1.0) 
     constant is taken as 1; the widening policy makes the pipeline
     self-certifying regardless of its value.
     """
-    if beta <= 0 or not (0 < p <= 1) or r < 1:
-        raise ValueError("need beta > 0, p in (0,1], r >= 1")
-    raw = (beta * beta + 1.0) / (beta**3 * p * p * r) * math.log(n * (2.0 + alpha))
-    return max(1, math.ceil(raw))
+    return _window("pointwise window", beta, p, r, alpha,
+                   lambda: (beta * beta + 1.0) / (beta**3 * p * p * r) * math.log(n * (2.0 + alpha)))
 
 
 def mle_window(n: int, beta: float, p: float, r: int, alpha: float = 1.0) -> int:
     """Enlarged radius that also traps the global score maximizer whp."""
-    if beta <= 0 or not (0 < p <= 1) or r < 1:
-        raise ValueError("need beta > 0, p in (0,1], r >= 1")
-    extra = 1.0 / (beta * p**3) + math.log(n * (2.0 + alpha)) / (beta * p**4 * r)
-    return pointwise_window(n, beta, p, r, alpha) + max(1, math.ceil(extra))
+    return pointwise_window(n, beta, p, r, alpha) + _window(
+        "maximum-likelihood window", beta, p, r, alpha,
+        lambda: 1.0 / (beta * p**3) + math.log(n * (2.0 + alpha)) / (beta * p**4 * r))
 
 
 @dataclass(frozen=True)
@@ -263,12 +280,14 @@ class MleReport:
 
 
 def _recover(profile: SampleProfile, beta: float, radius: int, budget: int, stream: Stream, mode: str) -> MleReport:
+    if not radius >= 0:
+        raise ValueError(f"radius_override must be nonnegative, got {radius}")
     counts = accumulate_counts(profile)
     anchor = positional_estimator_from_counts(counts, stream).ranking
     n = counts.n
     if 2 * radius + 1 >= n:
-        # the windowed table is already as large as the unconstrained one,
-        # so search all of S_n: same cost, strictly safer
+        # the window already holds the 2^n masks per position of the unconstrained
+        # search under the budget rule, so search all of S_n: strictly safer
         radius = n - 1
     try:
         result, achieved, used, widenings = _maximize_with_widening(counts, anchor, radius, budget)

@@ -1,8 +1,8 @@
 """Independent oracles and generators shared across the test suite.
 
 Everything here deliberately avoids the library's optimized code paths:
-distances by quadratic pair scans, maximizers by exhaustive enumeration,
-counts by a second bookkeeping pass.  The closed forms and statistics
+distances by quadratic pair scans, maximizers by exhaustive enumeration
+or a DP over every window mask, counts by a second bookkeeping pass.  The closed forms and statistics
 helpers at the end (exact pmf, two-item success, line fit, bootstrap
 bound) serve only the tests, so they live here rather than in the package.
 """
@@ -74,6 +74,81 @@ def windowed_oracle(wins_rel: np.ndarray, radius: int) -> tuple[list[int], int]:
                 best_seq, best_score = list(perm), s
     assert best_seq is not None
     return best_seq, best_score
+
+
+def full_mask_dp(wins_rel: np.ndarray, radius: int) -> tuple[list[int], int]:
+    """Exact maximizer of the relabeled score over the R-window around identity.
+
+    The reference form of ``mle._dp_window_max``: it sweeps all 2^w window
+    masks at every position, reachable or not.
+
+    Returns the optimal placement sequence (relabeled elements by position,
+    lexicographically smallest among maximizers) and its score.
+    """
+    n = wins_rel.shape[0]
+    R = min(radius, n - 1)
+    if n == 1:
+        return [0], 0
+    # suf[e, q] = sum_{k >= q} wins_rel[e, k]
+    suf = np.zeros((n, n + 1), dtype=np.int64)
+    suf[:, :n] = wins_rel[:, ::-1].cumsum(axis=1)[:, ::-1]
+    NEG = np.int64(-(1 << 62))
+
+    def bounds(t: int) -> tuple[int, int]:
+        return max(0, t - R), min(n - 1, t + R)
+
+    lo_n = max(0, n - R)
+    w_n = n - lo_n
+    v_next = np.full(1 << w_n, NEG, dtype=np.int64)
+    v_next[(1 << w_n) - 1] = np.int64(0)
+
+    choices: list[np.ndarray] = [None] * n  # type: ignore[list-item]
+    for t in range(n - 1, -1, -1):
+        lo, hi = bounds(t)
+        w = hi - lo + 1
+        lo_nx = max(0, t + 1 - R)
+        shift = lo_nx - lo  # 0 or 1
+        size = 1 << w
+        masks = np.arange(size, dtype=np.int64)
+        best = np.full(size, NEG, dtype=np.int64)
+        choice = np.zeros(size, dtype=np.uint8)
+        for c in range(w - 1, -1, -1):
+            e = lo + c
+            row = wins_rel[e, lo : hi + 1]
+            ss = np.zeros(size, dtype=np.int64)
+            for b in range(w):
+                v = row[b]
+                if v:
+                    ss.reshape(-1, 1 << (b + 1))[:, (1 << b) :] += v
+            gain = int(suf[e, lo]) - ss
+            newmask = masks | (1 << c)
+            if shift:
+                valid = ((masks >> c) & 1 == 0) & (newmask & 1 == 1)
+                nxt = newmask >> 1
+            else:
+                valid = (masks >> c) & 1 == 0
+                nxt = newmask
+            cand = gain + v_next[nxt]
+            upd = valid & (cand >= best)
+            best[upd] = cand[upd]
+            choice[upd] = c
+        choices[t] = choice
+        v_next = best
+
+    total = int(v_next[0])  # state before step 0: empty mask
+    # forward walk choosing the stored (smallest) optimal element per state
+    seq: list[int] = []
+    mask = 0
+    for t in range(n):
+        lo, hi = bounds(t)
+        c = int(choices[t][mask])
+        assert (mask >> c) & 1 == 0
+        seq.append(lo + c)
+        mask |= 1 << c
+        if max(0, t + 1 - R) > lo:
+            assert mask & 1
+            mask >>= 1
+    return seq, total
 
 
 def enumerate_window(n: int, radius: int) -> np.ndarray:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -185,6 +188,30 @@ class TestCliErrors:
         assert out == ""
         assert "empty alternative in ranking '0,,1,2,'" in err
 
+    @pytest.mark.parametrize(
+        ("flags", "message"),
+        [
+            (("--beta", "1e-200"), "radius is not finite for beta=1e-200"),
+            (("--p", "1e-200"), "radius is not finite for beta=2.0, p=1e-200"),
+            (("--alpha", "inf"), "alpha must be finite, got inf"),
+            (("--beta", "nan"), "beta must be finite, got nan"),
+            (("--beta", "inf"), "beta must be finite, got inf"),
+            (("--alpha", "nan"), "alpha must be finite, got nan"),
+            (("--alpha", "-3"), "alpha must exceed -2, got -3.0"),
+            (("--radius-override", "-1"), "radius_override must be nonnegative, got -1"),
+        ],
+    )
+    def test_out_of_range_window_inputs_exit_two(self, tmp_path, capsys, flags, message):
+        prof = tmp_path / "prof.txt"
+        assert run(capsys, "sample", "--n", "12", "--beta", "2", "--p", "0.5", "--r", "20", "--out", str(prof))[0] == 0
+        args = {"--p": "0.5", **dict([flags])}
+        argv = ["mle", "--in", str(prof)] + [tok for pair in args.items() for tok in pair]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert "Traceback" not in err
+
     def test_infeasible_spec_exits_two(self, capsys):
         code, _, err = run(
             capsys, "sample", "--n", "5", "--beta", "1", "--r", "3",
@@ -246,3 +273,16 @@ class TestCliExperiments:
         assert dispatch(args + ["--threads", "3", "--out", str(out2)]) == 0
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_a_subcommand(self, capsys):
+        argv = ["select", "--n", "4", "--r", "2", "--kind", "pairwise"]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mallows_select", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == run(capsys, *argv)[1]
+        assert proc.stdout.startswith("4,2\n")

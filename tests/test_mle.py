@@ -1,10 +1,12 @@
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import regression_pins
-from helpers import enumerate_window, random_incomplete_profile, windowed_oracle
+from helpers import enumerate_window, full_mask_dp, random_incomplete_profile, windowed_oracle
 from mallows_select.core import MallowsParams, Ranking, pointwise_distance
 from mallows_select.estimators import (
     PairwiseCounts,
@@ -15,6 +17,7 @@ from mallows_select.estimators import (
     score_permutation_array,
 )
 from mallows_select.mle import (
+    _dp_window_max,
     BoundaryTouchError,
     BudgetExceededError,
     DpConfig,
@@ -130,6 +133,39 @@ class TestDpMaximize:
             dp_maximize(counts, DpConfig(radius=1, anchor=Ranking([0, 1, 2])))
 
 
+class TestReachableStateDp:
+    """The reachable-state DP against the reference that sweeps every window mask."""
+
+    @pytest.mark.parametrize("radius", range(9))
+    def test_matches_full_mask_reference(self, radius):
+        rng = np.random.default_rng(40 + radius)
+        for n in range(1, 31):
+            # few distinct win values make ties, and so the tie rule, common
+            hi = (2, 3, 51)[n % 3]
+            wins = rng.integers(0, hi, size=(n, n)).astype(np.int64)
+            assert _dp_window_max(wins, radius) == full_mask_dp(wins, radius)
+
+    @pytest.mark.parametrize("radius", range(9))
+    def test_no_information_gives_identity(self, radius):
+        for n in range(1, 31):
+            wins = np.zeros((n, n), dtype=np.int64)
+            assert _dp_window_max(wins, radius) == (list(range(n)), 0)
+
+    def test_peak_memory_within_reference_and_not_carried_over(self):
+        wins = np.random.default_rng(48).integers(0, 51, size=(40, 40)).astype(np.int64)
+        peaks = []
+        for dp in (full_mask_dp, _dp_window_max, _dp_window_max):
+            tracemalloc.start()
+            try:
+                dp(wins, 8)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        reference, first, second = peaks
+        assert first <= reference
+        assert second <= first
+
+
 def brute_force_mle_from_counts(counts: PairwiseCounts) -> Ranking:
     perms = np.array(list(itertools.permutations(range(counts.n))), dtype=np.int64)
     scores = score_permutation_array(perms, counts)
@@ -151,6 +187,29 @@ class TestWindowFormulas:
             pointwise_window(10, 0.0, 0.5, 5)
         with pytest.raises(ValueError):
             mle_window(10, 1.0, 0.0, 5)
+
+    @pytest.mark.parametrize("window", [pointwise_window, mle_window])
+    @pytest.mark.parametrize(
+        ("beta", "p", "alpha", "message"),
+        [
+            (float("nan"), 0.5, 1.0, "beta must be finite"),
+            (float("inf"), 0.5, 1.0, "beta must be finite"),
+            (2.0, 0.5, float("nan"), "alpha must be finite"),
+            (2.0, 0.5, float("inf"), "alpha must be finite"),
+            (2.0, 0.5, -2.0, "alpha must exceed -2"),
+            (1e-200, 0.5, 1.0, "radius is not finite for beta=1e-200"),
+            (2.0, 1e-200, 1.0, "radius is not finite for beta=2.0, p=1e-200"),
+        ],
+    )
+    def test_out_of_range_inputs_name_the_parameter(self, window, beta, p, alpha, message):
+        with pytest.raises(ValueError, match=message):
+            window(12, beta, p, 20, alpha)
+
+    def test_tiny_but_finite_inputs_keep_their_radius(self):
+        # p^2 stays a normal float here, so the pointwise radius is huge but finite
+        raw = (2.0 * 2.0 + 1.0) / (2.0**3 * 1e-150 * 1e-150 * 20) * math.log(12 * (2.0 + 1.0))
+        assert pointwise_window(12, 2.0, 1e-150, 20) == math.ceil(raw)
+        assert pointwise_window(12, 2.0, 0.5, 20, alpha=-1.5) == 1
 
 
 class TestRecoveryPipelines:
@@ -231,6 +290,13 @@ class TestRecoveryPipelines:
         profile = sample_profile(MallowsParams(center, 0.5), sel, stream.child(1))
         with pytest.raises(BudgetExceededError, match="budget"):
             recover_mle(profile, 0.5, 0.5, stream=stream.child(2), budget=16)
+
+    def test_negative_radius_override_is_refused(self):
+        sel = generate_selection(SelectionSpec(kind="complete", n=5), 4)
+        profile = sample_profile(MallowsParams(Ranking.identity(5), 1.0), sel, Stream.from_seed(608))
+        for recover in (recover_likelier_than_nature, recover_mle):
+            with pytest.raises(ValueError, match="radius_override must be nonnegative, got -1"):
+                recover(profile, 1.0, 1.0, stream=Stream.from_seed(609), radius_override=-1)
 
     def test_radius_override_respected(self):
         stream = Stream.from_seed(605)
