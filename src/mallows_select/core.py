@@ -90,18 +90,24 @@ class Ranking:
         return f"Ranking({list(self.items)})"
 
 
+def check_beta(beta: float) -> float:
+    """``beta`` as a float, once it is a finite positive spread parameter."""
+    if not (math.isfinite(beta) and beta > 0):
+        raise ValueError(f"spread parameter beta must be positive and finite, got {beta}")
+    return float(beta)
+
+
 class MallowsParams:
     """Central ranking plus spread parameter of a Mallows distribution."""
 
     __slots__ = ("center", "beta")
 
     def __init__(self, center: Ranking, beta: float):
-        if beta <= 0:
-            raise ValueError("spread parameter beta must be positive")
+        beta = check_beta(beta)
         if not center.is_complete(len(center)):
             raise ValueError("central ranking must be a complete ranking over {0,...,n-1}")
         self.center = center
-        self.beta = float(beta)
+        self.beta = beta
 
     @property
     def n(self) -> int:

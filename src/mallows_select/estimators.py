@@ -51,9 +51,13 @@ def accumulate_counts(profile: SampleProfile) -> PairwiseCounts:
 
 def positional_scores(counts: PairwiseCounts) -> np.ndarray:
     """Raw positional score per alternative, before tie-breaking."""
-    beaten = 2 * counts.wins.T >= counts.appear
-    np.fill_diagonal(beaten, False)
-    return beaten.sum(axis=1)
+    return _beaten_by(counts.wins, counts.appear)
+
+
+def _beaten_by(wins: np.ndarray, appear: np.ndarray) -> np.ndarray:
+    """Opponents j != i with ``2 * wins[j, i] >= appear[i, j]``, for every i of every trailing (n, n) block."""
+    beaten = 2 * np.swapaxes(wins, -1, -2) >= appear
+    return beaten.sum(axis=-1) - np.diagonal(beaten, axis1=-2, axis2=-1)
 
 
 @dataclass(frozen=True)
@@ -89,17 +93,7 @@ def positional_estimator(profile: SampleProfile, stream: Stream) -> PosEstResult
 def positional_estimator_from_counts(counts: PairwiseCounts, stream: Stream) -> PosEstResult:
     n = counts.n
     raw = positional_scores(counts)
-    order: list[int] = []
-    tie_groups: list[tuple[int, ...]] = []
-    by_score: dict[int, list[int]] = {}
-    for i, s in enumerate(raw.tolist()):
-        by_score.setdefault(s, []).append(i)
-    for s in sorted(by_score):
-        group = by_score[s]
-        if len(group) > 1:
-            tie_groups.append(tuple(group))
-            stream.shuffle(group)
-        order.extend(group)
+    order, tie_groups = _order_by_scores(raw.tolist(), stream)
     ai, bj = _triu_pairs(n)
     zero = counts.appear[ai, bj] == 0
     zero_pairs = tuple((int(a), int(b)) for a, b in zip(ai[zero], bj[zero]))
@@ -111,6 +105,22 @@ def positional_estimator_from_counts(counts: PairwiseCounts, stream: Stream) -> 
         zero_pairs=zero_pairs,
         never_observed=never,
     )
+
+
+def _order_by_scores(raw: list[int], stream: Stream) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Alternatives by ascending raw score, each tie group shuffled from ``stream`` in score order; also the groups."""
+    order: list[int] = []
+    tie_groups: list[tuple[int, ...]] = []
+    by_score: dict[int, list[int]] = {}
+    for i, s in enumerate(raw):
+        by_score.setdefault(s, []).append(i)
+    for s in sorted(by_score):
+        group = by_score[s]
+        if len(group) > 1:
+            tie_groups.append(tuple(group))
+            stream.shuffle(group)
+        order.extend(group)
+    return order, tie_groups
 
 
 def score(pi: Ranking, counts: PairwiseCounts) -> int:

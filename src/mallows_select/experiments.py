@@ -6,6 +6,15 @@ the selected estimator, and records the outcome.  Each trial's randomness
 comes from a substream keyed by (seed, experiment id, probe coordinates,
 trial index), so aggregate results are byte-identical regardless of how
 trials are scheduled across workers.
+
+All experiments reduce the rows of one cell kernel, :func:`_cell`, which
+runs a range of trials as arrays: trial keys by vectorised stream folds,
+centers by one Fisher-Yates pass over all trials, samples by repeated
+insertion grouped by set size, pairwise wins by one precedence compare,
+and the positional estimate by a sort of the scores.  Only a trial whose
+scores tie, or whose estimator is the windowed DP, runs on its own.  The
+rows equal those of running each trial object by object, the reference
+kept in the tests.
 """
 
 from __future__ import annotations
@@ -17,11 +26,20 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import MallowsParams, Ranking
-from .estimators import positional_estimator
-from .mle import recover_likelier_than_nature, recover_mle
-from .rng import Stream
-from .sampling import SelectionSpec, _precedence_blocks, generate_selection, sample_profile
+from .core import Ranking, check_beta
+from .estimators import PairwiseCounts, _beaten_by, _order_by_scores
+from .mle import _recover_from_counts, mle_window, pointwise_window
+from .rng import Stream, child_key_grid, permutation_rows
+from .sampling import (
+    InfeasibleSpecError,
+    SelectionSpec,
+    _bernoulli_members,
+    _bernoulli_threshold,
+    _insertion_positions,
+    _precedence,
+    _precedence_blocks,
+    generate_selection,
+)
 
 _EXP_COMPLEXITY = 1
 _EXP_DISTANCE = 2
@@ -53,6 +71,7 @@ class ExperimentConfig:
     estimator: str = "posest"
 
     def __post_init__(self):
+        check_beta(self.beta)
         if not (0.0 < self.target_success < 1.0):
             raise ValueError("target success rate must lie in (0, 1)")
         if self.trials_per_point < 1 or self.searches < 1:
@@ -86,40 +105,17 @@ def preset(name: str) -> ExperimentConfig:
 
 
 @lru_cache(maxsize=4096)
-def _cached_selection(kind: str, n: int, p: float, r: int):
-    return generate_selection(SelectionSpec(kind=kind, n=n, p=p), r)
+def _cached_selection(kind: str, n: int, p: float, r: int) -> np.ndarray:
+    """Read-only (r, n) membership mask of a deterministic selection sequence."""
+    sets = generate_selection(SelectionSpec(kind=kind, n=n, p=p), r).sets
+    members = np.zeros((r, n), dtype=bool)
+    members[np.repeat(np.arange(r), [len(s) for s in sets]), np.concatenate(sets)] = True
+    members.setflags(write=False)
+    return members
 
 
-def _trial_selection(kind: str, n: int, p: float, r: int, trial_stream: Stream):
-    if kind in _DETERMINISTIC_KINDS:
-        return _cached_selection(kind, n, p, r)
-    return generate_selection(SelectionSpec(kind=kind, n=n, p=p), r, trial_stream.child(1))
-
-
-def _estimate(profile, beta: float, p: float, estimator: str, stream: Stream) -> Ranking:
-    if estimator == "posest":
-        return positional_estimator(profile, stream).ranking
-    if estimator == "ltn":
-        return recover_likelier_than_nature(profile, beta, p, stream=stream).result
-    return recover_mle(profile, beta, p, stream=stream).result
-
-
-def run_trial(
-    n: int,
-    beta: float,
-    p: float,
-    r: int,
-    selection_kind: str,
-    trial_stream: Stream,
-    estimator: str = "posest",
-    center: Ranking | None = None,
-) -> tuple[Ranking, Ranking]:
-    """One protocol trial; returns (estimate, true center)."""
-    pi0 = center if center is not None else Ranking(trial_stream.child(0).permutation(n), validate=False)
-    selection = _trial_selection(selection_kind, n, p, r, trial_stream)
-    profile = sample_profile(MallowsParams(pi0, beta), selection, trial_stream.child(2))
-    est = _estimate(profile, beta, p, estimator, trial_stream.child(3))
-    return est, pi0
+# trials per kernel block are chosen so one block's arrays hold about this many bytes
+_TRIAL_BLOCK_BYTES = 1 << 20
 
 
 def _cell(
@@ -136,12 +132,63 @@ def _cell(
     """Run trials ``root.child(t)`` for t in ``trials``; returns (estimate, center) item arrays.
 
     Both arrays have one row of n items per trial.  Every experiment is a
-    reduction over these rows.
+    reduction over these rows.  Trial t draws its center from ``child(0)``
+    (unless one is planted), a bernoulli_random selection from
+    ``child(1)``, its profile from ``child(2)`` and its estimate's
+    tie-breaks from ``child(3)``.  The trials run as arrays, a block of
+    about ``_TRIAL_BLOCK_BYTES`` at a time, so a row depends on its trial
+    index only and never on the range or the block it ran in.
     """
-    rows = [run_trial(n, beta, p, r, selection_kind, root.child(t), estimator, center) for t in trials]
-    est = np.array([e.items for e, _ in rows], dtype=np.int64).reshape(len(rows), n)
-    pi0 = np.array([c.items for _, c in rows], dtype=np.int64).reshape(len(rows), n)
+    spec = SelectionSpec(kind=selection_kind, n=n, p=p)
+    if r < 1:
+        raise InfeasibleSpecError("selection sequences must contain at least one set")
+    beta = check_beta(beta)
+    if spec.kind in _DETERMINISTIC_KINDS:
+        members, threshold = _cached_selection(spec.kind, n, p, r), None
+    else:
+        members, threshold = None, _bernoulli_threshold(spec, r)
+    radius = None  # the positional estimator needs no window
+    if estimator != "posest":
+        radius = (pointwise_window if estimator == "ltn" else mle_window)(n, beta, p, r)
+    planted = None if center is None else np.array(center.items, dtype=np.int64)
+    # per trial: r rows of an n*n precedence block and 8n bytes of positions and masks, and four n*n int64 tallies
+    step = max(1, _TRIAL_BLOCK_BYTES // (r * n * (n + 8) + 32 * n * n))
+    est, pi0 = np.empty((len(trials), n), dtype=np.int64), np.empty((len(trials), n), dtype=np.int64)
+    for a in range(0, len(trials), step):
+        block = trials[a : a + step]
+        est[a : a + len(block)], pi0[a : a + len(block)] = _cell_block(
+            root, block, n, beta, r, members, threshold, radius, planted
+        )
     return est, pi0
+
+
+def _cell_block(root, trials, n, beta, r, members, threshold, radius, planted) -> tuple[np.ndarray, np.ndarray]:
+    """The (estimate, center) rows of a block of trials, computed as arrays; see :func:`_cell`."""
+    keys = child_key_grid(np.array([root.key], dtype=np.uint64), np.asarray(trials))[0]
+    sub = child_key_grid(keys, range(4))  # per trial: center, selection, profile and tie-break keys
+    centers = permutation_rows(sub[:, 0], n) if planted is None else np.tile(planted, (len(keys), 1))
+    # memberships in center coordinates: column k is the trial's k-th center item
+    if members is None:
+        in_center = np.take_along_axis(_bernoulli_members(sub[:, 1], n, r, threshold)[0], centers[:, None, :], axis=2)
+    else:
+        in_center = members[:, centers].transpose(1, 0, 2)
+    pos = _insertion_positions(child_key_grid(sub[:, 2], range(r)), in_center, beta)
+    wins_c = _precedence(pos).sum(axis=1, dtype=np.int64)
+    at = np.argsort(centers, axis=1)  # at[t, i]: the center position of item i
+    wins = wins_c[np.arange(len(keys))[:, None, None], at[:, :, None], at[:, None, :]]
+    appear = wins + wins.transpose(0, 2, 1)
+    if radius is not None:  # the windowed DP runs trial by trial
+        est = [
+            _recover_from_counts(PairwiseCounts(n=n, appear=appear[t], wins=wins[t]), radius, Stream(int(k)))[0].items
+            for t, k in enumerate(sub[:, 3])
+        ]
+        return np.array(est, dtype=np.int64), centers
+    raw = _beaten_by(wins, appear)
+    est = np.argsort(raw, axis=1, kind="stable")
+    # only a trial with tied scores draws its tie-break stream
+    for t in np.flatnonzero((np.diff(np.take_along_axis(raw, est, axis=1), axis=1) == 0).any(axis=1)).tolist():
+        est[t] = _order_by_scores(raw[t].tolist(), Stream(int(sub[t, 3])))[0]
+    return est, centers
 
 
 def _prefix_matches(est: np.ndarray, pi0: np.ndarray, k: int) -> int:
@@ -424,20 +471,25 @@ def run_adversarial_demo(
     """
     if n % 2 != 0:
         raise ValueError("the matching construction requires an even number of alternatives")
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
     regimes = (
         ("adversarial", "adversarial_matching", Ranking.identity(n)),
         ("mixed", "mixed_pfrequent", None),
     )
     root = Stream.from_seed(seed)
+    # each regime is one cell, split into no more trial ranges than there are workers to run them
+    parts = max(1, min(threads, os.cpu_count() or 1, trials))
+    ranges = [range(trials * k // parts, trials * (k + 1) // parts) for k in range(parts)]
     tasks = [
-        (root.child(_EXP_ADVERSARIAL, idx), range(t, t + 1), n, beta, p, r, kind, "posest", planted)
+        (root.child(_EXP_ADVERSARIAL, idx), part, n, beta, p, r, kind, "posest", planted)
         for idx, (_, kind, planted) in enumerate(regimes)
-        for t in range(trials)
+        for part in ranges
     ]
     cells = _map_tasks(_cell, tasks, threads)
     rows = []
     for idx, (regime, _, _) in enumerate(regimes):
-        failures = sum(1 - _prefix_matches(est, pi0, n) for est, pi0 in cells[idx * trials : (idx + 1) * trials])
-        rows.append((regime, r, failures / trials, trials))
+        successes = sum(_prefix_matches(est, pi0, n) for est, pi0 in cells[idx * parts : (idx + 1) * parts])
+        rows.append((regime, r, (trials - successes) / trials, trials))
     meta = {"n": n, "beta": beta, "p": p, "r": r, "trials": trials, "seed": seed}
     return AdversarialReport(rows=tuple(rows), metadata=meta)

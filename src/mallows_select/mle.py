@@ -279,10 +279,16 @@ class MleReport:
         }
 
 
-def _recover(profile: SampleProfile, beta: float, radius: int, budget: int, stream: Stream, mode: str) -> MleReport:
+def _recover_from_counts(
+    counts: PairwiseCounts, radius: int, stream: Stream, budget: int = 1 << 22
+) -> tuple[Ranking, int, int, int]:
+    """Anchor on the positional estimate, then run the widening DP around it.
+
+    Returns (ranking, score, window used, widenings).  ``stream`` breaks the
+    anchor's score ties.
+    """
     if not radius >= 0:
         raise ValueError(f"radius_override must be nonnegative, got {radius}")
-    counts = accumulate_counts(profile)
     anchor = positional_estimator_from_counts(counts, stream).ranking
     n = counts.n
     if 2 * radius + 1 >= n:
@@ -290,9 +296,13 @@ def _recover(profile: SampleProfile, beta: float, radius: int, budget: int, stre
         # search under the budget rule, so search all of S_n: strictly safer
         radius = n - 1
     try:
-        result, achieved, used, widenings = _maximize_with_widening(counts, anchor, radius, budget)
+        return _maximize_with_widening(counts, anchor, radius, budget)
     except BudgetExceededError as exc:
         raise BudgetExceededError(f"{exc}; a larger sample profile shrinks the required window") from None
+
+
+def _recover(profile: SampleProfile, beta: float, radius: int, budget: int, stream: Stream, mode: str) -> MleReport:
+    result, achieved, used, widenings = _recover_from_counts(accumulate_counts(profile), radius, stream, budget)
     return MleReport(
         result=result,
         mode=mode,

@@ -66,8 +66,7 @@ class Stream:
 
     def child_keys(self, count: int) -> np.ndarray:
         """Keys of ``child(0) .. child(count-1)`` as a uint64 array."""
-        idx = np.arange(count, dtype=np.uint64) + np.uint64(_GAMMA)
-        return mix64_array(np.uint64(self.key) ^ mix64_array(idx))
+        return child_key_grid(np.array([self.key], dtype=np.uint64), np.arange(count))[0]
 
     def u64(self) -> int:
         """Next 64-bit uniform."""
@@ -108,10 +107,45 @@ class Stream:
         return f"Stream(key={self.key:#018x}, counter={self._ctr})"
 
 
-def draw_matrix(keys: np.ndarray, count: int) -> np.ndarray:
-    """Draws 1..count for every key in ``keys``, shape (len(keys), count).
+def child_key_grid(keys: np.ndarray, elements) -> np.ndarray:
+    """Keys of ``Stream(k).child(e)`` for every key k in ``keys`` and element e, shape (len(keys), len(elements))."""
+    elements = np.asarray(elements, dtype=np.int64)
+    if (elements < 0).any():
+        raise ValueError("stream path elements must be nonnegative integers")
+    return mix64_array(keys[:, None] ^ mix64_array(elements.astype(np.uint64) + np.uint64(_GAMMA)))
 
-    Row ``i`` equals the first ``count`` outputs of ``Stream(keys[i])``.
+
+def draw_matrix(keys: np.ndarray, count: int, start=0) -> np.ndarray:
+    """Draws ``start+1 .. start+count`` for every key in ``keys``, shape (len(keys), count).
+
+    Row ``i`` equals the ``count`` outputs of ``Stream(keys[i], start)``;
+    ``start`` is one counter or one per key.
     """
-    steps = (np.arange(1, count + 1, dtype=np.uint64)) * np.uint64(_GAMMA)
-    return mix64_array(keys[:, None] + steps[None, :])
+    steps = np.arange(1, count + 1, dtype=np.uint64) + np.asarray(start, dtype=np.uint64)[..., None]
+    return mix64_array(keys[:, None] + steps * np.uint64(_GAMMA))
+
+
+def _below_array(u: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """:meth:`Stream.below` of uint64 draws: the high 64 bits of ``u * bound``, for bounds below 2^32.
+
+    The product is formed from the 32-bit limbs of u, so no partial product
+    overflows 64 bits.
+    """
+    lo32, shift = np.uint64(0xFFFFFFFF), np.uint64(32)
+    return (((u >> shift) * bound + (((u & lo32) * bound) >> shift)) >> shift).astype(np.intp)
+
+
+def permutation_rows(keys: np.ndarray, n: int) -> np.ndarray:
+    """Row ``i`` equals ``Stream(keys[i]).permutation(n)``, shape (len(keys), n), for n < 2^32.
+
+    One Fisher-Yates pass over all rows: step ``i`` (n-1 down to 1) swaps
+    position i with ``below(i+1)`` of the row's next draw.
+    """
+    perm = np.tile(np.arange(n, dtype=np.int64), (len(keys), 1))
+    j = _below_array(draw_matrix(keys, n - 1), np.arange(n, 1, -1, dtype=np.uint64))  # bound i+1 for i = n-1 .. 1
+    rows = np.arange(len(keys))
+    for c, i in enumerate(range(n - 1, 0, -1)):
+        held = perm[rows, j[:, c]]
+        perm[rows, j[:, c]] = perm[:, i]
+        perm[:, i] = held
+    return perm

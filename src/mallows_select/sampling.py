@@ -24,7 +24,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .core import MallowsParams, Ranking, SampleProfile, SelectionSequence
+from .core import MallowsParams, Ranking, SampleProfile, SelectionSequence, check_beta
 from .rng import Stream, draw_matrix
 
 _SCALE_BITS = 63
@@ -145,25 +145,11 @@ def generate_selection(spec: SelectionSpec, r: int, stream: Stream | None = None
     elif spec.kind == "bernoulli_random":
         if stream is None:
             raise ValueError("bernoulli_random selection requires a stream")
-        q = spec.inclusion_probability()
-        accept = 1.0 - (1.0 - q) ** n - n * q * (1.0 - q) ** (n - 1)  # P(a draw has >= 2 members)
-        uniforms = r * n / accept if accept > 0 else math.inf
-        if uniforms > _MAX_BERNOULLI_UNIFORMS:
-            raise InfeasibleSpecError(
-                f"bernoulli_random with n={n}, q={q:g} accepts a set with probability {accept:.3g}; "
-                f"{r} sets would take about {uniforms:.3g} uniforms, over the limit of 2^30"
-            )
-        threshold = np.uint64(min(_SCALE, round(q * _SCALE)))
-        sets = []
-        while len(sets) < r:
-            want = r - len(sets)
-            draws = (stream.u64_array(want * n) >> np.uint64(1)).reshape(want, n)
-            member = draws < threshold
-            for row in member:
-                if row.sum() >= 2:
-                    sets.append(tuple(np.flatnonzero(row)))
-                    if len(sets) == r:
-                        break
+        members, used = _bernoulli_members(
+            np.array([stream.key], dtype=np.uint64), n, r, _bernoulli_threshold(spec, r), start=stream._ctr
+        )
+        stream._ctr = int(used[0])
+        sets = [tuple(np.flatnonzero(row)) for row in members[0]]
 
     else:  # explicit
         assert spec.sets is not None
@@ -172,6 +158,48 @@ def generate_selection(spec: SelectionSpec, r: int, stream: Stream | None = None
         sets = list(spec.sets)
 
     return SelectionSequence(sets, n)
+
+
+def _bernoulli_threshold(spec: SelectionSpec, r: int) -> np.uint64:
+    """The 63-bit membership threshold of a bernoulli_random spec, once its rejection loop is known to be bounded."""
+    n, q = spec.n, spec.inclusion_probability()
+    accept = 1.0 - (1.0 - q) ** n - n * q * (1.0 - q) ** (n - 1)  # P(a draw has >= 2 members)
+    uniforms = r * n / accept if accept > 0 else math.inf
+    if uniforms > _MAX_BERNOULLI_UNIFORMS:
+        raise InfeasibleSpecError(
+            f"bernoulli_random with n={n}, q={q:g} accepts a set with probability {accept:.3g}; "
+            f"{r} sets would take about {uniforms:.3g} uniforms, over the limit of 2^30"
+        )
+    return np.uint64(min(_SCALE, round(q * _SCALE)))
+
+
+def _bernoulli_members(
+    keys: np.ndarray, n: int, r: int, threshold: np.uint64, start: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """The bernoulli_random sets of every stream ``Stream(key, start)``, as membership masks of shape (len(keys), r, n).
+
+    Each stream draws rounds of ``want`` candidate rows of n uniforms, a
+    member wherever the uniform's top 63 bits fall below ``threshold``, and
+    keeps, in draw order, the rows with at least two members, until it holds
+    r of them.  Also returns each stream's counter after its last round.
+    """
+    out = np.empty((len(keys), r, n), dtype=bool)
+    done = np.zeros(len(keys), dtype=np.int64)
+    used = np.full(len(keys), start, dtype=np.uint64)
+    active = np.arange(len(keys))
+    while active.size:
+        want = r - done[active]
+        w = int(want.max())
+        draws = draw_matrix(keys[active], w * n, start=used[active]) >> np.uint64(1)
+        member = (draws < threshold).reshape(len(active), w, n)
+        ok = (member.sum(axis=2) >= 2) & (np.arange(w) < want[:, None])  # rows past a stream's want were never drawn
+        rank = ok.cumsum(axis=1) - 1
+        t, row = np.nonzero(ok)
+        out[active[t], done[active][t] + rank[t, row]] = member[t, row]
+        done[active] += rank[:, -1] + 1
+        used[active] += want.astype(np.uint64) * np.uint64(n)
+        active = active[done[active] < r]
+    return out, used
 
 
 @dataclass(frozen=True)
@@ -226,10 +254,18 @@ def _precedence_blocks(rows, n: int):
         starts = np.repeat(np.cumsum(lens) - lens, lens)
         pos = np.full((len(chunk), n), n, dtype=np.int64)
         pos[np.repeat(np.arange(len(chunk)), lens), items] = np.arange(len(items)) - starts
-        before = buf[: len(chunk)]
-        np.less(pos[:, :, None], pos[:, None, :], out=before)
-        before &= pos[:, None, :] < n
-        yield before
+        yield _precedence(pos, buf[: len(chunk)])
+
+
+def _precedence(pos: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``before[..., i, j]``: items i and j both present, i ahead of j.
+
+    ``pos[..., i]`` is the position of item i of n, or n when it is absent.
+    """
+    n = pos.shape[-1]
+    out = np.less(pos[..., :, None], pos[..., None, :], out=out)
+    out &= pos[..., None, :] < n
+    return out
 
 
 @lru_cache(maxsize=256)
@@ -249,6 +285,50 @@ def _insertion_thresholds(m: int, beta: float) -> tuple[np.ndarray, ...]:
     return tuple(tables)
 
 
+def _insertion_codes(keys: np.ndarray, m: int, beta: float) -> np.ndarray:
+    """Insertion displacements of one m-item sample per key, shape (len(keys), m-1).
+
+    Column i is the displacement of the item that grows the partial ranking
+    to size i+2, drawn from output i+1 of ``Stream(key)``.
+    """
+    tables = _insertion_thresholds(m, beta)
+    draws = draw_matrix(keys, m - 1) >> np.uint64(1)
+    codes = np.empty((len(keys), m - 1), dtype=np.int64)
+    for i in range(m - 1):
+        codes[:, i] = np.searchsorted(tables[i], draws[:, i], side="right")
+    return codes
+
+
+def _insertion_positions(keys: np.ndarray, members: np.ndarray, beta: float) -> np.ndarray:
+    """Positions of one sample per membership row, drawn from its key by repeated insertion.
+
+    Each row of the boolean ``members`` (shape ``(..., n)``, one key per
+    row) marks a set in center coordinates: column k is the center's k-th
+    item, so a row's members in ascending order are its restricted center.
+    The result has the shape of ``members`` and holds each member's
+    position in its sample and n for every absent item: the sample that
+    :func:`sample_profile` draws from the same key, as a position row over
+    the center.
+    """
+    n = members.shape[-1]
+    flat = members.reshape(-1, n)
+    sizes = flat.sum(axis=1)
+    out = np.full(flat.shape, n, dtype=np.int32)
+    for m in np.flatnonzero(np.bincount(sizes)).tolist():
+        rows = np.flatnonzero(sizes == m)
+        codes = _insertion_codes(keys.reshape(-1)[rows], m, beta)
+        pos = np.zeros((len(rows), m), dtype=np.int32)
+        for k in range(1, m):  # member k, in center order, goes in at index k - code; those at or past it move back
+            ins = (k - codes[:, k - 1])[:, None]
+            pos[:, :k] += pos[:, :k] >= ins
+            pos[:, k : k + 1] = ins
+        if m == n:
+            out[rows] = pos
+        else:
+            out[rows[:, None], np.nonzero(flat[rows])[1].reshape(-1, m)] = pos
+    return out.reshape(members.shape)
+
+
 def _apply_insertion_codes(center_items: tuple[int, ...], codes) -> list[int]:
     out = [center_items[0]]
     for k, d in enumerate(codes):
@@ -258,14 +338,13 @@ def _apply_insertion_codes(center_items: tuple[int, ...], codes) -> list[int]:
 
 def sample_mallows(center: Ranking, beta: float, stream: Stream) -> Ranking:
     """Draw one ranking of center's item set, Mallows-distributed around it."""
-    if beta <= 0:
-        raise ValueError("spread parameter beta must be positive")
+    beta = check_beta(beta)
     m = len(center)
     if m == 0:
         raise ValueError("cannot sample a ranking of an empty set")
     if m == 1:
         return Ranking(center.items, validate=False)
-    tables = _insertion_thresholds(m, float(beta))
+    tables = _insertion_thresholds(m, beta)
     draws = stream.u64_array(m - 1) >> np.uint64(1)
     codes = [int(np.searchsorted(tables[i], draws[i], side="right")) for i in range(m - 1)]
     return Ranking(_apply_insertion_codes(center.items, codes), validate=False)
@@ -295,16 +374,10 @@ def sample_profile(params: MallowsParams, selection: SelectionSequence, stream: 
     for ell, s in enumerate(selection.sets):
         by_size.setdefault(len(s), []).append(ell)
 
-    beta = params.beta
     center = params.center
     rankings: list[Ranking | None] = [None] * r
     for m, idxs in by_size.items():
-        tables = _insertion_thresholds(m, beta)
-        draws = draw_matrix(keys[np.asarray(idxs, dtype=np.int64)], m - 1) >> np.uint64(1)
-        codes = np.empty((len(idxs), m - 1), dtype=np.int64)
-        for i in range(m - 1):
-            codes[:, i] = np.searchsorted(tables[i], draws[:, i], side="right")
-        code_rows = codes.tolist()
+        code_rows = _insertion_codes(keys[np.asarray(idxs, dtype=np.int64)], m, params.beta).tolist()
         if m == 2:
             pos = center.positions
             for row, ell in enumerate(idxs):

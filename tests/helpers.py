@@ -15,13 +15,17 @@ import math
 import numpy as np
 
 from mallows_select.core import (
+    MallowsParams,
     Ranking,
     SampleProfile,
     SelectionSequence,
     kendall_tau_incomplete,
     log_partition_function,
 )
+from mallows_select.estimators import positional_estimator
+from mallows_select.mle import recover_likelier_than_nature, recover_mle
 from mallows_select.rng import Stream
+from mallows_select.sampling import SelectionSpec, generate_selection, sample_profile
 
 
 def pair_scan_kendall(a: Ranking, b: Ranking) -> int:
@@ -149,6 +153,65 @@ def full_mask_dp(wins_rel: np.ndarray, radius: int) -> tuple[list[int], int]:
             assert mask & 1
             mask >>= 1
     return seq, total
+
+
+def looped_bernoulli_sets(spec: SelectionSpec, r: int, stream: Stream) -> list[tuple[int, ...]]:
+    """The bernoulli_random sets of ``generate_selection``, drawn and tested one candidate row at a time.
+
+    Each round draws ``want`` rows of n uniforms from ``stream``, a member
+    wherever the top 63 bits of a uniform fall below round(q * 2^63), and
+    keeps the rows with at least two members until r are kept.
+    """
+    n, q = spec.n, spec.inclusion_probability()
+    threshold = min(1 << 63, round(q * (1 << 63)))
+    sets: list[tuple[int, ...]] = []
+    while len(sets) < r:
+        want = r - len(sets)
+        draws = [int(u) >> 1 for u in stream.u64_array(want * n)]
+        for row in range(want):
+            members = tuple(i for i in range(n) if draws[row * n + i] < threshold)
+            if len(members) >= 2 and len(sets) < r:
+                sets.append(members)
+    return sets
+
+
+def run_trial(
+    n: int,
+    beta: float,
+    p: float,
+    r: int,
+    selection_kind: str,
+    trial_stream: Stream,
+    estimator: str = "posest",
+    center: Ranking | None = None,
+) -> tuple[Ranking, Ranking]:
+    """One protocol trial, object by object; returns (estimate, true center).
+
+    The reference form of ``experiments._cell``: a Fisher-Yates center from
+    ``child(0)``, the selection (from ``child(1)`` if it is random), a
+    ``sample_profile`` from ``child(2)`` and the public estimator on
+    ``child(3)``.
+    """
+    pi0 = center if center is not None else Ranking(trial_stream.child(0).permutation(n), validate=False)
+    spec = SelectionSpec(kind=selection_kind, n=n, p=p)
+    selection = generate_selection(spec, r, trial_stream.child(1) if selection_kind == "bernoulli_random" else None)
+    profile = sample_profile(MallowsParams(pi0, beta), selection, trial_stream.child(2))
+    stream = trial_stream.child(3)
+    if estimator == "posest":
+        return positional_estimator(profile, stream).ranking, pi0
+    recover = recover_likelier_than_nature if estimator == "ltn" else recover_mle
+    return recover(profile, beta, p, stream=stream).result, pi0
+
+
+def looped_cell(
+    root: Stream, trials: range, n: int, beta: float, p: float, r: int, selection_kind: str,
+    estimator: str = "posest", center: Ranking | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``experiments._cell`` by one :func:`run_trial` per trial: (estimate, center) item arrays."""
+    rows = [run_trial(n, beta, p, r, selection_kind, root.child(t), estimator, center) for t in trials]
+    est = np.array([e.items for e, _ in rows], dtype=np.int64).reshape(len(rows), n)
+    pi0 = np.array([c.items for _, c in rows], dtype=np.int64).reshape(len(rows), n)
+    return est, pi0
 
 
 def enumerate_window(n: int, radius: int) -> np.ndarray:

@@ -220,6 +220,24 @@ class TestCliErrors:
         assert code == 2
         assert "q^2 >= p" in err
 
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (("sample", "--n", "4", "--beta", "nan", "--r", "2"), "beta must be positive and finite, got nan"),
+            (("sample", "--n", "4", "--beta", "inf", "--r", "2"), "beta must be positive and finite, got inf"),
+            (("exp-complexity", "--n", "5", "--beta", "nan", "--p-values", "1", "--searches", "1", "--trials", "2"),
+             "beta must be positive and finite, got nan"),
+            (("exp-adversarial", "--n", "4", "--trials", "0", "--threads", "1"), "trials must be positive, got 0"),
+            (("exp-adversarial", "--n", "4", "--trials", "-3", "--threads", "1"), "trials must be positive, got -3"),
+        ],
+    )
+    def test_out_of_range_model_inputs_exit_two(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert "Traceback" not in err
+
 
 class TestCliExperiments:
     def test_exp_complexity_reduced_preset(self, tmp_path, capsys):

@@ -18,6 +18,7 @@ from mallows_select.core import (
     restrict,
 )
 from mallows_select.rng import Stream
+from mallows_select.sampling import sample_mallows
 
 
 def R(*items):
@@ -189,6 +190,13 @@ class TestContainers:
             MallowsParams(R(0, 1, 2), 0.0)
         with pytest.raises(ValueError):
             MallowsParams(R(0, 2), 1.0)  # not complete over {0,1}
+
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_beta_refused(self, beta):
+        with pytest.raises(ValueError, match="beta must be positive and finite"):
+            MallowsParams(R(0, 1, 2), beta)
+        with pytest.raises(ValueError, match="beta must be positive and finite"):
+            sample_mallows(R(0, 1, 2), beta, Stream.from_seed(0))
 
     def test_selection_rejects_small_sets(self):
         with pytest.raises(ValueError, match="fewer than 2"):

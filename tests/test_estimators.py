@@ -11,6 +11,7 @@ from helpers import (
     exact_two_item_success,
     random_incomplete_profile,
     recount_pairwise,
+    run_trial,
     sequential_log_likelihood,
     total_distance,
     widened,
@@ -34,7 +35,6 @@ from mallows_select.estimators import (
     score_permutation_array,
     top_k,
 )
-from mallows_select.experiments import run_trial
 from mallows_select.rng import Stream
 from mallows_select.sampling import SelectionSpec, generate_selection, sample_profile
 

@@ -1,12 +1,16 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from helpers import bootstrap_mean_diff_lower, exact_two_item_success, linear_fit
+from helpers import bootstrap_mean_diff_lower, exact_two_item_success, linear_fit, looped_cell
 from mallows_select import experiments as xp
+from mallows_select.core import Ranking
 from mallows_select.experiments import (
     ExperimentConfig,
     SearchCapError,
@@ -117,6 +121,9 @@ class TestConfigAndPresets:
             preset("figure9")
 
     def test_config_validation(self):
+        for beta in (float("nan"), float("inf"), 0.0, -1.0):
+            with pytest.raises(ValueError, match="beta must be positive and finite"):
+                ExperimentConfig(n=5, beta=beta)
         with pytest.raises(ValueError):
             ExperimentConfig(n=5, beta=1.0, target_success=1.0)
         with pytest.raises(ValueError):
@@ -247,6 +254,11 @@ class TestAdversarialDemo:
         with pytest.raises(ValueError):
             run_adversarial_demo(n=7, beta=1.0, p=0.5, r=2, trials=5)
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_nonpositive_trials_rejected(self, trials):
+        with pytest.raises(ValueError, match="trials must be positive"):
+            run_adversarial_demo(n=8, beta=1.0, p=0.5, r=2, trials=trials)
+
     def test_threads_do_not_change_output(self):
         a = run_adversarial_demo(n=8, beta=1.0, p=0.5, r=4, trials=30, seed=10, threads=1)
         b = run_adversarial_demo(n=8, beta=1.0, p=0.5, r=4, trials=30, seed=10, threads=2)
@@ -361,3 +373,86 @@ class TestWorkerCap:
         capped = run_adversarial_demo(n=8, beta=1.0, p=0.5, r=4, trials=30, seed=10, threads=10**6).to_csv()
         assert capped == serial
         assert made == [4]
+
+
+_KINDS = ("complete", "pairwise", "mixed_pfrequent", "bernoulli_random", "adversarial_matching")
+
+
+@st.composite
+def cell_cases(draw):
+    kind = draw(st.sampled_from(_KINDS))
+    n = draw(st.integers(2, 9))
+    if kind == "adversarial_matching":
+        n += n % 2
+    # p = 0.04 makes q = 0.2: most bernoulli draws are rejected, so trials run into the rejection tail
+    p = draw(st.sampled_from((1.0, 0.5, 0.25, 0.04) if kind == "bernoulli_random" else (1.0, 0.5, 1 / 3)))
+    return dict(
+        n=n, beta=draw(st.sampled_from((0.3, 1.0, 2.5))), p=p, r=draw(st.integers(1, 30)), selection_kind=kind,
+        estimator=draw(st.sampled_from(("posest", "posest", "ltn", "mle"))),
+        center=Ranking(draw(st.permutations(range(n)))) if draw(st.booleans()) else None,
+    )
+
+
+class TestTrialKernel:
+    """``experiments._cell`` against the looped protocol of ``helpers.run_trial``, at zero tolerance."""
+
+    @staticmethod
+    def assert_same(root, trials, case):
+        batched = xp._cell(root, trials, **case)
+        looped = looped_cell(root, trials, **case)
+        assert batched[0].dtype == looped[0].dtype and batched[1].dtype == looped[1].dtype
+        assert np.array_equal(batched[0], looped[0]) and np.array_equal(batched[1], looped[1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=cell_cases(), seed=st.integers(0, 2**32), start=st.integers(0, 300), length=st.integers(1, 8))
+    def test_batched_equals_looped(self, case, seed, start, length):
+        self.assert_same(Stream.from_seed(seed), range(start, start + length), case)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            dict(n=20, beta=2.0, p=1.0, r=1, selection_kind="complete", estimator="posest"),  # ties in most trials
+            dict(n=20, beta=2.0, p=1 / 6, r=49, selection_kind="mixed_pfrequent", estimator="posest"),
+            dict(n=20, beta=2.0, p=1 / 6, r=64, selection_kind="bernoulli_random", estimator="posest"),
+            dict(n=3, beta=1.0, p=0.04, r=20, selection_kind="bernoulli_random", estimator="posest"),
+            dict(n=8, beta=1.0, p=0.5, r=5, selection_kind="adversarial_matching", estimator="posest",
+                 center=Ranking.identity(8)),
+            dict(n=6, beta=2.0, p=0.5, r=6, selection_kind="mixed_pfrequent", estimator="ltn"),
+            dict(n=6, beta=2.0, p=0.5, r=6, selection_kind="bernoulli_random", estimator="mle"),
+        ],
+    )
+    def test_batched_equals_looped_on_figure_cells(self, case):
+        self.assert_same(Stream.from_seed(3).child(case["r"]), range(40), case)
+
+    def test_blocks_do_not_change_rows(self, monkeypatch):
+        case = dict(n=10, beta=1.0, p=0.25, r=12, selection_kind="bernoulli_random", estimator="posest")
+        root = Stream.from_seed(21)
+        whole = xp._cell(root, range(30), **case)
+        monkeypatch.setattr(xp, "_TRIAL_BLOCK_BYTES", 1)  # one trial per block
+        single = xp._cell(root, range(30), **case)
+        tail = xp._cell(root, range(17, 30), **case)
+        assert all(np.array_equal(a, b) for a, b in zip(whole, single))
+        assert all(np.array_equal(a[17:], b) for a, b in zip(whole, tail))
+
+    def test_checks_run_before_any_draw(self):
+        root = Stream.from_seed(0)
+        with pytest.raises(ValueError, match="at least one set"):
+            xp._cell(root, range(3), 5, 1.0, 1.0, 0, "complete")
+        with pytest.raises(ValueError, match="beta must be positive and finite"):
+            xp._cell(root, range(3), 5, float("nan"), 1.0, 4, "complete")
+        with pytest.raises(ValueError, match="unknown selection kind"):
+            xp._cell(root, range(3), 5, 1.0, 1.0, 4, "borda")
+        with pytest.raises(ValueError, match="over the limit of 2"):
+            xp._cell(root, range(3), 40, 1.0, 1e-6, 10**6, "bernoulli_random")
+
+    def test_working_memory_is_bounded_by_blocks(self):
+        # unblocked, the precedence compare alone is trials * r * n^2 bytes: 10 MB here
+        args = (Stream.from_seed(4), range(100), 20, 2.0, 1 / 6, 256, "bernoulli_random")
+        xp._cell(*args)  # warm the threshold tables
+        tracemalloc.start()
+        try:
+            xp._cell(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * xp._TRIAL_BLOCK_BYTES

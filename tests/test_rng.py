@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mallows_select.rng import Stream, draw_matrix, mix64
+from mallows_select.rng import Stream, _below_array, child_key_grid, draw_matrix, mix64, permutation_rows
 
 
 def test_draws_are_deterministic_and_pinned():
@@ -93,3 +93,39 @@ def test_mix64_is_a_bijection_sample():
 def test_path_elements_must_be_nonnegative():
     with pytest.raises(ValueError):
         Stream.from_seed(0).child(-1)
+
+
+def test_child_key_grid_matches_child():
+    s = Stream.from_seed(17)
+    keys = s.child_keys(5)
+    grid = child_key_grid(keys, [0, 3, 1000])
+    assert [[int(k) for k in row] for row in grid] == [[s.child(i, e).key for e in (0, 3, 1000)] for i in range(5)]
+    with pytest.raises(ValueError):
+        child_key_grid(keys, [-1])
+
+
+def test_draw_matrix_continues_each_stream_from_its_counter():
+    keys = Stream.from_seed(8).child_keys(3)
+    start = np.array([0, 5, 2**40], dtype=np.uint64)
+    mat = draw_matrix(keys, 4, start=start)
+    for i in range(3):
+        assert [int(x) for x in mat[i]] == [int(x) for x in Stream(int(keys[i]), int(start[i])).u64_array(4)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 20, 257, 8192])
+def test_permutation_rows_match_stream_permutation(n):
+    keys = Stream.from_seed(n).child_keys(6 if n < 1000 else 2)
+    rows = permutation_rows(keys, n)
+    assert rows.shape == (len(keys), n)
+    assert [tuple(row) for row in rows.tolist()] == [Stream(int(k)).permutation(n) for k in keys]
+
+
+def test_below_array_is_the_exact_high_product():
+    edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+    u = np.array(edges + [int(x) for x in Stream.from_seed(1).u64_array(2000)], dtype=np.uint64)
+    for bound in (1, 2, 3, 20, 8191, 2**31 + 7, 2**32 - 1):
+        got = _below_array(u, np.uint64(bound))
+        assert got.tolist() == [(int(x) * bound) >> 64 for x in u]
+    # low limbs whose product carries into the high word
+    carry = np.array([(2**32 - 1) << 32 | (2**32 - 1), 0xFFFFFFFF_80000000], dtype=np.uint64)
+    assert _below_array(carry, np.uint64(2**32 - 1)).tolist() == [(int(x) * (2**32 - 1)) >> 64 for x in carry]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import exact_pair_flip_probability, mallows_pmf, pair_scan_coappearance
+from helpers import exact_pair_flip_probability, looped_bernoulli_sets, mallows_pmf, pair_scan_coappearance
 from mallows_select import sampling
 from mallows_select.core import (
     MallowsParams,
@@ -15,7 +15,7 @@ from mallows_select.core import (
     kendall_tau_incomplete,
     restrict,
 )
-from mallows_select.rng import Stream
+from mallows_select.rng import Stream, child_key_grid
 from mallows_select.sampling import (
     InfeasibleSpecError,
     SelectionSpec,
@@ -297,3 +297,44 @@ class TestVerifyPFrequent:
                 least = min(expected[i, j] for i, j in pairs)
                 assert report.worst_pairs() == [(i, j) for i, j in pairs if expected[i, j] == least]
                 assert report.min_pair_fraction == least / len(sel)
+
+
+class TestBatchedDraws:
+    """The array forms used by the experiment kernel against the public one-stream functions."""
+
+    @pytest.mark.parametrize(
+        ("n", "p", "r"),
+        [(20, 1 / 6, 40), (6, 0.5, 25), (3, 0.04, 12), (2, 0.25, 9)],  # the last two are mostly rejected draws
+    )
+    def test_bernoulli_members_equal_generate_selection(self, n, p, r):
+        spec = SelectionSpec(kind="bernoulli_random", n=n, p=p)
+        root = Stream.from_seed(31)
+        trials = range(5, 12)
+        keys = child_key_grid(child_key_grid(np.array([root.key], dtype=np.uint64), list(trials))[0], [1])[:, 0]
+        masks, _ = sampling._bernoulli_members(keys, n, r, sampling._bernoulli_threshold(spec, r))
+        for t, mask in zip(trials, masks):
+            stream, reference = root.child(t).child(1), root.child(t).child(1)
+            sets = generate_selection(spec, r, stream).sets
+            assert list(sets) == looped_bernoulli_sets(spec, r, reference)
+            assert [tuple(np.flatnonzero(row).tolist()) for row in mask] == list(sets)
+            assert stream.u64() == reference.u64()  # both streams stop at the same counter
+
+    def test_generate_selection_continues_a_used_stream(self):
+        spec = SelectionSpec(kind="bernoulli_random", n=5, p=0.2)
+        stream, reference = Stream.from_seed(32), Stream.from_seed(32)
+        stream.u64_array(7), reference.u64_array(7)
+        assert list(generate_selection(spec, 15, stream).sets) == looped_bernoulli_sets(spec, 15, reference)
+        assert stream.u64() == reference.u64()
+
+    @pytest.mark.parametrize("kind", ["mixed_pfrequent", "bernoulli_random", "pairwise"])
+    def test_insertion_positions_equal_sample_profile(self, kind):
+        n, r, beta = 7, 30, 0.8
+        stream = Stream.from_seed(41)
+        center = Ranking(stream.child(0).permutation(n))
+        selection = generate_selection(SelectionSpec(kind=kind, n=n, p=0.5), r, stream.child(1))
+        profile = sample_profile(MallowsParams(center, beta), selection, stream.child(2))
+        in_center = np.array([[x in s for x in center.items] for s in selection.sets])
+        pos = sampling._insertion_positions(stream.child(2).child_keys(r), in_center, beta)
+        for row, rk in zip(pos, profile.rankings):
+            assert [center.items[k] for k in np.argsort(row)[: len(rk)]] == list(rk.items)
+            assert (row[~np.isin(center.items, rk.items)] == n).all()
