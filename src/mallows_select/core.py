@@ -247,8 +247,8 @@ def log_partition_function(m: int, beta: float) -> float:
     """log of the Mallows normalizer on m alternatives at spread beta."""
     if m < 1:
         raise ValueError("partition function requires at least one alternative")
-    if beta <= 0:
-        raise ValueError("spread parameter beta must be positive")
+    if not (beta > 0 and math.exp(-beta) < 1.0):  # e^{-beta} rounds to 1 for a tiny positive beta
+        raise ValueError(f"spread parameter beta must be positive with e^-beta < 1, got {beta}")
     # product form: prod_{t=1..m} (1 - e^{-t beta}) / (1 - e^{-beta})
     log_denom = math.log1p(-math.exp(-beta))
     total = 0.0

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Ranking, SampleProfile, log_partition_function
+from .core import Ranking, SampleProfile, check_beta, log_partition_function
 from .rng import Stream
 from .sampling import _precedence_blocks, _triu_pairs
 
@@ -142,8 +142,7 @@ def score_permutation_array(perms: np.ndarray, counts: PairwiseCounts) -> np.nda
 
 def log_likelihood(pi: Ranking, profile: SampleProfile, beta: float) -> float:
     """Log-probability of the profile under center ``pi`` and spread ``beta``, summed in sample order."""
-    if beta <= 0:
-        raise ValueError("spread parameter beta must be positive")
+    beta = check_beta(beta)
     n = profile.n
     rows = [rk.items for rk in profile.rankings]
     missing = set(itertools.chain.from_iterable(rows)).difference(pi.items)

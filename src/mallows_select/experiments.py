@@ -215,6 +215,8 @@ def estimate_success_rate(
     """
     if r < 1:
         raise ValueError("profile size r must be at least 1")
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
     if match not in ("exact", "topk"):
         raise ValueError("match must be 'exact' or 'topk'")
     if match == "topk" and not (k and 1 <= k <= n):

@@ -58,6 +58,8 @@ def _parse_header(line: str) -> tuple[int, int, float | None]:
         raise FileFormatError([_err(1, f"header values out of range: n={n}, r={r}")])
     if n > _MAX_HEADER_N:
         raise FileFormatError([_err(1, f"header n={n} is over the limit of {_MAX_HEADER_N} alternatives")])
+    if beta is not None and not 0 < beta < float("inf"):
+        raise FileFormatError([_err(1, f"header beta must be positive and finite, got {parts[2].strip()}")])
     return n, r, beta
 
 

@@ -1,11 +1,14 @@
 """Exact sampling from selective Mallows distributions and selection generators.
 
-Sampling uses the repeated-insertion construction: the items of the
-(restricted) central ranking are inserted one by one, the t-th item going
-at displacement d from the bottom of the partial ranking with probability
-proportional to e^{-beta*d}.  Each insertion at displacement d adds
-exactly d discordant pairs against the center, so the product of the
-step weights reproduces e^{-beta*d_KT} / Z exactly.
+Every sample comes from one repeated-insertion routine,
+``_insertion_ranks``: the items of the restricted central ranking are
+inserted one by one, the t-th item going at displacement d from the
+bottom of the partial ranking with probability proportional to
+e^{-beta*d}.  Each insertion at displacement d adds exactly d discordant
+pairs against the center, so the product of the step weights reproduces
+e^{-beta*d_KT} / Z exactly.  The routine draws all samples of one size
+as arrays, each from its own keyed stream, so :func:`sample_mallows`,
+:func:`sample_profile` and the experiment kernel make the same draws.
 
 Insertion decisions are integer-only: the per-step cumulative weights are
 computed once per (size, beta) in double precision, frozen to 63-bit
@@ -20,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain, combinations, cycle, islice
 
 import numpy as np
 
@@ -96,12 +99,14 @@ def matching_family(n: int) -> list[list[tuple[int, int]]]:
     (2k + 2t - 1) mod n.  Requires even n.  The first matching is
     {(0,1), (2,3), ..., (n-2, n-1)}.
     """
+    return list(_matchings(n, 1))
+
+
+def _matchings(n: int, first: int):
+    """Matchings ``first`` .. n/2 of :func:`matching_family`, built one at a time as they are consumed."""
     if n % 2 != 0:
         raise InfeasibleSpecError("perfect matchings require an even number of alternatives")
-    family = []
-    for t in range(1, n // 2 + 1):
-        family.append([(2 * k, (2 * k + 2 * t - 1) % n) for k in range(n // 2)])
-    return family
+    return ([(2 * k, (2 * k + 2 * t - 1) % n) for k in range(n // 2)] for t in range(first, n // 2 + 1))
 
 
 def _full_set_count(p: float, r: int) -> int:
@@ -123,24 +128,16 @@ def generate_selection(spec: SelectionSpec, r: int, stream: Stream | None = None
     if spec.kind == "complete":
         sets = [full] * r
 
-    elif spec.kind == "pairwise":
-        pairs = list(combinations(range(n), 2))
-        sets = [pairs[i % len(pairs)] for i in range(r)]
-
-    elif spec.kind == "mixed_pfrequent":
-        n_full = _full_set_count(spec.p, r)
-        pairs = list(combinations(range(n), 2))
-        sets = [full] * n_full + [pairs[i % len(pairs)] for i in range(r - n_full)]
-
-    elif spec.kind == "adversarial_matching":
-        family = matching_family(n)
-        n_full = _full_set_count(spec.p, r)
-        # cycle over the matchings other than the starved first one, so the
-        # first matching's pairs co-appear only in the full sets
-        donors = [pair for matching in family[1:] for pair in matching]
-        if not donors:  # n == 2: the single pair is all there is
-            donors = list(family[0])
-        sets = [full] * n_full + [donors[i % len(donors)] for i in range(r - n_full)]
+    elif spec.kind in ("pairwise", "mixed_pfrequent", "adversarial_matching"):
+        n_full = 0 if spec.kind == "pairwise" else _full_set_count(spec.p, r)
+        if spec.kind != "adversarial_matching":
+            pairs = combinations(range(n), 2)
+        elif n > 2:  # the matchings other than the starved first one, whose pairs co-appear only in the full sets
+            pairs = chain.from_iterable(_matchings(n, 2))
+        else:  # n == 2: the single pair is all there is
+            pairs = [(0, 1)]
+        # cycle keeps only the pairs it has yielded, so at most r of them are built
+        sets = [full] * n_full + list(islice(cycle(pairs), r - n_full))
 
     elif spec.kind == "bernoulli_random":
         if stream is None:
@@ -285,18 +282,36 @@ def _insertion_thresholds(m: int, beta: float) -> tuple[np.ndarray, ...]:
     return tuple(tables)
 
 
-def _insertion_codes(keys: np.ndarray, m: int, beta: float) -> np.ndarray:
-    """Insertion displacements of one m-item sample per key, shape (len(keys), m-1).
+def _insertion_ranks(keys: np.ndarray, m: int, beta: float, start=0) -> np.ndarray:
+    """One m-item sample per key by repeated insertion, shape (len(keys), m).
 
-    Column i is the displacement of the item that grows the partial ranking
-    to size i+2, drawn from output i+1 of ``Stream(key)``.
+    Entry k is the position, in its sample, of the k-th item of the
+    restricted center.  Item k (k >= 1) goes in at displacement d from the
+    bottom, ``searchsorted`` of draw ``start+k`` of ``Stream(key)`` in the
+    step's thresholds: at index k - d, the items at or past it moving back.
     """
     tables = _insertion_thresholds(m, beta)
-    draws = draw_matrix(keys, m - 1) >> np.uint64(1)
-    codes = np.empty((len(keys), m - 1), dtype=np.int64)
-    for i in range(m - 1):
-        codes[:, i] = np.searchsorted(tables[i], draws[:, i], side="right")
-    return codes
+    draws = draw_matrix(keys, m - 1, start) >> np.uint64(1)
+    pos = np.zeros((len(keys), m), dtype=np.int32)
+    for k in range(1, m):
+        ins = (k - np.searchsorted(tables[k - 1], draws[:, k - 1], side="right"))[:, None]
+        pos[:, :k] += pos[:, :k] >= ins
+        pos[:, k : k + 1] = ins
+    return pos
+
+
+def _ranks_by_size(keys: np.ndarray, sizes: np.ndarray, beta: float) -> np.ndarray:
+    """:func:`_insertion_ranks` of every row, one call per set size, concatenated in row order.
+
+    Row l's ``sizes[l]`` ranks, drawn from ``keys[l]``, start at ``sum(sizes[:l])``:
+    the memory grows with the total set size, never with rows times n.
+    """
+    starts = np.cumsum(sizes) - sizes
+    ranks = np.empty(int(sizes.sum()), dtype=np.int32)
+    for m in np.flatnonzero(np.bincount(sizes)).tolist():
+        rows = np.flatnonzero(sizes == m)
+        ranks[starts[rows, None] + np.arange(m)] = _insertion_ranks(keys[rows], m, beta)
+    return ranks
 
 
 def _insertion_positions(keys: np.ndarray, members: np.ndarray, beta: float) -> np.ndarray:
@@ -310,29 +325,8 @@ def _insertion_positions(keys: np.ndarray, members: np.ndarray, beta: float) -> 
     :func:`sample_profile` draws from the same key, as a position row over
     the center.
     """
-    n = members.shape[-1]
-    flat = members.reshape(-1, n)
-    sizes = flat.sum(axis=1)
-    out = np.full(flat.shape, n, dtype=np.int32)
-    for m in np.flatnonzero(np.bincount(sizes)).tolist():
-        rows = np.flatnonzero(sizes == m)
-        codes = _insertion_codes(keys.reshape(-1)[rows], m, beta)
-        pos = np.zeros((len(rows), m), dtype=np.int32)
-        for k in range(1, m):  # member k, in center order, goes in at index k - code; those at or past it move back
-            ins = (k - codes[:, k - 1])[:, None]
-            pos[:, :k] += pos[:, :k] >= ins
-            pos[:, k : k + 1] = ins
-        if m == n:
-            out[rows] = pos
-        else:
-            out[rows[:, None], np.nonzero(flat[rows])[1].reshape(-1, m)] = pos
-    return out.reshape(members.shape)
-
-
-def _apply_insertion_codes(center_items: tuple[int, ...], codes) -> list[int]:
-    out = [center_items[0]]
-    for k, d in enumerate(codes):
-        out.insert(len(out) - d, center_items[k + 1])
+    out = np.full(members.shape, members.shape[-1], dtype=np.int32)
+    out[members] = _ranks_by_size(keys.reshape(-1), members.sum(axis=-1).reshape(-1), beta)
     return out
 
 
@@ -342,17 +336,9 @@ def sample_mallows(center: Ranking, beta: float, stream: Stream) -> Ranking:
     m = len(center)
     if m == 0:
         raise ValueError("cannot sample a ranking of an empty set")
-    if m == 1:
-        return Ranking(center.items, validate=False)
-    tables = _insertion_thresholds(m, beta)
-    draws = stream.u64_array(m - 1) >> np.uint64(1)
-    codes = [int(np.searchsorted(tables[i], draws[i], side="right")) for i in range(m - 1)]
-    return Ranking(_apply_insertion_codes(center.items, codes), validate=False)
-
-
-def _restricted_center_items(center: Ranking, s: tuple[int, ...]) -> tuple[int, ...]:
-    pos = center.positions
-    return tuple(sorted(s, key=pos.__getitem__))
+    ranks = _insertion_ranks(np.array([stream.key], dtype=np.uint64), m, beta, start=stream._ctr)[0]
+    stream._ctr += m - 1
+    return Ranking(np.array(center.items)[np.argsort(ranks)].tolist(), validate=False)
 
 
 def sample_profile(params: MallowsParams, selection: SelectionSequence, stream: Stream) -> SampleProfile:
@@ -365,37 +351,16 @@ def sample_profile(params: MallowsParams, selection: SelectionSequence, stream: 
     """
     if selection.n != params.n:
         raise ValueError("selection sequence and parameters disagree on n")
-    r = len(selection)
-    if r == 0:
-        return SampleProfile((), selection, validate=False)
-
-    keys = stream.child_keys(r)
-    by_size: dict[int, list[int]] = {}
-    for ell, s in enumerate(selection.sets):
-        by_size.setdefault(len(s), []).append(ell)
-
-    center = params.center
-    rankings: list[Ranking | None] = [None] * r
-    for m, idxs in by_size.items():
-        code_rows = _insertion_codes(keys[np.asarray(idxs, dtype=np.int64)], m, params.beta).tolist()
-        if m == 2:
-            pos = center.positions
-            for row, ell in enumerate(idxs):
-                a, b = selection.sets[ell]
-                if pos[a] > pos[b]:
-                    a, b = b, a
-                items = (b, a) if code_rows[row][0] else (a, b)
-                rankings[ell] = Ranking(items, validate=False)
-        else:
-            full = m == params.n
-            restricted: dict[tuple[int, ...], tuple[int, ...]] = {}
-            for row, ell in enumerate(idxs):
-                if full:
-                    base = center.items
-                else:
-                    s = selection.sets[ell]
-                    base = restricted.get(s)
-                    if base is None:
-                        base = restricted[s] = _restricted_center_items(center, s)
-                rankings[ell] = Ranking(_apply_insertion_codes(base, code_rows[row]), validate=False)
+    r, n = len(selection), params.n
+    sizes = np.fromiter(map(len, selection.sets), dtype=np.int64, count=r)
+    items = np.fromiter(chain.from_iterable(selection.sets), dtype=np.int64, count=int(sizes.sum()))
+    center = np.array(params.center.items, dtype=np.int64)
+    at = np.argsort(center)  # at[i]: the center position of item i
+    # sorting row * n + center position puts every set in center order, row after row
+    restricted = center[np.sort(np.repeat(np.arange(r) * n, sizes) + at[items]) % n]
+    starts = np.cumsum(sizes) - sizes
+    samples = np.empty_like(items)
+    samples[np.repeat(starts, sizes) + _ranks_by_size(stream.child_keys(r), sizes, params.beta)] = restricted
+    flat = samples.tolist()
+    rankings = [Ranking(flat[a : a + m], validate=False) for a, m in zip(starts.tolist(), sizes.tolist())]
     return SampleProfile(rankings, selection, validate=False)

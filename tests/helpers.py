@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from mallows_select import sampling
 from mallows_select.core import (
     MallowsParams,
     Ranking,
@@ -21,6 +22,7 @@ from mallows_select.core import (
     SelectionSequence,
     kendall_tau_incomplete,
     log_partition_function,
+    restrict,
 )
 from mallows_select.estimators import positional_estimator
 from mallows_select.mle import recover_likelier_than_nature, recover_mle
@@ -173,6 +175,30 @@ def looped_bernoulli_sets(spec: SelectionSpec, r: int, stream: Stream) -> list[t
             if len(members) >= 2 and len(sets) < r:
                 sets.append(members)
     return sets
+
+
+def insertion_sample(center_items: tuple[int, ...], beta: float, stream: Stream) -> tuple[int, ...]:
+    """The reference form of ``sampling.sample_mallows``: one list insert per step.
+
+    Item k of ``center_items`` (k >= 1) goes in at displacement d from the
+    bottom, d the number of the step's thresholds at or below the top 63
+    bits of the stream's next draw.
+    """
+    tables = sampling._insertion_thresholds(len(center_items), beta)
+    draws = stream.u64_array(len(center_items) - 1) >> np.uint64(1)
+    out = [center_items[0]]
+    for k, item in enumerate(center_items[1:]):
+        d = int(np.searchsorted(tables[k], draws[k], side="right"))
+        out.insert(len(out) - d, item)
+    return tuple(out)
+
+
+def looped_sample_profile(params: MallowsParams, selection: SelectionSequence, stream: Stream) -> list[tuple[int, ...]]:
+    """The reference form of ``sampling.sample_profile``: set l's restricted center sampled from ``stream.child(l)``."""
+    return [
+        insertion_sample(restrict(params.center, s).items, params.beta, stream.child(ell))
+        for ell, s in enumerate(selection.sets)
+    ]
 
 
 def run_trial(

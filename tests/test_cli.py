@@ -212,6 +212,24 @@ class TestCliErrors:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        ("beta", "message"),
+        [
+            ("nan", "beta must be positive and finite, got nan"),
+            ("inf", "beta must be positive and finite, got inf"),
+            ("1e-300", "beta must be positive with e^-beta < 1, got 1e-300"),
+        ],
+    )
+    def test_bad_beta_with_a_radius_override_exits_two(self, tmp_path, capsys, beta, message):
+        # the override skips the window formulas, so only the likelihood sees beta
+        prof = tmp_path / "prof.txt"
+        assert run(capsys, "sample", "--n", "6", "--beta", "2", "--r", "10", "--out", str(prof))[0] == 0
+        code, out, err = run(capsys, "mle", "--in", str(prof), "--p", "1", "--beta", beta, "--radius-override", "1")
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert "Traceback" not in err
+
     def test_infeasible_spec_exits_two(self, capsys):
         code, _, err = run(
             capsys, "sample", "--n", "5", "--beta", "1", "--r", "3",

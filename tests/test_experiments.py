@@ -79,6 +79,13 @@ class TestSuccessRate:
         with pytest.raises(ValueError):
             estimate_success_rate(5, 1.0, 1.0, 0, 10, "complete", Stream.from_seed(0))
 
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_rejects_nonpositive_trials(self, trials):
+        with pytest.raises(ValueError, match=f"trials must be positive, got {trials}"):
+            estimate_success_rate(5, 1.0, 1.0, 3, trials, "complete", Stream.from_seed(0))
+        with pytest.raises(ValueError, match=f"trials must be positive, got {trials}"):
+            binary_search_complexity(5, 1.0, 1.0, 0.9, trials, "complete", Stream.from_seed(0))
+
     def test_matches_closed_form_two_items(self):
         beta, r, trials = 2.0, 15, 400
         rate = estimate_success_rate(2, beta, 1.0, r, trials, "complete", Stream.from_seed(4))

@@ -129,3 +129,21 @@ def test_header_n_over_the_limit_is_refused_before_any_table(tmp_path, capsys):
     assert dispatch(["verify", str(path), "--p", "0.5"]) == 2
     assert json.loads(capsys.readouterr().out)[0]["errors"] == [error]
     assert collect_profile_errors("8192,1\nS:0,1|R:1,0\n") == []
+
+
+@pytest.mark.parametrize("beta", ["nan", "inf", "-inf", "0", "-1.5"])
+def test_header_beta_must_be_positive_and_finite(tmp_path, capsys, beta):
+    text = f"4,1,{beta}\nS:0,1|R:1,0\n"
+    error = {"line": 1, "message": f"header beta must be positive and finite, got {beta}"}
+    assert collect_profile_errors(text) == [error]
+    with pytest.raises(FileFormatError) as excinfo:
+        parse_profile(text)
+    assert excinfo.value.errors == [error]
+    path = tmp_path / "prof.txt"
+    path.write_text(text)
+    assert dispatch(["verify", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)[0]["errors"] == [error]
+    assert dispatch(["mle", "--in", str(path), "--p", "1", "--radius-override", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert error["message"] in captured.err

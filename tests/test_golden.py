@@ -33,6 +33,17 @@ SAMPLE = [
     "--kind", "bernoulli_random", "--center", "random", "--seed", "8",
 ]
 
+# one sample per deterministic selection kind, each around a random center
+SAMPLE_KINDS = {
+    f"sample_{kind}.txt": [
+        "sample", "--n", str(n), "--beta", "1.2", "--r", "40", "--kind", kind, "--p", p,
+        "--center", "random", "--seed", "11",
+    ]
+    for kind, n, p in [
+        ("complete", 7, "1"), ("pairwise", 7, "1"), ("mixed_pfrequent", 7, "0.25"), ("adversarial_matching", 8, "0.25"),
+    ]
+}
+
 READERS = {
     "posest": ["posest", "--emit-raw-scores", "--seed", "9"],
     "mle": ["mle", "--mode", "mle", "--p", "0.5", "--seed", "9"],
@@ -50,6 +61,10 @@ GOLDEN = {
     "topk.svg": "aca5f7bf2c22983924352ff2309ef41c99121329627794ba018246ba858fd0e1",
     "adversarial.csv": "835ec6e730965a859247f1362dd23a11a75e5fcba2ff17bd7a2e67adee34f7cc",
     "sample.txt": "8930d9ba0ff8ae081f669fdac22fccf6c1ecc7540f02af1488e64243a5ef4a31",
+    "sample_complete.txt": "6df7a22f37e05f491c6c63c8847d2b4a9aeee09903c2c764793ca7289145d5f3",
+    "sample_pairwise.txt": "03fb65066d5b1bef3810fd9570c7e0dea4cfe64410c16f03fd6799e04c4c233a",
+    "sample_mixed_pfrequent.txt": "e455410e4cbee34c3a287e5a8d625497292a0cd9e1e215cf4d9cc74dc90d50ae",
+    "sample_adversarial_matching.txt": "96100c47a89ec113b8ff7145cb9114f10674d215160d3b0d1c3d6c447a8df2df",
     "posest": "a84d274cb78344aa15083d58fe40554d4bf60b37c4404935f69ee1cb99b2b892",
     "mle": "eec01e30f7ba0286b54f1a23c0f92b1d1b7725b5da631b11f866318a94dd7d5b",
     "ltn": "a38c179d3e868e60bf399ee9222405d27c602b8d6a8c4b87e2dcf216e7790ee2",
@@ -74,6 +89,10 @@ def digests(tmp_path_factory):
     profile = tmp / "sample.txt"
     assert dispatch(SAMPLE + ["--out", str(profile)]) == 0
     out[profile.name] = _sha(profile.read_bytes())
+    for name, argv in SAMPLE_KINDS.items():
+        path = tmp / name
+        assert dispatch(argv + ["--out", str(path)]) == 0
+        out[name] = _sha(path.read_bytes())
     for name, argv in READERS.items():
         result = tmp / f"{name}.out"
         assert dispatch(argv + ["--in", str(profile), "--out", str(result)]) == 0

@@ -1,11 +1,21 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from helpers import exact_pair_flip_probability, looped_bernoulli_sets, mallows_pmf, pair_scan_coappearance
+from helpers import (
+    exact_pair_flip_probability,
+    insertion_sample,
+    looped_bernoulli_sets,
+    looped_sample_profile,
+    mallows_pmf,
+    pair_scan_coappearance,
+)
 from mallows_select import sampling
 from mallows_select.core import (
     MallowsParams,
@@ -338,3 +348,73 @@ class TestBatchedDraws:
         for row, rk in zip(pos, profile.rankings):
             assert [center.items[k] for k in np.argsort(row)[: len(rk)]] == list(rk.items)
             assert (row[~np.isin(center.items, rk.items)] == n).all()
+
+
+@st.composite
+def selections(draw):
+    """A selection of every generated kind, an empty one, or free sets of any size from 1 (validate=False)."""
+    kind = draw(st.sampled_from(SelectionSpec._KINDS))
+    n = draw(st.integers(1, 4)) * 2 if kind == "adversarial_matching" else draw(st.integers(2, 9))
+    if kind == "explicit":
+        sets = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), max_size=30))
+        return SelectionSequence(sets, n, validate=False)
+    r = draw(st.integers(0, 40))
+    if r == 0:
+        return SelectionSequence([], n)
+    spec = SelectionSpec(kind=kind, n=n, p=draw(st.sampled_from([1.0, 0.5, 0.25, 1 / 6])))
+    return generate_selection(spec, r, Stream.from_seed(draw(st.integers(0, 99))))
+
+
+class TestOneSampler:
+    """``sample_profile`` and ``sample_mallows`` against the list-insertion reference in ``helpers``."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        selection=selections(),
+        data=st.data(),
+        beta=st.floats(0.05, 6.0),
+        seed=st.integers(0, 2**32),
+    )
+    def test_sample_profile_equals_reference(self, selection, data, beta, seed):
+        params = MallowsParams(Ranking(data.draw(st.permutations(range(selection.n)))), beta)
+        profile = sample_profile(params, selection, Stream.from_seed(seed))
+        assert [rk.items for rk in profile.rankings] == looped_sample_profile(params, selection, Stream.from_seed(seed))
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        items=st.lists(st.integers(0, 10**6), min_size=1, max_size=12, unique=True),
+        beta=st.floats(0.05, 6.0),
+        seed=st.integers(0, 2**32),
+        used=st.integers(0, 40),
+    )
+    def test_sample_mallows_on_a_used_stream_equals_reference(self, items, beta, seed, used):
+        stream, reference = Stream.from_seed(seed), Stream.from_seed(seed)
+        stream.u64_array(used), reference.u64_array(used)
+        assert sample_mallows(Ranking(items), beta, stream).items == insertion_sample(tuple(items), beta, reference)
+        assert stream._ctr == reference._ctr
+
+    def test_pair_only_profile_memory_is_linear_in_the_set_sizes(self):
+        # a dense (r, n) array of any dtype would take at least 4 MB here
+        n, r = 2000, 2000
+        selection = generate_selection(SelectionSpec(kind="pairwise", n=n), r)
+        params = MallowsParams(Ranking(Stream.from_seed(3).permutation(n)), 1.0)
+        tracemalloc.start()
+        try:
+            sample_profile(params, selection, Stream.from_seed(4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
+    @pytest.mark.parametrize("kind", ["pairwise", "mixed_pfrequent", "adversarial_matching"])
+    def test_pair_lists_are_bounded_by_r(self, kind):
+        # all C(1500, 2) pairs would take over 100 MB
+        spec = SelectionSpec(kind=kind, n=1500, p=0.5)
+        tracemalloc.start()
+        try:
+            selection = generate_selection(spec, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(selection) == 3
+        assert peak < 1 << 20
