@@ -111,21 +111,23 @@ def _build_parser() -> _Parser:
     add_seed(p)
     add_out(p)
 
-    for name, extra in (
-        ("exp-complexity", "sample-complexity curve over 1/p (binary searches)"),
-        ("exp-distance", "mean distance to the center over the profile size"),
-        ("exp-topk", "top-k vs full recovery over the profile size"),
+    # each curve command takes only the options its experiment reads, unabbreviated (--k is not --kind)
+    target, searches = ("--target", dict(type=float)), ("--searches", dict(type=int))
+    r_grid, k = ("--r-grid", dict(help="comma-separated profile sizes")), ("--k", dict(type=int))
+    for name, extra, reads in (
+        ("exp-complexity", "sample-complexity curve over 1/p (binary searches)", (target, searches)),
+        ("exp-distance", "mean distance to the center over the profile size", (r_grid,)),
+        ("exp-topk", "top-k vs full recovery over the profile size", (r_grid, k)),
     ):
-        p = sub.add_parser(name, help=extra)
+        p = sub.add_parser(name, help=extra, allow_abbrev=False)
+        p.set_defaults(target=None, searches=None, r_grid=None, k=None)  # an option it lacks reads as unset
         p.add_argument("--preset", choices=("figure1", "figure2", "figure3"), default=None)
         p.add_argument("--n", type=int, default=None)
         p.add_argument("--beta", type=float, default=None)
         p.add_argument("--p-values", default=None, help="comma-separated frequency parameters")
-        p.add_argument("--target", type=float, default=None)
         p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--searches", type=int, default=None)
-        p.add_argument("--r-grid", default=None, help="comma-separated profile sizes")
-        p.add_argument("--k", type=int, default=None)
+        for flag, kwargs in reads:
+            p.add_argument(flag, **kwargs)
         p.add_argument("--kind", default=None)
         p.add_argument("--threads", type=int, default=None)
         add_seed(p)

@@ -5,7 +5,8 @@ that precede i in at least half of the samples where both appear.  The
 majority test is the integer comparison ``2 * wins[j][i] >= appear[i][j]``:
 an exact half split increments both sides, and a pair that never co-appears
 also increments both sides, encoding total ignorance.  Ties in the
-resulting scores are broken uniformly at random from the caller's stream.
+resulting scores are broken uniformly at random by one array routine that
+serves one profile and a block of experiment trials alike.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import Ranking, SampleProfile, check_beta, log_partition_function
-from .rng import Stream
+from .rng import Stream, _below_array, draw_matrix
 from .sampling import _precedence_blocks, _triu_pairs
 
 
@@ -47,11 +48,6 @@ def accumulate_counts(profile: SampleProfile) -> PairwiseCounts:
     for block in _precedence_blocks([rk.items for rk in profile.rankings], n):
         wins += block.sum(axis=0, dtype=np.int64)
     return PairwiseCounts(n=n, appear=wins + wins.T, wins=wins)
-
-
-def positional_scores(counts: PairwiseCounts) -> np.ndarray:
-    """Raw positional score per alternative, before tie-breaking."""
-    return _beaten_by(counts.wins, counts.appear)
 
 
 def _beaten_by(wins: np.ndarray, appear: np.ndarray) -> np.ndarray:
@@ -92,35 +88,42 @@ def positional_estimator(profile: SampleProfile, stream: Stream) -> PosEstResult
 
 def positional_estimator_from_counts(counts: PairwiseCounts, stream: Stream) -> PosEstResult:
     n = counts.n
-    raw = positional_scores(counts)
-    order, tie_groups = _order_by_scores(raw.tolist(), stream)
+    raw = _beaten_by(counts.wins, counts.appear)
+    order = _order_by_scores(raw[None], np.array([stream.key], dtype=np.uint64), stream._ctr)[0]
+    sizes = np.bincount(raw)  # group size per score
+    stream._ctr += n - np.count_nonzero(sizes)  # a tie group of size s took s-1 draws
     ai, bj = _triu_pairs(n)
     zero = counts.appear[ai, bj] == 0
-    zero_pairs = tuple((int(a), int(b)) for a, b in zip(ai[zero], bj[zero]))
-    never = tuple(int(i) for i in np.flatnonzero(counts.appear.sum(axis=1) == 0))
     return PosEstResult(
-        ranking=Ranking(order, validate=False),
+        ranking=Ranking(order.tolist(), validate=False),
         raw_scores=tuple(raw.tolist()),
-        tie_groups=tuple(tie_groups),
-        zero_pairs=zero_pairs,
-        never_observed=never,
+        tie_groups=tuple(tuple(np.flatnonzero(raw == s).tolist()) for s in np.flatnonzero(sizes > 1)),
+        zero_pairs=tuple(zip(ai[zero].tolist(), bj[zero].tolist())),
+        never_observed=tuple(np.flatnonzero(counts.appear.sum(axis=1) == 0).tolist()),
     )
 
 
-def _order_by_scores(raw: list[int], stream: Stream) -> tuple[list[int], list[tuple[int, ...]]]:
-    """Alternatives by ascending raw score, each tie group shuffled from ``stream`` in score order; also the groups."""
-    order: list[int] = []
-    tie_groups: list[tuple[int, ...]] = []
-    by_score: dict[int, list[int]] = {}
-    for i, s in enumerate(raw):
-        by_score.setdefault(s, []).append(i)
-    for s in sorted(by_score):
-        group = by_score[s]
-        if len(group) > 1:
-            tie_groups.append(tuple(group))
-            stream.shuffle(group)
-        order.extend(group)
-    return order, tie_groups
+def _order_by_scores(raw: np.ndarray, keys: np.ndarray, start=0) -> np.ndarray:
+    """Each row of the (T, n) scores ``raw`` as alternatives by ascending score, ties shuffled from the row's stream.
+
+    Row t equals shuffling each tie group in score order with ``Stream(keys[t], start).shuffle``: a group of
+    size s takes s-1 draws after those of the groups before it.  One Fisher-Yates pass over the step index
+    shuffles every group of every row, as ``rng.permutation_rows`` does whole rows.
+    """
+    T, n = raw.shape
+    order = np.argsort(raw, axis=1, kind="stable")
+    ranked = np.take_along_axis(raw, order, axis=1)
+    first = np.diff(ranked, axis=1, prepend=ranked[:, :1] - 1) != 0
+    # each group: its flat position in ``order``, its size and the draws of its row's groups before it
+    head = np.flatnonzero(first)
+    size, before = np.diff(head, append=T * n), np.cumsum(~first, axis=1).ravel()[head]
+    u, flat = draw_matrix(keys, n - 1, start), order.reshape(-1)
+    for k in range(int(size.max(initial=1)) - 1):  # step k swaps the group's position s-1-k with below(s-k)
+        live = size > k + 1
+        head, size, before = head[live], size[live], before[live]
+        i, j = head + size - 1 - k, head + _below_array(u[head // n, before + k], (size - k).astype(np.uint64))
+        flat[i], flat[j] = flat[j], flat[i]
+    return flat.reshape(T, n)
 
 
 def score(pi: Ranking, counts: PairwiseCounts) -> int:

@@ -11,10 +11,11 @@ All experiments reduce the rows of one cell kernel, :func:`_cell`, which
 runs a range of trials as arrays: trial keys by vectorised stream folds,
 centers by one Fisher-Yates pass over all trials, samples by repeated
 insertion grouped by set size, pairwise wins by one precedence compare,
-and the positional estimate by a sort of the scores.  Only a trial whose
-scores tie, or whose estimator is the windowed DP, runs on its own.  The
-rows equal those of running each trial object by object, the reference
-kept in the tests.
+and the positional estimate by one sort and tie shuffle of the scores of
+all trials, the routine behind the public estimator.  Only the windowed
+DP of the ltn and mle estimators runs trial by trial, around those
+estimates.  The rows equal those of running each trial object by object,
+the reference kept in the tests.
 """
 
 from __future__ import annotations
@@ -177,17 +178,12 @@ def _cell_block(root, trials, n, beta, r, members, threshold, radius, planted) -
     at = np.argsort(centers, axis=1)  # at[t, i]: the center position of item i
     wins = wins_c[np.arange(len(keys))[:, None, None], at[:, :, None], at[:, None, :]]
     appear = wins + wins.transpose(0, 2, 1)
-    if radius is not None:  # the windowed DP runs trial by trial
-        est = [
-            _recover_from_counts(PairwiseCounts(n=n, appear=appear[t], wins=wins[t]), radius, Stream(int(k)))[0].items
-            for t, k in enumerate(sub[:, 3])
-        ]
-        return np.array(est, dtype=np.int64), centers
-    raw = _beaten_by(wins, appear)
-    est = np.argsort(raw, axis=1, kind="stable")
-    # only a trial with tied scores draws its tie-break stream
-    for t in np.flatnonzero((np.diff(np.take_along_axis(raw, est, axis=1), axis=1) == 0).any(axis=1)).tolist():
-        est[t] = _order_by_scores(raw[t].tolist(), Stream(int(sub[t, 3])))[0]
+    est = _order_by_scores(_beaten_by(wins, appear), sub[:, 3])
+    if radius is not None:  # the windowed DP refines each anchor trial by trial
+        est = np.array([
+            _recover_from_counts(PairwiseCounts(n=n, appear=appear[t], wins=wins[t]), radius, Ranking(row, validate=False))[0].items
+            for t, row in enumerate(est.tolist())
+        ], dtype=np.int64)
     return est, centers
 
 
@@ -441,6 +437,8 @@ def run_topk_experiment(config: ExperimentConfig, threads: int = 1) -> TopkCurve
         raise ValueError("top-k experiment requires a nonempty r_grid")
     if not (config.k and 1 <= config.k <= config.n):
         raise ValueError("top-k experiment requires 1 <= k <= n")
+    if len(config.p_values) != 1:
+        raise ValueError(f"top-k experiment takes one p value, got {len(config.p_values)}")
     trials = config.trials_per_point
     root = Stream.from_seed(config.seed)
     tasks = [

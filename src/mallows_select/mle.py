@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Ranking, SampleProfile, pointwise_distance
+from .core import Ranking, SampleProfile, check_beta, pointwise_distance
 from .estimators import (
     PairwiseCounts,
     accumulate_counts,
@@ -280,16 +280,11 @@ class MleReport:
 
 
 def _recover_from_counts(
-    counts: PairwiseCounts, radius: int, stream: Stream, budget: int = 1 << 22
+    counts: PairwiseCounts, radius: int, anchor: Ranking, budget: int = 1 << 22
 ) -> tuple[Ranking, int, int, int]:
-    """Anchor on the positional estimate, then run the widening DP around it.
-
-    Returns (ranking, score, window used, widenings).  ``stream`` breaks the
-    anchor's score ties.
-    """
+    """Run the widening DP around ``anchor``; returns (ranking, score, window used, widenings)."""
     if not radius >= 0:
         raise ValueError(f"radius_override must be nonnegative, got {radius}")
-    anchor = positional_estimator_from_counts(counts, stream).ranking
     n = counts.n
     if 2 * radius + 1 >= n:
         # the window already holds the 2^n masks per position of the unconstrained
@@ -302,7 +297,11 @@ def _recover_from_counts(
 
 
 def _recover(profile: SampleProfile, beta: float, radius: int, budget: int, stream: Stream, mode: str) -> MleReport:
-    result, achieved, used, widenings = _recover_from_counts(accumulate_counts(profile), radius, stream, budget)
+    """Anchor on the positional estimate, ties broken from ``stream``, and run the widening DP around it."""
+    beta = check_beta(beta)
+    counts = accumulate_counts(profile)
+    anchor = positional_estimator_from_counts(counts, stream).ranking
+    result, achieved, used, widenings = _recover_from_counts(counts, radius, anchor, budget)
     return MleReport(
         result=result,
         mode=mode,

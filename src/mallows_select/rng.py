@@ -86,11 +86,9 @@ class Stream:
         return (self.u64() * n) >> 64
 
     def permutation(self, n: int) -> tuple[int, ...]:
-        """Uniformly random permutation of range(n) by Fisher-Yates."""
+        """Uniformly random permutation of range(n): :meth:`shuffle` of ``list(range(n))``."""
         items = list(range(n))
-        for i in range(n - 1, 0, -1):
-            j = self.below(i + 1)
-            items[i], items[j] = items[j], items[i]
+        self.shuffle(items)
         return tuple(items)
 
     def shuffle(self, items: list) -> None:

@@ -201,6 +201,26 @@ def looped_sample_profile(params: MallowsParams, selection: SelectionSequence, s
     ]
 
 
+def looped_order_by_scores(raw: list[int], stream: Stream) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The reference form of ``estimators._order_by_scores`` on one row; also the tie groups.
+
+    Alternatives by ascending score, each tie group (items ascending)
+    shuffled from ``stream`` with ``Stream.shuffle``, in score order.
+    """
+    order: list[int] = []
+    tie_groups: list[tuple[int, ...]] = []
+    by_score: dict[int, list[int]] = {}
+    for i, s in enumerate(raw):
+        by_score.setdefault(s, []).append(i)
+    for s in sorted(by_score):
+        group = by_score[s]
+        if len(group) > 1:
+            tie_groups.append(tuple(group))
+            stream.shuffle(group)
+        order.extend(group)
+    return order, tie_groups
+
+
 def run_trial(
     n: int,
     beta: float,

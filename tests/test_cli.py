@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from mallows_select.cli import dispatch
+from mallows_select import mle
+from mallows_select.cli import _build_parser, dispatch
 from mallows_select.core import MallowsParams, Ranking
 from mallows_select.estimators import positional_estimator
 from mallows_select.fileio import (
@@ -221,7 +223,7 @@ class TestCliErrors:
         ],
     )
     def test_bad_beta_with_a_radius_override_exits_two(self, tmp_path, capsys, beta, message):
-        # the override skips the window formulas, so only the likelihood sees beta
+        # the override skips the window formulas: the pipeline checks beta itself
         prof = tmp_path / "prof.txt"
         assert run(capsys, "sample", "--n", "6", "--beta", "2", "--r", "10", "--out", str(prof))[0] == 0
         code, out, err = run(capsys, "mle", "--in", str(prof), "--p", "1", "--beta", beta, "--radius-override", "1")
@@ -229,6 +231,18 @@ class TestCliErrors:
         assert out == ""
         assert message in err
         assert "Traceback" not in err
+
+    def test_nan_beta_exits_two_before_the_dp(self, tmp_path, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the DP ran on a bad beta")
+
+        prof = tmp_path / "prof.txt"
+        assert run(capsys, "sample", "--n", "20", "--beta", "1", "--p", "0.5", "--r", "40", "--out", str(prof))[0] == 0
+        monkeypatch.setattr(mle, "_dp_window_max", unreachable)
+        code, out, err = run(capsys, "mle", "--in", str(prof), "--p", "0.5", "--beta", "nan", "--radius-override", "19")
+        assert code == 2
+        assert out == ""
+        assert "beta must be positive and finite, got nan" in err
 
     def test_infeasible_spec_exits_two(self, capsys):
         code, _, err = run(
@@ -309,6 +323,45 @@ class TestCliExperiments:
         assert dispatch(args + ["--threads", "3", "--out", str(out2)]) == 0
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestCurveOptions:
+    """Each exp-* command takes only the options its experiment reads."""
+
+    @pytest.mark.parametrize(
+        ("command", "flag", "value"),
+        [
+            ("exp-complexity", "--r-grid", "3,4"),
+            ("exp-complexity", "--k", "2"),
+            ("exp-distance", "--target", "0.5"),
+            ("exp-distance", "--searches", "9"),
+            ("exp-distance", "--k", "2"),
+            ("exp-topk", "--target", "0.5"),
+            ("exp-topk", "--searches", "9"),
+        ],
+    )
+    def test_dropped_flag_is_a_usage_error(self, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            dispatch([command, "--n", "5", "--beta", "1", "--trials", "2", "--threads", "1", flag, value])
+        assert excinfo.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag} {value}" in captured.err
+
+    def test_exp_topk_refuses_several_p_values(self, capsys):
+        code, out, err = run(
+            capsys, "exp-topk", "--n", "6", "--beta", "1", "--p-values", "0.5,0.2", "--k", "2",
+            "--trials", "2", "--r-grid", "3", "--threads", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "top-k experiment takes one p value, got 2" in err
+
+    def test_settable_option_count_is_pinned(self):
+        # every action but help, over all subcommands: a new option must move this pin on purpose
+        (commands,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        actions = [a for p in commands.choices.values() for a in p._actions if not isinstance(a, argparse._HelpAction)]
+        assert len(actions) == 76
 
 
 class TestModuleEntryPoint:

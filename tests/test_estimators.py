@@ -4,11 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import regression_pins
 from helpers import (
     argmax_set,
     exact_two_item_success,
+    looped_order_by_scores,
     random_incomplete_profile,
     recount_pairwise,
     run_trial,
@@ -27,10 +30,13 @@ from mallows_select.core import (
     restrict,
 )
 from mallows_select.estimators import (
+    PairwiseCounts,
+    _order_by_scores,
     accumulate_counts,
     brute_force_mle,
     log_likelihood,
     positional_estimator,
+    positional_estimator_from_counts,
     score,
     score_permutation_array,
     top_k,
@@ -158,6 +164,56 @@ class TestPositionalEstimator:
             dev = max(abs(pos_est[i] - pos0[i]) for i in range(pin["n"]))
             bad += dev > pin["deviation_bound"]
         assert bad <= pin["max_fail_fraction"] * pin["trials"]
+
+
+@st.composite
+def score_rows(draw):
+    """A (T, n) score array whose rows are all equal, all distinct, or from a small alphabet."""
+    t, n = draw(st.integers(1, 12)), draw(st.integers(1, 30))
+
+    def row():
+        shape = draw(st.sampled_from(("alphabet", "alphabet", "equal", "distinct")))
+        if shape == "equal":
+            return [draw(st.integers(0, 5))] * n
+        if shape == "distinct":
+            return draw(st.permutations(range(n)))
+        return draw(st.lists(st.integers(0, draw(st.integers(1, 4))), min_size=n, max_size=n))
+
+    return np.array([row() for _ in range(t)], dtype=np.int64).reshape(t, n)
+
+
+def _drawn(key: int, start: int) -> Stream:
+    """``Stream(key)`` after ``start`` draws."""
+    stream = Stream(key)
+    for _ in range(start):
+        stream.u64()
+    return stream
+
+
+class TestOneTieBreak:
+    """``estimators._order_by_scores`` against ``helpers.looped_order_by_scores``, at zero tolerance."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(raw=score_rows(), seed=st.integers(0, 2**32), start=st.integers(0, 50))
+    def test_array_rows_equal_looped(self, raw, seed, start):
+        keys = Stream.from_seed(seed).child_keys(len(raw))
+        order = _order_by_scores(raw, keys, start)
+        assert order.shape == raw.shape and order.dtype == np.intp
+        for t, row in enumerate(raw.tolist()):
+            assert order[t].tolist() == looped_order_by_scores(row, _drawn(int(keys[t]), start))[0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 30), most=st.integers(0, 2), seed=st.integers(0, 2**32), start=st.integers(0, 50))
+    def test_estimator_order_groups_and_counter_equal_looped(self, n, most, seed, start):
+        wins = np.random.default_rng(seed).integers(0, most + 1, size=(n, n))
+        np.fill_diagonal(wins, 0)
+        counts = PairwiseCounts(n=n, appear=wins + wins.T, wins=wins)
+        stream, looped = _drawn(seed, start), _drawn(seed, start)
+        result = positional_estimator_from_counts(counts, stream)
+        order, groups = looped_order_by_scores(list(result.raw_scores), looped)
+        assert result.ranking.items == tuple(order)
+        assert result.tie_groups == tuple(groups)
+        assert stream._ctr == looped._ctr
 
 
 class TestScore:

@@ -50,6 +50,16 @@ READERS = {
     "ltn": ["mle", "--mode", "ltn", "--p", "0.5", "--seed", "9"],
 }
 
+# a tie-heavy profile, so the readers' outputs pin the tie shuffle: at --seed 9
+# the positional estimate's tie groups are [[2, 5, 6], [1, 3, 4, 7, 8, 9, 10, 11]]
+TIES = ["sample", "--n", "12", "--beta", "1", "--r", "6", "--kind", "pairwise", "--center", "random", "--seed", "10"]
+
+TIE_READERS = {
+    "posest_ties": READERS["posest"],
+    "ltn_ties": READERS["ltn"],
+    "topk_ties": ["topk", "--k", "5", "--seed", "9"],
+}
+
 GOLDEN = {
     "complexity_mixed.csv": "d1e898efd017ef50c8ef983fb3b3abbeb07834c2f0bad67f5f3bdf52fe547a41",
     "complexity_mixed.svg": "f2a31fb7c722d3b4a45aac0b5c259a03e695fcc811e47194c4eca3c318282dd9",
@@ -68,6 +78,10 @@ GOLDEN = {
     "posest": "a84d274cb78344aa15083d58fe40554d4bf60b37c4404935f69ee1cb99b2b892",
     "mle": "eec01e30f7ba0286b54f1a23c0f92b1d1b7725b5da631b11f866318a94dd7d5b",
     "ltn": "a38c179d3e868e60bf399ee9222405d27c602b8d6a8c4b87e2dcf216e7790ee2",
+    "sample_ties.txt": "5316d62ac71362c884250fb20fcc10cb321a4ba81bc1647c37f01b1056a7cbae",
+    "posest_ties": "4af5e81f2b033211885e17ce4a895894b3059c3ce8ef1d0c10dab419493d63a5",
+    "ltn_ties": "3c6d369f9846e91293b3f55176a2c357023d136a40f45ec6803dd8b9da3ce325",
+    "topk_ties": "4789e5789b686c931ff084fe5592778b94a62c013c1b7534ef74452c2e22e013",
 }
 
 
@@ -93,10 +107,14 @@ def digests(tmp_path_factory):
         path = tmp / name
         assert dispatch(argv + ["--out", str(path)]) == 0
         out[name] = _sha(path.read_bytes())
-    for name, argv in READERS.items():
-        result = tmp / f"{name}.out"
-        assert dispatch(argv + ["--in", str(profile), "--out", str(result)]) == 0
-        out[name] = _sha(result.read_bytes())
+    ties = tmp / "sample_ties.txt"
+    assert dispatch(TIES + ["--out", str(ties)]) == 0
+    out[ties.name] = _sha(ties.read_bytes())
+    for readers, source in ((READERS, profile), (TIE_READERS, ties)):
+        for name, argv in readers.items():
+            result = tmp / f"{name}.out"
+            assert dispatch(argv + ["--in", str(source), "--out", str(result)]) == 0
+            out[name] = _sha(result.read_bytes())
     return out
 
 

@@ -7,6 +7,7 @@ import pytest
 
 import regression_pins
 from helpers import enumerate_window, full_mask_dp, random_incomplete_profile, windowed_oracle
+from mallows_select import mle
 from mallows_select.core import MallowsParams, Ranking, pointwise_distance
 from mallows_select.estimators import (
     PairwiseCounts,
@@ -297,6 +298,19 @@ class TestRecoveryPipelines:
         for recover in (recover_likelier_than_nature, recover_mle):
             with pytest.raises(ValueError, match="radius_override must be nonnegative, got -1"):
                 recover(profile, 1.0, 1.0, stream=Stream.from_seed(609), radius_override=-1)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_beta_is_refused_before_the_dp(self, monkeypatch, beta):
+        # with an override no window formula checks beta, and radius 19 at n=20 is all of S_20
+        def unreachable(*args):
+            raise AssertionError("the DP ran on a bad beta")
+
+        monkeypatch.setattr(mle, "_dp_window_max", unreachable)
+        sel = generate_selection(SelectionSpec(kind="mixed_pfrequent", n=20, p=0.5), 40)
+        profile = sample_profile(MallowsParams(Ranking.identity(20), 1.0), sel, Stream.from_seed(610))
+        for recover in (recover_likelier_than_nature, recover_mle):
+            with pytest.raises(ValueError, match=f"beta must be positive and finite, got {beta}"):
+                recover(profile, beta, 0.5, stream=Stream.from_seed(611), radius_override=19)
 
     def test_radius_override_respected(self):
         stream = Stream.from_seed(605)
