@@ -15,7 +15,6 @@ from .estimators import (
     PairwiseCounts,
     PosEstResult,
     accumulate_counts,
-    brute_force_mle,
     log_likelihood,
     positional_estimator,
     score,
@@ -69,7 +68,6 @@ __all__ = [
     "Stream",
     "accumulate_counts",
     "binary_search_complexity",
-    "brute_force_mle",
     "dp_maximize",
     "estimate_success_rate",
     "generate_selection",

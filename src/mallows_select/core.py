@@ -7,10 +7,13 @@ immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 
 class Ranking:
@@ -157,10 +160,25 @@ class SelectionSequence:
         return f"SelectionSequence(r={len(self.sets)}, n={self.n})"
 
 
-class SampleProfile:
-    """Incomplete rankings paired one-to-one with their selection sets."""
+def _csr_rows(offsets: np.ndarray, items: np.ndarray) -> list[tuple[int, ...]]:
+    """The rows ``items[offsets[l]:offsets[l+1]]`` as tuples of Python ints."""
+    flat, bounds = items.tolist(), offsets.tolist()
+    return [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
 
-    __slots__ = ("rankings", "selection")
+
+class SampleProfile:
+    """Incomplete rankings paired one-to-one with their selection sets.
+
+    Held as CSR arrays over the r samples: ``offsets`` (r + 1 row bounds),
+    ``set_items`` (each row's set, ascending) and ``rank_items`` (each
+    row's ranking, top first); sample l is row ``offsets[l]:offsets[l+1]``
+    of both.  The parser and the sampler build the arrays directly, and the
+    counting kernels read them.  ``rankings`` and ``selection`` are views
+    that build ``Ranking`` objects and set tuples on first read only; a
+    race between two threads on that first read builds two equal views.
+    """
+
+    __slots__ = ("n", "offsets", "set_items", "rank_items", "_rankings", "_selection")
 
     def __init__(self, rankings: Sequence[Ranking], selection: SelectionSequence, *, validate: bool = True):
         rankings = tuple(rankings)
@@ -170,15 +188,45 @@ class SampleProfile:
             for idx, (rk, s) in enumerate(zip(rankings, selection)):
                 if tuple(sorted(rk.items)) != s:
                     raise ValueError(f"ranking {idx} is not a permutation of its selection set")
-        self.rankings = rankings
-        self.selection = selection
+        sizes = np.fromiter(map(len, rankings), dtype=np.int64, count=len(rankings))
+        self._set_arrays(
+            selection.n,
+            np.concatenate(([0], np.cumsum(sizes))),
+            np.fromiter(itertools.chain.from_iterable(selection.sets), dtype=np.int64),
+            np.fromiter(itertools.chain.from_iterable(rk.items for rk in rankings), dtype=np.int64, count=int(sizes.sum())),
+        )
+        self._rankings, self._selection = rankings, selection
+
+    @classmethod
+    def _from_arrays(
+        cls, n: int, offsets: np.ndarray, set_items: np.ndarray, rank_items: np.ndarray,
+        selection: SelectionSequence | None = None,
+    ) -> "SampleProfile":
+        """A profile over checked CSR arrays, with no per-sample object; ``selection`` seeds its view."""
+        profile = cls.__new__(cls)
+        profile._set_arrays(n, offsets, set_items, rank_items)
+        profile._rankings, profile._selection = None, selection
+        return profile
+
+    def _set_arrays(self, n: int, offsets: np.ndarray, set_items: np.ndarray, rank_items: np.ndarray) -> None:
+        for array in (offsets, set_items, rank_items):
+            array.setflags(write=False)
+        self.n, self.offsets, self.set_items, self.rank_items = n, offsets, set_items, rank_items
 
     @property
-    def n(self) -> int:
-        return self.selection.n
+    def rankings(self) -> tuple[Ranking, ...]:
+        if self._rankings is None:
+            self._rankings = tuple(Ranking(row, validate=False) for row in _csr_rows(self.offsets, self.rank_items))
+        return self._rankings
+
+    @property
+    def selection(self) -> SelectionSequence:
+        if self._selection is None:
+            self._selection = SelectionSequence(_csr_rows(self.offsets, self.set_items), self.n, validate=False)
+        return self._selection
 
     def __len__(self) -> int:
-        return len(self.rankings)
+        return len(self.offsets) - 1
 
     def __iter__(self) -> Iterator[Ranking]:
         return iter(self.rankings)

@@ -11,15 +11,13 @@ serves one profile and a block of experiment trials alike.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .core import Ranking, SampleProfile, check_beta, log_partition_function
 from .rng import Stream, _below_array, draw_matrix
-from .sampling import _precedence_blocks, _triu_pairs
+from .sampling import _discordances, _pair_counts, _triu_pairs
 
 
 @dataclass(frozen=True)
@@ -42,12 +40,9 @@ class PairwiseCounts:
 
 
 def accumulate_counts(profile: SampleProfile) -> PairwiseCounts:
-    """Tally appearances and precedences in one pass over the profile."""
-    n = profile.n
-    wins = np.zeros((n, n), dtype=np.int64)
-    for block in _precedence_blocks([rk.items for rk in profile.rankings], n):
-        wins += block.sum(axis=0, dtype=np.int64)
-    return PairwiseCounts(n=n, appear=wins + wins.T, wins=wins)
+    """Tally appearances and precedences in one pass over the profile's ranking rows."""
+    wins = _pair_counts(profile.n, profile.offsets, profile.rank_items)
+    return PairwiseCounts(n=profile.n, appear=wins + wins.T, wins=wins)
 
 
 def _beaten_by(wins: np.ndarray, appear: np.ndarray) -> np.ndarray:
@@ -114,6 +109,8 @@ def _order_by_scores(raw: np.ndarray, keys: np.ndarray, start=0) -> np.ndarray:
     order = np.argsort(raw, axis=1, kind="stable")
     ranked = np.take_along_axis(raw, order, axis=1)
     first = np.diff(ranked, axis=1, prepend=ranked[:, :1] - 1) != 0
+    if first.all():  # no tie group: the draws are counter-based, so skipping them changes nothing after
+        return order
     # each group: its flat position in ``order``, its size and the draws of its row's groups before it
     head = np.flatnonzero(first)
     size, before = np.diff(head, append=T * n), np.cumsum(~first, axis=1).ravel()[head]
@@ -147,52 +144,22 @@ def log_likelihood(pi: Ranking, profile: SampleProfile, beta: float) -> float:
     """Log-probability of the profile under center ``pi`` and spread ``beta``, summed in sample order."""
     beta = check_beta(beta)
     n = profile.n
-    rows = [rk.items for rk in profile.rankings]
-    missing = set(itertools.chain.from_iterable(rows)).difference(pi.items)
+    at = np.full(n, -1, dtype=np.int64)  # at[i]: the position of item i in pi, or -1
+    for t, x in enumerate(pi.items):
+        if 0 <= x < n:
+            at[x] = t
+    seen = np.zeros(n, dtype=bool)
+    seen[profile.rank_items] = True
+    missing = np.flatnonzero(seen & (at < 0)).tolist()
     if missing:
-        raise ValueError(f"profile contains alternatives not in the ranking: {sorted(missing)}")
-    after_in_pi = next(_precedence_blocks([[x for x in pi.items if x < n]], n))[0].T
-    discordant = itertools.chain.from_iterable(
-        np.logical_and(block, after_in_pi, out=block).sum(axis=(1, 2)).tolist() for block in _precedence_blocks(rows, n)
-    )
+        raise ValueError(f"profile contains alternatives not in the ranking: {missing}")
+    # a sample's distance to pi: its pairs that pi orders the other way, the inversions of its positions in pi
+    discordant = _discordances(profile.offsets, profile.rank_items, at).tolist()
     total = 0.0
-    for d, items in zip(discordant, rows):
+    for d, m in zip(discordant, np.diff(profile.offsets).tolist()):
         total -= beta * d
-        total -= log_partition_function(len(items), beta)
+        total -= log_partition_function(m, beta)
     return total
-
-
-_BRUTE_FORCE_LIMIT = 10
-
-
-@lru_cache(maxsize=8)
-def _all_permutations(n: int) -> np.ndarray:
-    return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-
-
-def brute_force_mle(profile: SampleProfile, restrict_to=None) -> Ranking:
-    """Exact maximum likelihood ranking by enumeration.
-
-    Enumerates all n! complete rankings (guarded to n <= 10) or the given
-    candidate set; ties go to the lexicographically smallest item sequence.
-    """
-    n = profile.n
-    counts = accumulate_counts(profile)
-    if restrict_to is None:
-        if n > _BRUTE_FORCE_LIMIT:
-            raise ValueError(f"brute force over {n}! rankings refused; pass restrict_to or keep n <= {_BRUTE_FORCE_LIMIT}")
-        perms = _all_permutations(n)
-        scores = score_permutation_array(perms, counts)
-        return Ranking(perms[int(np.argmax(scores))].tolist(), validate=False)
-    best: Ranking | None = None
-    best_score = -1
-    for cand in sorted(restrict_to, key=lambda r: r.items):
-        s = score(cand, counts)
-        if s > best_score:
-            best, best_score = cand, s
-    if best is None:
-        raise ValueError("empty candidate set")
-    return best
 
 
 def top_k(pi: Ranking, k: int) -> Ranking:

@@ -36,9 +36,9 @@ from .sampling import (
     SelectionSpec,
     _bernoulli_members,
     _bernoulli_threshold,
+    _discordances,
     _insertion_positions,
     _precedence,
-    _precedence_blocks,
     generate_selection,
 )
 
@@ -412,9 +412,9 @@ def distance_cell(config: ExperimentConfig, p_idx: int, r: int) -> np.ndarray:
         root, range(config.trials_per_point), config.n, config.beta, config.p_values[p_idx], r,
         config.selection_kind, config.estimator,
     )
-    # Kendall tau per trial: the pairs the estimate puts one way and the center the other
-    blocks = zip(_precedence_blocks(est.tolist(), config.n), _precedence_blocks(pi0.tolist(), config.n))
-    return np.concatenate([(e & c.transpose(0, 2, 1)).sum(axis=(1, 2)) for e, c in blocks])
+    # Kendall tau per trial: the inversions of the estimate's items at their center positions
+    at = np.take_along_axis(np.argsort(pi0, axis=1), est, axis=1)
+    return _discordances(np.arange(len(at) + 1) * config.n, at.ravel())
 
 
 def run_distance_experiment(config: ExperimentConfig, threads: int = 1) -> DistanceCurve:

@@ -27,13 +27,13 @@ from itertools import chain, combinations, cycle, islice
 
 import numpy as np
 
-from .core import MallowsParams, Ranking, SampleProfile, SelectionSequence, check_beta
+from .core import MallowsParams, Ranking, SampleProfile, SelectionSequence, _csr_rows, check_beta
 from .rng import Stream, draw_matrix
 
 _SCALE_BITS = 63
 _SCALE = 1 << _SCALE_BITS
 
-# rows per precedence block are chosen so one boolean block holds about this many bytes
+# rows per counting block are chosen so the block's two int64 pair arrays hold about this many bytes
 _PRECEDENCE_BLOCK_BYTES = 1 << 24
 
 # a bernoulli_random spec whose rejection loop is expected to consume more
@@ -146,7 +146,8 @@ def generate_selection(spec: SelectionSpec, r: int, stream: Stream | None = None
             np.array([stream.key], dtype=np.uint64), n, r, _bernoulli_threshold(spec, r), start=stream._ctr
         )
         stream._ctr = int(used[0])
-        sets = [tuple(np.flatnonzero(row)) for row in members[0]]
+        row, item = np.nonzero(members[0])  # row-major: rows in order, each row's items ascending
+        sets = _csr_rows(np.searchsorted(row, np.arange(r + 1)), item)
 
     else:  # explicit
         assert spec.sets is not None
@@ -154,7 +155,7 @@ def generate_selection(spec: SelectionSpec, r: int, stream: Stream | None = None
             raise InfeasibleSpecError(f"explicit spec holds {len(spec.sets)} sets but r={r} requested")
         sets = list(spec.sets)
 
-    return SelectionSequence(sets, n)
+    return SelectionSequence(sets, n, validate=spec.kind == "explicit")  # the other kinds are valid by construction
 
 
 def _bernoulli_threshold(spec: SelectionSpec, r: int) -> np.uint64:
@@ -216,14 +217,18 @@ class PFrequencyReport:
 
 def verify_p_frequent(selection: SelectionSequence, p: float) -> PFrequencyReport:
     """Check that every pair co-appears in at least a p fraction of the sets."""
-    r = len(selection)
+    sizes = np.fromiter(map(len, selection.sets), dtype=np.int64, count=len(selection))
+    items = np.fromiter(chain.from_iterable(selection.sets), dtype=np.int64, count=int(sizes.sum()))
+    return _p_frequency(selection.n, np.concatenate(([0], np.cumsum(sizes))), items, p)
+
+
+def _p_frequency(n: int, offsets: np.ndarray, set_items: np.ndarray, p: float) -> PFrequencyReport:
+    """:func:`verify_p_frequent` of the CSR sets ``set_items[offsets[l]:offsets[l+1]]``, each ascending."""
+    r = len(offsets) - 1
     if r == 0:
         raise ValueError("cannot audit an empty selection sequence")
-    n = selection.n
-    counts = np.zeros((n, n), dtype=np.int64)
-    for block in _precedence_blocks(selection.sets, n):
-        counts += block.sum(axis=0, dtype=np.int64)
-    counts = counts + counts.T
+    counts = _pair_counts(n, offsets, set_items)
+    counts += counts.T
     min_frac = counts[np.triu_indices(n, 1)].min() / r
     return PFrequencyReport(ok=bool(min_frac >= p - 1e-12), min_pair_fraction=float(min_frac), counts=counts)
 
@@ -233,34 +238,59 @@ def _triu_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(m, 1)
 
 
-def _precedence_blocks(rows, n: int):
-    """Yield boolean blocks ``before[k, i, j]``: row k holds both i and j, with i ahead of j.
+def _pair_blocks(offsets: np.ndarray, items: np.ndarray, relabel: np.ndarray | None = None):
+    """Yield ``(rows, first, second)`` for blocks of CSR rows of one size m >= 2.
 
-    ``rows`` is a sequence of item sequences over [0, n).  A block covers
-    consecutive rows, as many as keep it near ``_PRECEDENCE_BLOCK_BYTES``,
-    and is built from a ``(k, n)`` position matrix in which ``n`` marks an
-    absent item.  All blocks share one buffer: a block is valid until the
-    next one is drawn, and the caller may overwrite it.
+    Row l holds ``items[offsets[l]:offsets[l+1]]``, or their ``relabel``
+    entries.  ``first[k, q]`` and ``second[k, q]`` are row ``rows[k]``'s
+    entries at positions a < b, pair q of ``triu(m)``: the work grows with
+    the sum of m^2 over the rows, never with rows times n^2.  All blocks
+    share two pair buffers of about ``_PRECEDENCE_BLOCK_BYTES`` together
+    (more only when one row needs more): a block is valid until the next
+    one is drawn, and the caller may overwrite it.
     """
-    step = max(1, _PRECEDENCE_BLOCK_BYTES // max(1, n * n))
-    buf = np.empty((min(step, len(rows)), n, n), dtype=bool)
-    for lo in range(0, len(rows), step):
-        chunk = rows[lo : lo + step]
-        lens = np.fromiter(map(len, chunk), dtype=np.int64, count=len(chunk))
-        items = np.fromiter(chain.from_iterable(chunk), dtype=np.int64, count=int(lens.sum()))
-        starts = np.repeat(np.cumsum(lens) - lens, lens)
-        pos = np.full((len(chunk), n), n, dtype=np.int64)
-        pos[np.repeat(np.arange(len(chunk)), lens), items] = np.arange(len(items)) - starts
-        yield _precedence(pos, buf[: len(chunk)])
+    sizes = np.diff(offsets)
+    pairs = sizes * (sizes - 1) // 2
+    cells = min(int(pairs.sum()), max(_PRECEDENCE_BLOCK_BYTES // (2 * items.itemsize), int(pairs.max(initial=0))))
+    buf = np.empty((2, cells), dtype=items.dtype if relabel is None else relabel.dtype)
+    present = np.flatnonzero(np.bincount(sizes))
+    for m in present[present >= 2].tolist():
+        rows, (a, b) = np.flatnonzero(sizes == m), _triu_pairs(m)
+        step = cells // len(a)
+        for lo in range(0, len(rows), step):
+            block = items[offsets[rows[lo : lo + step], None] + np.arange(m)]
+            if relabel is not None:
+                block = relabel[block]
+            first, second = buf[:, : len(block) * len(a)].reshape(2, len(block), len(a))
+            # mode="clip" writes straight into the buffers; the indices are in range
+            yield rows[lo : lo + step], np.take(block, a, 1, first, "clip"), np.take(block, b, 1, second, "clip")
 
 
-def _precedence(pos: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _pair_counts(n: int, offsets: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """``counts[i, j]``: the rows in which item i of [0, n) stands ahead of item j."""
+    counts = np.zeros(n * n, dtype=np.int64)
+    for _rows, first, second in _pair_blocks(offsets, items):
+        first *= n
+        first += second
+        np.add.at(counts, first.ravel(), 1)  # unlike a bincount, no n * n array per block
+    return counts.reshape(n, n)
+
+
+def _discordances(offsets: np.ndarray, items: np.ndarray, relabel: np.ndarray | None = None) -> np.ndarray:
+    """Per CSR row, the pairs whose items (or ``relabel`` entries) stand in descending order: the row's inversions."""
+    out = np.zeros(len(offsets) - 1, dtype=np.int64)
+    for rows, first, second in _pair_blocks(offsets, items, relabel):
+        out[rows] = np.count_nonzero(first > second, axis=1)
+    return out
+
+
+def _precedence(pos: np.ndarray) -> np.ndarray:
     """``before[..., i, j]``: items i and j both present, i ahead of j.
 
     ``pos[..., i]`` is the position of item i of n, or n when it is absent.
     """
     n = pos.shape[-1]
-    out = np.less(pos[..., :, None], pos[..., None, :], out=out)
+    out = pos[..., :, None] < pos[..., None, :]
     out &= pos[..., None, :] < n
     return out
 
@@ -358,9 +388,7 @@ def sample_profile(params: MallowsParams, selection: SelectionSequence, stream: 
     at = np.argsort(center)  # at[i]: the center position of item i
     # sorting row * n + center position puts every set in center order, row after row
     restricted = center[np.sort(np.repeat(np.arange(r) * n, sizes) + at[items]) % n]
-    starts = np.cumsum(sizes) - sizes
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
     samples = np.empty_like(items)
-    samples[np.repeat(starts, sizes) + _ranks_by_size(stream.child_keys(r), sizes, params.beta)] = restricted
-    flat = samples.tolist()
-    rankings = [Ranking(flat[a : a + m], validate=False) for a, m in zip(starts.tolist(), sizes.tolist())]
-    return SampleProfile(rankings, selection, validate=False)
+    samples[np.repeat(offsets[:-1], sizes) + _ranks_by_size(stream.child_keys(r), sizes, params.beta)] = restricted
+    return SampleProfile._from_arrays(n, offsets, items, samples, selection)

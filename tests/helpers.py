@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,7 +25,8 @@ from mallows_select.core import (
     log_partition_function,
     restrict,
 )
-from mallows_select.estimators import positional_estimator
+from mallows_select.estimators import accumulate_counts, positional_estimator, score, score_permutation_array
+from mallows_select.fileio import FileFormatError, _err, _parse_header
 from mallows_select.mle import recover_likelier_than_nature, recover_mle
 from mallows_select.rng import Stream
 from mallows_select.sampling import SelectionSpec, generate_selection, sample_profile
@@ -307,6 +309,110 @@ def pair_scan_coappearance(selection: SelectionSequence) -> np.ndarray:
             counts[a, b] += 1
             counts[b, a] += 1
     return counts
+
+
+_BRUTE_FORCE_LIMIT = 10
+
+
+@lru_cache(maxsize=8)
+def _all_permutations(n: int) -> np.ndarray:
+    return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+
+
+def brute_force_mle(profile: SampleProfile, restrict_to=None) -> Ranking:
+    """Exact maximum likelihood ranking by enumeration.
+
+    Enumerates all n! complete rankings (guarded to n <= 10) or the given
+    candidate set; ties go to the lexicographically smallest item sequence.
+    """
+    n = profile.n
+    counts = accumulate_counts(profile)
+    if restrict_to is None:
+        if n > _BRUTE_FORCE_LIMIT:
+            raise ValueError(f"brute force over {n}! rankings refused; pass restrict_to or keep n <= {_BRUTE_FORCE_LIMIT}")
+        perms = _all_permutations(n)
+        scores = score_permutation_array(perms, counts)
+        return Ranking(perms[int(np.argmax(scores))].tolist(), validate=False)
+    best: Ranking | None = None
+    best_score = -1
+    for cand in sorted(restrict_to, key=lambda r: r.items):
+        s = score(cand, counts)
+        if s > best_score:
+            best, best_score = cand, s
+    if best is None:
+        raise ValueError("empty candidate set")
+    return best
+
+
+def _legacy_ints(text: str) -> tuple[int, ...]:
+    """Comma-separated integers; an empty token is an error, an empty text no integers."""
+    return tuple(int(tok) for tok in text.split(",")) if text else ()
+
+
+def legacy_scan(text: str) -> tuple[int, float | None, list[tuple[int, ...]], list[tuple[int, ...] | None]]:
+    """The reference form of ``fileio._scan``: every line read as a string, one at a time.
+
+    Tokenize and check every line once; raises FileFormatError listing every error.
+
+    Returns ``(n, beta, sets, rankings)``: the sorted selection set of every
+    sample line, and its ranking, or None on a selection-only line.  Every
+    invariant the core types check on construction has been checked.
+    """
+    lines = text.splitlines()
+    if not lines or not lines[0].strip():
+        raise FileFormatError([_err(1, "missing header line")])
+    n, r, beta = _parse_header(lines[0])
+
+    errors: list[dict] = []
+    body = [ln for ln in lines[1:] if ln.strip()]
+    if len(body) != r:
+        errors.append(_err(1, f"header declares r={r} but file holds {len(body)} sample lines"))
+    sets: list[tuple[int, ...]] = []
+    rankings: list[tuple[int, ...] | None] = []
+    for line_no, raw in enumerate(body, start=2):
+        part = raw.strip()
+        if not part.startswith("S:"):
+            errors.append(_err(line_no, "sample line must start with 'S:'"))
+            continue
+        payload = part[2:]
+        s_text, has_ranking, r_text = payload.partition("|R:")
+        try:
+            s_items = _legacy_ints(s_text)
+        except ValueError:
+            errors.append(_err(line_no, f"unparseable selection set {s_text!r}"))
+            continue
+        s_sorted = tuple(sorted(s_items))
+        if len(set(s_sorted)) != len(s_sorted):
+            dup = sorted({x for x in s_items if s_items.count(x) > 1})
+            errors.append(_err(line_no, f"duplicate alternative {dup[0]} in selection set", item=dup[0]))
+            continue
+        if len(s_sorted) < 2:
+            errors.append(_err(line_no, "selection set needs at least two alternatives"))
+            continue
+        if s_sorted[0] < 0 or s_sorted[-1] >= n:
+            bad = [x for x in s_items if x < 0 or x >= n]
+            errors.append(_err(line_no, f"alternative {bad[0]} outside [0, {n})", item=bad[0]))
+            continue
+        sets.append(s_sorted)
+        if not has_ranking:
+            rankings.append(None)
+            continue
+        try:
+            r_items = _legacy_ints(r_text)
+        except ValueError:
+            errors.append(_err(line_no, f"unparseable ranking {r_text!r}"))
+            continue
+        if len(set(r_items)) != len(r_items):
+            dup = sorted({x for x in r_items if r_items.count(x) > 1})
+            errors.append(_err(line_no, f"duplicate alternative {dup[0]} in ranking", item=dup[0]))
+            continue
+        if tuple(sorted(r_items)) != s_sorted:
+            errors.append(_err(line_no, "ranking is not a permutation of its selection set"))
+            continue
+        rankings.append(r_items)
+    if errors:
+        raise FileFormatError(errors)
+    return n, beta, sets, rankings
 
 
 def exact_pair_flip_probability(beta: float) -> float:

@@ -19,6 +19,7 @@ from scipy import stats
 
 from helpers import (
     bootstrap_mean_diff_lower,
+    brute_force_mle,
     enumerate_window,
     linear_fit,
     mallows_pmf,
@@ -33,7 +34,6 @@ from mallows_select.core import (
 )
 from mallows_select.estimators import (
     accumulate_counts,
-    brute_force_mle,
     score,
     score_permutation_array,
 )

@@ -375,3 +375,32 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == run(capsys, *argv)[1]
         assert proc.stdout.startswith("4,2\n")
+
+
+def test_file_commands_build_no_ranking_per_sample(tmp_path, capsys, monkeypatch):
+    """posest, topk, mle and verify read a profile as arrays: the Rankings they build do not grow with r."""
+    built = []
+    init = Ranking.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Ranking, "__init__", counted)
+    commands = {}
+    for r in (200, 2000):
+        path = tmp_path / f"r{r}.txt"
+        base = ["sample", "--n", "100", "--beta", "1", "--r", str(r), "--p", "0.25", "--kind", "bernoulli_random"]
+        assert dispatch([*base, "--seed", "3", "--out", str(path)]) == 0
+        for name, argv in (
+            ("posest", ["posest", "--in", str(path)]),
+            ("topk", ["topk", "--in", str(path), "--k", "5"]),
+            ("ltn", ["mle", "--in", str(path), "--mode", "ltn", "--p", "0.25"]),
+            ("verify", ["verify", str(path), "--p", "0.25"]),
+        ):
+            built.clear()
+            assert dispatch(argv) in (0, 2)
+            commands.setdefault(name, []).append(len(built))
+    capsys.readouterr()
+    for name, counts in commands.items():
+        assert counts[0] == counts[1] <= 5, (name, counts)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import regression_pins
 from helpers import (
     argmax_set,
+    brute_force_mle,
     exact_two_item_success,
     looped_order_by_scores,
     random_incomplete_profile,
@@ -19,7 +20,7 @@ from helpers import (
     total_distance,
     widened,
 )
-from mallows_select import sampling
+from mallows_select import estimators, sampling
 from mallows_select.core import (
     MallowsParams,
     Ranking,
@@ -33,7 +34,6 @@ from mallows_select.estimators import (
     PairwiseCounts,
     _order_by_scores,
     accumulate_counts,
-    brute_force_mle,
     log_likelihood,
     positional_estimator,
     positional_estimator_from_counts,
@@ -214,6 +214,66 @@ class TestOneTieBreak:
         assert result.ranking.items == tuple(order)
         assert result.tie_groups == tuple(groups)
         assert stream._ctr == looped._ctr
+
+    @pytest.mark.parametrize("t, n", [(1, 20), (1, 1), (7, 9)])
+    def test_tie_free_rows_make_no_draw(self, monkeypatch, t, n):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a tie-free row drew")
+
+        raw = np.array([np.random.default_rng(t * n).permutation(n) for _ in range(t)], dtype=np.int64)
+        monkeypatch.setattr(estimators, "draw_matrix", no_draws)
+        order = _order_by_scores(raw, Stream.from_seed(1).child_keys(t), 3)
+        assert (order == np.argsort(raw, axis=1)).all()
+        wins = np.triu(np.ones((n, n), dtype=np.int64), 1)  # 0 beats everyone, 1 everyone after it, ...
+        stream = Stream.from_seed(2)
+        result = positional_estimator_from_counts(PairwiseCounts(n=n, appear=wins + wins.T, wins=wins), stream)
+        assert result.ranking.items == tuple(range(n)) and result.tie_groups == () and stream._ctr == 0
+
+
+@st.composite
+def mixed_profiles(draw):
+    """Profiles whose sets mix pairs, mid-size sets and complete sets, some alternatives never observed."""
+    n = draw(st.integers(2, 30))
+    sizes = st.one_of(st.just(2), st.integers(2, n), st.just(n))
+    sets = [tuple(sorted(draw(st.permutations(range(n)))[: draw(sizes)])) for _ in range(draw(st.integers(0, 25)))]
+    center = Ranking(draw(st.permutations(range(n))))
+    beta = draw(st.sampled_from([0.2, 1.0, 2.5]))
+    profile = sample_profile(MallowsParams(center, beta), SelectionSequence(sets, n), Stream.from_seed(draw(st.integers(0, 999))))
+    extra = draw(st.integers(0, 3))
+    return (widened(profile, extra) if extra else profile), beta
+
+
+class TestSizeGroupedCounting:
+    """The size-grouped pair blocks against the loops of ``helpers``, at both block sizes."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=mixed_profiles(), data=st.data())
+    def test_counts_and_likelihood_equal_the_loops(self, case, data):
+        profile, beta = case
+        pi = Ranking(data.draw(st.permutations(range(profile.n))))
+        appear, wins = recount_pairwise(profile)
+        expected = sequential_log_likelihood(pi, profile, beta)
+        for block_bytes in (sampling._PRECEDENCE_BLOCK_BYTES, 50):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(sampling, "_PRECEDENCE_BLOCK_BYTES", block_bytes)
+                counts = accumulate_counts(profile)
+                assert (counts.appear == appear).all() and (counts.wins == wins).all()
+                assert log_likelihood(pi, profile, beta) == expected
+
+    def test_pair_only_counting_memory_is_linear_in_the_pairs(self):
+        # one r x n x n boolean block would take 1.8 GB here, and even one row-block of n x n
+        # booleans per 186 rows, the blocking of a dense compare, takes 16 MB
+        n, r = 300, 20000
+        selection = generate_selection(SelectionSpec(kind="pairwise", n=n), r)
+        profile = sample_profile(MallowsParams(Ranking.identity(n), 1.0), selection, Stream.from_seed(5))
+        tracemalloc.start()
+        try:
+            counts = accumulate_counts(profile)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.appear.sum() == 2 * r
+        assert peak < 4 << 20
 
 
 class TestScore:

@@ -2,15 +2,18 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import legacy_scan
+from mallows_select import fileio
 from mallows_select.cli import dispatch
-from mallows_select.core import MallowsParams, Ranking, SelectionSequence
+from mallows_select.core import MallowsParams, Ranking, SampleProfile, SelectionSequence, _csr_rows
 from mallows_select.fileio import FileFormatError, collect_profile_errors, format_profile, parse_profile, parse_selection
 from mallows_select.rng import Stream
-from mallows_select.sampling import sample_profile
+from mallows_select.sampling import SelectionSpec, generate_selection, sample_profile
 
 
 @st.composite
@@ -147,3 +150,98 @@ def test_header_beta_must_be_positive_and_finite(tmp_path, capsys, beta):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert error["message"] in captured.err
+
+
+# the per-line checks read these as well: spaces and tabs around tokens, a '+' sign, '_' digit separators,
+# a non-ASCII digit, and the line breaks '\r' and '\x0c' that str.splitlines splits at
+_NOISE = " +_\t\r\x0c\u0663"
+
+
+@st.composite
+def noisy_texts(draw):
+    """A ranked text with characters of ``_NOISE``, blank lines and empty lines put in at random places."""
+    text = draw(ranked_texts())
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from([*_NOISE, "\n\n", "\n \t\n", "\r\n"])) + text[at:]
+    return text
+
+
+@st.composite
+def profile_texts(draw):
+    """A file that format_profile wrote, its samples drawn on sets of every size from pairs to complete."""
+    n = draw(st.integers(2, 40))
+    sets = draw(st.lists(st.one_of(st.sets(st.integers(0, n - 1), min_size=2, max_size=3),
+                                   st.sets(st.integers(0, n - 1), min_size=2), st.just(set(range(n)))), max_size=12))
+    center = Ranking(draw(st.permutations(range(n))))
+    profile = sample_profile(MallowsParams(center, 1.0), SelectionSequence(sets, n), Stream.from_seed(draw(st.integers(0, 99))))
+    return format_profile(profile, beta=draw(st.sampled_from([None, 1.0])))
+
+
+def _both_readings(text):
+    """``fileio._scan`` and ``helpers.legacy_scan`` of one text, each as (n, beta, sets, rankings, selection_only) or errors."""
+    try:
+        n, beta, offsets, set_items, rank_items, selection_only = fileio._scan(text)
+    except FileFormatError as exc:
+        new = exc.errors
+    else:
+        assert offsets.dtype == set_items.dtype == rank_items.dtype == np.int64
+        new = (n, beta, _csr_rows(offsets, set_items), _csr_rows(offsets, rank_items), selection_only)
+    try:
+        n, beta, sets, rankings = legacy_scan(text)
+    except FileFormatError as exc:
+        old = exc.errors
+    else:
+        # a selection-only line keeps its set as its ranking row
+        old = (n, beta, sets, [s if rk is None else rk for s, rk in zip(sets, rankings)], None in rankings)
+    return new, old
+
+
+class TestByteParser:
+    """``fileio._scan`` against ``helpers.legacy_scan``, the per-line reading that defines the format."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(garbage, ranked_texts(), noisy_texts(), profile_texts()))
+    def test_reads_every_text_as_the_per_line_checks_do(self, text):
+        new, old = _both_readings(text)
+        assert new == old
+        if isinstance(new, tuple):
+            assert all(type(x) is int for row in new[2] + new[3] for x in row)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "S:0, 1|R:1,0", "S: 0,1 |R:1,0", "S:+0,1|R:1,0", "S:0,1|R:0_1,0", "\tS:0,1|R:1,0", "S:0,3|R:\u0663,0",
+            "S:0,1", "S:00,1|R:1,0", "S:0000000000001,2|R:2,1",
+        ],
+    )
+    def test_lines_outside_the_canonical_form_read_as_before(self, body):
+        text = f"4,3\nS:2,3|R:3,2\n\n{body}\r\nS:1,3|R:1,3\n"
+        new, old = _both_readings(text)
+        assert new == old and isinstance(new, tuple)
+
+    def test_errors_keep_their_order_and_line_numbers(self):
+        # blank lines take no line number; the declared count is checked first
+        text = "4,4\nS:0,1|R:1,0\n\nS:0,4|R:4,0\nS:0, 0|R:0,0\n \nS:1,2|R:2,2\nS:1,2,3|R:1,2\nS:2,3|R:3,2\n"
+        errors = [
+            {"line": 1, "message": "header declares r=4 but file holds 6 sample lines"},
+            {"line": 3, "message": "alternative 4 outside [0, 4)", "item": 4},
+            {"line": 4, "message": "duplicate alternative 0 in selection set", "item": 0},
+            {"line": 5, "message": "duplicate alternative 2 in ranking", "item": 2},
+            {"line": 6, "message": "ranking is not a permutation of its selection set"},
+        ]
+        assert _both_readings(text) == (errors, errors)
+        assert collect_profile_errors(text) == errors
+
+    def test_lazy_views_equal_an_eager_profile(self):
+        selection = generate_selection(SelectionSpec(kind="bernoulli_random", n=12, p=0.3), 40, Stream.from_seed(5))
+        profile, _beta = parse_profile(format_profile(sample_profile(MallowsParams(Ranking.identity(12), 1.0), selection, Stream.from_seed(6))))
+        eager = SampleProfile([Ranking(rk.items) for rk in profile.rankings], SelectionSequence(selection.sets, 12))
+        for name in ("offsets", "set_items", "rank_items"):
+            assert (getattr(profile, name) == getattr(eager, name)).all()
+        assert profile.selection == eager.selection == selection
+        assert profile.rankings == eager.rankings and profile.n == eager.n and len(profile) == len(eager)
+        for row in [rk.items for rk in profile.rankings] + list(profile.selection.sets):
+            assert all(type(x) is int for x in row)
+        json.dumps([list(s) for s in profile.selection.sets])
+

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 import regression_pins
-from helpers import enumerate_window, full_mask_dp, random_incomplete_profile, windowed_oracle
+from helpers import brute_force_mle, enumerate_window, full_mask_dp, random_incomplete_profile, windowed_oracle
 from mallows_select import mle
 from mallows_select.core import MallowsParams, Ranking, pointwise_distance
 from mallows_select.estimators import (
     PairwiseCounts,
     accumulate_counts,
-    brute_force_mle,
     positional_estimator,
     score,
     score_permutation_array,

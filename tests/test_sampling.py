@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from collections import Counter
@@ -307,6 +308,31 @@ class TestVerifyPFrequent:
                 least = min(expected[i, j] for i, j in pairs)
                 assert report.worst_pairs() == [(i, j) for i, j in pairs if expected[i, j] == least]
                 assert report.min_pair_fraction == least / len(sel)
+
+
+    def test_pair_only_audit_memory_is_linear_in_the_pairs(self):
+        # a dense compare of 186-row blocks of n x n booleans takes 16 MB here
+        n, r = 300, 20000
+        selection = generate_selection(SelectionSpec(kind="pairwise", n=n), r)
+        tracemalloc.start()
+        try:
+            report = verify_p_frequent(selection, 0.001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.counts.sum() == 2 * r and not report.ok
+        assert peak < 4 << 20
+
+
+@pytest.mark.parametrize("kind", SelectionSpec._KINDS)
+def test_selection_items_are_python_ints(kind):
+    n = 6
+    spec = SelectionSpec(kind=kind, n=n, p=0.5, sets=((0, 1), (2, 5, 3)) if kind == "explicit" else None)
+    selection = generate_selection(spec, 2 if kind == "explicit" else 9, Stream.from_seed(1))
+    profile = sample_profile(MallowsParams(Ranking.identity(n), 1.0), selection, Stream.from_seed(2))
+    for rows in (selection.sets, profile.selection.sets, [rk.items for rk in profile.rankings]):
+        assert all(type(x) is int for row in rows for x in row)
+        assert json.loads(json.dumps(rows)) == [list(row) for row in rows]
 
 
 class TestBatchedDraws:
