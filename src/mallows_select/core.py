@@ -15,6 +15,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+# a larger n is refused before any n x n table is made; one int64 table at this n takes 512 MiB
+_MAX_N = 8192
+
 
 class Ranking:
     """A total order over a set of distinct alternatives.
@@ -166,6 +169,13 @@ def _csr_rows(offsets: np.ndarray, items: np.ndarray) -> list[tuple[int, ...]]:
     return [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
+def _csr_arrays(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """``(offsets, items)`` with row l at ``items[offsets[l]:offsets[l+1]]``: the inverse of :func:`_csr_rows`."""
+    sizes = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    items = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=int(sizes.sum()))
+    return np.concatenate(([0], np.cumsum(sizes))), items
+
+
 class SampleProfile:
     """Incomplete rankings paired one-to-one with their selection sets.
 
@@ -188,13 +198,8 @@ class SampleProfile:
             for idx, (rk, s) in enumerate(zip(rankings, selection)):
                 if tuple(sorted(rk.items)) != s:
                     raise ValueError(f"ranking {idx} is not a permutation of its selection set")
-        sizes = np.fromiter(map(len, rankings), dtype=np.int64, count=len(rankings))
-        self._set_arrays(
-            selection.n,
-            np.concatenate(([0], np.cumsum(sizes))),
-            np.fromiter(itertools.chain.from_iterable(selection.sets), dtype=np.int64),
-            np.fromiter(itertools.chain.from_iterable(rk.items for rk in rankings), dtype=np.int64, count=int(sizes.sum())),
-        )
+        offsets, rank_items = _csr_arrays([rk.items for rk in rankings])
+        self._set_arrays(selection.n, offsets, _csr_arrays(selection.sets)[1], rank_items)
         self._rankings, self._selection = rankings, selection
 
     @classmethod

@@ -41,7 +41,7 @@ class PairwiseCounts:
 
 def accumulate_counts(profile: SampleProfile) -> PairwiseCounts:
     """Tally appearances and precedences in one pass over the profile's ranking rows."""
-    wins = _pair_counts(profile.n, profile.offsets, profile.rank_items)
+    wins = _pair_counts(profile.n, profile.offsets, profile.rank_items)[0]
     return PairwiseCounts(n=profile.n, appear=wins + wins.T, wins=wins)
 
 

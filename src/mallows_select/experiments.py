@@ -9,13 +9,16 @@ trials are scheduled across workers.
 
 All experiments reduce the rows of one cell kernel, :func:`_cell`, which
 runs a range of trials as arrays: trial keys by vectorised stream folds,
-centers by one Fisher-Yates pass over all trials, samples by repeated
-insertion grouped by set size, pairwise wins by one precedence compare,
-and the positional estimate by one sort and tie shuffle of the scores of
-all trials, the routine behind the public estimator.  Only the windowed
-DP of the ltn and mle estimators runs trial by trial, around those
-estimates.  The rows equal those of running each trial object by object,
-the reference kept in the tests.
+centers by one Fisher-Yates pass over all trials, the sets of all trials
+as one array of CSR rows, each in its center's order, samples and
+pairwise wins by the sampler and the pair counter of a single profile
+(repeated insertion grouped by set size, a count that grows with the sum
+of m^2 over the rows, grouped by trial), and the positional estimate by
+one sort and tie shuffle of the scores of all trials, the routine behind
+the public estimator.  Only the windowed DP of the ltn and mle
+estimators runs trial by trial, around those estimates.  The rows equal
+those of running each trial object by object, the reference kept in the
+tests.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Ranking, check_beta
+from .core import Ranking, _csr_arrays, check_beta
 from .estimators import PairwiseCounts, _beaten_by, _order_by_scores
 from .mle import _recover_from_counts, mle_window, pointwise_window
 from .rng import Stream, child_key_grid, permutation_rows
@@ -37,8 +40,8 @@ from .sampling import (
     _bernoulli_members,
     _bernoulli_threshold,
     _discordances,
-    _insertion_positions,
-    _precedence,
+    _pair_counts,
+    _sample_rows,
     generate_selection,
 )
 
@@ -108,9 +111,9 @@ def preset(name: str) -> ExperimentConfig:
 @lru_cache(maxsize=4096)
 def _cached_selection(kind: str, n: int, p: float, r: int) -> np.ndarray:
     """Read-only (r, n) membership mask of a deterministic selection sequence."""
-    sets = generate_selection(SelectionSpec(kind=kind, n=n, p=p), r).sets
+    offsets, items = _csr_arrays(generate_selection(SelectionSpec(kind=kind, n=n, p=p), r).sets)
     members = np.zeros((r, n), dtype=bool)
-    members[np.repeat(np.arange(r), [len(s) for s in sets]), np.concatenate(sets)] = True
+    members[np.repeat(np.arange(r), np.diff(offsets)), items] = True
     members.setflags(write=False)
     return members
 
@@ -152,8 +155,8 @@ def _cell(
     if estimator != "posest":
         radius = (pointwise_window if estimator == "ltn" else mle_window)(n, beta, p, r)
     planted = None if center is None else np.array(center.items, dtype=np.int64)
-    # per trial: r rows of an n*n precedence block and 8n bytes of positions and masks, and four n*n int64 tallies
-    step = max(1, _TRIAL_BLOCK_BYTES // (r * n * (n + 8) + 32 * n * n))
+    # per trial: an r*n membership mask, int64 items, ranks and keys for up to r*n members, and four n*n int64 tallies
+    step = max(1, _TRIAL_BLOCK_BYTES // (r * n * 25 + 32 * n * n))
     est, pi0 = np.empty((len(trials), n), dtype=np.int64), np.empty((len(trials), n), dtype=np.int64)
     for a in range(0, len(trials), step):
         block = trials[a : a + step]
@@ -173,10 +176,11 @@ def _cell_block(root, trials, n, beta, r, members, threshold, radius, planted) -
         in_center = np.take_along_axis(_bernoulli_members(sub[:, 1], n, r, threshold)[0], centers[:, None, :], axis=2)
     else:
         in_center = members[:, centers].transpose(1, 0, 2)
-    pos = _insertion_positions(child_key_grid(sub[:, 2], range(r)), in_center, beta)
-    wins_c = _precedence(pos).sum(axis=1, dtype=np.int64)
-    at = np.argsort(centers, axis=1)  # at[t, i]: the center position of item i
-    wins = wins_c[np.arange(len(keys))[:, None, None], at[:, :, None], at[:, None, :]]
+    # row t * r + l holds trial t's set l as its restricted center: the members in center order, in item labels
+    row, k = np.nonzero(in_center.reshape(-1, n))
+    offsets = np.searchsorted(row, np.arange(len(keys) * r + 1))
+    samples = _sample_rows(child_key_grid(sub[:, 2], range(r)).ravel(), offsets, centers[row // r, k], beta)
+    wins = _pair_counts(n, offsets, samples, groups=len(keys))
     appear = wins + wins.transpose(0, 2, 1)
     est = _order_by_scores(_beaten_by(wins, appear), sub[:, 3])
     if radius is not None:  # the windowed DP refines each anchor trial by trial
@@ -469,6 +473,7 @@ def run_adversarial_demo(
     probability; the benign regime runs the standard protocol on the mixed
     p-frequent sequence at the same (p, r).
     """
+    SelectionSpec(kind="adversarial_matching", n=n, p=p)  # refuses n and p before any other check
     if n % 2 != 0:
         raise ValueError("the matching construction requires an even number of alternatives")
     if trials < 1:

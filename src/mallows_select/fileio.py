@@ -24,12 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import SampleProfile, SelectionSequence, _csr_rows
+from .core import _MAX_N, SampleProfile, SelectionSequence, _csr_rows
 from .sampling import _p_frequency
-
-
-# a larger header n is refused before any n x n table is made; one int64 table at this n takes 512 MiB
-_MAX_HEADER_N = 8192
 
 
 class FileFormatError(ValueError):
@@ -75,8 +71,8 @@ def _parse_header(line: str) -> tuple[int, int, float | None]:
         raise FileFormatError([_err(1, f"unparseable header {line.strip()!r}")]) from None
     if n < 1 or r < 0:
         raise FileFormatError([_err(1, f"header values out of range: n={n}, r={r}")])
-    if n > _MAX_HEADER_N:
-        raise FileFormatError([_err(1, f"header n={n} is over the limit of {_MAX_HEADER_N} alternatives")])
+    if n > _MAX_N:
+        raise FileFormatError([_err(1, f"header n={n} is over the limit of {_MAX_N} alternatives")])
     if beta is not None and not 0 < beta < float("inf"):
         raise FileFormatError([_err(1, f"header beta must be positive and finite, got {parts[2].strip()}")])
     return n, r, beta

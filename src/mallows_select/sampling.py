@@ -10,6 +10,12 @@ e^{-beta*d_KT} / Z exactly.  The routine draws all samples of one size
 as arrays, each from its own keyed stream, so :func:`sample_mallows`,
 :func:`sample_profile` and the experiment kernel make the same draws.
 
+Profiles, files and the experiment kernel hold their sets and samples as
+CSR rows.  One routine, :func:`_sample_rows`, draws a sample per row, and
+one counter, :func:`_pair_counts`, tallies their ordered pairs size by
+size, at a cost that grows with the sum of m^2 over the rows, per profile
+or per trial.
+
 Insertion decisions are integer-only: the per-step cumulative weights are
 computed once per (size, beta) in double precision, frozen to 63-bit
 integer thresholds, and compared against 63-bit uniform draws.  The
@@ -27,7 +33,7 @@ from itertools import chain, combinations, cycle, islice
 
 import numpy as np
 
-from .core import MallowsParams, Ranking, SampleProfile, SelectionSequence, _csr_rows, check_beta
+from .core import _MAX_N, MallowsParams, Ranking, SampleProfile, SelectionSequence, _csr_arrays, _csr_rows, check_beta
 from .rng import Stream, draw_matrix
 
 _SCALE_BITS = 63
@@ -77,6 +83,8 @@ class SelectionSpec:
             raise InfeasibleSpecError(f"unknown selection kind {self.kind!r}")
         if self.n < 2:
             raise InfeasibleSpecError("selection specs require n >= 2")
+        if self.n > _MAX_N:
+            raise InfeasibleSpecError(f"n={self.n} is over the limit of {_MAX_N} alternatives")
         if not (0.0 < self.p <= 1.0):
             raise InfeasibleSpecError("frequency parameter p must lie in (0, 1]")
         if self.kind == "bernoulli_random":
@@ -217,17 +225,17 @@ class PFrequencyReport:
 
 def verify_p_frequent(selection: SelectionSequence, p: float) -> PFrequencyReport:
     """Check that every pair co-appears in at least a p fraction of the sets."""
-    sizes = np.fromiter(map(len, selection.sets), dtype=np.int64, count=len(selection))
-    items = np.fromiter(chain.from_iterable(selection.sets), dtype=np.int64, count=int(sizes.sum()))
-    return _p_frequency(selection.n, np.concatenate(([0], np.cumsum(sizes))), items, p)
+    return _p_frequency(selection.n, *_csr_arrays(selection.sets), p)
 
 
 def _p_frequency(n: int, offsets: np.ndarray, set_items: np.ndarray, p: float) -> PFrequencyReport:
     """:func:`verify_p_frequent` of the CSR sets ``set_items[offsets[l]:offsets[l+1]]``, each ascending."""
+    if not (0.0 < p <= 1.0):
+        raise ValueError(f"frequency parameter p must lie in (0, 1], got {p}")
     r = len(offsets) - 1
     if r == 0:
         raise ValueError("cannot audit an empty selection sequence")
-    counts = _pair_counts(n, offsets, set_items)
+    counts = _pair_counts(n, offsets, set_items)[0]
     counts += counts.T
     min_frac = counts[np.triu_indices(n, 1)].min() / r
     return PFrequencyReport(ok=bool(min_frac >= p - 1e-12), min_pair_fraction=float(min_frac), counts=counts)
@@ -266,14 +274,21 @@ def _pair_blocks(offsets: np.ndarray, items: np.ndarray, relabel: np.ndarray | N
             yield rows[lo : lo + step], np.take(block, a, 1, first, "clip"), np.take(block, b, 1, second, "clip")
 
 
-def _pair_counts(n: int, offsets: np.ndarray, items: np.ndarray) -> np.ndarray:
-    """``counts[i, j]``: the rows in which item i of [0, n) stands ahead of item j."""
-    counts = np.zeros(n * n, dtype=np.int64)
-    for _rows, first, second in _pair_blocks(offsets, items):
+def _pair_counts(n: int, offsets: np.ndarray, items: np.ndarray, groups: int = 1) -> np.ndarray:
+    """``counts[g, i, j]``: the rows of group g in which item i of [0, n) stands ahead of item j.
+
+    The rows fall into ``groups`` runs of equal length, in row order: the
+    trials of a kernel block, or one group for a single profile.
+    """
+    counts = np.zeros(groups * n * n, dtype=np.int64)
+    per = (len(offsets) - 1) // groups
+    for rows, first, second in _pair_blocks(offsets, items):
+        if groups > 1:  # one pass over the pairs, which a single group does not need
+            first += (rows // per * n)[:, None]
         first *= n
         first += second
         np.add.at(counts, first.ravel(), 1)  # unlike a bincount, no n * n array per block
-    return counts.reshape(n, n)
+    return counts.reshape(groups, n, n)
 
 
 def _discordances(offsets: np.ndarray, items: np.ndarray, relabel: np.ndarray | None = None) -> np.ndarray:
@@ -281,17 +296,6 @@ def _discordances(offsets: np.ndarray, items: np.ndarray, relabel: np.ndarray | 
     out = np.zeros(len(offsets) - 1, dtype=np.int64)
     for rows, first, second in _pair_blocks(offsets, items, relabel):
         out[rows] = np.count_nonzero(first > second, axis=1)
-    return out
-
-
-def _precedence(pos: np.ndarray) -> np.ndarray:
-    """``before[..., i, j]``: items i and j both present, i ahead of j.
-
-    ``pos[..., i]`` is the position of item i of n, or n when it is absent.
-    """
-    n = pos.shape[-1]
-    out = pos[..., :, None] < pos[..., None, :]
-    out &= pos[..., None, :] < n
     return out
 
 
@@ -330,34 +334,21 @@ def _insertion_ranks(keys: np.ndarray, m: int, beta: float, start=0) -> np.ndarr
     return pos
 
 
-def _ranks_by_size(keys: np.ndarray, sizes: np.ndarray, beta: float) -> np.ndarray:
-    """:func:`_insertion_ranks` of every row, one call per set size, concatenated in row order.
+def _sample_rows(keys: np.ndarray, offsets: np.ndarray, restricted: np.ndarray, beta: float) -> np.ndarray:
+    """One sample per CSR row by :func:`_insertion_ranks`, one call per row size.
 
-    Row l's ``sizes[l]`` ranks, drawn from ``keys[l]``, start at ``sum(sizes[:l])``:
-    the memory grows with the total set size, never with rows times n.
+    Row l of ``restricted`` (``restricted[offsets[l]:offsets[l+1]]``) is a
+    restricted center, top first; its sample, drawn from ``keys[l]``, holds
+    each of those items at its drawn rank.  The memory grows with the total
+    row size, never with rows times n.
     """
-    starts = np.cumsum(sizes) - sizes
-    ranks = np.empty(int(sizes.sum()), dtype=np.int32)
+    sizes = np.diff(offsets)
+    samples = np.empty_like(restricted)
     for m in np.flatnonzero(np.bincount(sizes)).tolist():
         rows = np.flatnonzero(sizes == m)
-        ranks[starts[rows, None] + np.arange(m)] = _insertion_ranks(keys[rows], m, beta)
-    return ranks
-
-
-def _insertion_positions(keys: np.ndarray, members: np.ndarray, beta: float) -> np.ndarray:
-    """Positions of one sample per membership row, drawn from its key by repeated insertion.
-
-    Each row of the boolean ``members`` (shape ``(..., n)``, one key per
-    row) marks a set in center coordinates: column k is the center's k-th
-    item, so a row's members in ascending order are its restricted center.
-    The result has the shape of ``members`` and holds each member's
-    position in its sample and n for every absent item: the sample that
-    :func:`sample_profile` draws from the same key, as a position row over
-    the center.
-    """
-    out = np.full(members.shape, members.shape[-1], dtype=np.int32)
-    out[members] = _ranks_by_size(keys.reshape(-1), members.sum(axis=-1).reshape(-1), beta)
-    return out
+        start = offsets[rows, None]
+        samples[start + _insertion_ranks(keys[rows], m, beta)] = restricted[start + np.arange(m)]
+    return samples
 
 
 def sample_mallows(center: Ranking, beta: float, stream: Stream) -> Ranking:
@@ -382,13 +373,10 @@ def sample_profile(params: MallowsParams, selection: SelectionSequence, stream: 
     if selection.n != params.n:
         raise ValueError("selection sequence and parameters disagree on n")
     r, n = len(selection), params.n
-    sizes = np.fromiter(map(len, selection.sets), dtype=np.int64, count=r)
-    items = np.fromiter(chain.from_iterable(selection.sets), dtype=np.int64, count=int(sizes.sum()))
+    offsets, items = _csr_arrays(selection.sets)
     center = np.array(params.center.items, dtype=np.int64)
     at = np.argsort(center)  # at[i]: the center position of item i
     # sorting row * n + center position puts every set in center order, row after row
-    restricted = center[np.sort(np.repeat(np.arange(r) * n, sizes) + at[items]) % n]
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    samples = np.empty_like(items)
-    samples[np.repeat(offsets[:-1], sizes) + _ranks_by_size(stream.child_keys(r), sizes, params.beta)] = restricted
+    restricted = center[np.sort(np.repeat(np.arange(r) * n, np.diff(offsets)) + at[items]) % n]
+    samples = _sample_rows(stream.child_keys(r), offsets, restricted, params.beta)
     return SampleProfile._from_arrays(n, offsets, items, samples, selection)

@@ -7,12 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from mallows_select import mle
+from mallows_select import mle, rng
 from mallows_select.cli import _build_parser, dispatch
 from mallows_select.core import MallowsParams, Ranking
 from mallows_select.estimators import positional_estimator
 from mallows_select.fileio import (
     FileFormatError,
+    collect_profile_errors,
     format_profile,
     format_selection,
     parse_profile,
@@ -183,6 +184,43 @@ class TestCliErrors:
         errors = json.loads(out)[0]["errors"]
         assert errors[0]["pair"] == [0, 2]
         assert errors[0]["count"] == 0
+
+    @pytest.mark.parametrize("p", ["0", "-1", "nan", "1.5"])
+    def test_verify_p_outside_the_unit_interval_exits_two(self, tmp_path, capsys, p):
+        sel_path = tmp_path / "sel.txt"
+        sel_path.write_text("3,2\nS:0,1,2\nS:0,1,2\n")
+        assert collect_profile_errors(sel_path.read_text(), p=0.5) == []
+        with pytest.raises(ValueError, match="must lie in \\(0, 1\\]"):
+            collect_profile_errors(sel_path.read_text(), p=float(p))
+        code, out, err = run(capsys, "verify", str(sel_path), "--p", p)
+        assert code == 2
+        assert out == ""
+        assert f"frequency parameter p must lie in (0, 1], got {float(p)}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sample", "--beta", "1", "--r", "2", "--kind", "pairwise"),
+            ("select", "--r", "2", "--kind", "pairwise"),
+            ("exp-complexity", "--beta", "1", "--p-values", "1", "--searches", "1", "--trials", "2", "--threads", "1"),
+            ("exp-adversarial", "--trials", "2", "--threads", "1"),
+        ],
+    )
+    def test_n_over_the_file_limit_exits_two_before_any_draw(self, capsys, monkeypatch, argv):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a draw was made")
+
+        monkeypatch.setattr(rng, "mix64_array", no_draw)
+        monkeypatch.setattr(rng.Stream, "u64", no_draw)
+        code, out, err = run(capsys, argv[0], "--n", "8193", *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert "n=8193 is over the limit of 8192 alternatives" in err
+
+    def test_n_at_the_file_limit_still_selects(self, capsys):
+        code, out, _ = run(capsys, "select", "--n", "8192", "--r", "1", "--kind", "pairwise")
+        assert code == 0
+        assert out == "8192,1\nS:0,1\n"
 
     def test_center_with_empty_tokens_exits_two(self, capsys):
         code, out, err = run(capsys, "sample", "--n", "3", "--beta", "1", "--r", "1", "--center", "0,,1,2,")

@@ -426,6 +426,7 @@ class TestTrialKernel:
                  center=Ranking.identity(8)),
             dict(n=6, beta=2.0, p=0.5, r=6, selection_kind="mixed_pfrequent", estimator="ltn"),
             dict(n=6, beta=2.0, p=0.5, r=6, selection_kind="bernoulli_random", estimator="mle"),
+            dict(n=40, beta=1.0, p=1.0, r=300, selection_kind="pairwise", estimator="posest"),
         ],
     )
     def test_batched_equals_looped_on_figure_cells(self, case):
@@ -453,7 +454,7 @@ class TestTrialKernel:
             xp._cell(root, range(3), 40, 1.0, 1e-6, 10**6, "bernoulli_random")
 
     def test_working_memory_is_bounded_by_blocks(self):
-        # unblocked, the precedence compare alone is trials * r * n^2 bytes: 10 MB here
+        # unblocked, the pair buffers of the count alone take 16 bytes per pair of every set of every trial: 13 MB here
         args = (Stream.from_seed(4), range(100), 20, 2.0, 1 / 6, 256, "bernoulli_random")
         xp._cell(*args)  # warm the threshold tables
         tracemalloc.start()
@@ -463,3 +464,15 @@ class TestTrialKernel:
         finally:
             tracemalloc.stop()
         assert peak < 4 * xp._TRIAL_BLOCK_BYTES
+
+    def test_pair_only_cell_memory_is_linear_in_the_set_sizes(self):
+        # a dense (r, n, n) compare of one trial's samples takes 20 MB here; its CSR rows take 128 KB
+        args = (Stream.from_seed(4), range(4), 100, 1.0, 1.0, 2000, "pairwise")
+        xp._cell(*args)  # warm the selection cache and the threshold tables
+        tracemalloc.start()
+        try:
+            xp._cell(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20

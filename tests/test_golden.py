@@ -26,6 +26,19 @@ EXPERIMENTS = {
         "--trials", "10", "--r-grid", "5,10,20", "--seed", "6",
     ],
     "adversarial": ["exp-adversarial", "--n", "8", "--beta", "1", "--p", "0.5", "--r", "4", "--trials", "50", "--seed", "7"],
+    # figure scale: p=1/6 cells are mostly pairs, and a pair-only cell at n=60
+    "complexity_figure1": [
+        "exp-complexity", "--preset", "figure1", "--searches", "1", "--p-values", "0.1666666667",
+        "--trials", "20", "--seed", "12",
+    ],
+    "complexity_figure3": [
+        "exp-complexity", "--preset", "figure3", "--searches", "1", "--p-values", "0.1666666667",
+        "--trials", "20", "--seed", "12",
+    ],
+    "distance_pairwise": [
+        "exp-distance", "--n", "60", "--beta", "1", "--p-values", "1", "--kind", "pairwise",
+        "--r-grid", "400", "--trials", "5", "--seed", "13",
+    ],
 }
 
 SAMPLE = [
@@ -70,6 +83,12 @@ GOLDEN = {
     "topk.csv": "d36a1a365b73108b2d9d6010602da813dfd200ba8619993ebe2364fe9dc7a529",
     "topk.svg": "aca5f7bf2c22983924352ff2309ef41c99121329627794ba018246ba858fd0e1",
     "adversarial.csv": "835ec6e730965a859247f1362dd23a11a75e5fcba2ff17bd7a2e67adee34f7cc",
+    "complexity_figure1.csv": "8aba37ef786a0740a7ae8a3b4b33b0062b23d132c4792e549fb181b332cc0aa4",
+    "complexity_figure1.svg": "aa9b71e66e2fa8fc509ee7c8dc401480c3da92d84e61e749127d4f67f4f3a1c5",
+    "complexity_figure3.csv": "20bc74e51f5f2983eddee4c8ca7f9757a26d9a365d9d87d0936dbdb83f636924",
+    "complexity_figure3.svg": "b0c09fa0edba229baea791e266a645b54b8afc6d56925df954e45a1d9e54dfcb",
+    "distance_pairwise.csv": "08d5db84ed954baeb0c80015a1a674e8195cbc77067abefdd9abcedda8d1436e",
+    "distance_pairwise.svg": "11db62a8850528786781d532efce6745169a767e5044c5e056624c59127dffcb",
     "sample.txt": "8930d9ba0ff8ae081f669fdac22fccf6c1ecc7540f02af1488e64243a5ef4a31",
     "sample_complete.txt": "6df7a22f37e05f491c6c63c8847d2b4a9aeee09903c2c764793ca7289145d5f3",
     "sample_pairwise.txt": "03fb65066d5b1bef3810fd9570c7e0dea4cfe64410c16f03fd6799e04c4c233a",

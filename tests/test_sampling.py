@@ -199,7 +199,7 @@ class TestGenerateSelection:
         sel = generate_selection(spec, 6)
         assert verify_p_frequent(sel, 0.5).ok
         # the starved matching's pairs co-appear only in the full sets
-        report = verify_p_frequent(sel, 0.0)
+        report = verify_p_frequent(sel, 1.0)  # the counts do not depend on p
         n_full = sum(1 for s in sel.sets if len(s) == 8)
         for a, b in family[0]:
             assert report.counts[a, b] == n_full
@@ -227,10 +227,15 @@ class TestGenerateSelection:
         p = 0.25
         spec = SelectionSpec(kind="bernoulli_random", n=8, p=p)
         sel = generate_selection(spec, 4000, Stream.from_seed(14))
-        report = verify_p_frequent(sel, 0.0)
+        report = verify_p_frequent(sel, 1.0)  # the counts do not depend on p
         # conditioning on >= 2 members only raises pair-inclusion probability
         fractions = report.counts[np.triu_indices(8, 1)] / 4000
         assert fractions.min() > p - 3 * math.sqrt(p * (1 - p) / 4000)
+
+    def test_n_over_the_file_limit_is_refused(self):
+        with pytest.raises(InfeasibleSpecError, match="n=8193 is over the limit of 8192 alternatives"):
+            SelectionSpec(kind="pairwise", n=8193)
+        assert generate_selection(SelectionSpec(kind="pairwise", n=8192), 1).sets == ((0, 1),)
 
     def test_bernoulli_requires_q_squared_at_least_p(self):
         with pytest.raises(InfeasibleSpecError, match="q\\^2 >= p"):
@@ -287,6 +292,12 @@ class TestVerifyPFrequent:
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
             verify_p_frequent(SelectionSequence([], n=4), 0.5)
+
+    @pytest.mark.parametrize("p", [0.0, -1.0, 1.5, float("nan"), float("inf")])
+    def test_p_outside_the_unit_interval_is_refused(self, p):
+        sel = generate_selection(SelectionSpec(kind="complete", n=4), 3)
+        with pytest.raises(ValueError, match="must lie in \\(0, 1\\]"):
+            verify_p_frequent(sel, p)
 
     def test_matches_pair_scan(self, monkeypatch):
         stream = Stream.from_seed(720)
@@ -361,19 +372,6 @@ class TestBatchedDraws:
         stream.u64_array(7), reference.u64_array(7)
         assert list(generate_selection(spec, 15, stream).sets) == looped_bernoulli_sets(spec, 15, reference)
         assert stream.u64() == reference.u64()
-
-    @pytest.mark.parametrize("kind", ["mixed_pfrequent", "bernoulli_random", "pairwise"])
-    def test_insertion_positions_equal_sample_profile(self, kind):
-        n, r, beta = 7, 30, 0.8
-        stream = Stream.from_seed(41)
-        center = Ranking(stream.child(0).permutation(n))
-        selection = generate_selection(SelectionSpec(kind=kind, n=n, p=0.5), r, stream.child(1))
-        profile = sample_profile(MallowsParams(center, beta), selection, stream.child(2))
-        in_center = np.array([[x in s for x in center.items] for s in selection.sets])
-        pos = sampling._insertion_positions(stream.child(2).child_keys(r), in_center, beta)
-        for row, rk in zip(pos, profile.rankings):
-            assert [center.items[k] for k in np.argsort(row)[: len(rk)]] == list(rk.items)
-            assert (row[~np.isin(center.items, rk.items)] == n).all()
 
 
 @st.composite
