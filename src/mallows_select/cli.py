@@ -277,13 +277,11 @@ def _cmd_exp_adversarial(args) -> int:
 
 def _cmd_verify(args) -> int:
     reports = []
-    ok = True
     for path in args.files:
         errors = collect_profile_errors(Path(path).read_text(), p=args.p)
         reports.append({"file": path, "ok": not errors, "errors": errors})
-        ok = ok and not errors
     _write_out(args.out, json.dumps(reports, sort_keys=True, indent=2) + "\n")
-    return 0 if ok else 2
+    return 0 if all(report["ok"] for report in reports) else 2
 
 
 _COMMANDS = {

@@ -2,7 +2,8 @@
 
 Alternatives are 0-based integers and positions are 0-based throughout;
 every external text format uses the same convention.  All types here are
-immutable after construction and safe to share across threads.
+immutable after construction and safe to share across threads.  Sets and
+rankings are held as CSR arrays; their tuple and ``Ranking`` views are lazy.
 """
 
 from __future__ import annotations
@@ -127,11 +128,12 @@ class SelectionSequence:
     """An ordered list of alternative subsets on which samples are drawn.
 
     Every set must contain at least two alternatives; smaller sets carry
-    no pairwise information and are rejected.  Sets are stored as sorted
-    tuples.
+    no pairwise information and are rejected.  Held as read-only CSR
+    arrays: set l is ``items[offsets[l]:offsets[l+1]]``, ascending.
+    ``sets`` and iteration read a view of tuples built on first read.
     """
 
-    __slots__ = ("sets", "n")
+    __slots__ = ("n", "offsets", "items", "_sets")
 
     def __init__(self, sets: Iterable[Iterable[int]], n: int, *, validate: bool = True):
         canon = tuple(tuple(sorted(s)) for s in sets)
@@ -143,24 +145,38 @@ class SelectionSequence:
                     raise ValueError(f"selection set {idx} contains duplicates")
                 if s[0] < 0 or s[-1] >= n:
                     raise ValueError(f"selection set {idx} contains an alternative outside [0, {n})")
-        self.sets = canon
-        self.n = n
+        self._set_arrays(n, *_csr_arrays(canon), canon)
+
+    @classmethod
+    def _from_arrays(cls, n: int, offsets: np.ndarray, items: np.ndarray) -> "SelectionSequence":
+        """A selection over checked CSR arrays, each row ascending, with no per-set tuple."""
+        selection = cls.__new__(cls)
+        selection._set_arrays(n, offsets, items, None)
+        return selection
+
+    def _set_arrays(self, n: int, offsets: np.ndarray, items: np.ndarray, sets: tuple | None) -> None:
+        offsets.setflags(write=False)
+        items.setflags(write=False)
+        self.n, self.offsets, self.items, self._sets = n, offsets, items, sets
+
+    @property
+    def sets(self) -> tuple[tuple[int, ...], ...]:
+        if self._sets is None:
+            self._sets = tuple(_csr_rows(self.offsets, self.items))
+        return self._sets
 
     def __len__(self) -> int:
-        return len(self.sets)
+        return len(self.offsets) - 1
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         return iter(self.sets)
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SelectionSequence)
-            and self.n == other.n
-            and self.sets == other.sets
-        )
+        same = isinstance(other, SelectionSequence) and self.n == other.n
+        return same and np.array_equal(self.offsets, other.offsets) and np.array_equal(self.items, other.items)
 
     def __repr__(self) -> str:
-        return f"SelectionSequence(r={len(self.sets)}, n={self.n})"
+        return f"SelectionSequence(r={len(self)}, n={self.n})"
 
 
 def _csr_rows(offsets: np.ndarray, items: np.ndarray) -> list[tuple[int, ...]]:
@@ -179,16 +195,16 @@ def _csr_arrays(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
 class SampleProfile:
     """Incomplete rankings paired one-to-one with their selection sets.
 
-    Held as CSR arrays over the r samples: ``offsets`` (r + 1 row bounds),
-    ``set_items`` (each row's set, ascending) and ``rank_items`` (each
-    row's ranking, top first); sample l is row ``offsets[l]:offsets[l+1]``
-    of both.  The parser and the sampler build the arrays directly, and the
-    counting kernels read them.  ``rankings`` and ``selection`` are views
-    that build ``Ranking`` objects and set tuples on first read only; a
-    race between two threads on that first read builds two equal views.
+    Held as a ``selection`` plus ``rank_items``, each row's ranking, top
+    first: sample l is row ``offsets[l]:offsets[l+1]`` of ``set_items``
+    and of ``rank_items``, where ``n``, ``offsets`` and ``set_items`` are
+    the selection's own.  The parser and the sampler build the arrays
+    directly, and the counting kernels read them.  ``rankings`` is a view
+    that builds ``Ranking`` objects on first read only; a race between two
+    threads on that first read builds two equal views.
     """
 
-    __slots__ = ("n", "offsets", "set_items", "rank_items", "_rankings", "_selection")
+    __slots__ = ("selection", "n", "offsets", "set_items", "rank_items", "_rankings")
 
     def __init__(self, rankings: Sequence[Ranking], selection: SelectionSequence, *, validate: bool = True):
         rankings = tuple(rankings)
@@ -198,25 +214,19 @@ class SampleProfile:
             for idx, (rk, s) in enumerate(zip(rankings, selection)):
                 if tuple(sorted(rk.items)) != s:
                     raise ValueError(f"ranking {idx} is not a permutation of its selection set")
-        offsets, rank_items = _csr_arrays([rk.items for rk in rankings])
-        self._set_arrays(selection.n, offsets, _csr_arrays(selection.sets)[1], rank_items)
-        self._rankings, self._selection = rankings, selection
+        self._set_arrays(selection, _csr_arrays([rk.items for rk in rankings])[1], rankings)
 
     @classmethod
-    def _from_arrays(
-        cls, n: int, offsets: np.ndarray, set_items: np.ndarray, rank_items: np.ndarray,
-        selection: SelectionSequence | None = None,
-    ) -> "SampleProfile":
-        """A profile over checked CSR arrays, with no per-sample object; ``selection`` seeds its view."""
+    def _from_arrays(cls, selection: SelectionSequence, rank_items: np.ndarray) -> "SampleProfile":
+        """A profile over a selection and checked ranking rows on its offsets, with no per-sample object."""
         profile = cls.__new__(cls)
-        profile._set_arrays(n, offsets, set_items, rank_items)
-        profile._rankings, profile._selection = None, selection
+        profile._set_arrays(selection, rank_items, None)
         return profile
 
-    def _set_arrays(self, n: int, offsets: np.ndarray, set_items: np.ndarray, rank_items: np.ndarray) -> None:
-        for array in (offsets, set_items, rank_items):
-            array.setflags(write=False)
-        self.n, self.offsets, self.set_items, self.rank_items = n, offsets, set_items, rank_items
+    def _set_arrays(self, selection: SelectionSequence, rank_items: np.ndarray, rankings: tuple | None) -> None:
+        rank_items.setflags(write=False)
+        self.selection, self.rank_items, self._rankings = selection, rank_items, rankings
+        self.n, self.offsets, self.set_items = selection.n, selection.offsets, selection.items
 
     @property
     def rankings(self) -> tuple[Ranking, ...]:
@@ -224,14 +234,8 @@ class SampleProfile:
             self._rankings = tuple(Ranking(row, validate=False) for row in _csr_rows(self.offsets, self.rank_items))
         return self._rankings
 
-    @property
-    def selection(self) -> SelectionSequence:
-        if self._selection is None:
-            self._selection = SelectionSequence(_csr_rows(self.offsets, self.set_items), self.n, validate=False)
-        return self._selection
-
     def __len__(self) -> int:
-        return len(self.offsets) - 1
+        return len(self.selection)
 
     def __iter__(self) -> Iterator[Ranking]:
         return iter(self.rankings)

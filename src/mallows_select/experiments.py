@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Ranking, _csr_arrays, check_beta
+from .core import Ranking, check_beta
 from .estimators import PairwiseCounts, _beaten_by, _order_by_scores
 from .mle import _recover_from_counts, mle_window, pointwise_window
 from .rng import Stream, child_key_grid, permutation_rows
@@ -111,9 +111,9 @@ def preset(name: str) -> ExperimentConfig:
 @lru_cache(maxsize=4096)
 def _cached_selection(kind: str, n: int, p: float, r: int) -> np.ndarray:
     """Read-only (r, n) membership mask of a deterministic selection sequence."""
-    offsets, items = _csr_arrays(generate_selection(SelectionSpec(kind=kind, n=n, p=p), r).sets)
+    selection = generate_selection(SelectionSpec(kind=kind, n=n, p=p), r)
     members = np.zeros((r, n), dtype=bool)
-    members[np.repeat(np.arange(r), np.diff(offsets)), items] = True
+    members[np.repeat(np.arange(r), np.diff(selection.offsets)), selection.items] = True
     members.setflags(write=False)
     return members
 

@@ -18,14 +18,15 @@ every item in ``[0, n)``, a set of at least two, a ranking whose sorted
 items equal the set's.  Every line it leaves goes to the per-line checks,
 so a file reads, and fails, exactly as it would line by line, errors and
 their order included, and the common file builds no per-line object.
+Readers pass the CSR arrays to the core types as they are; writers read them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import _MAX_N, SampleProfile, SelectionSequence, _csr_rows
-from .sampling import _p_frequency
+from .core import _MAX_N, SampleProfile, SelectionSequence
+from .sampling import _check_frequency, verify_p_frequent
 
 
 class FileFormatError(ValueError):
@@ -42,22 +43,23 @@ def _err(line: int, message: str, **extra) -> dict:
     return rec
 
 
+def _row_texts(n: int, offsets: np.ndarray, items: np.ndarray) -> list[str]:
+    """Each CSR row ``items[offsets[l]:offsets[l+1]]`` as comma-joined labels, read from one label table."""
+    labels = [str(x) for x in range(n)]
+    text = list(map(labels.__getitem__, items.tolist()))
+    bounds = offsets.tolist()
+    return [",".join(text[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
 def format_profile(profile: SampleProfile, beta: float | None = None) -> str:
     header = f"{profile.n},{len(profile)}" + (f",{beta:g}" if beta is not None else "")
-    labels = [str(x) for x in range(profile.n)]
-    sets = list(map(labels.__getitem__, profile.set_items.tolist()))
-    ranks = list(map(labels.__getitem__, profile.rank_items.tolist()))
-    bounds = profile.offsets.tolist()
-    lines = [header]
-    lines += ["S:" + ",".join(sets[a:b]) + "|R:" + ",".join(ranks[a:b]) for a, b in zip(bounds, bounds[1:])]
-    return "\n".join(lines) + "\n"
+    rows = (_row_texts(profile.n, profile.offsets, items) for items in (profile.set_items, profile.rank_items))
+    return "\n".join([header] + [f"S:{s}|R:{rk}" for s, rk in zip(*rows)]) + "\n"
 
 
 def format_selection(selection: SelectionSequence) -> str:
-    lines = [f"{selection.n},{len(selection)}"]
-    for s in selection:
-        lines.append("S:" + ",".join(map(str, s)))
-    return "\n".join(lines) + "\n"
+    sets = _row_texts(selection.n, selection.offsets, selection.items)
+    return "\n".join([f"{selection.n},{len(selection)}"] + [f"S:{s}" for s in sets]) + "\n"
 
 
 def _parse_header(line: str) -> tuple[int, int, float | None]:
@@ -202,13 +204,13 @@ def _byte_pass(body: list[str], n: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     return ok, np.concatenate(([0], np.cumsum(set_count[ok], dtype=np.int64))), set_keys % n, rank_keys % n
 
 
-def _scan(text: str) -> tuple[int, float | None, np.ndarray, np.ndarray, np.ndarray, bool]:
+def _scan(text: str) -> tuple[float | None, SelectionSequence, np.ndarray, bool]:
     """Read and check every line once; raises FileFormatError listing every error.
 
-    Returns ``(n, beta, offsets, set_items, rank_items, selection_only)``:
-    the CSR arrays of every sample line, sets sorted, and whether any line
-    is selection-only (its ranking row repeats its set).  Every invariant
-    the core types check on construction has been checked.
+    Returns ``(beta, selection, rank_items, selection_only)``: the sample
+    lines' sets, their rankings as rows on the selection's offsets, and
+    whether any line is selection-only (its ranking row repeats its set).
+    Every invariant the core types check on construction has been checked.
     """
     lines = text.splitlines()
     if not lines or not lines[0].strip():
@@ -225,48 +227,47 @@ def _scan(text: str) -> tuple[int, float | None, np.ndarray, np.ndarray, np.ndar
     errors += [c for c in checked if isinstance(c, dict)]
     if errors:
         raise FileFormatError(errors)
-    if not slow:
-        return n, beta, offsets, set_items, rank_items, False
-    # splice the lines the per-line checks read between those of the byte pass
-    sizes = np.zeros(len(body), dtype=np.int64)
-    sizes[ok] = np.diff(offsets)
-    sizes[slow] = [len(s) for s, _ in checked]
-    merged = np.concatenate(([0], np.cumsum(sizes)))
-    set_out, rank_out = np.empty(merged[-1], dtype=np.int64), np.empty(merged[-1], dtype=np.int64)
-    fast = np.arange(len(set_items)) + np.repeat(merged[:-1][ok] - offsets[:-1], np.diff(offsets))
-    set_out[fast], rank_out[fast] = set_items, rank_items
-    for i, (s, rk) in zip(slow, checked):
-        set_out[merged[i] : merged[i + 1]] = s
-        rank_out[merged[i] : merged[i + 1]] = s if rk is None else rk
-    return n, beta, merged, set_out, rank_out, any(rk is None for _, rk in checked)
+    if slow:  # splice the lines the per-line checks read between those of the byte pass
+        sizes = np.zeros(len(body), dtype=np.int64)
+        sizes[ok] = np.diff(offsets)
+        sizes[slow] = [len(s) for s, _ in checked]
+        merged = np.concatenate(([0], np.cumsum(sizes)))
+        set_out, rank_out = np.empty(merged[-1], dtype=np.int64), np.empty(merged[-1], dtype=np.int64)
+        fast = np.arange(len(set_items)) + np.repeat(merged[:-1][ok] - offsets[:-1], np.diff(offsets))
+        set_out[fast], rank_out[fast] = set_items, rank_items
+        for i, (s, rk) in zip(slow, checked):
+            set_out[merged[i] : merged[i + 1]] = s
+            rank_out[merged[i] : merged[i + 1]] = s if rk is None else rk
+        offsets, set_items, rank_items = merged, set_out, rank_out
+    return beta, SelectionSequence._from_arrays(n, offsets, set_items), rank_items, any(rk is None for _, rk in checked)
 
 
 def collect_profile_errors(text: str, p: float | None = None) -> list[dict]:
-    """Validate profile text; returns an itemized error list (empty when valid)."""
+    """Validate profile text; returns an itemized error list (empty when valid); a bad ``p`` raises first."""
+    if p is not None:
+        _check_frequency(p)
     try:
-        n, _beta, offsets, set_items, _rank_items, _selection_only = _scan(text)
+        selection = _scan(text)[1]
     except FileFormatError as exc:
         return exc.errors
-    r = len(offsets) - 1
-    if p is None or not r:
+    if p is None or not len(selection):
         return []
-    report = _p_frequency(n, offsets, set_items, p)
+    report = verify_p_frequent(selection, p)
     if report.ok:
         return []
     pair = report.worst_pairs()[0]
     count = int(report.counts[pair[0], pair[1]])
-    message = f"sequence is not {p:g}-frequent: pair {pair} co-appears in {count}/{r} sets"
+    message = f"sequence is not {p:g}-frequent: pair {pair} co-appears in {count}/{len(selection)} sets"
     return [_err(1, message, pair=list(pair), count=count)]
 
 
 def parse_profile(text: str) -> tuple[SampleProfile, float | None]:
     """Parse a profile file; raises FileFormatError with itemized errors."""
-    n, beta, offsets, set_items, rank_items, selection_only = _scan(text)
+    beta, selection, rank_items, selection_only = _scan(text)
     if selection_only:
         raise FileFormatError([_err(1, "profile file has selection-only lines; use parse_selection")])
-    return SampleProfile._from_arrays(n, offsets, set_items, rank_items), beta
+    return SampleProfile._from_arrays(selection, rank_items), beta
 
 
 def parse_selection(text: str) -> SelectionSequence:
-    n, _beta, offsets, set_items, _rank_items, _selection_only = _scan(text)
-    return SelectionSequence(_csr_rows(offsets, set_items), n, validate=False)
+    return _scan(text)[1]

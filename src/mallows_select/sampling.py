@@ -10,11 +10,12 @@ e^{-beta*d_KT} / Z exactly.  The routine draws all samples of one size
 as arrays, each from its own keyed stream, so :func:`sample_mallows`,
 :func:`sample_profile` and the experiment kernel make the same draws.
 
-Profiles, files and the experiment kernel hold their sets and samples as
-CSR rows.  One routine, :func:`_sample_rows`, draws a sample per row, and
-one counter, :func:`_pair_counts`, tallies their ordered pairs size by
-size, at a cost that grows with the sum of m^2 over the rows, per profile
-or per trial.
+Selections, profiles, files and the experiment kernel hold their sets and
+samples as CSR rows, and :func:`generate_selection` builds them as such.
+One routine, :func:`_sample_rows`, draws a sample per row, and one
+counter, :func:`_pair_counts`, tallies their ordered pairs size by size,
+at a cost that grows with the sum of m^2 over the rows, per profile or
+per trial.
 
 Insertion decisions are integer-only: the per-step cumulative weights are
 computed once per (size, beta) in double precision, frozen to 63-bit
@@ -33,7 +34,7 @@ from itertools import chain, combinations, cycle, islice
 
 import numpy as np
 
-from .core import _MAX_N, MallowsParams, Ranking, SampleProfile, SelectionSequence, _csr_arrays, _csr_rows, check_beta
+from .core import _MAX_N, MallowsParams, Ranking, SampleProfile, SelectionSequence, check_beta
 from .rng import Stream, draw_matrix
 
 _SCALE_BITS = 63
@@ -131,39 +132,36 @@ def generate_selection(spec: SelectionSpec, r: int, stream: Stream | None = None
     if r < 1:
         raise InfeasibleSpecError("selection sequences must contain at least one set")
     n = spec.n
-    full = tuple(range(n))
 
-    if spec.kind == "complete":
-        sets = [full] * r
-
-    elif spec.kind in ("pairwise", "mixed_pfrequent", "adversarial_matching"):
-        n_full = 0 if spec.kind == "pairwise" else _full_set_count(spec.p, r)
-        if spec.kind != "adversarial_matching":
-            pairs = combinations(range(n), 2)
-        elif n > 2:  # the matchings other than the starved first one, whose pairs co-appear only in the full sets
-            pairs = chain.from_iterable(_matchings(n, 2))
-        else:  # n == 2: the single pair is all there is
-            pairs = [(0, 1)]
-        # cycle keeps only the pairs it has yielded, so at most r of them are built
-        sets = [full] * n_full + list(islice(cycle(pairs), r - n_full))
-
-    elif spec.kind == "bernoulli_random":
-        if stream is None:
-            raise ValueError("bernoulli_random selection requires a stream")
-        members, used = _bernoulli_members(
-            np.array([stream.key], dtype=np.uint64), n, r, _bernoulli_threshold(spec, r), start=stream._ctr
-        )
-        stream._ctr = int(used[0])
-        row, item = np.nonzero(members[0])  # row-major: rows in order, each row's items ascending
-        sets = _csr_rows(np.searchsorted(row, np.arange(r + 1)), item)
-
-    else:  # explicit
+    if spec.kind == "explicit":
         assert spec.sets is not None
         if len(spec.sets) != r:
             raise InfeasibleSpecError(f"explicit spec holds {len(spec.sets)} sets but r={r} requested")
-        sets = list(spec.sets)
+        return SelectionSequence(spec.sets, n)
 
-    return SelectionSequence(sets, n, validate=spec.kind == "explicit")  # the other kinds are valid by construction
+    if spec.kind == "bernoulli_random":
+        if stream is None:
+            raise ValueError("bernoulli_random selection requires a stream")
+        keys = np.array([stream.key], dtype=np.uint64)
+        members, used = _bernoulli_members(keys, n, r, _bernoulli_threshold(spec, r), start=stream._ctr)
+        stream._ctr = int(used[0])
+        row, items = np.nonzero(members[0])  # row-major: rows in order, each row's items ascending
+        return SelectionSequence._from_arrays(n, np.searchsorted(row, np.arange(r + 1)), items)
+
+    # the deterministic kinds: n_full full sets, then pairs, valid by construction
+    n_full = r if spec.kind == "complete" else 0 if spec.kind == "pairwise" else _full_set_count(spec.p, r)
+    if spec.kind != "adversarial_matching":
+        pairs = combinations(range(n), 2)
+    elif n > 2:  # the matchings other than the starved first one, whose pairs co-appear only in the full sets
+        pairs = chain.from_iterable(_matchings(n, 2))
+    else:  # n == 2: the single pair is all there is
+        pairs = [(0, 1)]
+    # cycle keeps only the pairs it has yielded, so at most r of them are built
+    pair_items = np.fromiter(chain.from_iterable(islice(cycle(pairs), r - n_full)), dtype=np.int64, count=2 * (r - n_full))
+    # sorting each pair stores a wrapped matching pair such as (6, 1) as the set (1, 6)
+    items = np.concatenate((np.tile(np.arange(n), n_full), np.sort(pair_items.reshape(-1, 2), axis=1).ravel()))
+    offsets = np.concatenate((np.arange(n_full) * n, n_full * n + 2 * np.arange(r - n_full + 1)))
+    return SelectionSequence._from_arrays(n, offsets, items)
 
 
 def _bernoulli_threshold(spec: SelectionSpec, r: int) -> np.uint64:
@@ -223,19 +221,18 @@ class PFrequencyReport:
         return list(zip(a[worst].tolist(), b[worst].tolist()))
 
 
-def verify_p_frequent(selection: SelectionSequence, p: float) -> PFrequencyReport:
-    """Check that every pair co-appears in at least a p fraction of the sets."""
-    return _p_frequency(selection.n, *_csr_arrays(selection.sets), p)
-
-
-def _p_frequency(n: int, offsets: np.ndarray, set_items: np.ndarray, p: float) -> PFrequencyReport:
-    """:func:`verify_p_frequent` of the CSR sets ``set_items[offsets[l]:offsets[l+1]]``, each ascending."""
+def _check_frequency(p: float) -> None:
     if not (0.0 < p <= 1.0):
         raise ValueError(f"frequency parameter p must lie in (0, 1], got {p}")
-    r = len(offsets) - 1
+
+
+def verify_p_frequent(selection: SelectionSequence, p: float) -> PFrequencyReport:
+    """Check that every pair co-appears in at least a p fraction of the sets."""
+    _check_frequency(p)
+    n, r = selection.n, len(selection)
     if r == 0:
         raise ValueError("cannot audit an empty selection sequence")
-    counts = _pair_counts(n, offsets, set_items)[0]
+    counts = _pair_counts(n, selection.offsets, selection.items)[0]
     counts += counts.T
     min_frac = counts[np.triu_indices(n, 1)].min() / r
     return PFrequencyReport(ok=bool(min_frac >= p - 1e-12), min_pair_fraction=float(min_frac), counts=counts)
@@ -372,11 +369,10 @@ def sample_profile(params: MallowsParams, selection: SelectionSequence, stream: 
     """
     if selection.n != params.n:
         raise ValueError("selection sequence and parameters disagree on n")
-    r, n = len(selection), params.n
-    offsets, items = _csr_arrays(selection.sets)
+    r, n, offsets, items = len(selection), params.n, selection.offsets, selection.items
     center = np.array(params.center.items, dtype=np.int64)
     at = np.argsort(center)  # at[i]: the center position of item i
     # sorting row * n + center position puts every set in center order, row after row
     restricted = center[np.sort(np.repeat(np.arange(r) * n, np.diff(offsets)) + at[items]) % n]
     samples = _sample_rows(stream.child_keys(r), offsets, restricted, params.beta)
-    return SampleProfile._from_arrays(n, offsets, items, samples, selection)
+    return SampleProfile._from_arrays(selection, samples)

@@ -179,6 +179,30 @@ def looped_bernoulli_sets(spec: SelectionSpec, r: int, stream: Stream) -> list[t
     return sets
 
 
+def tuple_selection_sets(spec: SelectionSpec, r: int, stream: Stream) -> list[tuple[int, ...]]:
+    """The sets of ``generate_selection``, built as sorted tuples one set at a time: the reference form.
+
+    Full sets first (every set for complete, ceil(p*r) for mixed_pfrequent
+    and adversarial_matching), then pairs cycling in order: all pairs
+    lexicographically, or the pairs of every matching but the first.
+    bernoulli_random sets come from :func:`looped_bernoulli_sets`.
+    """
+    if spec.kind == "bernoulli_random":
+        return looped_bernoulli_sets(spec, r, stream)
+    if spec.kind == "explicit":
+        return [tuple(sorted(s)) for s in spec.sets]
+    n = spec.n
+    full = tuple(range(n))
+    if spec.kind == "complete":
+        return [full] * r
+    n_full = 0 if spec.kind == "pairwise" else sampling._full_set_count(spec.p, r)
+    if spec.kind == "adversarial_matching":
+        pairs = [pair for matching in sampling.matching_family(n)[1:] for pair in matching] or [(0, 1)]
+    else:
+        pairs = list(itertools.combinations(range(n), 2))
+    return [full] * n_full + [tuple(sorted(pairs[i % len(pairs)])) for i in range(r - n_full)]
+
+
 def insertion_sample(center_items: tuple[int, ...], beta: float, stream: Stream) -> tuple[int, ...]:
     """The reference form of ``sampling.sample_mallows``: one list insert per step.
 

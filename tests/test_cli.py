@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from mallows_select import mle, rng
+from mallows_select import core, mle, rng
 from mallows_select.cli import _build_parser, dispatch
 from mallows_select.core import MallowsParams, Ranking
 from mallows_select.estimators import positional_estimator
@@ -139,6 +139,22 @@ class TestCliPipelines:
         report = json.loads(out)
         assert report[0]["ok"] is True
 
+    def test_commands_build_no_per_set_tuple(self, tmp_path, capsys, monkeypatch):
+        def no_tuples(*args, **kwargs):
+            raise AssertionError("a per-set tuple was built")
+
+        # the tuple constructor and the lazy tuple views are what build per-set tuples
+        monkeypatch.setattr(core, "_csr_rows", no_tuples)
+        monkeypatch.setattr(core.SelectionSequence, "__init__", no_tuples)
+        prof, sel = tmp_path / "prof.txt", tmp_path / "sel.txt"
+        spec = ("--n", "30", "--r", "2000", "--kind", "bernoulli_random", "--p", "0.2", "--seed", "5")
+        assert run(capsys, "sample", "--beta", "1", *spec, "--out", str(prof))[0] == 0
+        assert run(capsys, "select", *spec, "--out", str(sel))[0] == 0
+        code, out, _ = run(capsys, "verify", str(sel), str(prof), "--p", "0.15")
+        assert code == 0
+        assert [report["ok"] for report in json.loads(out)] == [True, True]
+        assert run(capsys, "posest", "--in", str(prof))[0] == 0
+
 
 class TestCliErrors:
     def test_usage_error_exits_one(self, capsys):
@@ -187,15 +203,18 @@ class TestCliErrors:
 
     @pytest.mark.parametrize("p", ["0", "-1", "nan", "1.5"])
     def test_verify_p_outside_the_unit_interval_exits_two(self, tmp_path, capsys, p):
-        sel_path = tmp_path / "sel.txt"
-        sel_path.write_text("3,2\nS:0,1,2\nS:0,1,2\n")
-        assert collect_profile_errors(sel_path.read_text(), p=0.5) == []
-        with pytest.raises(ValueError, match="must lie in \\(0, 1\\]"):
-            collect_profile_errors(sel_path.read_text(), p=float(p))
-        code, out, err = run(capsys, "verify", str(sel_path), "--p", p)
-        assert code == 2
-        assert out == ""
-        assert f"frequency parameter p must lie in (0, 1], got {float(p)}" in err
+        good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+        good.write_text("3,2\nS:0,1,2\nS:0,1,2\n")
+        bad.write_text("3,1\nS:0,1,2|R:0,1,1\n")
+        assert collect_profile_errors(good.read_text(), p=0.5) == []
+        # p is checked before any file is read, so a malformed file reports no format error first
+        for files in ([good], [bad], [bad, good]):
+            with pytest.raises(ValueError, match="must lie in \\(0, 1\\]"):
+                collect_profile_errors(files[0].read_text(), p=float(p))
+            code, out, err = run(capsys, "verify", *map(str, files), "--p", p)
+            assert code == 2
+            assert out == ""
+            assert f"frequency parameter p must lie in (0, 1], got {float(p)}" in err
 
     @pytest.mark.parametrize(
         "argv",

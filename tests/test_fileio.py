@@ -181,12 +181,13 @@ def profile_texts(draw):
 def _both_readings(text):
     """``fileio._scan`` and ``helpers.legacy_scan`` of one text, each as (n, beta, sets, rankings, selection_only) or errors."""
     try:
-        n, beta, offsets, set_items, rank_items, selection_only = fileio._scan(text)
+        beta, selection, rank_items, selection_only = fileio._scan(text)
     except FileFormatError as exc:
         new = exc.errors
     else:
+        offsets, set_items = selection.offsets, selection.items
         assert offsets.dtype == set_items.dtype == rank_items.dtype == np.int64
-        new = (n, beta, _csr_rows(offsets, set_items), _csr_rows(offsets, rank_items), selection_only)
+        new = (selection.n, beta, _csr_rows(offsets, set_items), _csr_rows(offsets, rank_items), selection_only)
     try:
         n, beta, sets, rankings = legacy_scan(text)
     except FileFormatError as exc:

@@ -57,6 +57,17 @@ SAMPLE_KINDS = {
     ]
 }
 
+# one selection file per kind, each through the selection writer
+SELECT_KINDS = {
+    f"select_{kind}.txt": [
+        "select", "--n", "8", "--r", "40", "--kind", kind, "--p", "0.25", "--seed", "11",
+    ]
+    for kind in ("complete", "pairwise", "mixed_pfrequent", "bernoulli_random", "adversarial_matching")
+}
+
+# the p-frequency audit of one selection file: its JSON report pins the worst pair and its count
+VERIFY = ("verify_bernoulli_random", "select_bernoulli_random.txt", ["verify", "--p", "0.25"])
+
 READERS = {
     "posest": ["posest", "--emit-raw-scores", "--seed", "9"],
     "mle": ["mle", "--mode", "mle", "--p", "0.5", "--seed", "9"],
@@ -97,6 +108,12 @@ GOLDEN = {
     "posest": "a84d274cb78344aa15083d58fe40554d4bf60b37c4404935f69ee1cb99b2b892",
     "mle": "eec01e30f7ba0286b54f1a23c0f92b1d1b7725b5da631b11f866318a94dd7d5b",
     "ltn": "a38c179d3e868e60bf399ee9222405d27c602b8d6a8c4b87e2dcf216e7790ee2",
+    "select_complete.txt": "0940dbf8c8d501d64a0c1418f2571e13dc35b6e697d5fb4dccb4645f22719943",
+    "select_pairwise.txt": "6d1575f665cd6efe5cb884a569d1ffaa63ab2e37ad7ee38d43e3f8eee193841f",
+    "select_mixed_pfrequent.txt": "ccebe614f3a535d578e5aa82f769d58fd2b24e4ead6e155f4058c1207bcee83a",
+    "select_bernoulli_random.txt": "54056f0181cb69231e0d1005b23e558f7b02480880491300aebd6aed37c42386",
+    "select_adversarial_matching.txt": "50b0329bcb0121a23ff81030a7040f0290b124af1206bf5638cc579b51b1eebc",
+    "verify_bernoulli_random": "9031e88b73b2da4ee30639bcc46bf8aea39f041aff30e7a2285396f59ef6d716",
     "sample_ties.txt": "5316d62ac71362c884250fb20fcc10cb321a4ba81bc1647c37f01b1056a7cbae",
     "posest_ties": "4af5e81f2b033211885e17ce4a895894b3059c3ce8ef1d0c10dab419493d63a5",
     "ltn_ties": "3c6d369f9846e91293b3f55176a2c357023d136a40f45ec6803dd8b9da3ce325",
@@ -126,6 +143,15 @@ def digests(tmp_path_factory):
         path = tmp / name
         assert dispatch(argv + ["--out", str(path)]) == 0
         out[name] = _sha(path.read_bytes())
+    for name, argv in SELECT_KINDS.items():
+        path = tmp / name
+        assert dispatch(argv + ["--out", str(path)]) == 0
+        out[name] = _sha(path.read_bytes())
+    name, source, argv = VERIFY
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp)  # the report names each file as given, so give it relative
+        assert dispatch(argv + [source, "--out", f"{name}.json"]) == 2
+    out[name] = _sha((tmp / f"{name}.json").read_bytes())
     ties = tmp / "sample_ties.txt"
     assert dispatch(TIES + ["--out", str(ties)]) == 0
     out[ties.name] = _sha(ties.read_bytes())

@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -16,12 +16,14 @@ from helpers import (
     looped_sample_profile,
     mallows_pmf,
     pair_scan_coappearance,
+    tuple_selection_sets,
 )
 from mallows_select import sampling
 from mallows_select.core import (
     MallowsParams,
     Ranking,
     SelectionSequence,
+    _csr_arrays,
     kendall_tau,
     kendall_tau_incomplete,
     restrict,
@@ -372,6 +374,56 @@ class TestBatchedDraws:
         stream.u64_array(7), reference.u64_array(7)
         assert list(generate_selection(spec, 15, stream).sets) == looped_bernoulli_sets(spec, 15, reference)
         assert stream.u64() == reference.u64()
+
+
+@st.composite
+def selection_specs(draw):
+    """A spec of every generated kind: n 2-30 (even for adversarial_matching), r 1-200, p in (0, 1]."""
+    kind = draw(st.sampled_from(SelectionSpec._KINDS))
+    n = draw(st.integers(1, 15)) * 2 if kind == "adversarial_matching" else draw(st.integers(2, 30))
+    r = draw(st.integers(1, 200))
+    if kind == "bernoulli_random":  # p >= 0.05 keeps the looped reference's rejection loop short
+        p = draw(st.floats(0.05, 1.0))
+    else:
+        p = draw(st.floats(0.0, 1.0, exclude_min=True))
+    sets = None
+    if kind == "explicit":
+        sets = tuple(draw(st.lists(st.sets(st.integers(0, n - 1), min_size=2), min_size=r, max_size=r)))
+    return SelectionSpec(kind=kind, n=n, p=p, sets=sets), r
+
+
+class TestSelectionArrays:
+    """``generate_selection`` builds CSR arrays; the tuple-building form in ``helpers`` is the reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=selection_specs(), seed=st.integers(0, 2**32))
+    # at n=8 the second matching pairs 6 with (6 + 3) mod 8 = 1: a wrapped pair, stored as (1, 6)
+    @example(case=(SelectionSpec(kind="adversarial_matching", n=8, p=0.25), 8), seed=0)
+    def test_arrays_match_the_tuple_reference(self, case, seed):
+        spec, r = case
+        stream, reference = Stream.from_seed(seed), Stream.from_seed(seed)
+        sel = generate_selection(spec, r, stream)
+        expected = tuple_selection_sets(spec, r, reference)
+        assert sel.sets == tuple(expected)
+        assert stream.u64() == reference.u64()  # both streams stop at the same counter
+        offsets, items = _csr_arrays(expected)
+        assert np.array_equal(sel.offsets, offsets) and np.array_equal(sel.items, items)
+        assert all(type(x) is int for s in sel.sets for x in s)
+        assert not (sel.offsets.flags.writeable or sel.items.flags.writeable)
+
+    @pytest.mark.parametrize("kind", ["complete", "pairwise", "mixed_pfrequent", "bernoulli_random", "adversarial_matching"])
+    def test_constructor_and_array_built_selections_agree(self, kind):
+        spec = SelectionSpec(kind=kind, n=6, p=0.25)
+        from_arrays = generate_selection(spec, 30, Stream.from_seed(3))
+        sets = generate_selection(spec, 30, Stream.from_seed(3)).sets
+        built = SelectionSequence([reversed(s) for s in sets], 6)  # the constructor sorts each set
+        assert built == from_arrays and from_arrays == built
+        assert len(built) == len(from_arrays) == 30
+        assert list(built) == list(from_arrays) == list(sets)
+        assert np.array_equal(built.offsets, from_arrays.offsets) and np.array_equal(built.items, from_arrays.items)
+        assert from_arrays != SelectionSequence(from_arrays.sets, 7)
+        assert from_arrays != SelectionSequence(from_arrays.sets[:-1], 6)
+        assert from_arrays != from_arrays.sets
 
 
 @st.composite
