@@ -26,7 +26,7 @@ from .fileio import (
 )
 from .mle import BudgetExceededError, recover_likelier_than_nature, recover_mle
 from .rng import Stream
-from .sampling import InfeasibleSpecError, SelectionSpec, generate_selection, sample_profile
+from .sampling import InfeasibleSpecError, SelectionSpec, _check_frequency, generate_selection, sample_profile
 
 
 class _Parser(argparse.ArgumentParser):
@@ -276,6 +276,8 @@ def _cmd_exp_adversarial(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.p is not None:  # before any file is opened, so a bad p is reported whatever the files hold
+        _check_frequency(args.p)
     reports = []
     for path in args.files:
         errors = collect_profile_errors(Path(path).read_text(), p=args.p)

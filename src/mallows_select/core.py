@@ -1,9 +1,12 @@
-"""Ranking types, Kendall tau distances, restriction, and the Mallows normalizer.
+"""Ranking types, CSR row kernels, Kendall tau distances, restriction, and the Mallows normalizer.
 
 Alternatives are 0-based integers and positions are 0-based throughout;
 every external text format uses the same convention.  All types here are
 immutable after construction and safe to share across threads.  Sets and
-rankings are held as CSR arrays; their tuple and ``Ranking`` views are lazy.
+rankings are held as CSR arrays (row offsets plus flat items), and every
+module counts their pairs by the row kernels here, :func:`_pair_counts`
+and :func:`_discordances`, at a cost that grows with the sum of m^2 over
+the rows.  Tuple and ``Ranking`` views are lazy.
 """
 
 from __future__ import annotations
@@ -18,6 +21,9 @@ import numpy as np
 
 # a larger n is refused before any n x n table is made; one int64 table at this n takes 512 MiB
 _MAX_N = 8192
+
+# rows per counting block are chosen so the block's two int64 pair arrays hold about this many bytes
+_PRECEDENCE_BLOCK_BYTES = 1 << 24
 
 
 class Ranking:
@@ -135,21 +141,25 @@ class SelectionSequence:
 
     __slots__ = ("n", "offsets", "items", "_sets")
 
-    def __init__(self, sets: Iterable[Iterable[int]], n: int, *, validate: bool = True):
-        canon = tuple(tuple(sorted(s)) for s in sets)
-        if validate:
-            for idx, s in enumerate(canon):
-                if len(s) < 2:
-                    raise ValueError(f"selection set {idx} has fewer than 2 alternatives")
-                if len(set(s)) != len(s):
-                    raise ValueError(f"selection set {idx} contains duplicates")
-                if s[0] < 0 or s[-1] >= n:
-                    raise ValueError(f"selection set {idx} contains an alternative outside [0, {n})")
-        self._set_arrays(n, *_csr_arrays(canon), canon)
+    def __init__(self, sets: Iterable[Iterable[int]], n: int):
+        canon = []
+        for idx, s in enumerate(sets):
+            try:
+                s = tuple(sorted(map(operator.index, s)))
+            except TypeError:
+                raise ValueError(f"selection set {idx} holds a non-integer; alternatives must be integers") from None
+            if len(s) < 2:
+                raise ValueError(f"selection set {idx} has fewer than 2 alternatives")
+            if len(set(s)) != len(s):
+                raise ValueError(f"selection set {idx} contains duplicates")
+            if s[0] < 0 or s[-1] >= n:
+                raise ValueError(f"selection set {idx} contains an alternative outside [0, {n})")
+            canon.append(s)
+        self._set_arrays(n, *_csr_arrays(canon), tuple(canon))
 
     @classmethod
     def _from_arrays(cls, n: int, offsets: np.ndarray, items: np.ndarray) -> "SelectionSequence":
-        """A selection over checked CSR arrays, each row ascending, with no per-set tuple."""
+        """A selection over checked CSR arrays, each row ascending, with no per-set tuple: the unchecked path."""
         selection = cls.__new__(cls)
         selection._set_arrays(n, offsets, items, None)
         return selection
@@ -192,6 +202,64 @@ def _csr_arrays(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(([0], np.cumsum(sizes))), items
 
 
+@lru_cache(maxsize=None)
+def _triu_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.triu_indices(m, 1)
+
+
+def _pair_blocks(offsets: np.ndarray, items: np.ndarray, relabel: np.ndarray | None = None):
+    """Yield ``(rows, first, second)`` for blocks of CSR rows of one size m >= 2.
+
+    Row l holds ``items[offsets[l]:offsets[l+1]]``, or their ``relabel``
+    entries.  ``first[k, q]`` and ``second[k, q]`` are row ``rows[k]``'s
+    entries at positions a < b, pair q of ``triu(m)``: the work grows with
+    the sum of m^2 over the rows, never with rows times n^2.  All blocks
+    share two pair buffers of about ``_PRECEDENCE_BLOCK_BYTES`` together
+    (more only when one row needs more): a block is valid until the next
+    one is drawn, and the caller may overwrite it.
+    """
+    sizes = np.diff(offsets)
+    pairs = sizes * (sizes - 1) // 2
+    cells = min(int(pairs.sum()), max(_PRECEDENCE_BLOCK_BYTES // (2 * items.itemsize), int(pairs.max(initial=0))))
+    buf = np.empty((2, cells), dtype=items.dtype if relabel is None else relabel.dtype)
+    present = np.flatnonzero(np.bincount(sizes))
+    for m in present[present >= 2].tolist():
+        rows, (a, b) = np.flatnonzero(sizes == m), _triu_pairs(m)
+        step = cells // len(a)
+        for lo in range(0, len(rows), step):
+            block = items[offsets[rows[lo : lo + step], None] + np.arange(m)]
+            if relabel is not None:
+                block = relabel[block]
+            first, second = buf[:, : len(block) * len(a)].reshape(2, len(block), len(a))
+            # mode="clip" writes straight into the buffers; the indices are in range
+            yield rows[lo : lo + step], np.take(block, a, 1, first, "clip"), np.take(block, b, 1, second, "clip")
+
+
+def _pair_counts(n: int, offsets: np.ndarray, items: np.ndarray, groups: int = 1) -> np.ndarray:
+    """``counts[g, i, j]``: the rows of group g in which item i of [0, n) stands ahead of item j.
+
+    The rows fall into ``groups`` runs of equal length, in row order: the
+    trials of a kernel block, or one group for a single profile.
+    """
+    counts = np.zeros(groups * n * n, dtype=np.int64)
+    per = (len(offsets) - 1) // groups
+    for rows, first, second in _pair_blocks(offsets, items):
+        if groups > 1:  # one pass over the pairs, which a single group does not need
+            first += (rows // per * n)[:, None]
+        first *= n
+        first += second
+        np.add.at(counts, first.ravel(), 1)  # unlike a bincount, no n * n array per block
+    return counts.reshape(groups, n, n)
+
+
+def _discordances(offsets: np.ndarray, items: np.ndarray, relabel: np.ndarray | None = None) -> np.ndarray:
+    """Per CSR row, the pairs whose items (or ``relabel`` entries) stand in descending order: the row's inversions."""
+    out = np.zeros(len(offsets) - 1, dtype=np.int64)
+    for rows, first, second in _pair_blocks(offsets, items, relabel):
+        out[rows] = np.count_nonzero(first > second, axis=1)
+    return out
+
+
 class SampleProfile:
     """Incomplete rankings paired one-to-one with their selection sets.
 
@@ -206,19 +274,18 @@ class SampleProfile:
 
     __slots__ = ("selection", "n", "offsets", "set_items", "rank_items", "_rankings")
 
-    def __init__(self, rankings: Sequence[Ranking], selection: SelectionSequence, *, validate: bool = True):
+    def __init__(self, rankings: Sequence[Ranking], selection: SelectionSequence):
         rankings = tuple(rankings)
-        if validate:
-            if len(rankings) != len(selection):
-                raise ValueError("profile length does not match selection length")
-            for idx, (rk, s) in enumerate(zip(rankings, selection)):
-                if tuple(sorted(rk.items)) != s:
-                    raise ValueError(f"ranking {idx} is not a permutation of its selection set")
+        if len(rankings) != len(selection):
+            raise ValueError("profile length does not match selection length")
+        for idx, (rk, s) in enumerate(zip(rankings, selection)):
+            if tuple(sorted(rk.items)) != s:
+                raise ValueError(f"ranking {idx} is not a permutation of its selection set")
         self._set_arrays(selection, _csr_arrays([rk.items for rk in rankings])[1], rankings)
 
     @classmethod
     def _from_arrays(cls, selection: SelectionSequence, rank_items: np.ndarray) -> "SampleProfile":
-        """A profile over a selection and checked ranking rows on its offsets, with no per-sample object."""
+        """A profile over a selection and checked ranking rows on its offsets, with no per-sample object: the unchecked path."""
         profile = cls.__new__(cls)
         profile._set_arrays(selection, rank_items, None)
         return profile

@@ -1,5 +1,7 @@
 """Pairwise-count accumulation, the positional estimator, and likelihood scoring.
 
+A profile's counts, ``PairwiseCounts``, hold one matrix: wins[i][j], the
+samples in which i precedes j; the appearances are ``wins + wins.T``.
 The positional estimator ranks alternative i by the number of opponents j
 that precede i in at least half of the samples where both appear.  The
 majority test is the integer comparison ``2 * wins[j][i] >= appear[i][j]``:
@@ -15,34 +17,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Ranking, SampleProfile, check_beta, log_partition_function
+from .core import Ranking, SampleProfile, _discordances, _pair_counts, _triu_pairs, check_beta, log_partition_function
 from .rng import Stream, _below_array, draw_matrix
-from .sampling import _discordances, _pair_counts, _triu_pairs
 
 
 @dataclass(frozen=True)
 class PairwiseCounts:
-    """Per-ordered-pair tallies accumulated from a profile.
+    """Per-ordered-pair tallies of a profile: wins[i][j] counts the samples where i precedes j (zero diagonal)."""
 
-    appear[i][j] counts samples containing both i and j (symmetric, zero
-    diagonal); wins[i][j] counts samples where i precedes j.
-    """
-
-    n: int
-    appear: np.ndarray
     wins: np.ndarray
 
+    @property
+    def n(self) -> int:
+        return self.wins.shape[0]
+
+    @property
+    def appear(self) -> np.ndarray:
+        """appear[i][j] counts the samples holding both i and j (symmetric, zero diagonal)."""
+        return self.wins + self.wins.T
+
     def validate(self) -> None:
-        assert self.appear.shape == (self.n, self.n) and self.wins.shape == (self.n, self.n)
-        assert (np.diag(self.appear) == 0).all() and (np.diag(self.wins) == 0).all()
-        assert (self.appear == self.appear.T).all()
-        assert (self.wins + self.wins.T == self.appear).all()
+        assert self.wins.shape == (self.n, self.n)
+        assert (np.diag(self.wins) == 0).all()
 
 
 def accumulate_counts(profile: SampleProfile) -> PairwiseCounts:
-    """Tally appearances and precedences in one pass over the profile's ranking rows."""
-    wins = _pair_counts(profile.n, profile.offsets, profile.rank_items)[0]
-    return PairwiseCounts(n=profile.n, appear=wins + wins.T, wins=wins)
+    """Tally precedences in one pass over the profile's ranking rows."""
+    return PairwiseCounts(_pair_counts(profile.n, profile.offsets, profile.rank_items)[0])
 
 
 def _beaten_by(wins: np.ndarray, appear: np.ndarray) -> np.ndarray:
@@ -77,24 +78,23 @@ def positional_estimator(profile: SampleProfile, stream: Stream) -> PosEstResult
     """
     if len(profile) == 0:
         raise ValueError("positional estimator requires a nonempty profile")
-    counts = accumulate_counts(profile)
-    return positional_estimator_from_counts(counts, stream)
+    return positional_estimator_from_counts(accumulate_counts(profile), stream)
 
 
 def positional_estimator_from_counts(counts: PairwiseCounts, stream: Stream) -> PosEstResult:
-    n = counts.n
-    raw = _beaten_by(counts.wins, counts.appear)
+    n, appear = counts.n, counts.appear
+    raw = _beaten_by(counts.wins, appear)
     order = _order_by_scores(raw[None], np.array([stream.key], dtype=np.uint64), stream._ctr)[0]
     sizes = np.bincount(raw)  # group size per score
     stream._ctr += n - np.count_nonzero(sizes)  # a tie group of size s took s-1 draws
     ai, bj = _triu_pairs(n)
-    zero = counts.appear[ai, bj] == 0
+    zero = appear[ai, bj] == 0
     return PosEstResult(
         ranking=Ranking(order.tolist(), validate=False),
         raw_scores=tuple(raw.tolist()),
         tie_groups=tuple(tuple(np.flatnonzero(raw == s).tolist()) for s in np.flatnonzero(sizes > 1)),
         zero_pairs=tuple(zip(ai[zero].tolist(), bj[zero].tolist())),
-        never_observed=tuple(np.flatnonzero(counts.appear.sum(axis=1) == 0).tolist()),
+        never_observed=tuple(np.flatnonzero(appear.sum(axis=1) == 0).tolist()),
     )
 
 

@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Ranking, check_beta
+from .core import Ranking, _discordances, _pair_counts, check_beta
 from .estimators import PairwiseCounts, _beaten_by, _order_by_scores
 from .mle import _recover_from_counts, mle_window, pointwise_window
 from .rng import Stream, child_key_grid, permutation_rows
@@ -39,8 +39,6 @@ from .sampling import (
     SelectionSpec,
     _bernoulli_members,
     _bernoulli_threshold,
-    _discordances,
-    _pair_counts,
     _sample_rows,
     generate_selection,
 )
@@ -181,11 +179,10 @@ def _cell_block(root, trials, n, beta, r, members, threshold, radius, planted) -
     offsets = np.searchsorted(row, np.arange(len(keys) * r + 1))
     samples = _sample_rows(child_key_grid(sub[:, 2], range(r)).ravel(), offsets, centers[row // r, k], beta)
     wins = _pair_counts(n, offsets, samples, groups=len(keys))
-    appear = wins + wins.transpose(0, 2, 1)
-    est = _order_by_scores(_beaten_by(wins, appear), sub[:, 3])
+    est = _order_by_scores(_beaten_by(wins, wins + wins.transpose(0, 2, 1)), sub[:, 3])
     if radius is not None:  # the windowed DP refines each anchor trial by trial
         est = np.array([
-            _recover_from_counts(PairwiseCounts(n=n, appear=appear[t], wins=wins[t]), radius, Ranking(row, validate=False))[0].items
+            _recover_from_counts(PairwiseCounts(wins[t]), radius, Ranking(row, validate=False))[0].items
             for t, row in enumerate(est.tolist())
         ], dtype=np.int64)
     return est, centers
@@ -237,7 +234,6 @@ def binary_search_complexity(
     estimator: str = "posest",
     match: str = "exact",
     k: int | None = None,
-    success_fn=None,
 ) -> int:
     """Smallest bracketed profile size whose empirical success meets the target.
 
@@ -247,8 +243,6 @@ def binary_search_complexity(
     """
 
     def probe(r: int) -> float:
-        if success_fn is not None:
-            return success_fn(r)
         return estimate_success_rate(
             n, beta, p, r, trials, selection_kind, stream.child(r), estimator, match, k
         )

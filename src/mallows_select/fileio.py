@@ -15,17 +15,19 @@ lines at once with array operations and reads every line in the form
 that :func:`format_profile` writes whose invariants all hold: the line
 shape, no empty token, no duplicate (by sorting ``line * n + item``),
 every item in ``[0, n)``, a set of at least two, a ranking whose sorted
-items equal the set's.  Every line it leaves goes to the per-line checks,
-so a file reads, and fails, exactly as it would line by line, errors and
-their order included, and the common file builds no per-line object.
-Readers pass the CSR arrays to the core types as they are; writers read them.
+items equal the set's.  When every line passes, the byte pass's arrays
+are the file's, and the common file builds no per-line object.  When any
+line leaves it, the whole file is read line by line by the per-line
+checks instead, so a file reads, and fails, exactly as it would line by
+line, errors and their order included.  Readers pass the CSR arrays to
+the core types as they are; writers read them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import _MAX_N, SampleProfile, SelectionSequence
+from .core import _MAX_N, SampleProfile, SelectionSequence, _csr_arrays
 from .sampling import _check_frequency, verify_p_frequent
 
 
@@ -205,7 +207,7 @@ def _byte_pass(body: list[str], n: int) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def _scan(text: str) -> tuple[float | None, SelectionSequence, np.ndarray, bool]:
-    """Read and check every line once; raises FileFormatError listing every error.
+    """Read and check every line; raises FileFormatError listing every error.
 
     Returns ``(beta, selection, rank_items, selection_only)``: the sample
     lines' sets, their rankings as rows on the selection's offsets, and
@@ -222,23 +224,14 @@ def _scan(text: str) -> tuple[float | None, SelectionSequence, np.ndarray, bool]
     if len(body) != r:
         errors.append(_err(1, f"header declares r={r} but file holds {len(body)} sample lines"))
     ok, offsets, set_items, rank_items = _byte_pass(body, n)
-    slow = np.flatnonzero(~ok).tolist()
-    checked = [_check_line(body[i], i + 2, n) for i in slow]
+    # a line the byte pass reads gives no error, so when any line leaves it, reading every line changes no error
+    checked = [] if ok.all() else [_check_line(line, i + 2, n) for i, line in enumerate(body)]
     errors += [c for c in checked if isinstance(c, dict)]
     if errors:
         raise FileFormatError(errors)
-    if slow:  # splice the lines the per-line checks read between those of the byte pass
-        sizes = np.zeros(len(body), dtype=np.int64)
-        sizes[ok] = np.diff(offsets)
-        sizes[slow] = [len(s) for s, _ in checked]
-        merged = np.concatenate(([0], np.cumsum(sizes)))
-        set_out, rank_out = np.empty(merged[-1], dtype=np.int64), np.empty(merged[-1], dtype=np.int64)
-        fast = np.arange(len(set_items)) + np.repeat(merged[:-1][ok] - offsets[:-1], np.diff(offsets))
-        set_out[fast], rank_out[fast] = set_items, rank_items
-        for i, (s, rk) in zip(slow, checked):
-            set_out[merged[i] : merged[i + 1]] = s
-            rank_out[merged[i] : merged[i + 1]] = s if rk is None else rk
-        offsets, set_items, rank_items = merged, set_out, rank_out
+    if checked:
+        offsets, set_items = _csr_arrays([s for s, _ in checked])
+        rank_items = _csr_arrays([s if rk is None else rk for s, rk in checked])[1]
     return beta, SelectionSequence._from_arrays(n, offsets, set_items), rank_items, any(rk is None for _, rk in checked)
 
 

@@ -12,10 +12,8 @@ as arrays, each from its own keyed stream, so :func:`sample_mallows`,
 
 Selections, profiles, files and the experiment kernel hold their sets and
 samples as CSR rows, and :func:`generate_selection` builds them as such.
-One routine, :func:`_sample_rows`, draws a sample per row, and one
-counter, :func:`_pair_counts`, tallies their ordered pairs size by size,
-at a cost that grows with the sum of m^2 over the rows, per profile or
-per trial.
+One routine, :func:`_sample_rows`, draws a sample per row, per profile or
+per trial; the kernels that count the rows' pairs live in ``core``.
 
 Insertion decisions are integer-only: the per-step cumulative weights are
 computed once per (size, beta) in double precision, frozen to 63-bit
@@ -34,14 +32,11 @@ from itertools import chain, combinations, cycle, islice
 
 import numpy as np
 
-from .core import _MAX_N, MallowsParams, Ranking, SampleProfile, SelectionSequence, check_beta
+from .core import _MAX_N, MallowsParams, Ranking, SampleProfile, SelectionSequence, _pair_counts, _triu_pairs, check_beta
 from .rng import Stream, draw_matrix
 
 _SCALE_BITS = 63
 _SCALE = 1 << _SCALE_BITS
-
-# rows per counting block are chosen so the block's two int64 pair arrays hold about this many bytes
-_PRECEDENCE_BLOCK_BYTES = 1 << 24
 
 # a bernoulli_random spec whose rejection loop is expected to consume more
 # uniforms than this is refused: the loop has no other bound
@@ -68,16 +63,14 @@ class SelectionSpec:
       adversarial_matching ceil(p*r) full sets plus pairs drawn from the non-starved
                            perfect matchings, leaving the pairs of the first matching
                            observed only in the full sets
-      explicit             passthrough of an explicit set list
     """
 
     kind: str
     n: int
     p: float = 1.0
     q: float | None = None
-    sets: tuple[tuple[int, ...], ...] | None = None
 
-    _KINDS = ("complete", "pairwise", "mixed_pfrequent", "bernoulli_random", "adversarial_matching", "explicit")
+    _KINDS = ("complete", "pairwise", "mixed_pfrequent", "bernoulli_random", "adversarial_matching")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
@@ -94,25 +87,18 @@ class SelectionSpec:
                 raise InfeasibleSpecError("inclusion probability q must lie in (0, 1]")
             if q * q < self.p - 1e-12:
                 raise InfeasibleSpecError("bernoulli_random requires q^2 >= p so every pair co-appears with probability >= p")
-        if self.kind == "explicit" and self.sets is None:
-            raise InfeasibleSpecError("explicit selection spec requires a set list")
 
     def inclusion_probability(self) -> float:
         return math.sqrt(self.p) if self.q is None else self.q
 
 
-def matching_family(n: int) -> list[list[tuple[int, int]]]:
-    """Edge-disjoint perfect matchings covering every {even, odd} pair.
+def _matchings(n: int, first: int):
+    """Edge-disjoint perfect matchings ``first`` .. n/2 of those covering every {even, odd} pair, built as consumed.
 
     Matching t (1-based, t = 1..n/2) pairs alternative 2k with
     (2k + 2t - 1) mod n.  Requires even n.  The first matching is
     {(0,1), (2,3), ..., (n-2, n-1)}.
     """
-    return list(_matchings(n, 1))
-
-
-def _matchings(n: int, first: int):
-    """Matchings ``first`` .. n/2 of :func:`matching_family`, built one at a time as they are consumed."""
     if n % 2 != 0:
         raise InfeasibleSpecError("perfect matchings require an even number of alternatives")
     return ([(2 * k, (2 * k + 2 * t - 1) % n) for k in range(n // 2)] for t in range(first, n // 2 + 1))
@@ -132,12 +118,6 @@ def generate_selection(spec: SelectionSpec, r: int, stream: Stream | None = None
     if r < 1:
         raise InfeasibleSpecError("selection sequences must contain at least one set")
     n = spec.n
-
-    if spec.kind == "explicit":
-        assert spec.sets is not None
-        if len(spec.sets) != r:
-            raise InfeasibleSpecError(f"explicit spec holds {len(spec.sets)} sets but r={r} requested")
-        return SelectionSequence(spec.sets, n)
 
     if spec.kind == "bernoulli_random":
         if stream is None:
@@ -236,64 +216,6 @@ def verify_p_frequent(selection: SelectionSequence, p: float) -> PFrequencyRepor
     counts += counts.T
     min_frac = counts[np.triu_indices(n, 1)].min() / r
     return PFrequencyReport(ok=bool(min_frac >= p - 1e-12), min_pair_fraction=float(min_frac), counts=counts)
-
-
-@lru_cache(maxsize=None)
-def _triu_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(m, 1)
-
-
-def _pair_blocks(offsets: np.ndarray, items: np.ndarray, relabel: np.ndarray | None = None):
-    """Yield ``(rows, first, second)`` for blocks of CSR rows of one size m >= 2.
-
-    Row l holds ``items[offsets[l]:offsets[l+1]]``, or their ``relabel``
-    entries.  ``first[k, q]`` and ``second[k, q]`` are row ``rows[k]``'s
-    entries at positions a < b, pair q of ``triu(m)``: the work grows with
-    the sum of m^2 over the rows, never with rows times n^2.  All blocks
-    share two pair buffers of about ``_PRECEDENCE_BLOCK_BYTES`` together
-    (more only when one row needs more): a block is valid until the next
-    one is drawn, and the caller may overwrite it.
-    """
-    sizes = np.diff(offsets)
-    pairs = sizes * (sizes - 1) // 2
-    cells = min(int(pairs.sum()), max(_PRECEDENCE_BLOCK_BYTES // (2 * items.itemsize), int(pairs.max(initial=0))))
-    buf = np.empty((2, cells), dtype=items.dtype if relabel is None else relabel.dtype)
-    present = np.flatnonzero(np.bincount(sizes))
-    for m in present[present >= 2].tolist():
-        rows, (a, b) = np.flatnonzero(sizes == m), _triu_pairs(m)
-        step = cells // len(a)
-        for lo in range(0, len(rows), step):
-            block = items[offsets[rows[lo : lo + step], None] + np.arange(m)]
-            if relabel is not None:
-                block = relabel[block]
-            first, second = buf[:, : len(block) * len(a)].reshape(2, len(block), len(a))
-            # mode="clip" writes straight into the buffers; the indices are in range
-            yield rows[lo : lo + step], np.take(block, a, 1, first, "clip"), np.take(block, b, 1, second, "clip")
-
-
-def _pair_counts(n: int, offsets: np.ndarray, items: np.ndarray, groups: int = 1) -> np.ndarray:
-    """``counts[g, i, j]``: the rows of group g in which item i of [0, n) stands ahead of item j.
-
-    The rows fall into ``groups`` runs of equal length, in row order: the
-    trials of a kernel block, or one group for a single profile.
-    """
-    counts = np.zeros(groups * n * n, dtype=np.int64)
-    per = (len(offsets) - 1) // groups
-    for rows, first, second in _pair_blocks(offsets, items):
-        if groups > 1:  # one pass over the pairs, which a single group does not need
-            first += (rows // per * n)[:, None]
-        first *= n
-        first += second
-        np.add.at(counts, first.ravel(), 1)  # unlike a bincount, no n * n array per block
-    return counts.reshape(groups, n, n)
-
-
-def _discordances(offsets: np.ndarray, items: np.ndarray, relabel: np.ndarray | None = None) -> np.ndarray:
-    """Per CSR row, the pairs whose items (or ``relabel`` entries) stand in descending order: the row's inversions."""
-    out = np.zeros(len(offsets) - 1, dtype=np.int64)
-    for rows, first, second in _pair_blocks(offsets, items, relabel):
-        out[rows] = np.count_nonzero(first > second, axis=1)
-    return out
 
 
 @lru_cache(maxsize=256)

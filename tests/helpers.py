@@ -189,15 +189,13 @@ def tuple_selection_sets(spec: SelectionSpec, r: int, stream: Stream) -> list[tu
     """
     if spec.kind == "bernoulli_random":
         return looped_bernoulli_sets(spec, r, stream)
-    if spec.kind == "explicit":
-        return [tuple(sorted(s)) for s in spec.sets]
     n = spec.n
     full = tuple(range(n))
     if spec.kind == "complete":
         return [full] * r
     n_full = 0 if spec.kind == "pairwise" else sampling._full_set_count(spec.p, r)
     if spec.kind == "adversarial_matching":
-        pairs = [pair for matching in sampling.matching_family(n)[1:] for pair in matching] or [(0, 1)]
+        pairs = [pair for matching in sampling._matchings(n, 2) for pair in matching] or [(0, 1)]
     else:
         pairs = list(itertools.combinations(range(n), 2))
     return [full] * n_full + [tuple(sorted(pairs[i % len(pairs)])) for i in range(r - n_full)]

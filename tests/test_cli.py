@@ -203,14 +203,15 @@ class TestCliErrors:
 
     @pytest.mark.parametrize("p", ["0", "-1", "nan", "1.5"])
     def test_verify_p_outside_the_unit_interval_exits_two(self, tmp_path, capsys, p):
-        good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+        good, bad, missing = tmp_path / "good.txt", tmp_path / "bad.txt", tmp_path / "missing.txt"
         good.write_text("3,2\nS:0,1,2\nS:0,1,2\n")
         bad.write_text("3,1\nS:0,1,2|R:0,1,1\n")
         assert collect_profile_errors(good.read_text(), p=0.5) == []
-        # p is checked before any file is read, so a malformed file reports no format error first
-        for files in ([good], [bad], [bad, good]):
-            with pytest.raises(ValueError, match="must lie in \\(0, 1\\]"):
-                collect_profile_errors(files[0].read_text(), p=float(p))
+        # p is checked before any file is opened, so neither a malformed nor a missing file is reported first
+        for files in ([good], [bad], [bad, good], [missing], [good, missing]):
+            if files[0].exists():
+                with pytest.raises(ValueError, match="must lie in \\(0, 1\\]"):
+                    collect_profile_errors(files[0].read_text(), p=float(p))
             code, out, err = run(capsys, "verify", *map(str, files), "--p", p)
             assert code == 2
             assert out == ""

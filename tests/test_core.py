@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -198,20 +199,39 @@ class TestContainers:
         with pytest.raises(ValueError, match="beta must be positive and finite"):
             sample_mallows(R(0, 1, 2), beta, Stream.from_seed(0))
 
+    # the messages word for word, each at a set index other than 0
+    SELECTION_ERRORS = [
+        ([(0, 1), (2,)], "selection set 1 has fewer than 2 alternatives"),
+        ([(0, 1), (1, 2), (0, 2, 0)], "selection set 2 contains duplicates"),
+        ([(0, 1), (0, 5)], "selection set 1 contains an alternative outside [0, 3)"),
+        ([(0, 1), (1, 2), (-1, 2)], "selection set 2 contains an alternative outside [0, 3)"),
+        ([(0, 1), (0, 2**70)], "selection set 1 contains an alternative outside [0, 3)"),
+        # items are coerced as Ranking coerces them: a float is never truncated into a duplicate or a wrong item
+        ([(0, 1), (0, 0.5, 1)], "selection set 1 holds a non-integer; alternatives must be integers"),
+        ([(0, 2), (1, 2), (0, 1.5)], "selection set 2 holds a non-integer; alternatives must be integers"),
+        ([(0, 1), ("a", "b")], "selection set 1 holds a non-integer; alternatives must be integers"),
+    ]
+
     def test_selection_rejects_small_sets(self):
-        with pytest.raises(ValueError, match="fewer than 2"):
-            SelectionSequence([(0,)], n=3)
-        with pytest.raises(ValueError, match="outside"):
-            SelectionSequence([(0, 5)], n=3)
+        for sets, message in self.SELECTION_ERRORS:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                SelectionSequence(sets, n=3)
 
     def test_selection_canonicalizes_order(self):
         sel = SelectionSequence([(2, 0), (1, 2)], n=3)
         assert sel.sets == ((0, 2), (1, 2))
 
+    PROFILE_ERRORS = [
+        ([], "profile length does not match selection length"),
+        ([(1, 0), (2, 1), (0, 2)], "profile length does not match selection length"),
+        ([(1, 0), (2, 0)], "ranking 1 is not a permutation of its selection set"),
+        ([(1, 0), (2, 1, 0)], "ranking 1 is not a permutation of its selection set"),  # the wrong length
+        ([(1, 0), (2,)], "ranking 1 is not a permutation of its selection set"),
+    ]
+
     def test_profile_validates_membership(self):
-        sel = SelectionSequence([(0, 1)], n=2)
-        SampleProfile([R(1, 0)], sel)
-        with pytest.raises(ValueError, match="permutation"):
-            SampleProfile([R(0, 1, 2)], sel)
-        with pytest.raises(ValueError, match="length"):
-            SampleProfile([], sel)
+        sel = SelectionSequence([(0, 1), (1, 2)], n=3)
+        assert SampleProfile([R(1, 0), R(2, 1)], sel).rankings == (R(1, 0), R(2, 1))
+        for rankings, message in self.PROFILE_ERRORS:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                SampleProfile([Ranking(rk) for rk in rankings], sel)

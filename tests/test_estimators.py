@@ -20,7 +20,7 @@ from helpers import (
     total_distance,
     widened,
 )
-from mallows_select import estimators, sampling
+from mallows_select import core, estimators
 from mallows_select.core import (
     MallowsParams,
     Ranking,
@@ -67,8 +67,8 @@ class TestAccumulateCounts:
         profiles = [random_incomplete_profile(n=4 + stream.below(4), r=6, stream=stream) for _ in range(20)]
         profiles.append(widened(random_incomplete_profile(n=5, r=9, stream=stream), 3))
         # the default block holds every profile whole; 50 bytes splits all of them
-        for block_bytes in (sampling._PRECEDENCE_BLOCK_BYTES, 50):
-            monkeypatch.setattr(sampling, "_PRECEDENCE_BLOCK_BYTES", block_bytes)
+        for block_bytes in (core._PRECEDENCE_BLOCK_BYTES, 50):
+            monkeypatch.setattr(core, "_PRECEDENCE_BLOCK_BYTES", block_bytes)
             for profile in profiles:
                 counts = accumulate_counts(profile)
                 appear, wins = recount_pairwise(profile)
@@ -207,7 +207,7 @@ class TestOneTieBreak:
     def test_estimator_order_groups_and_counter_equal_looped(self, n, most, seed, start):
         wins = np.random.default_rng(seed).integers(0, most + 1, size=(n, n))
         np.fill_diagonal(wins, 0)
-        counts = PairwiseCounts(n=n, appear=wins + wins.T, wins=wins)
+        counts = PairwiseCounts(wins)
         stream, looped = _drawn(seed, start), _drawn(seed, start)
         result = positional_estimator_from_counts(counts, stream)
         order, groups = looped_order_by_scores(list(result.raw_scores), looped)
@@ -226,7 +226,7 @@ class TestOneTieBreak:
         assert (order == np.argsort(raw, axis=1)).all()
         wins = np.triu(np.ones((n, n), dtype=np.int64), 1)  # 0 beats everyone, 1 everyone after it, ...
         stream = Stream.from_seed(2)
-        result = positional_estimator_from_counts(PairwiseCounts(n=n, appear=wins + wins.T, wins=wins), stream)
+        result = positional_estimator_from_counts(PairwiseCounts(wins), stream)
         assert result.ranking.items == tuple(range(n)) and result.tie_groups == () and stream._ctr == 0
 
 
@@ -253,9 +253,9 @@ class TestSizeGroupedCounting:
         pi = Ranking(data.draw(st.permutations(range(profile.n))))
         appear, wins = recount_pairwise(profile)
         expected = sequential_log_likelihood(pi, profile, beta)
-        for block_bytes in (sampling._PRECEDENCE_BLOCK_BYTES, 50):
+        for block_bytes in (core._PRECEDENCE_BLOCK_BYTES, 50):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(sampling, "_PRECEDENCE_BLOCK_BYTES", block_bytes)
+                patch.setattr(core, "_PRECEDENCE_BLOCK_BYTES", block_bytes)
                 counts = accumulate_counts(profile)
                 assert (counts.appear == appear).all() and (counts.wins == wins).all()
                 assert log_likelihood(pi, profile, beta) == expected
@@ -377,8 +377,8 @@ class TestLogLikelihood:
         profile = widened(random_incomplete_profile(n=6, r=12, stream=stream), 4)
         cases.append((Ranking(stream.permutation(10)), profile, 1.3))
         cases.append((Ranking(stream.permutation(12)), profile, 0.4))  # pi also ranks items beyond n
-        for block_bytes in (sampling._PRECEDENCE_BLOCK_BYTES, 50):
-            monkeypatch.setattr(sampling, "_PRECEDENCE_BLOCK_BYTES", block_bytes)
+        for block_bytes in (core._PRECEDENCE_BLOCK_BYTES, 50):
+            monkeypatch.setattr(core, "_PRECEDENCE_BLOCK_BYTES", block_bytes)
             for pi, profile, beta in cases:
                 assert log_likelihood(pi, profile, beta) == sequential_log_likelihood(pi, profile, beta)
 
@@ -390,8 +390,8 @@ class TestLogLikelihood:
 
 def _complete_profile_of_size(n: int, r: int, stream: Stream) -> SampleProfile:
     rows = (stream.u64_array(r * n).reshape(r, n) >> np.uint64(1)).astype(np.int64).argsort(axis=1)
-    selection = SelectionSequence([tuple(range(n))] * r, n, validate=False)
-    return SampleProfile([Ranking(row, validate=False) for row in rows.tolist()], selection, validate=False)
+    selection = SelectionSequence._from_arrays(n, np.arange(r + 1) * n, np.tile(np.arange(n), r))
+    return SampleProfile._from_arrays(selection, rows.ravel())
 
 
 class TestKernelMemory:
@@ -413,7 +413,7 @@ class TestKernelMemory:
                 tracemalloc.stop()
         # one r x n x n boolean block would be 40 MB at r=1000 and 160 MB at r=4000
         assert peaks[1] <= peaks[0] + (1 << 20)
-        assert peaks[1] <= sampling._PRECEDENCE_BLOCK_BYTES + (8 << 20)
+        assert peaks[1] <= core._PRECEDENCE_BLOCK_BYTES + (8 << 20)
 
 
 class TestBruteForce:

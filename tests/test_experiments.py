@@ -26,25 +26,25 @@ from mallows_select.rng import Stream
 
 
 class TestBinarySearch:
-    def test_deterministic_stub_threshold(self):
-        out = binary_search_complexity(
-            5, 1.0, 1.0, 0.95, 10, "complete", Stream.from_seed(0),
-            success_fn=lambda r: 1.0 if r >= 37 else 0.0,
-        )
+    @staticmethod
+    def stub_success(monkeypatch, success):
+        """Replace every probe's trials by ``success(r)``."""
+        monkeypatch.setattr(xp, "estimate_success_rate", lambda n, beta, p, r, *args: success(r))
+
+    def test_deterministic_stub_threshold(self, monkeypatch):
+        self.stub_success(monkeypatch, lambda r: 1.0 if r >= 37 else 0.0)
+        out = binary_search_complexity(5, 1.0, 1.0, 0.95, 10, "complete", Stream.from_seed(0))
         assert out == 37
 
-    def test_succeeds_immediately_at_one(self):
-        out = binary_search_complexity(
-            5, 1.0, 1.0, 0.95, 10, "complete", Stream.from_seed(0), success_fn=lambda r: 1.0
-        )
+    def test_succeeds_immediately_at_one(self, monkeypatch):
+        self.stub_success(monkeypatch, lambda r: 1.0)
+        out = binary_search_complexity(5, 1.0, 1.0, 0.95, 10, "complete", Stream.from_seed(0))
         assert out == 1
 
-    def test_cap_error(self):
+    def test_cap_error(self, monkeypatch):
+        self.stub_success(monkeypatch, lambda r: 0.0)
         with pytest.raises(SearchCapError, match="cap of 64"):
-            binary_search_complexity(
-                5, 1.0, 1.0, 0.95, 10, "complete", Stream.from_seed(0),
-                max_r=64, success_fn=lambda r: 0.0,
-            )
+            binary_search_complexity(5, 1.0, 1.0, 0.95, 10, "complete", Stream.from_seed(0), max_r=64)
 
     def test_noiseless_search_returns_one(self):
         out = binary_search_complexity(

@@ -1,0 +1,56 @@
+"""Static checks of the package source, read with ``ast``: every import is used, and the CSR row kernels have one home."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "mallows_select"
+MODULES = sorted(SRC.glob("*.py"))
+# the kernels that read CSR rows, and the buffer bound they share, all defined in core
+ROW_KERNELS = {"_triu_pairs", "_pair_blocks", "_pair_counts", "_discordances", "_PRECEDENCE_BLOCK_BYTES"}
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _imports(tree: ast.Module):
+    """``(bound name, source module, imported name)`` of every import but ``__future__``'s."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], alias.name, alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, "." * node.level + (node.module or ""), alias.name
+
+
+def _top_level_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_imported_name_is_used(path):
+    tree = _tree(path)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:  # a package re-exports what it lists in __all__
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= {elt.value for elt in node.value.elts}
+    assert [name for name, _, _ in _imports(tree) if name not in used] == []
+
+
+def test_row_kernels_live_in_core_only():
+    for path in MODULES:
+        tree = _tree(path)
+        wrong = [(module, name) for _, module, name in _imports(tree) if name in ROW_KERNELS and module != ".core"]
+        assert wrong == [], f"{path.name} imports row kernels from outside core"
+        defined = _top_level_names(tree) & ROW_KERNELS
+        assert defined == (ROW_KERNELS if path.name == "core.py" else set()), path.name

@@ -34,7 +34,7 @@ from mallows_select.sampling import SelectionSpec, generate_selection, sample_pr
 def random_counts(n: int, rng: np.random.Generator, hi: int = 6) -> PairwiseCounts:
     wins = rng.integers(0, hi, size=(n, n)).astype(np.int64)
     np.fill_diagonal(wins, 0)
-    return PairwiseCounts(n=n, appear=wins + wins.T, wins=wins)
+    return PairwiseCounts(wins)
 
 
 class TestDpMaximize:
@@ -114,7 +114,7 @@ class TestDpMaximize:
         n = 5
         wins = np.zeros((n, n), dtype=np.int64)
         wins[4, :4] = 10
-        counts = PairwiseCounts(n=n, appear=wins + wins.T, wins=wins)
+        counts = PairwiseCounts(wins)
         anchor = Ranking.identity(n)
         with pytest.raises(BoundaryTouchError, match="truncating"):
             dp_maximize(counts, DpConfig(radius=1, anchor=anchor, boundary_policy="error"))

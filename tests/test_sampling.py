@@ -18,7 +18,7 @@ from helpers import (
     pair_scan_coappearance,
     tuple_selection_sets,
 )
-from mallows_select import sampling
+from mallows_select import core, sampling
 from mallows_select.core import (
     MallowsParams,
     Ranking,
@@ -32,8 +32,8 @@ from mallows_select.rng import Stream, child_key_grid
 from mallows_select.sampling import (
     InfeasibleSpecError,
     SelectionSpec,
+    _matchings,
     generate_selection,
-    matching_family,
     sample_mallows,
     sample_profile,
     verify_p_frequent,
@@ -195,7 +195,7 @@ class TestGenerateSelection:
         assert verify_p_frequent(sel, 1 / 6).ok
 
     def test_adversarial_first_matching_and_pfrequency(self):
-        family = matching_family(8)
+        family = list(_matchings(8, 1))
         assert family[0] == [(0, 1), (2, 3), (4, 5), (6, 7)]
         spec = SelectionSpec(kind="adversarial_matching", n=8, p=0.5)
         sel = generate_selection(spec, 6)
@@ -208,7 +208,7 @@ class TestGenerateSelection:
 
     def test_matching_family_is_edge_disjoint_and_covers(self):
         n = 10
-        family = matching_family(n)
+        family = list(_matchings(n, 1))
         pairs = [tuple(sorted(p)) for matching in family for p in matching]
         assert len(pairs) == len(set(pairs)) == n * n // 4
         for matching in family:
@@ -217,7 +217,7 @@ class TestGenerateSelection:
 
     def test_matching_family_odd_n_rejected(self):
         with pytest.raises(InfeasibleSpecError):
-            matching_family(7)
+            _matchings(7, 1)
 
     def test_bernoulli_sets_have_at_least_two_members(self):
         spec = SelectionSpec(kind="bernoulli_random", n=10, p=0.04)
@@ -255,13 +255,6 @@ class TestGenerateSelection:
         with pytest.raises(InfeasibleSpecError, match="uniforms"):
             generate_selection(spec, 1, stream)
         assert stream.u64() == Stream.from_seed(15).u64()
-
-    def test_explicit_passthrough_and_length_check(self):
-        spec = SelectionSpec(kind="explicit", n=4, sets=((0, 1), (1, 2, 3)))
-        sel = generate_selection(spec, 2)
-        assert sel.sets == ((0, 1), (1, 2, 3))
-        with pytest.raises(InfeasibleSpecError, match="explicit"):
-            generate_selection(spec, 3)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InfeasibleSpecError):
@@ -310,8 +303,8 @@ class TestVerifyPFrequent:
         selections.append(generate_selection(SelectionSpec(kind="mixed_pfrequent", n=6, p=0.5), 9))
         # alternatives 7..9 are never selected, so every worst pair involves them
         selections.append(SelectionSequence(selections[-1].sets, 10))
-        for block_bytes in (sampling._PRECEDENCE_BLOCK_BYTES, 50):
-            monkeypatch.setattr(sampling, "_PRECEDENCE_BLOCK_BYTES", block_bytes)
+        for block_bytes in (core._PRECEDENCE_BLOCK_BYTES, 50):
+            monkeypatch.setattr(core, "_PRECEDENCE_BLOCK_BYTES", block_bytes)
             for sel in selections:
                 report = verify_p_frequent(sel, 0.3)
                 expected = pair_scan_coappearance(sel)
@@ -337,11 +330,13 @@ class TestVerifyPFrequent:
         assert peak < 4 << 20
 
 
-@pytest.mark.parametrize("kind", SelectionSpec._KINDS)
+@pytest.mark.parametrize("kind", SelectionSpec._KINDS + ("explicit",))
 def test_selection_items_are_python_ints(kind):
     n = 6
-    spec = SelectionSpec(kind=kind, n=n, p=0.5, sets=((0, 1), (2, 5, 3)) if kind == "explicit" else None)
-    selection = generate_selection(spec, 2 if kind == "explicit" else 9, Stream.from_seed(1))
+    if kind == "explicit":  # given sets, wrapped by the constructor
+        selection = SelectionSequence(((0, 1), (2, 5, 3)), n)
+    else:
+        selection = generate_selection(SelectionSpec(kind=kind, n=n, p=0.5), 9, Stream.from_seed(1))
     profile = sample_profile(MallowsParams(Ranking.identity(n), 1.0), selection, Stream.from_seed(2))
     for rows in (selection.sets, profile.selection.sets, [rk.items for rk in profile.rankings]):
         assert all(type(x) is int for row in rows for x in row)
@@ -386,10 +381,7 @@ def selection_specs(draw):
         p = draw(st.floats(0.05, 1.0))
     else:
         p = draw(st.floats(0.0, 1.0, exclude_min=True))
-    sets = None
-    if kind == "explicit":
-        sets = tuple(draw(st.lists(st.sets(st.integers(0, n - 1), min_size=2), min_size=r, max_size=r)))
-    return SelectionSpec(kind=kind, n=n, p=p, sets=sets), r
+    return SelectionSpec(kind=kind, n=n, p=p), r
 
 
 class TestSelectionArrays:
@@ -428,12 +420,12 @@ class TestSelectionArrays:
 
 @st.composite
 def selections(draw):
-    """A selection of every generated kind, an empty one, or free sets of any size from 1 (validate=False)."""
-    kind = draw(st.sampled_from(SelectionSpec._KINDS))
+    """A selection of every generated kind, an empty one, or free sets of any size from 1 (unchecked arrays)."""
+    kind = draw(st.sampled_from(SelectionSpec._KINDS + ("free",)))
     n = draw(st.integers(1, 4)) * 2 if kind == "adversarial_matching" else draw(st.integers(2, 9))
-    if kind == "explicit":
+    if kind == "free":
         sets = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), max_size=30))
-        return SelectionSequence(sets, n, validate=False)
+        return SelectionSequence._from_arrays(n, *_csr_arrays([sorted(s) for s in sets]))
     r = draw(st.integers(0, 40))
     if r == 0:
         return SelectionSequence([], n)
