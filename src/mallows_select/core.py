@@ -142,6 +142,8 @@ class SelectionSequence:
     __slots__ = ("n", "offsets", "items", "_sets")
 
     def __init__(self, sets: Iterable[Iterable[int]], n: int):
+        if n > _MAX_N:
+            raise ValueError(f"n={n} is over the limit of {_MAX_N} alternatives")
         canon = []
         for idx, s in enumerate(sets):
             try:

@@ -12,8 +12,9 @@ runs a range of trials as arrays: trial keys by vectorised stream folds,
 centers by one Fisher-Yates pass over all trials, the sets of all trials
 as one array of CSR rows, each in its center's order, samples and
 pairwise wins by the sampler and the pair counter of a single profile
-(repeated insertion grouped by set size, a count that grows with the sum
-of m^2 over the rows, grouped by trial), and the positional estimate by
+(one repeated-insertion pass over the rows sorted by size, and a count
+that grows with the sum of m^2 over the rows, grouped by trial), and the
+positional estimate by
 one sort and tie shuffle of the scores of all trials, the routine behind
 the public estimator.  Only the windowed DP of the ltn and mle
 estimators runs trial by trial, around those estimates.  The rows equal
@@ -153,7 +154,10 @@ def _cell(
     if estimator != "posest":
         radius = (pointwise_window if estimator == "ltn" else mle_window)(n, beta, p, r)
     planted = None if center is None else np.array(center.items, dtype=np.int64)
-    # per trial: an r*n membership mask, int64 items, ranks and keys for up to r*n members, and four n*n int64 tallies
+    # bytes per trial in the step: 25 per cell of the r*n membership mask (the mask, plus the nonzero row and column
+    # indices and the restricted center item, 8 bytes each, of up to r*n members) and 32 per cell of n*n (four int64
+    # arrays: the wins, their sum with the transpose and the positional scores' work); not counted: the samples, the
+    # sampler's draws and int32 positions, and the pair buffers of the count
     step = max(1, _TRIAL_BLOCK_BYTES // (r * n * 25 + 32 * n * n))
     est, pi0 = np.empty((len(trials), n), dtype=np.int64), np.empty((len(trials), n), dtype=np.int64)
     for a in range(0, len(trials), step):

@@ -1,26 +1,29 @@
 """Exact sampling from selective Mallows distributions and selection generators.
 
 Every sample comes from one repeated-insertion routine,
-``_insertion_ranks``: the items of the restricted central ranking are
+:func:`_sample_rows`: the items of the restricted central ranking are
 inserted one by one, the t-th item going at displacement d from the
 bottom of the partial ranking with probability proportional to
 e^{-beta*d}.  Each insertion at displacement d adds exactly d discordant
 pairs against the center, so the product of the step weights reproduces
-e^{-beta*d_KT} / Z exactly.  The routine draws all samples of one size
-as arrays, each from its own keyed stream, so :func:`sample_mallows`,
-:func:`sample_profile` and the experiment kernel make the same draws.
+e^{-beta*d_KT} / Z exactly.  The routine draws the samples of all its
+rows as arrays, each from its own keyed stream, so :func:`sample_mallows`
+(one row), :func:`sample_profile` (a row per set) and the experiment
+kernel (a row per set of every trial) make the same draws.  A step's
+weights depend on the step and beta only, never on the set size, so the
+routine runs one pass over rows of every size, sorted by size, with no
+group per size.
 
 Selections, profiles, files and the experiment kernel hold their sets and
-samples as CSR rows, and :func:`generate_selection` builds them as such.
-One routine, :func:`_sample_rows`, draws a sample per row, per profile or
-per trial; the kernels that count the rows' pairs live in ``core``.
+samples as CSR rows, and :func:`generate_selection` builds them as such;
+the kernels that count the rows' pairs live in ``core``.
 
 Insertion decisions are integer-only: the per-step cumulative weights are
-computed once per (size, beta) in double precision, frozen to 63-bit
-integer thresholds, and compared against 63-bit uniform draws.  The
-~1e-16 distortion of the frozen thresholds is far below every statistical
-tolerance in this package, and it buys bit-identical profiles across
-platforms.
+computed once per (largest size, beta) in double precision, frozen to
+63-bit integer thresholds, and compared against 63-bit uniform draws.
+The ~1e-16 distortion of the frozen thresholds is far below every
+statistical tolerance in this package, and it buys bit-identical profiles
+across platforms.
 """
 
 from __future__ import annotations
@@ -32,7 +35,17 @@ from itertools import chain, combinations, cycle, islice
 
 import numpy as np
 
-from .core import _MAX_N, MallowsParams, Ranking, SampleProfile, SelectionSequence, _pair_counts, _triu_pairs, check_beta
+from .core import (
+    _MAX_N,
+    _PRECEDENCE_BLOCK_BYTES,
+    MallowsParams,
+    Ranking,
+    SampleProfile,
+    SelectionSequence,
+    _pair_counts,
+    _triu_pairs,
+    check_beta,
+)
 from .rng import Stream, draw_matrix
 
 _SCALE_BITS = 63
@@ -223,7 +236,8 @@ def _insertion_thresholds(m: int, beta: float) -> tuple[np.ndarray, ...]:
     """Frozen 63-bit CDF thresholds for insertion steps 2..m.
 
     Step s (the partial ranking grows to size s) admits displacements
-    d = 0..s-1 from the bottom with weight e^{-beta*d}.
+    d = 0..s-1 from the bottom with weight e^{-beta*d}.  Its table does not
+    depend on m, so the tables of the largest row serve every row.
     """
     weights = np.exp(-beta * np.arange(m, dtype=np.float64))
     tables = []
@@ -235,38 +249,57 @@ def _insertion_thresholds(m: int, beta: float) -> tuple[np.ndarray, ...]:
     return tuple(tables)
 
 
-def _insertion_ranks(keys: np.ndarray, m: int, beta: float, start=0) -> np.ndarray:
-    """One m-item sample per key by repeated insertion, shape (len(keys), m).
+def _sample_rows(
+    keys: np.ndarray, offsets: np.ndarray, restricted: np.ndarray, beta: float, start: int = 0
+) -> np.ndarray:
+    """One sample per CSR row by repeated insertion, in one pass over rows of every size.
 
-    Entry k is the position, in its sample, of the k-th item of the
-    restricted center.  Item k (k >= 1) goes in at displacement d from the
-    bottom, ``searchsorted`` of draw ``start+k`` of ``Stream(key)`` in the
-    step's thresholds: at index k - d, the items at or past it moving back.
-    """
-    tables = _insertion_thresholds(m, beta)
-    draws = draw_matrix(keys, m - 1, start) >> np.uint64(1)
-    pos = np.zeros((len(keys), m), dtype=np.int32)
-    for k in range(1, m):
-        ins = (k - np.searchsorted(tables[k - 1], draws[:, k - 1], side="right"))[:, None]
-        pos[:, :k] += pos[:, :k] >= ins
-        pos[:, k : k + 1] = ins
-    return pos
+    Row l of ``restricted`` (``restricted[offsets[l]:offsets[l+1]]``, at
+    least one item) is a restricted center, top first; its sample holds
+    each of those items at its drawn rank.  Item k of a row (k >= 1) goes in
+    at displacement d from the bottom, ``searchsorted`` of draw
+    ``start+k`` of ``Stream(keys[l])`` in step k's thresholds, which do not
+    depend on the row's size: at index k - d, the items at or past it
+    moving back.
 
-
-def _sample_rows(keys: np.ndarray, offsets: np.ndarray, restricted: np.ndarray, beta: float) -> np.ndarray:
-    """One sample per CSR row by :func:`_insertion_ranks`, one call per row size.
-
-    Row l of ``restricted`` (``restricted[offsets[l]:offsets[l+1]]``) is a
-    restricted center, top first; its sample, drawn from ``keys[l]``, holds
-    each of those items at its drawn rank.  The memory grows with the total
-    row size, never with rows times n.
+    The rows run sorted by size, largest first, so the rows that step k
+    moves (those with m > k) are a prefix, and a chunk of rows takes max
+    m - 1 steps.  A chunk holds at most ``_PRECEDENCE_BLOCK_BYTES // 64``
+    cells padded to its largest row (more only when one row needs more):
+    each costs 4 bytes of int32 position, and each of the chunk's items
+    about 70 bytes of draws and indices while they are drawn.  So the
+    memory grows with the total row size, never with rows times n.
     """
     sizes = np.diff(offsets)
+    order = np.argsort(-sizes, kind="stable")
+    sizes = sizes[order]
+    tables = _insertion_thresholds(int(sizes.max(initial=0)), beta)
     samples = np.empty_like(restricted)
-    for m in np.flatnonzero(np.bincount(sizes)).tolist():
-        rows = np.flatnonzero(sizes == m)
-        start = offsets[rows, None]
-        samples[start + _insertion_ranks(keys[rows], m, beta)] = restricted[start + np.arange(m)]
+    lo = 0
+    while lo < len(order):
+        m = sizes[lo : lo + max(1, _PRECEDENCE_BLOCK_BYTES // 64 // int(sizes[lo]))]  # descending
+        rows, width = order[lo : lo + len(m)], int(m[0])
+        lo += len(m)
+        live = np.searchsorted(-m, -np.arange(width), side="left")  # live[c]: the rows with m > c
+        ends = np.cumsum(live)
+        # the chunk's items column by column: column c holds item c of its first live[c] rows
+        row = np.arange(ends[-1]) - np.repeat(ends - live, live)
+        col = np.repeat(np.arange(width), live)
+        # the items of columns 1.. in one flat draw: item c of a row takes its stream's draw start + c
+        u = draw_matrix(keys[rows][row[len(m) :]], 1, start + col[len(m) :] - 1)[:, 0] >> np.uint64(1)
+        # pos[c, i]: the rank of item c of row i.  A step updates pos[:k, :moved], fastest along a contiguous run,
+        # so the rows are contiguous when the middle step still moves as many rows as it has items before it.
+        rows_contiguous = live[width // 2] >= width // 2
+        pos = np.zeros((width, len(m)), np.int32) if rows_contiguous else np.zeros((len(m), width), np.int32).T
+        at = 0
+        for k, moved in enumerate(live[1:].tolist(), 1):
+            ins = pos[k, :moved]
+            np.subtract(k, np.searchsorted(tables[k - 1], u[at : at + moved], side="right"), out=ins, casting="unsafe")
+            at += moved
+            head = pos[:k, :moved]
+            head += head >= ins
+        first = offsets[rows][row]
+        samples[first + pos[np.arange(width)[:, None] < m]] = restricted[first + col]
     return samples
 
 
@@ -276,9 +309,10 @@ def sample_mallows(center: Ranking, beta: float, stream: Stream) -> Ranking:
     m = len(center)
     if m == 0:
         raise ValueError("cannot sample a ranking of an empty set")
-    ranks = _insertion_ranks(np.array([stream.key], dtype=np.uint64), m, beta, start=stream._ctr)[0]
+    keys, offsets = np.array([stream.key], dtype=np.uint64), np.array([0, m])
+    sample = _sample_rows(keys, offsets, np.array(center.items), beta, start=stream._ctr)
     stream._ctr += m - 1
-    return Ranking(np.array(center.items)[np.argsort(ranks)].tolist(), validate=False)
+    return Ranking(sample.tolist(), validate=False)
 
 
 def sample_profile(params: MallowsParams, selection: SelectionSequence, stream: Stream) -> SampleProfile:

@@ -28,7 +28,7 @@ from mallows_select.core import (
 from mallows_select.estimators import accumulate_counts, positional_estimator, score, score_permutation_array
 from mallows_select.fileio import FileFormatError, _err, _parse_header
 from mallows_select.mle import recover_likelier_than_nature, recover_mle
-from mallows_select.rng import Stream
+from mallows_select.rng import Stream, draw_matrix
 from mallows_select.sampling import SelectionSpec, generate_selection, sample_profile
 
 
@@ -215,6 +215,30 @@ def insertion_sample(center_items: tuple[int, ...], beta: float, stream: Stream)
         d = int(np.searchsorted(tables[k], draws[k], side="right"))
         out.insert(len(out) - d, item)
     return tuple(out)
+
+
+def grouped_sample_rows(keys: np.ndarray, offsets: np.ndarray, restricted: np.ndarray, beta: float, start=0) -> np.ndarray:
+    """The reference form of ``sampling._sample_rows``: one insertion pass per row size, each with its own thresholds.
+
+    Item k of a row (k >= 1) goes in at displacement d from the bottom,
+    ``searchsorted`` of draw ``start+k`` of ``Stream(key)`` in the step's
+    thresholds for the row's size m: at index k - d, the items at or past
+    it moving back.
+    """
+    sizes = np.diff(offsets)
+    samples = np.empty_like(restricted)
+    for m in np.flatnonzero(np.bincount(sizes)).tolist():
+        rows = np.flatnonzero(sizes == m)
+        tables = sampling._insertion_thresholds(m, beta)
+        draws = draw_matrix(keys[rows], m - 1, start) >> np.uint64(1)
+        pos = np.zeros((len(rows), m), dtype=np.int32)
+        for k in range(1, m):
+            ins = (k - np.searchsorted(tables[k - 1], draws[:, k - 1], side="right"))[:, None]
+            pos[:, :k] += pos[:, :k] >= ins
+            pos[:, k : k + 1] = ins
+        first = offsets[rows, None]
+        samples[first + pos] = restricted[first + np.arange(m)]
+    return samples
 
 
 def looped_sample_profile(params: MallowsParams, selection: SelectionSequence, stream: Stream) -> list[tuple[int, ...]]:

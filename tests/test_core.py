@@ -201,21 +201,25 @@ class TestContainers:
 
     # the messages word for word, each at a set index other than 0
     SELECTION_ERRORS = [
-        ([(0, 1), (2,)], "selection set 1 has fewer than 2 alternatives"),
-        ([(0, 1), (1, 2), (0, 2, 0)], "selection set 2 contains duplicates"),
-        ([(0, 1), (0, 5)], "selection set 1 contains an alternative outside [0, 3)"),
-        ([(0, 1), (1, 2), (-1, 2)], "selection set 2 contains an alternative outside [0, 3)"),
-        ([(0, 1), (0, 2**70)], "selection set 1 contains an alternative outside [0, 3)"),
+        ([(0, 1), (2,)], 3, "selection set 1 has fewer than 2 alternatives"),
+        ([(0, 1), (1, 2), (0, 2, 0)], 3, "selection set 2 contains duplicates"),
+        ([(0, 1), (0, 5)], 3, "selection set 1 contains an alternative outside [0, 3)"),
+        ([(0, 1), (1, 2), (-1, 2)], 3, "selection set 2 contains an alternative outside [0, 3)"),
+        ([(0, 1), (0, 2**70)], 3, "selection set 1 contains an alternative outside [0, 3)"),
         # items are coerced as Ranking coerces them: a float is never truncated into a duplicate or a wrong item
-        ([(0, 1), (0, 0.5, 1)], "selection set 1 holds a non-integer; alternatives must be integers"),
-        ([(0, 2), (1, 2), (0, 1.5)], "selection set 2 holds a non-integer; alternatives must be integers"),
-        ([(0, 1), ("a", "b")], "selection set 1 holds a non-integer; alternatives must be integers"),
+        ([(0, 1), (0, 0.5, 1)], 3, "selection set 1 holds a non-integer; alternatives must be integers"),
+        ([(0, 2), (1, 2), (0, 1.5)], 3, "selection set 2 holds a non-integer; alternatives must be integers"),
+        ([(0, 1), ("a", "b")], 3, "selection set 1 holds a non-integer; alternatives must be integers"),
+        # n is bounded as in SelectionSpec and the file header, even with no set to hold it: counts take n x n
+        ([], 10**6, "n=1000000 is over the limit of 8192 alternatives"),
+        ([(0, 1)], 8193, "n=8193 is over the limit of 8192 alternatives"),
     ]
 
     def test_selection_rejects_small_sets(self):
-        for sets, message in self.SELECTION_ERRORS:
+        for sets, n, message in self.SELECTION_ERRORS:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                SelectionSequence(sets, n=3)
+                SelectionSequence(sets, n=n)
+        assert SelectionSequence([(0, 8191)], 8192).n == 8192
 
     def test_selection_canonicalizes_order(self):
         sel = SelectionSequence([(2, 0), (1, 2)], n=3)

@@ -11,6 +11,7 @@ from scipy import stats
 
 from helpers import (
     exact_pair_flip_probability,
+    grouped_sample_rows,
     insertion_sample,
     looped_bernoulli_sets,
     looped_sample_profile,
@@ -433,6 +434,25 @@ def selections(draw):
     return generate_selection(spec, r, Stream.from_seed(draw(st.integers(0, 99))))
 
 
+@st.composite
+def ragged_rows(draw):
+    """CSR rows of restricted centers over n <= 40 items: sizes unsorted, one row, one large row among pairs, or one size."""
+    n = draw(st.integers(2, 40))
+    shape = draw(st.sampled_from(["unsorted", "single", "skewed", "uniform"]))
+    if shape == "unsorted":
+        sizes = draw(st.lists(st.integers(1, n), min_size=1, max_size=60))
+    elif shape == "single":
+        sizes = [draw(st.integers(1, n))]
+    elif shape == "skewed":
+        sizes = [2] * draw(st.integers(1, 200))
+        sizes.insert(draw(st.integers(0, len(sizes))), n)
+    else:
+        sizes = [draw(st.integers(1, n))] * draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    restricted = np.concatenate([rng.permutation(n)[:m] for m in sizes])
+    return np.concatenate(([0], np.cumsum(sizes))), restricted
+
+
 class TestOneSampler:
     """``sample_profile`` and ``sample_mallows`` against the list-insertion reference in ``helpers``."""
 
@@ -461,6 +481,23 @@ class TestOneSampler:
         assert sample_mallows(Ranking(items), beta, stream).items == insertion_sample(tuple(items), beta, reference)
         assert stream._ctr == reference._ctr
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=ragged_rows(),
+        beta=st.floats(0.05, 6.0),
+        seed=st.integers(0, 2**32),
+        start=st.integers(0, 10**6),
+        budget=st.sampled_from([None, 64, 64 * 7, 64 * 60]),  # chunks of at most 1, 7 or 60 padded cells, or one row
+    )
+    def test_one_pass_equals_the_size_grouped_reference(self, rows, beta, seed, start, budget):
+        offsets, restricted = rows
+        keys = Stream.from_seed(seed).child_keys(len(offsets) - 1)
+        expected = grouped_sample_rows(keys, offsets, restricted, beta, start)
+        with pytest.MonkeyPatch.context() as patch:
+            if budget is not None:
+                patch.setattr(sampling, "_PRECEDENCE_BLOCK_BYTES", budget)
+            assert np.array_equal(sampling._sample_rows(keys, offsets, restricted, beta, start), expected)
+
     def test_pair_only_profile_memory_is_linear_in_the_set_sizes(self):
         # a dense (r, n) array of any dtype would take at least 4 MB here
         n, r = 2000, 2000
@@ -473,6 +510,21 @@ class TestOneSampler:
         finally:
             tracemalloc.stop()
         assert peak < 2 << 20
+
+    def test_skewed_profile_memory_is_linear_in_the_set_sizes(self):
+        # 4 full sets and 3,996 pairs: padding every row to the largest set takes 64 MB of int32 positions here
+        n, r = 4000, 4000
+        selection = generate_selection(SelectionSpec(kind="mixed_pfrequent", n=n, p=0.001), r)
+        params = MallowsParams(Ranking(Stream.from_seed(3).permutation(n)), 1.0)
+        sampling._insertion_thresholds(n, 1.0)  # warm the cached tables, whose n^2 / 2 thresholds take 64 MB
+        tracemalloc.start()
+        try:
+            profile = sample_profile(params, selection, Stream.from_seed(4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.diff(profile.offsets).tolist() == [n] * 4 + [2] * (r - 4)
+        assert peak < 8 << 20
 
     @pytest.mark.parametrize("kind", ["pairwise", "mixed_pfrequent", "adversarial_matching"])
     def test_pair_lists_are_bounded_by_r(self, kind):
