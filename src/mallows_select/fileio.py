@@ -10,14 +10,15 @@ and word every error: the lines are those of ``str.splitlines``, blank
 lines are skipped and take no line number, and a token is whatever
 ``int`` reads after the line is stripped, so spaces around a token, a
 ``+`` sign, ``_`` separators and non-ASCII digits are accepted.  A file
-is read in two passes.  A byte pass tokenises the UTF-8 of all non-blank
-lines at once with array operations and reads every line in the form
-that :func:`format_profile` writes whose invariants all hold: the line
+is read whole or declined by a byte pass, which tokenises the UTF-8 of
+all non-blank lines at once with array operations.  It reads a file whose
+lines all take the form that :func:`format_profile` writes, or all the
+form of :func:`format_selection`, and whose invariants all hold: the line
 shape, no empty token, no duplicate (by sorting ``line * n + item``),
 every item in ``[0, n)``, a set of at least two, a ranking whose sorted
-items equal the set's.  When every line passes, the byte pass's arrays
-are the file's, and the common file builds no per-line object.  When any
-line leaves it, the whole file is read line by line by the per-line
+items equal the set's.  Its arrays are then the file's, and the common
+file builds no per-line object.  It declines any other file at its first
+failed check, and the whole file is read line by line by the per-line
 checks instead, so a file reads, and fails, exactly as it would line by
 line, errors and their order included.  Readers pass the CSR arrays to
 the core types as they are; writers read them.
@@ -122,13 +123,12 @@ def _check_line(raw: str, line_no: int, n: int) -> dict | tuple[tuple[int, ...],
     return s_sorted, r_items
 
 
-# byte classes of the byte pass: digits, commas, and every other byte, which a canonical line holds
-# exactly six of, in the order of _LAYOUT
+# byte classes of the byte pass: digits, commas, and every other byte, which a canonical line holds as one layout
 _DIGIT, _COMMA = 1, 2
 _BYTE_CLASS = np.zeros(256, dtype=np.uint8)
 _BYTE_CLASS[ord("0") : ord("9") + 1] = _DIGIT
 _BYTE_CLASS[ord(",")] = _COMMA
-_LAYOUT = np.frombuffer(b"S:|R:\n", dtype=np.uint8)
+_PROFILE_LAYOUT, _SELECTION_LAYOUT = (np.frombuffer(layout, dtype=np.uint8) for layout in (b"S:|R:\n", b"S:\n"))
 _MAX_DIGITS = 9  # int32 holds every shorter digit run; a longer one goes to the per-line checks
 
 
@@ -137,73 +137,70 @@ def _positions(mask: np.ndarray) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int32)
 
 
-def _byte_pass(body: list[str], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Read the lines of ``body`` that are canonical and valid, all at once from their bytes.
+def _byte_pass(body: list[str], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None] | None:
+    """Read every line of ``body`` at once from its bytes, or decline the whole file.
 
-    Returns ``(ok, offsets, set_items, rank_items)``: ``ok[i]`` marks line
-    i as read, and the CSR arrays hold the read lines in order, sets
-    sorted.  A line is read when it is ``S:<set>|R:<ranking>``, each part
-    runs of at most nine ASCII digits joined by single commas, its set
-    holds at least two distinct items below n, and its ranking is a
-    permutation of its set.  Every other line is left to the per-line
-    checks.  Positions are int32 and bytes uint8, so the scratch arrays
-    stay a few times the size of the text.
+    Returns ``(offsets, set_items, rank_items)``, the CSR arrays of the
+    lines in order, sets sorted, when every line is canonical and valid,
+    and None as soon as any check fails.  All lines must take one layout:
+    ``S:<set>|R:<ranking>``, or ``S:<set>``, for which ``rank_items`` is
+    None.  Each part is runs of at most nine ASCII digits joined by
+    single commas, a set holds at least two distinct items below n, and a
+    ranking is a permutation of its set.  Positions are int32 and bytes
+    uint8, so the scratch arrays stay a few times the size of the text.
     """
     lines = len(body)
-    if not lines:
-        empty = np.zeros(0, dtype=np.int64)
-        return np.zeros(0, dtype=bool), np.zeros(1, dtype=np.int64), empty, empty
-    data = np.frombuffer(("\n".join(body) + "\n").encode(errors="surrogatepass"), dtype=np.uint8)
+    data = np.frombuffer("\n".join([*body, ""]).encode(errors="surrogatepass"), dtype=np.uint8)
     cls = _BYTE_CLASS[data]
     ends = _positions(data == 10)  # line i ends at ends[i]
-    starts = np.concatenate(([0], ends[:-1] + 1)).astype(np.int32)
+    starts = np.concatenate(([0], ends + 1))[:lines].astype(np.int32)
 
-    # line shape: the six layout bytes in place, both parts nonempty
+    # line shape: row i of the marks is line i's layout bytes, as no line holds a newline but at its end;
+    # a nonempty part follows each ':', and the other layout bytes are adjacent
     marks = _positions(cls == 0)
-    per_line = np.diff(np.searchsorted(marks, ends, side="right"), prepend=0)
-    shaped = np.flatnonzero(per_line == 6)
-    at = marks[np.cumsum(per_line)[shaped, None] - 6 + np.arange(6)]
-    ok = np.zeros(lines, dtype=bool)
-    ok[shaped] = (
-        (data[at] == _LAYOUT).all(axis=1) & (at[:, 0] == starts[shaped]) & (at[:, 1] == at[:, 0] + 1)
-        & (at[:, 3] == at[:, 2] + 1) & (at[:, 4] == at[:, 2] + 2) & (at[:, 2] > at[:, 1] + 1) & (at[:, 5] > at[:, 4] + 1)
-    )
-    pipe = starts.copy()
-    pipe[shaped] = at[:, 2]
+    layout = _PROFILE_LAYOUT if len(marks) == lines * len(_PROFILE_LAYOUT) else _SELECTION_LAYOUT
+    if len(marks) != lines * len(layout):
+        return None
+    at, ranked = marks.reshape(lines, len(layout)), layout is _PROFILE_LAYOUT
+    if not ((data[at] == layout).all() and (at[:, 0] == starts).all() and ((np.diff(at) > 1) == (layout[:-1] == ord(":"))).all()):
+        return None
 
     # tokens: commas only between digits, digit runs of at most _MAX_DIGITS, each part's count
     comma = _positions(cls == _COMMA)
-    ok[np.searchsorted(ends, comma[(cls[comma - 1] != _DIGIT) | (cls[comma + 1] != _DIGIT)])] = False
+    if ((cls[comma - 1] != _DIGIT) | (cls[comma + 1] != _DIGIT)).any():
+        return None
     step = np.diff((cls == _DIGIT).view(np.int8), prepend=np.int8(0))  # +1 where a run starts, -1 after it ends
     del comma, cls
     tok = _positions(step == 1)
     length = _positions(step == -1) - tok  # the text ends in a newline, so every run ends
     del step
-    ok[np.searchsorted(ends, tok[length > _MAX_DIGITS])] = False
-    first, mid, last = (np.searchsorted(tok, bound).astype(np.int32) for bound in (starts, pipe, ends))
+    if length.max(initial=0) > _MAX_DIGITS:
+        return None
+    # a set ends at the third layout byte: the '|' of a ranked line, the newline of a selection-only one
+    first, mid, last = (np.searchsorted(tok, bound).astype(np.int32) for bound in (starts, at[:, 2], ends))
     set_count = mid - first
-    ok &= (set_count >= 2) & (set_count == last - mid)
+    if (set_count < 2).any() or (ranked and (set_count != last - mid).any()):
+        return None
 
     # values, in range
     values = (data[tok] - 48).astype(np.int32)
-    for k in range(1, min(int(length.max(initial=0)), _MAX_DIGITS)):
+    for k in range(1, int(length.max(initial=0))):
         more = length > k
         values[more] = values[more] * 10 + (data[tok[more] + k] - 48)
     del tok, length
-    line = np.repeat(np.arange(lines, dtype=np.int32), last - first)
-    ok[line[values >= n]] = False
+    if values.max(initial=0) >= n:
+        return None
 
     # per line: distinct set items, and a ranking whose sorted items are the set's
+    line = np.repeat(np.arange(lines, dtype=np.int32), last - first)
     in_ranking = np.arange(len(line), dtype=np.int32) >= np.repeat(mid, last - first)
-    take = ok[line]
-    set_keys = np.sort(line[take & ~in_ranking].astype(np.int64) * n + values[take & ~in_ranking])
-    take &= in_ranking
-    rank_keys = line[take].astype(np.int64) * n + values[take]
-    del line, values, in_ranking, take
-    ok[set_keys[1:][set_keys[1:] == set_keys[:-1]] // n] = False
-    ok[set_keys[set_keys != np.sort(rank_keys)] // n] = False
-    set_keys, rank_keys = set_keys[ok[set_keys // n]], rank_keys[ok[rank_keys // n]]
-    return ok, np.concatenate(([0], np.cumsum(set_count[ok], dtype=np.int64))), set_keys % n, rank_keys % n
+    set_keys = np.sort(line[~in_ranking].astype(np.int64) * n + values[~in_ranking])
+    rank_keys = line[in_ranking].astype(np.int64) * n + values[in_ranking] if ranked else None
+    del line, values, in_ranking
+    if (set_keys[1:] == set_keys[:-1]).any() or (ranked and (set_keys != np.sort(rank_keys)).any()):
+        return None
+    offsets = np.concatenate(([0], np.cumsum(set_count, dtype=np.int64)))
+    return offsets, set_keys % n, None if rank_keys is None else rank_keys % n
 
 
 def _scan(text: str) -> tuple[float | None, SelectionSequence, np.ndarray, bool]:
@@ -223,16 +220,18 @@ def _scan(text: str) -> tuple[float | None, SelectionSequence, np.ndarray, bool]
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != r:
         errors.append(_err(1, f"header declares r={r} but file holds {len(body)} sample lines"))
-    ok, offsets, set_items, rank_items = _byte_pass(body, n)
-    # a line the byte pass reads gives no error, so when any line leaves it, reading every line changes no error
-    checked = [] if ok.all() else [_check_line(line, i + 2, n) for i, line in enumerate(body)]
+    read = _byte_pass(body, n)
+    # a file the byte pass reads gives no line error, so a declined file is read, and fails, wholly line by line
+    checked = [] if read is not None else [_check_line(line, i + 2, n) for i, line in enumerate(body)]
     errors += [c for c in checked if isinstance(c, dict)]
     if errors:
         raise FileFormatError(errors)
-    if checked:
+    if read is None:
         offsets, set_items = _csr_arrays([s for s, _ in checked])
-        rank_items = _csr_arrays([s if rk is None else rk for s, rk in checked])[1]
-    return beta, SelectionSequence._from_arrays(n, offsets, set_items), rank_items, any(rk is None for _, rk in checked)
+        read = offsets, set_items, _csr_arrays([s if rk is None else rk for s, rk in checked])[1]
+    offsets, set_items, rank_items = read
+    selection_only = rank_items is None or any(rk is None for _, rk in checked)
+    return beta, SelectionSequence._from_arrays(n, offsets, set_items), set_items if rank_items is None else rank_items, selection_only
 
 
 def collect_profile_errors(text: str, p: float | None = None) -> list[dict]:

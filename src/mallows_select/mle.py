@@ -75,15 +75,6 @@ class DpConfig:
             raise ValueError("state budget must admit at least one window bit")
 
 
-def _check_budget(radius: int, n: int, budget: int) -> None:
-    need = 1 << min(2 * radius + 1, n)
-    if need > budget:
-        raise BudgetExceededError(
-            f"window radius {radius} needs {need} states per position, over the budget of {budget}; "
-            f"raise max_states_budget to at least {need} or reduce the radius"
-        )
-
-
 # multiply-adds in one block of a step's subset-sum product: BLAS runs a
 # product this small on the calling thread, so the DP stays single-threaded
 _STEP_BLOCK = 1 << 18
@@ -172,29 +163,36 @@ def _dp_once(counts: PairwiseCounts, anchor: Ranking, radius: int) -> tuple[Rank
     return result, achieved
 
 
-def _touches_boundary(result: Ranking, anchor: Ranking, radius: int) -> bool:
-    n = len(anchor)
-    if radius == 0 or radius >= n - 1:
-        # radius 0 is an explicit request for the anchor; at n-1 the feasible
-        # set is all of S_n, so no truncation is possible
-        return False
-    return pointwise_distance(result, anchor) == radius
-
-
 def _maximize_with_widening(
-    counts: PairwiseCounts, anchor: Ranking, radius: int, budget: int
+    counts: PairwiseCounts, anchor: Ranking, radius: int, budget: int, widen: bool = True
 ) -> tuple[Ranking, int, int, int]:
-    """Run the DP, doubling the radius while the optimum touches the boundary."""
+    """Run the DP at ``radius``, capped at n - 1; returns (ranking, score, radius used, widenings).
+
+    While the optimum touches the window boundary, ``widen`` doubles the
+    radius (capped at n - 1) and reruns; without it BoundaryTouchError
+    carries the optimum.  Radius 0 is an explicit request for the anchor,
+    and at n - 1 the feasible set is all of S_n, so neither can truncate.
+    """
     n = counts.n
-    radius = min(radius, n - 1)
-    widenings = 0
+    radius, widenings = min(radius, n - 1), 0
     while True:
-        _check_budget(radius, n, budget)
+        need = 1 << min(2 * radius + 1, n)
+        if need > budget:
+            raise BudgetExceededError(
+                f"window radius {radius} needs {need} states per position, over the budget of {budget}; "
+                f"raise max_states_budget to at least {need} or reduce the radius"
+            )
         result, achieved = _dp_once(counts, anchor, radius)
-        if not _touches_boundary(result, anchor, radius):
+        if radius in (0, n - 1) or pointwise_distance(result, anchor) != radius:
             return result, achieved, radius, widenings
-        radius = min(2 * radius, n - 1)
-        widenings += 1
+        if not widen:
+            raise BoundaryTouchError(
+                f"window optimum touches the radius-{radius} boundary; "
+                "the window may be truncating the true optimum (widen or raise the radius)",
+                result,
+                achieved,
+            )
+        radius, widenings = min(2 * radius, n - 1), widenings + 1
 
 
 def dp_maximize(counts: PairwiseCounts, config: DpConfig) -> Ranking:
@@ -209,19 +207,8 @@ def dp_maximize(counts: PairwiseCounts, config: DpConfig) -> Ranking:
     n = counts.n
     if len(config.anchor) != n or not config.anchor.is_complete(n):
         raise ValueError("anchor must be a complete ranking over the counted alternatives")
-    radius = min(config.radius, n - 1)
-    _check_budget(radius, n, config.max_states_budget)
-    if config.boundary_policy == "widen":
-        return _maximize_with_widening(counts, config.anchor, radius, config.max_states_budget)[0]
-    result, achieved = _dp_once(counts, config.anchor, radius)
-    if _touches_boundary(result, config.anchor, radius):
-        raise BoundaryTouchError(
-            f"window optimum touches the radius-{config.radius} boundary; "
-            "the window may be truncating the true optimum (widen or raise the radius)",
-            result,
-            achieved,
-        )
-    return result
+    widen = config.boundary_policy == "widen"
+    return _maximize_with_widening(counts, config.anchor, config.radius, config.max_states_budget, widen)[0]
 
 
 def _window(what: str, beta: float, p: float, r: int, alpha: float, formula) -> int:

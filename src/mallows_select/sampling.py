@@ -18,19 +18,18 @@ Selections, profiles, files and the experiment kernel hold their sets and
 samples as CSR rows, and :func:`generate_selection` builds them as such;
 the kernels that count the rows' pairs live in ``core``.
 
-Insertion decisions are integer-only: the per-step cumulative weights are
-computed once per (largest size, beta) in double precision, frozen to
-63-bit integer thresholds, and compared against 63-bit uniform draws.
-The ~1e-16 distortion of the frozen thresholds is far below every
-statistical tolerance in this package, and it buys bit-identical profiles
-across platforms.
+Insertion decisions are integer-only: the cumulative weights are summed
+once per call in double precision, each step's prefix is frozen to 63-bit
+integer thresholds as the step runs, and the thresholds are compared
+against 63-bit uniform draws.  The ~1e-16 distortion of the frozen
+thresholds is far below every statistical tolerance in this package, and
+it buys bit-identical profiles across platforms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, combinations, cycle, islice
 
 import numpy as np
@@ -231,24 +230,6 @@ def verify_p_frequent(selection: SelectionSequence, p: float) -> PFrequencyRepor
     return PFrequencyReport(ok=bool(min_frac >= p - 1e-12), min_pair_fraction=float(min_frac), counts=counts)
 
 
-@lru_cache(maxsize=256)
-def _insertion_thresholds(m: int, beta: float) -> tuple[np.ndarray, ...]:
-    """Frozen 63-bit CDF thresholds for insertion steps 2..m.
-
-    Step s (the partial ranking grows to size s) admits displacements
-    d = 0..s-1 from the bottom with weight e^{-beta*d}.  Its table does not
-    depend on m, so the tables of the largest row serve every row.
-    """
-    weights = np.exp(-beta * np.arange(m, dtype=np.float64))
-    tables = []
-    for s in range(2, m + 1):
-        cum = np.cumsum(weights[:s])
-        thr = np.floor(cum / cum[-1] * _SCALE).astype(np.uint64)
-        thr[-1] = np.uint64(_SCALE)
-        tables.append(thr)
-    return tuple(tables)
-
-
 def _sample_rows(
     keys: np.ndarray, offsets: np.ndarray, restricted: np.ndarray, beta: float, start: int = 0
 ) -> np.ndarray:
@@ -258,9 +239,11 @@ def _sample_rows(
     least one item) is a restricted center, top first; its sample holds
     each of those items at its drawn rank.  Item k of a row (k >= 1) goes in
     at displacement d from the bottom, ``searchsorted`` of draw
-    ``start+k`` of ``Stream(keys[l])`` in step k's thresholds, which do not
-    depend on the row's size: at index k - d, the items at or past it
-    moving back.
+    ``start+k`` of ``Stream(keys[l])`` in step k's thresholds: at index
+    k - d, the items at or past it moving back.  Step k admits
+    displacements d = 0..k with weight e^{-beta*d}, its thresholds the
+    cumulative weights frozen to 63 bits, so they do not depend on the
+    row's size, and one cumulative sum serves every step of every row.
 
     The rows run sorted by size, largest first, so the rows that step k
     moves (those with m > k) are a prefix, and a chunk of rows takes max
@@ -273,7 +256,8 @@ def _sample_rows(
     sizes = np.diff(offsets)
     order = np.argsort(-sizes, kind="stable")
     sizes = sizes[order]
-    tables = _insertion_thresholds(int(sizes.max(initial=0)), beta)
+    cum = np.cumsum(np.exp(-beta * np.arange(int(sizes.max(initial=0)), dtype=np.float64)))
+    scaled = cum * _SCALE  # exact: a power of two, which commutes with the rounding of the division below
     samples = np.empty_like(restricted)
     lo = 0
     while lo < len(order):
@@ -294,7 +278,9 @@ def _sample_rows(
         at = 0
         for k, moved in enumerate(live[1:].tolist(), 1):
             ins = pos[k, :moved]
-            np.subtract(k, np.searchsorted(tables[k - 1], u[at : at + moved], side="right"), out=ins, casting="unsafe")
+            # floor(cum[:k+1] / cum[k] * 2^63), as the cast truncates these nonnegative values; the last is 2^63
+            thr = (scaled[: k + 1] / cum[k]).astype(np.uint64)
+            np.subtract(k, np.searchsorted(thr, u[at : at + moved], side="right"), out=ins, casting="unsafe")
             at += moved
             head = pos[:k, :moved]
             head += head >= ins

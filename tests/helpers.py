@@ -201,6 +201,23 @@ def tuple_selection_sets(spec: SelectionSpec, r: int, stream: Stream) -> list[tu
     return [full] * n_full + [tuple(sorted(pairs[i % len(pairs)])) for i in range(r - n_full)]
 
 
+@lru_cache(maxsize=64)
+def insertion_thresholds(m: int, beta: float) -> tuple[np.ndarray, ...]:
+    """Frozen 63-bit CDF thresholds for insertion steps 2..m, one table per step.
+
+    Step s (the partial ranking grows to size s) admits displacements
+    d = 0..s-1 from the bottom with weight e^{-beta*d}.
+    """
+    weights = np.exp(-beta * np.arange(m, dtype=np.float64))
+    tables = []
+    for s in range(2, m + 1):
+        cum = np.cumsum(weights[:s])
+        thr = np.floor(cum / cum[-1] * (1 << 63)).astype(np.uint64)
+        thr[-1] = np.uint64(1 << 63)
+        tables.append(thr)
+    return tuple(tables)
+
+
 def insertion_sample(center_items: tuple[int, ...], beta: float, stream: Stream) -> tuple[int, ...]:
     """The reference form of ``sampling.sample_mallows``: one list insert per step.
 
@@ -208,7 +225,7 @@ def insertion_sample(center_items: tuple[int, ...], beta: float, stream: Stream)
     bottom, d the number of the step's thresholds at or below the top 63
     bits of the stream's next draw.
     """
-    tables = sampling._insertion_thresholds(len(center_items), beta)
+    tables = insertion_thresholds(len(center_items), beta)
     draws = stream.u64_array(len(center_items) - 1) >> np.uint64(1)
     out = [center_items[0]]
     for k, item in enumerate(center_items[1:]):
@@ -229,7 +246,7 @@ def grouped_sample_rows(keys: np.ndarray, offsets: np.ndarray, restricted: np.nd
     samples = np.empty_like(restricted)
     for m in np.flatnonzero(np.bincount(sizes)).tolist():
         rows = np.flatnonzero(sizes == m)
-        tables = sampling._insertion_thresholds(m, beta)
+        tables = insertion_thresholds(m, beta)
         draws = draw_matrix(keys[rows], m - 1, start) >> np.uint64(1)
         pos = np.zeros((len(rows), m), dtype=np.int32)
         for k in range(1, m):

@@ -456,7 +456,6 @@ class TestTrialKernel:
     def test_working_memory_is_bounded_by_blocks(self):
         # unblocked, the pair buffers of the count alone take 16 bytes per pair of every set of every trial: 13 MB here
         args = (Stream.from_seed(4), range(100), 20, 2.0, 1 / 6, 256, "bernoulli_random")
-        xp._cell(*args)  # warm the threshold tables
         tracemalloc.start()
         try:
             xp._cell(*args)
@@ -468,7 +467,7 @@ class TestTrialKernel:
     def test_pair_only_cell_memory_is_linear_in_the_set_sizes(self):
         # a dense (r, n, n) compare of one trial's samples takes 20 MB here; its CSR rows take 128 KB
         args = (Stream.from_seed(4), range(4), 100, 1.0, 1.0, 2000, "pairwise")
-        xp._cell(*args)  # warm the selection cache and the threshold tables
+        xp._cell(*args)  # warm the selection cache
         tracemalloc.start()
         try:
             xp._cell(*args)

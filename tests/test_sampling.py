@@ -516,7 +516,6 @@ class TestOneSampler:
         n, r = 4000, 4000
         selection = generate_selection(SelectionSpec(kind="mixed_pfrequent", n=n, p=0.001), r)
         params = MallowsParams(Ranking(Stream.from_seed(3).permutation(n)), 1.0)
-        sampling._insertion_thresholds(n, 1.0)  # warm the cached tables, whose n^2 / 2 thresholds take 64 MB
         tracemalloc.start()
         try:
             profile = sample_profile(params, selection, Stream.from_seed(4))
