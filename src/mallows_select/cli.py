@@ -12,6 +12,7 @@ import dataclasses
 import json
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import experiments as xp
@@ -58,6 +59,7 @@ def _default_threads(parser: _Parser) -> int:
         parser.error(f"MALLOWS_SELECT_THREADS must be an integer, got {env!r}")
 
 
+@cache  # built once per process: parse_args gives every call a fresh Namespace
 def _build_parser() -> _Parser:
     parser = _Parser(prog="mallows-select", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

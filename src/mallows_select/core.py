@@ -204,7 +204,7 @@ def _csr_arrays(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(([0], np.cumsum(sizes))), items
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)  # one entry per set size
 def _triu_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(m, 1)
 
@@ -368,7 +368,7 @@ def kendall_tau_incomplete(center: Ranking, sample: Ranking) -> int:
     return kendall_tau(restrict(center, sample.items), sample)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def log_partition_function(m: int, beta: float) -> float:
     """log of the Mallows normalizer on m alternatives at spread beta."""
     if m < 1:

@@ -12,7 +12,11 @@ every not-yet-placed element: a subset sum over the mask plus a suffix
 sum beyond the window.  One position is one vectorised step over its
 sorted masks (one product for all subset sums, a rank lookup for each
 successor, a row-wise argmax), costing C(2R, R)*w instead of the
-2^(2R+1)*w^2 of a sweep over every mask and candidate.
+2^(2R+1)*w^2 of a sweep over every mask and candidate.  The masks and
+move tables of a step depend on the window's shape alone, never on the
+wins or on n once n > 2R+1, so each shape is built once per process and
+held, read-only, while all held tables fit in ``_TABLE_BYTES`` (4 MiB:
+every R <= 7); a shape built after that serves its call only.
 
 The DP is exact on its feasible set.  A maximizer that touches the window
 boundary signals that the window may be truncating the true optimum; the
@@ -78,6 +82,22 @@ class DpConfig:
 # multiply-adds in one block of a step's subset-sum product: BLAS runs a
 # product this small on the calling thread, so the DP stays single-threaded
 _STEP_BLOCK = 1 << 18
+# bytes of masks and move tables held between DP calls, all R <= 7 among them; a table
+# built once the held ones fill this serves its call only
+_TABLE_BYTES = 1 << 22
+_tables: dict[tuple, tuple[np.ndarray, ...]] = {}
+
+
+def _table(key: tuple, build) -> tuple[np.ndarray, ...]:
+    """``build()``'s arrays, read-only, held for later calls while all held arrays fit in _TABLE_BYTES."""
+    arrays = _tables.get(key)
+    if arrays is None:
+        arrays = build()
+        for a in arrays:
+            a.setflags(write=False)
+        if sum(a.nbytes for held in (*_tables.values(), arrays) for a in held) <= _TABLE_BYTES:
+            _tables[key] = arrays
+    return arrays
 
 
 def _popcount_masks(width: int, k: int) -> np.ndarray:
@@ -87,6 +107,21 @@ def _popcount_masks(width: int, k: int) -> np.ndarray:
         for j in range(min(k, b + 1), max(1, k - (width - 1 - b)) - 1, -1):  # falling: rows[j - 1] is still old
             rows[j] = np.concatenate((rows[j], rows[j - 1] | (1 << b)))
     return rows[k]
+
+
+def _moves(m: np.ndarray, m_next: np.ndarray, w: int, shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(placed, nxt)`` of a window shape: states ``m`` of width ``w``, next states ``m_next``.
+
+    ``placed[s, c]`` is 1.0 when state s has slot c placed.  ``nxt[s, c]`` is the state that placing slot c
+    reaches, or ``len(m_next)`` when that is illegal (c is placed, or the window slides and slot 0 stays free).
+    """
+    bits = 1 << np.arange(w)
+    rank = np.zeros(1 << (w - shift), dtype=np.int32)  # a 2^w table that lives for this build only
+    rank[m_next] = np.arange(len(m_next))
+    placed = m[:, None] & bits != 0
+    nxt = rank[(m[:, None] | bits) >> shift]
+    nxt[placed | (~placed[:, :1] & (bits > 1) & bool(shift))] = len(m_next)
+    return placed.astype(np.float64), nxt
 
 
 def _dp_window_max(wins_rel: np.ndarray, radius: int) -> tuple[list[int], int]:
@@ -109,30 +144,23 @@ def _dp_window_max(wins_rel: np.ndarray, radius: int) -> tuple[list[int], int]:
     # clear when hi = t+R; position n holds the full mask alone
     bounds = [(max(0, t - R), min(n - 1, t + R)) for t in range(n + 1)]
     keys = [(hi - lo + 1 - (hi == t + R), t - lo) for t, (lo, hi) in enumerate(bounds)]
-    mask_sets = {key: _popcount_masks(*key) for key in set(keys)}
-    v_next, choices, geometry = np.zeros(1), [None] * n, None
+    mask_sets = {key: _table(key, lambda: (_popcount_masks(*key),))[0] for key in set(keys)}
+    v_next, choices, shape = np.zeros(1), [None] * n, None
     for t in range(n - 1, -1, -1):
-        (lo, hi), m, m_next = bounds[t], mask_sets[keys[t]], mask_sets[keys[t + 1]]
-        w, shift = hi - lo + 1, int(t >= R)  # shift: the window slides, so slot 0 must be placed now
-        if geometry != (keys[t], keys[t + 1], w, shift):
-            # placed[s, c], and nxt[s, c]: the index of the state that placing slot c reaches, or
-            # past the next layer's values when that is illegal (c is placed, or the window slides
-            # and slot 0 stays free); both are kept while the next positions share this geometry
-            geometry, placed, nxt, bits = (keys[t], keys[t + 1], w, shift), None, None, 1 << np.arange(w)
-            rank = np.zeros(1 << (w - shift), dtype=np.intp)
-            rank[m_next] = np.arange(len(m_next))
-            placed = m[:, None] & bits != 0
-            nxt = rank[(m[:, None] | bits) >> shift]
-            nxt[placed | (~placed[:, :1] & (bits > 1) & bool(shift))] = len(m_next)
-            placed = placed.astype(np.float64)
-            del rank  # a 2^w table lives for this position only
+        (lo, hi), m, last = bounds[t], mask_sets[keys[t]], shape
+        # shift: the window slides, so slot 0 must be placed now.  A shape recurs at every t in the
+        # middle, and for every n > 2R+1 at the ends, so its tables serve those positions and later calls
+        w, shift = hi - lo + 1, int(t >= R)
+        shape = (keys[t], keys[t + 1], w, shift)
+        if shape != last:
+            placed, nxt = _table(shape, lambda: _moves(m, mask_sets[keys[t + 1]], w, shift))
         win, suf_lo, v_ext = wins_t[lo : hi + 1, lo : hi + 1], suf[lo : hi + 1, lo], np.append(v_next, -np.inf)
         v_next, choices[t] = np.empty(len(m)), np.empty(len(m), dtype=np.uint8)
         step = max(1, _STEP_BLOCK // (w * w))
         for a in range(0, len(m), step):
             cand = placed[a : a + step] @ win  # [s, c]: the wins of element lo+c over the elements placed in s
             np.subtract(suf_lo, cand, out=cand)
-            cand += v_ext[nxt[a : a + step]]
+            cand += v_ext.take(nxt[a : a + step], mode="clip")  # in range; unlike [], fast on int32 indices
             choice = cand.argmax(axis=1)  # the first maximum: the smallest c
             v_next[a : a + step] = cand[np.arange(len(choice)), choice]
             choices[t][a : a + step] = choice

@@ -422,14 +422,66 @@ class TestCurveOptions:
         assert len(actions) == 76
 
 
+def fresh_process(*argv) -> subprocess.CompletedProcess:
+    """``python -m mallows_select argv`` in a new interpreter, on this checkout's source."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "mallows_select", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+class TestParserReuse:
+    """dispatch builds its parser once per process, and no call leaves anything for the next."""
+
+    def test_the_parser_is_built_once(self, tmp_path, capsys):
+        _build_parser.cache_clear()
+        for seed in range(3):
+            assert run(capsys, "select", "--n", "5", "--r", "3", "--seed", str(seed), "--out", str(tmp_path / "s.txt"))[0] == 0
+        assert (_build_parser.cache_info().misses, _build_parser.cache_info().hits) == (1, 2)
+
+    def test_a_usage_error_leaves_the_next_call_as_in_a_fresh_process(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:  # sets --kind and --q before it fails
+            dispatch(["select", "--n", "6", "--r", "4", "--kind", "bernoulli_random", "--q", "0.9", "--bogus"])
+        assert excinfo.value.code == 1
+        capsys.readouterr()
+        argv = ["select", "--n", "6", "--r", "4", "--seed", "3"]
+        code, out, err = run(capsys, *argv)
+        fresh = fresh_process(*argv)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert "kind=mixed_pfrequent" in err
+
+    def test_the_threads_variable_is_read_on_every_call(self, capsys, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)  # one worker, whatever the variable asks for
+        argv = ["exp-adversarial", "--n", "4", "--trials", "1"]
+        for value, logged in (("1", 1), ("5", 5), ("", 1), ("abc", None), ("3", 3)):  # "" reads the core count
+            monkeypatch.setenv("MALLOWS_SELECT_THREADS", value)
+            if logged is None:
+                with pytest.raises(SystemExit) as excinfo:
+                    dispatch(argv)
+                assert excinfo.value.code == 1
+                assert "MALLOWS_SELECT_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
+            else:
+                code, _, err = run(capsys, *argv)
+                assert code == 0
+                assert f"threads={logged}\n" in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["mle", "--help"], ["exp-complexity", "--help"]])
+    def test_help_equals_an_uncached_build(self, capsys, argv):
+        texts = []
+        for parse in (dispatch, dispatch, _build_parser.__wrapped__().parse_args):
+            with pytest.raises(SystemExit) as excinfo:
+                parse(argv)
+            assert excinfo.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] == texts[2]
+        assert texts[0].startswith("usage: mallows-select")
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_runs_a_subcommand(self, capsys):
         argv = ["select", "--n", "4", "--r", "2", "--kind", "pairwise"]
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "mallows_select", *argv], capture_output=True, text=True, env=env, timeout=60
-        )
+        proc = fresh_process(*argv)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == run(capsys, *argv)[1]
         assert proc.stdout.startswith("4,2\n")

@@ -54,3 +54,29 @@ def test_row_kernels_live_in_core_only():
         assert wrong == [], f"{path.name} imports row kernels from outside core"
         defined = _top_level_names(tree) & ROW_KERNELS
         assert defined == (ROW_KERNELS if path.name == "core.py" else set()), path.name
+
+
+def _cache_decorators(tree: ast.Module):
+    """``(function, maxsize node or None)`` of every ``cache``/``lru_cache`` decorator, however it is imported."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for decorator in node.decorator_list:
+                call = decorator if isinstance(decorator, ast.Call) else None
+                target = call.func if call else decorator
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+                if name in ("cache", "lru_cache"):
+                    given = call.args[:1] + [kw.value for kw in call.keywords if kw.arg == "maxsize"] if call else []
+                    yield node, given[0] if given else None
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_cache_is_bounded(path):
+    """A cache keyed by arguments holds a bounded count of entries: an integer maxsize, or no arguments at all."""
+    unbounded = []
+    for function, maxsize in _cache_decorators(_tree(path)):
+        a = function.args
+        keyed = any((a.posonlyargs, a.args, a.vararg, a.kwonlyargs, a.kwarg))
+        bounded = isinstance(maxsize, ast.Constant) and type(maxsize.value) is int
+        if keyed and not bounded:
+            unbounded.append(function.name)
+    assert unbounded == [], f"{path.name}: caches without an integer maxsize"

@@ -139,11 +139,20 @@ class TestReachableStateDp:
     @pytest.mark.parametrize("radius", range(9))
     def test_matches_full_mask_reference(self, radius):
         rng = np.random.default_rng(40 + radius)
-        for n in range(1, 31):
-            # few distinct win values make ties, and so the tie rule, common
-            hi = (2, 3, 51)[n % 3]
-            wins = rng.integers(0, hi, size=(n, n)).astype(np.int64)
-            assert _dp_window_max(wins, radius) == full_mask_dp(wins, radius)
+        # few distinct win values make ties, and so the tie rule, common
+        cases = [rng.integers(0, (2, 3, 51)[n % 3], size=(n, n)).astype(np.int64) for n in range(1, 31)]
+        expected = [full_mask_dp(wins, radius) for wins in cases]
+
+        def check(order):
+            for wins in order:
+                assert _dp_window_max(wins, radius) == expected[len(wins) - 1], len(wins)
+
+        # n = 30..1 from cold tables, then 1..30 on tables built for other n, then cold again
+        mle._tables.clear()
+        check(cases[::-1])
+        check(cases)
+        mle._tables.clear()
+        check(cases[::-1])
 
     @pytest.mark.parametrize("radius", range(9))
     def test_no_information_gives_identity(self, radius):
@@ -164,6 +173,29 @@ class TestReachableStateDp:
         reference, first, second = peaks
         assert first <= reference
         assert second <= first
+
+    def test_held_tables_are_read_only(self):
+        mle._tables.clear()
+        _dp_window_max(np.ones((12, 12), dtype=np.int64), 3)
+        assert mle._tables
+        for arrays in mle._tables.values():
+            for array in arrays:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[...] = 0
+
+    def test_held_bytes_stay_under_the_cap(self):
+        mle._tables.clear()
+        rng = np.random.default_rng(49)
+        for radius in range(1, 11):
+            for n in (2 * radius + 1, 40):
+                wins = rng.integers(0, 3, size=(n, n)).astype(np.int64)
+                seq = _dp_window_max(wins, radius)
+                if radius >= 9 and n < 40:  # its widest window alone exceeds the cap, so it is built for the call only
+                    assert seq == full_mask_dp(wins, radius)
+        held = sum(array.nbytes for arrays in mle._tables.values() for array in arrays)
+        assert 0 < held <= mle._TABLE_BYTES
+        assert max(len(arrays[0]) for arrays in mle._tables.values()) < math.comb(18, 9)
 
 
 def brute_force_mle_from_counts(counts: PairwiseCounts) -> Ranking:
