@@ -204,9 +204,20 @@ def _csr_arrays(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(([0], np.cumsum(sizes))), items
 
 
-@lru_cache(maxsize=256)  # one entry per set size
 def _triu_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(m, 1)
+    """``triu_indices(m, 1)`` as read-only arrays: the positions a < b of an m-set's pairs, in row-major order.
+
+    They are held once built for m <= 64, about 0.7 MB for all such m, and built per call for larger sets.
+    """
+    return _held_triu_pairs(m) if m <= 64 else _held_triu_pairs.__wrapped__(m)
+
+
+@lru_cache(maxsize=65)
+def _held_triu_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    pairs = np.triu_indices(m, 1)
+    for half in pairs:
+        half.setflags(write=False)
+    return pairs
 
 
 def _pair_blocks(offsets: np.ndarray, items: np.ndarray, relabel: np.ndarray | None = None):

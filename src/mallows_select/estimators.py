@@ -87,13 +87,12 @@ def positional_estimator_from_counts(counts: PairwiseCounts, stream: Stream) -> 
     order = _order_by_scores(raw[None], np.array([stream.key], dtype=np.uint64), stream._ctr)[0]
     sizes = np.bincount(raw)  # group size per score
     stream._ctr += n - np.count_nonzero(sizes)  # a tie group of size s took s-1 draws
-    ai, bj = _triu_pairs(n)
-    zero = appear[ai, bj] == 0
+    ai, bj = np.nonzero((appear == 0) & (np.arange(n)[:, None] < np.arange(n)))  # row-major, as triu_indices
     return PosEstResult(
         ranking=Ranking(order.tolist(), validate=False),
         raw_scores=tuple(raw.tolist()),
         tie_groups=tuple(tuple(np.flatnonzero(raw == s).tolist()) for s in np.flatnonzero(sizes > 1)),
-        zero_pairs=tuple(zip(ai[zero].tolist(), bj[zero].tolist())),
+        zero_pairs=tuple(zip(ai.tolist(), bj.tolist())),
         never_observed=tuple(np.flatnonzero(appear.sum(axis=1) == 0).tolist()),
     )
 

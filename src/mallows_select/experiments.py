@@ -19,7 +19,10 @@ one sort and tie shuffle of the scores of all trials, the routine behind
 the public estimator.  Only the windowed DP of the ltn and mle
 estimators runs trial by trial, around those estimates.  The rows equal
 those of running each trial object by object, the reference kept in the
-tests.
+tests.  The trials run in blocks sized by the bytes a trial holds, counted
+from its sets' items and pairs (exactly for the cached deterministic
+sets, in expectation for Bernoulli sets), so a cell peaks under
+``_TRIAL_BLOCK_BYTES`` whenever a block holds more than one trial.
 """
 
 from __future__ import annotations
@@ -117,8 +120,8 @@ def _cached_selection(kind: str, n: int, p: float, r: int) -> np.ndarray:
     return members
 
 
-# trials per kernel block are chosen so one block's arrays hold about this many bytes
-_TRIAL_BLOCK_BYTES = 1 << 20
+# trials per kernel block are chosen so a cell's peak, measured with tracemalloc, stays under this many bytes
+_TRIAL_BLOCK_BYTES = 4 << 20
 
 
 def _cell(
@@ -138,9 +141,9 @@ def _cell(
     reduction over these rows.  Trial t draws its center from ``child(0)``
     (unless one is planted), a bernoulli_random selection from
     ``child(1)``, its profile from ``child(2)`` and its estimate's
-    tie-breaks from ``child(3)``.  The trials run as arrays, a block of
-    about ``_TRIAL_BLOCK_BYTES`` at a time, so a row depends on its trial
-    index only and never on the range or the block it ran in.
+    tie-breaks from ``child(3)``.  The trials run as arrays, as many at a
+    time as fit in ``_TRIAL_BLOCK_BYTES`` (one at least), and a row depends
+    on its trial index only, never on the range or the block it ran in.
     """
     spec = SelectionSpec(kind=selection_kind, n=n, p=p)
     if r < 1:
@@ -148,17 +151,25 @@ def _cell(
     beta = check_beta(beta)
     if spec.kind in _DETERMINISTIC_KINDS:
         members, threshold = _cached_selection(spec.kind, n, p, r), None
-    else:
+        sizes = np.count_nonzero(members, axis=1)
+        items, pairs, draws = int(sizes.sum()), int((sizes * (sizes - 1)).sum()) // 2, 0
+    else:  # the expected items and pairs of the kept sets, those with two members or more, and the loop's uniforms
         members, threshold = None, _bernoulli_threshold(spec, r)
+        q = spec.inclusion_probability()
+        miss = (1 - q) ** (n - 1)
+        accept = 1 - miss * (1 - q + n * q)  # positive once the threshold is known
+        items, pairs, draws = r * n * q * (1 - miss) / accept, r * q * q * n * (n - 1) / 2 / accept, r * n
     radius = None  # the positional estimator needs no window
     if estimator != "posest":
         radius = (pointwise_window if estimator == "ltn" else mle_window)(n, beta, p, r)
     planted = None if center is None else np.array(center.items, dtype=np.int64)
-    # bytes per trial in the step: 25 per cell of the r*n membership mask (the mask, plus the nonzero row and column
-    # indices and the restricted center item, 8 bytes each, of up to r*n members) and 32 per cell of n*n (four int64
-    # arrays: the wins, their sum with the transpose and the positional scores' work); not counted: the samples, the
-    # sampler's draws and int32 positions, and the pair buffers of the count
-    step = max(1, _TRIAL_BLOCK_BYTES // (r * n * 25 + 32 * n * n))
+    # a trial's peak bytes: its r*n membership mask, held throughout, plus its largest phase, each calibrated with
+    # tracemalloc at n = 6..40: the Bernoulli rejection loop, 33 per uniform; the sampler, 90 per item and 64 per set
+    # (nonzero indices, restricted centers, stream keys, draws, positions and samples); the count, 48 per item and per
+    # set, 16 per pair (the two int64 pair buffers) and 8 per cell of n*n; the scores, 24 per item, 12 per set and
+    # 28 per cell of n*n
+    phases = (33 * draws, 90 * items + 64 * r, 48 * (items + r) + 16 * pairs + 8 * n * n, 24 * items + 12 * r + 28 * n * n)
+    step = max(1, int(_TRIAL_BLOCK_BYTES // (r * n + max(phases))))
     est, pi0 = np.empty((len(trials), n), dtype=np.int64), np.empty((len(trials), n), dtype=np.int64)
     for a in range(0, len(trials), step):
         block = trials[a : a + step]

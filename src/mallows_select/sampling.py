@@ -42,7 +42,6 @@ from .core import (
     SampleProfile,
     SelectionSequence,
     _pair_counts,
-    _triu_pairs,
     check_beta,
 )
 from .rng import Stream, draw_matrix
@@ -207,10 +206,10 @@ class PFrequencyReport:
     counts: np.ndarray  # n x n symmetric co-appearance counts, zero diagonal
 
     def worst_pairs(self) -> list[tuple[int, int]]:
-        a, b = _triu_pairs(self.counts.shape[0])
-        pair_counts = self.counts[a, b]
-        worst = pair_counts == pair_counts.min()
-        return list(zip(a[worst].tolist(), b[worst].tolist()))
+        n = len(self.counts)
+        upper = np.arange(n)[:, None] < np.arange(n)  # its entries run row-major, as triu_indices
+        a, b = np.nonzero(upper & (self.counts == self.counts[upper].min()))
+        return list(zip(a.tolist(), b.tolist()))
 
 
 def _check_frequency(p: float) -> None:
@@ -226,7 +225,7 @@ def verify_p_frequent(selection: SelectionSequence, p: float) -> PFrequencyRepor
         raise ValueError("cannot audit an empty selection sequence")
     counts = _pair_counts(n, selection.offsets, selection.items)[0]
     counts += counts.T
-    min_frac = counts[np.triu_indices(n, 1)].min() / r
+    min_frac = counts[np.arange(n)[:, None] < np.arange(n)].min() / r
     return PFrequencyReport(ok=bool(min_frac >= p - 1e-12), min_pair_fraction=float(min_frac), counts=counts)
 
 

@@ -2,11 +2,13 @@ import itertools
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import pair_scan_kendall
+from mallows_select import core
 from mallows_select.core import (
     MallowsParams,
     Ranking,
@@ -239,3 +241,18 @@ class TestContainers:
         for rankings, message in self.PROFILE_ERRORS:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 SampleProfile([Ranking(rk) for rk in rankings], sel)
+
+
+class TestTriuPairs:
+    @pytest.mark.parametrize("m", [0, 1, 2, 5, 64, 65, 300])
+    def test_read_only_upper_triangle(self, m):
+        pairs = core._triu_pairs(m)
+        assert all(np.array_equal(got, want) for got, want in zip(pairs, np.triu_indices(m, 1)))
+        for half in pairs:
+            with pytest.raises(ValueError, match="read-only"):
+                half[:1] = 0
+
+    def test_only_small_sets_are_held(self):
+        # a held pair array of the n limit, 8192, would take about 537 MB
+        assert core._triu_pairs(64)[0] is core._triu_pairs(64)[0]
+        assert core._triu_pairs(65)[0] is not core._triu_pairs(65)[0]

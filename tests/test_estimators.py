@@ -120,8 +120,8 @@ class TestPositionalEstimator:
         result = positional_estimator(profile, Stream.from_seed(1))
         assert result.never_observed == (2,)
         assert result.raw_scores[2] == 2  # loses every ignorance comparison
-        # pairs (0,2) and (1,2) never co-appear
-        assert set(result.zero_pairs) == {(0, 2), (1, 2)}
+        # pairs (0,2) and (1,2) never co-appear; they are listed in the order of triu_indices
+        assert result.zero_pairs == ((0, 2), (1, 2))
 
     def test_tie_break_uses_stream(self):
         sel = SelectionSequence([(0, 1), (0, 1)], n=2)
@@ -414,6 +414,22 @@ class TestKernelMemory:
         # one r x n x n boolean block would be 40 MB at r=1000 and 160 MB at r=4000
         assert peaks[1] <= peaks[0] + (1 << 20)
         assert peaks[1] <= core._PRECEDENCE_BLOCK_BYTES + (8 << 20)
+
+    def test_posest_holds_nothing_after_it_returns(self):
+        # its counts and pair buffers take 32 MB each at n=2000; a held triu_indices(2000, 1) took another 30.5 MiB
+        n = 2000
+        selection = SelectionSequence._from_arrays(n, np.array([0, n, 2 * n]), np.tile(np.arange(n), 2))
+        profile = SampleProfile._from_arrays(selection, np.concatenate((np.arange(n), np.arange(n)[::-1])))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = positional_estimator(profile, Stream.from_seed(2))
+            assert len(result.tie_groups) == 1 and result.zero_pairs == ()  # every pair split once each way
+            del result
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 1 << 20
 
 
 class TestBruteForce:

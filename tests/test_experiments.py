@@ -432,15 +432,40 @@ class TestTrialKernel:
     def test_batched_equals_looped_on_figure_cells(self, case):
         self.assert_same(Stream.from_seed(3).child(case["r"]), range(40), case)
 
+    # one trial per block, the default budget, and every trial of a cell in one block
+    BUDGETS = (1, xp._TRIAL_BLOCK_BYTES, 1 << 40)
+
     def test_blocks_do_not_change_rows(self, monkeypatch):
-        case = dict(n=10, beta=1.0, p=0.25, r=12, selection_kind="bernoulli_random", estimator="posest")
         root = Stream.from_seed(21)
-        whole = xp._cell(root, range(30), **case)
-        monkeypatch.setattr(xp, "_TRIAL_BLOCK_BYTES", 1)  # one trial per block
-        single = xp._cell(root, range(30), **case)
-        tail = xp._cell(root, range(17, 30), **case)
-        assert all(np.array_equal(a, b) for a, b in zip(whole, single))
-        assert all(np.array_equal(a[17:], b) for a, b in zip(whole, tail))
+        for case in (
+            dict(n=10, beta=1.0, p=0.25, r=12, selection_kind="bernoulli_random", estimator="posest"),
+            dict(n=20, beta=2.0, p=1 / 6, r=128, selection_kind="mixed_pfrequent", estimator="posest"),
+            dict(n=20, beta=2.0, p=1.0, r=32, selection_kind="complete", estimator="posest"),
+            dict(n=8, beta=2.0, p=0.5, r=16, selection_kind="mixed_pfrequent", estimator="ltn"),
+        ):
+            cells = []
+            for budget in self.BUDGETS:
+                monkeypatch.setattr(xp, "_TRIAL_BLOCK_BYTES", budget)
+                whole, tail = xp._cell(root, range(30), **case), xp._cell(root, range(17, 30), **case)
+                assert all(np.array_equal(a[17:], b) for a, b in zip(whole, tail)), (case, budget)
+                cells.append(whole)
+            assert all(np.array_equal(a, b) for cell in cells[1:] for a, b in zip(cells[0], cell)), case
+
+    @pytest.mark.parametrize("figure", ["figure1", "figure3"])
+    def test_blocks_do_not_change_whole_searches(self, monkeypatch, figure):
+        # the first search of every p, on its stream path in run_complexity_experiment
+        config = preset(figure)
+        found = []
+        for budget in self.BUDGETS[1:]:
+            monkeypatch.setattr(xp, "_TRIAL_BLOCK_BYTES", budget)
+            found.append([
+                binary_search_complexity(
+                    config.n, config.beta, p, config.target_success, config.trials_per_point,
+                    config.selection_kind, Stream.from_seed(config.seed).child(xp._EXP_COMPLEXITY, p_idx, 0),
+                )
+                for p_idx, p in enumerate(config.p_values)
+            ])
+        assert found[0] == found[1]
 
     def test_checks_run_before_any_draw(self):
         root = Stream.from_seed(0)
@@ -454,15 +479,19 @@ class TestTrialKernel:
             xp._cell(root, range(3), 40, 1.0, 1e-6, 10**6, "bernoulli_random")
 
     def test_working_memory_is_bounded_by_blocks(self):
-        # unblocked, the pair buffers of the count alone take 16 bytes per pair of every set of every trial: 13 MB here
-        args = (Stream.from_seed(4), range(100), 20, 2.0, 1 / 6, 256, "bernoulli_random")
-        tracemalloc.start()
-        try:
-            xp._cell(*args)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * xp._TRIAL_BLOCK_BYTES
+        # unblocked, the pair buffers of the count alone take 16 bytes per pair of every set of every trial: 13 MB at
+        # (1/6, 256); a cell's peak, its two output arrays included, stays under the budget on every figure cell
+        for kind in ("mixed_pfrequent", "bernoulli_random"):
+            for p, r in ((1, 8), (1, 32), (1 / 2, 32), (1 / 6, 128), (1 / 6, 256)):
+                args = (Stream.from_seed(4), range(100), 20, 2.0, p, r, kind)
+                xp._cell(*args)  # warm the selection cache
+                tracemalloc.start()
+                try:
+                    xp._cell(*args)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= xp._TRIAL_BLOCK_BYTES, (kind, p, r)
 
     def test_pair_only_cell_memory_is_linear_in_the_set_sizes(self):
         # a dense (r, n, n) compare of one trial's samples takes 20 MB here; its CSR rows take 128 KB
