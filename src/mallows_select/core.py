@@ -7,14 +7,27 @@ rankings are held as CSR arrays (row offsets plus flat items), and every
 module counts their pairs by the row kernels here, :func:`_pair_counts`
 and :func:`_discordances`, at a cost that grows with the sum of m^2 over
 the rows.  Tuple and ``Ranking`` views are lazy.
+
+The pair count and the sampler's insertion pass (``sampling._sample_rows``)
+also have C forms, in ``_rows.c``: the first process that needs them builds
+the file with the system ``cc`` into the package's ``__pycache__``, and
+every process loads it through ``ctypes``.  Where there is no compiler, no
+writable directory or no loadable library, the numpy forms run; both give
+the same results, bit for bit.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import itertools
 import math
 import operator
-from functools import lru_cache
+import os
+import shutil
+import subprocess
+from functools import cache, lru_cache
+from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -24,6 +37,59 @@ _MAX_N = 8192
 
 # rows per counting block are chosen so the block's two int64 pair arrays hold about this many bytes
 _PRECEDENCE_BLOCK_BYTES = 1 << 24
+
+_ROWS_SOURCE = Path(__file__).with_name("_rows.c")
+# no contraction of a multiply and an add into one rounding, so the C thresholds are the numpy ones
+_ROWS_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+
+
+def _rows_library(directory: Path) -> ctypes.CDLL | None:
+    """The C row kernels of ``_rows.c``, built into ``directory`` on first use; None where they cannot be loaded.
+
+    The library is named by a hash of the source and the flags, so an unchanged source loads the file built before.
+    A build is written under a name of its own process and moved into place, so processes that build at once each
+    load a whole file.  Without a ``cc`` on the path, a writable ``directory`` or a loadable result, the numpy
+    forms of the kernels run instead, with the same results.
+    """
+    try:
+        source = _ROWS_SOURCE.read_bytes()
+        tag = hashlib.sha256(source + " ".join(_ROWS_FLAGS).encode()).hexdigest()[:16]
+        path = directory / f"_rows.{tag}.so"
+        if not path.exists():
+            compiler = shutil.which("cc")
+            if compiler is None:
+                return None
+            directory.mkdir(exist_ok=True)
+            partial = directory / f"_rows.{tag}.{os.getpid()}.tmp"
+            try:
+                command = [compiler, *_ROWS_FLAGS, "-o", partial, _ROWS_SOURCE]
+                subprocess.run(command, capture_output=True, check=True, timeout=120)
+                os.replace(partial, path)
+            finally:
+                partial.unlink(missing_ok=True)
+        lib = ctypes.CDLL(str(path))
+    except (OSError, subprocess.SubprocessError):
+        return None
+    pointer, int64 = ctypes.c_void_p, ctypes.c_int64
+    lib.sample_rows.argtypes = [int64, pointer, pointer, pointer, pointer, pointer, ctypes.c_uint64, pointer]
+    lib.sample_rows.restype = None
+    lib.pair_counts.argtypes = [int64, int64, int64, int64, pointer, pointer, pointer]
+    lib.pair_counts.restype = ctypes.c_int
+    return lib
+
+
+@cache
+def _row_kernels() -> ctypes.CDLL | None:
+    """The compiled row kernels, loaded by a process's first call; None when the numpy forms of the kernels run."""
+    return _rows_library(Path(__file__).with_name("__pycache__"))
+
+
+def _checked_csr(offsets: np.ndarray, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``offsets`` and ``items`` as contiguous int64 arrays, once each row lies within ``items``: what the C kernels read."""
+    offsets, items = np.ascontiguousarray(offsets, np.int64), np.ascontiguousarray(items, np.int64)
+    if len(offsets) == 0 or offsets[0] != 0 or offsets[-1] != len(items) or (np.diff(offsets) < 0).any():
+        raise ValueError("CSR offsets must run from 0 to the item count without falling")
+    return offsets, items
 
 
 class Ranking:
@@ -252,10 +318,21 @@ def _pair_counts(n: int, offsets: np.ndarray, items: np.ndarray, groups: int = 1
     """``counts[g, i, j]``: the rows of group g in which item i of [0, n) stands ahead of item j.
 
     The rows fall into ``groups`` runs of equal length, in row order: the
-    trials of a kernel block, or one group for a single profile.
+    trials of a kernel block, or one group for a single profile.  The C
+    kernel counts row by row when it loaded; the numpy form counts the pairs
+    of the blocks of :func:`_pair_blocks`.
     """
     counts = np.zeros(groups * n * n, dtype=np.int64)
     per = (len(offsets) - 1) // groups
+    kernels = _row_kernels()
+    if kernels is not None:
+        offsets, items = _checked_csr(offsets, items)
+        failed = kernels.pair_counts(
+            n, len(offsets) - 1, groups, max(per, 1), offsets.ctypes.data, items.ctypes.data, counts.ctypes.data
+        )
+        if failed:
+            raise IndexError(f"a row holds an item outside [0, {n}) or falls past group {groups - 1}")
+        return counts.reshape(groups, n, n)
     for rows, first, second in _pair_blocks(offsets, items):
         if groups > 1:  # one pass over the pairs, which a single group does not need
             first += (rows // per * n)[:, None]

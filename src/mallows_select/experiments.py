@@ -12,17 +12,18 @@ runs a range of trials as arrays: trial keys by vectorised stream folds,
 centers by one Fisher-Yates pass over all trials, the sets of all trials
 as one array of CSR rows, each in its center's order, samples and
 pairwise wins by the sampler and the pair counter of a single profile
-(one repeated-insertion pass over the rows sorted by size, and a count
-that grows with the sum of m^2 over the rows, grouped by trial), and the
-positional estimate by
-one sort and tie shuffle of the scores of all trials, the routine behind
-the public estimator.  Only the windowed DP of the ltn and mle
-estimators runs trial by trial, around those estimates.  The rows equal
-those of running each trial object by object, the reference kept in the
-tests.  The trials run in blocks sized by the bytes a trial holds, counted
-from its sets' items and pairs (exactly for the cached deterministic
-sets, in expectation for Bernoulli sets), so a cell peaks under
-``_TRIAL_BLOCK_BYTES`` whenever a block holds more than one trial.
+(one repeated-insertion pass and a count that grows with the sum of m^2
+over the rows, grouped by trial: the compiled kernels of ``core`` where
+they loaded, row by row, else their numpy forms, with the same rows), and
+the positional estimate by one sort and tie shuffle of the scores of all
+trials, the routine behind the public estimator.  Only the windowed DP
+of the ltn and mle estimators runs trial by trial, around those
+estimates.  The rows equal those of running each trial object by object,
+the reference kept in the tests.  The trials run in blocks sized by the
+bytes a trial holds, counted from its sets' items and pairs (exactly for
+the cached deterministic sets, in expectation for Bernoulli sets), so a
+cell peaks under ``_TRIAL_BLOCK_BYTES`` whenever a block holds more than
+one trial.
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ successor, a row-wise argmax), costing C(2R, R)*w instead of the
 2^(2R+1)*w^2 of a sweep over every mask and candidate.  The masks and
 move tables of a step depend on the window's shape alone, never on the
 wins or on n once n > 2R+1, so each shape is built once per process and
-held, read-only, while all held tables fit in ``_TABLE_BYTES`` (4 MiB:
-every R <= 7); a shape built after that serves its call only.
+held, read-only, within ``_TABLE_BYTES`` (4 MiB: every R <= 7), the least
+recently used making room for a new shape.
 
 The DP is exact on its feasible set.  A maximizer that touches the window
 boundary signals that the window may be truncating the true optimum; the
@@ -82,21 +82,25 @@ class DpConfig:
 # multiply-adds in one block of a step's subset-sum product: BLAS runs a
 # product this small on the calling thread, so the DP stays single-threaded
 _STEP_BLOCK = 1 << 18
-# bytes of masks and move tables held between DP calls, all R <= 7 among them; a table
-# built once the held ones fill this serves its call only
+# bytes of masks and move tables held between DP calls, all R <= 7 among them; the least
+# recently used go to make room for a new one, and a table larger than this is never held
 _TABLE_BYTES = 1 << 22
-_tables: dict[tuple, tuple[np.ndarray, ...]] = {}
+_tables: dict[tuple, tuple[np.ndarray, ...]] = {}  # least recently used first
 
 
 def _table(key: tuple, build) -> tuple[np.ndarray, ...]:
-    """``build()``'s arrays, read-only, held for later calls while all held arrays fit in _TABLE_BYTES."""
-    arrays = _tables.get(key)
+    """``build()``'s arrays, read-only, held for later calls within _TABLE_BYTES, least recently used out first."""
+    arrays = _tables.pop(key, None)
     if arrays is None:
         arrays = build()
         for a in arrays:
             a.setflags(write=False)
-        if sum(a.nbytes for held in (*_tables.values(), arrays) for a in held) <= _TABLE_BYTES:
-            _tables[key] = arrays
+        size, held = sum(a.nbytes for a in arrays), sum(a.nbytes for t in _tables.values() for a in t)
+        if size > _TABLE_BYTES:
+            return arrays
+        while held + size > _TABLE_BYTES:
+            held -= sum(a.nbytes for a in _tables.pop(next(iter(_tables))))
+    _tables[key] = arrays
     return arrays
 
 
@@ -152,7 +156,8 @@ def _dp_window_max(wins_rel: np.ndarray, radius: int) -> tuple[list[int], int]:
         # middle, and for every n > 2R+1 at the ends, so its tables serve those positions and later calls
         w, shift = hi - lo + 1, int(t >= R)
         shape = (keys[t], keys[t + 1], w, shift)
-        if shape != last:
+        if shape != last:  # the last shape's tables go first: two of all of S_20 take about 44 MB each
+            placed = nxt = None
             placed, nxt = _table(shape, lambda: _moves(m, mask_sets[keys[t + 1]], w, shift))
         win, suf_lo, v_ext = wins_t[lo : hi + 1, lo : hi + 1], suf[lo : hi + 1, lo], np.append(v_next, -np.inf)
         v_next, choices[t] = np.empty(len(m)), np.empty(len(m), dtype=np.uint8)

@@ -73,12 +73,6 @@ class Stream:
         self._ctr += 1
         return mix64((self.key + self._ctr * _GAMMA) & _MASK)
 
-    def u64_array(self, count: int) -> np.ndarray:
-        """Next ``count`` 64-bit uniforms as a uint64 array."""
-        ctr = np.arange(self._ctr + 1, self._ctr + count + 1, dtype=np.uint64)
-        self._ctr += count
-        return mix64_array(np.uint64(self.key) + ctr * np.uint64(_GAMMA))
-
     def below(self, n: int) -> int:
         """Uniform integer in [0, n) via the 128-bit multiply-shift method."""
         if n <= 0:
@@ -96,10 +90,6 @@ class Stream:
         for i in range(len(items) - 1, 0, -1):
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
-
-    def uniform(self) -> float:
-        """Float in [0, 1); for statistics only, never for sampling decisions."""
-        return self.u64() / 18446744073709551616.0
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Stream(key={self.key:#018x}, counter={self._ctr})"

@@ -12,7 +12,8 @@ rows as arrays, each from its own keyed stream, so :func:`sample_mallows`
 kernel (a row per set of every trial) make the same draws.  A step's
 weights depend on the step and beta only, never on the set size, so the
 routine runs one pass over rows of every size, sorted by size, with no
-group per size.
+group per size; where the C row kernels of ``core`` loaded, they run the
+rows one by one with the same thresholds and draws instead.
 
 Selections, profiles, files and the experiment kernel hold their sets and
 samples as CSR rows, and :func:`generate_selection` builds them as such;
@@ -34,6 +35,7 @@ from itertools import chain, combinations, cycle, islice
 
 import numpy as np
 
+from . import core
 from .core import (
     _MAX_N,
     _PRECEDENCE_BLOCK_BYTES,
@@ -244,20 +246,34 @@ def _sample_rows(
     cumulative weights frozen to 63 bits, so they do not depend on the
     row's size, and one cumulative sum serves every step of every row.
 
-    The rows run sorted by size, largest first, so the rows that step k
-    moves (those with m > k) are a prefix, and a chunk of rows takes max
-    m - 1 steps.  A chunk holds at most ``_PRECEDENCE_BLOCK_BYTES // 64``
-    cells padded to its largest row (more only when one row needs more):
-    each costs 4 bytes of int32 position, and each of the chunk's items
-    about 70 bytes of draws and indices while they are drawn.  So the
-    memory grows with the total row size, never with rows times n.
+    The C kernel of ``core`` runs the rows one by one, an insertion a
+    binary search in the same thresholds and a ``memmove``, when it loaded.
+    The numpy form runs the rows sorted by size, largest first, so the rows
+    that step k moves (those with m > k) are a prefix, and a chunk of rows
+    takes max m - 1 steps.  A chunk holds at most
+    ``_PRECEDENCE_BLOCK_BYTES // 64`` cells padded to its largest row (more
+    only when one row needs more): each costs 4 bytes of int32 position,
+    and each of the chunk's items about 70 bytes of draws and indices while
+    they are drawn.  So the memory grows with the total row size, never
+    with rows times n.
     """
     sizes = np.diff(offsets)
-    order = np.argsort(-sizes, kind="stable")
-    sizes = sizes[order]
     cum = np.cumsum(np.exp(-beta * np.arange(int(sizes.max(initial=0)), dtype=np.float64)))
     scaled = cum * _SCALE  # exact: a power of two, which commutes with the rounding of the division below
-    samples = np.empty_like(restricted)
+    samples = np.empty(len(restricted), dtype=np.int64)
+    kernels = core._row_kernels()
+    if kernels is not None:
+        offsets, restricted = core._checked_csr(offsets, restricted)
+        keys = np.ascontiguousarray(keys, np.uint64)
+        if len(keys) != len(sizes):
+            raise ValueError(f"{len(sizes)} rows need as many stream keys, got {len(keys)}")
+        kernels.sample_rows(
+            len(sizes), keys.ctypes.data, offsets.ctypes.data, restricted.ctypes.data,
+            cum.ctypes.data, scaled.ctypes.data, start, samples.ctypes.data,
+        )
+        return samples
+    order = np.argsort(-sizes, kind="stable")
+    sizes = sizes[order]
     lo = 0
     while lo < len(order):
         m = sizes[lo : lo + max(1, _PRECEDENCE_BLOCK_BYTES // 64 // int(sizes[lo]))]  # descending

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from mallows_select import sampling
+from mallows_select import core, sampling
 from mallows_select.core import (
     MallowsParams,
     Ranking,
@@ -28,8 +28,34 @@ from mallows_select.core import (
 from mallows_select.estimators import accumulate_counts, positional_estimator, score, score_permutation_array
 from mallows_select.fileio import FileFormatError, _err, _parse_header
 from mallows_select.mle import recover_likelier_than_nature, recover_mle
-from mallows_select.rng import Stream, draw_matrix
+from mallows_select.rng import _GAMMA, Stream, draw_matrix, mix64_array
 from mallows_select.sampling import SelectionSpec, generate_selection, sample_profile
+
+
+def row_kernel_paths(patch, split: bool = False):
+    """Set each path of the core row kernels in turn through the MonkeyPatch ``patch``, yielding after each.
+
+    The compiled kernels (the numpy ones where they did not load), then the numpy ones; with ``split``, also the
+    numpy ones in blocks of 50 bytes, which split the pair blocks of every small profile.
+    """
+    compiled, numpy, whole = core._row_kernels, lambda: None, core._PRECEDENCE_BLOCK_BYTES
+    compiled()  # loaded before a test measures anything
+    for kernels, block_bytes in ((compiled, whole), (numpy, whole), (numpy, 50))[: 3 if split else 2]:
+        patch.setattr(core, "_row_kernels", kernels)
+        patch.setattr(core, "_PRECEDENCE_BLOCK_BYTES", block_bytes)
+        yield
+
+
+def u64_array(stream: Stream, count: int) -> np.ndarray:
+    """The next ``count`` 64-bit uniforms of ``stream`` as a uint64 array: ``count`` calls of ``Stream.u64``."""
+    ctr = np.arange(stream._ctr + 1, stream._ctr + count + 1, dtype=np.uint64)
+    stream._ctr += count
+    return mix64_array(np.uint64(stream.key) + ctr * np.uint64(_GAMMA))
+
+
+def uniform(stream: Stream) -> float:
+    """A float in [0, 1) from the stream's next draw; for statistics only, never for sampling decisions."""
+    return stream.u64() / 18446744073709551616.0
 
 
 def pair_scan_kendall(a: Ranking, b: Ranking) -> int:
@@ -171,7 +197,7 @@ def looped_bernoulli_sets(spec: SelectionSpec, r: int, stream: Stream) -> list[t
     sets: list[tuple[int, ...]] = []
     while len(sets) < r:
         want = r - len(sets)
-        draws = [int(u) >> 1 for u in stream.u64_array(want * n)]
+        draws = [int(u) >> 1 for u in u64_array(stream, want * n)]
         for row in range(want):
             members = tuple(i for i in range(n) if draws[row * n + i] < threshold)
             if len(members) >= 2 and len(sets) < r:
@@ -226,7 +252,7 @@ def insertion_sample(center_items: tuple[int, ...], beta: float, stream: Stream)
     bits of the stream's next draw.
     """
     tables = insertion_thresholds(len(center_items), beta)
-    draws = stream.u64_array(len(center_items) - 1) >> np.uint64(1)
+    draws = u64_array(stream, len(center_items) - 1) >> np.uint64(1)
     out = [center_items[0]]
     for k, item in enumerate(center_items[1:]):
         d = int(np.searchsorted(tables[k], draws[k], side="right"))
@@ -547,5 +573,5 @@ def bootstrap_mean_diff_lower(a, b, stream: Stream, level: float = 0.99, reps: i
 
 def _bounded_draws(stream: Stream, bound: int, count: int) -> np.ndarray:
     # 32-bit multiply-shift keeps everything in uint64; bias < bound/2^32
-    u = stream.u64_array(count) >> np.uint64(32)
+    u = u64_array(stream, count) >> np.uint64(32)
     return ((u * np.uint64(bound)) >> np.uint64(32)).astype(np.int64)

@@ -1,14 +1,16 @@
 import itertools
 import math
 import re
+import shutil
+import subprocess
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import pair_scan_kendall
-from mallows_select import core
+from helpers import pair_scan_kendall, row_kernel_paths
+from mallows_select import core, sampling
 from mallows_select.core import (
     MallowsParams,
     Ranking,
@@ -256,3 +258,82 @@ class TestTriuPairs:
         # a held pair array of the n limit, 8192, would take about 537 MB
         assert core._triu_pairs(64)[0] is core._triu_pairs(64)[0]
         assert core._triu_pairs(65)[0] is not core._triu_pairs(65)[0]
+
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on the path")
+
+
+@st.composite
+def grouped_rows(draw):
+    """``(n, groups, offsets, restricted)``: CSR rows of restricted centers over n items, in equal runs per group."""
+    n, groups = draw(st.integers(2, 60)), draw(st.integers(2, 6))
+    sizes = draw(st.lists(st.integers(1, n), min_size=1, max_size=40)) * groups
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    rng.shuffle(sizes)
+    restricted = np.concatenate([rng.permutation(n)[:m] for m in sizes])
+    return n, groups, np.concatenate(([0], np.cumsum(sizes))), restricted
+
+
+class TestCompiledRowKernels:
+    """The C row kernels of ``_rows.c`` against their numpy forms, and how ``core`` builds and loads them."""
+
+    def test_they_load_where_a_compiler_is_found(self):
+        assert (core._row_kernels() is not None) == (shutil.which("cc") is not None)
+
+    @needs_cc
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=grouped_rows(),
+        beta=st.floats(0.05, 40.0),
+        seed=st.integers(0, 2**32),
+        start=st.integers(0, 10**6),
+    )
+    def test_samples_and_counts_equal_the_numpy_forms(self, rows, beta, seed, start):
+        n, groups, offsets, restricted = rows
+        keys = Stream.from_seed(seed).child_keys(len(offsets) - 1)
+        outputs = []
+        with pytest.MonkeyPatch.context() as patch:
+            for _ in row_kernel_paths(patch):
+                samples = sampling._sample_rows(keys, offsets, restricted, beta, start)
+                outputs.append((samples, core._pair_counts(n, offsets, samples, groups)))
+        (native, native_counts), (numpy, numpy_counts) = outputs
+        assert native.dtype == numpy.dtype and np.array_equal(native, numpy)
+        assert native_counts.dtype == numpy_counts.dtype and np.array_equal(native_counts, numpy_counts)
+
+    @needs_cc
+    def test_rows_outside_the_counts_are_refused(self):
+        # the compiled kernel checks each row before it counts it, where a write past the counts would corrupt memory
+        offsets = np.array([0, 2, 4, 6])
+        for items, groups in (([0, 1, 1, 3, 2, 0], 1), ([0, 1, -1, 2, 2, 0], 1), ([0, 1, 1, 2, 2, 0], 2)):
+            with pytest.raises(IndexError, match="outside"):
+                core._pair_counts(3, offsets, np.array(items), groups)
+
+    def test_without_a_compiler_the_numpy_forms_run(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(core.shutil, "which", lambda name: None)
+        assert core._rows_library(tmp_path / "cache") is None
+        assert list(tmp_path.iterdir()) == []
+
+    @needs_cc
+    def test_an_unchanged_source_loads_the_file_built_before(self, monkeypatch, tmp_path):
+        builds = []
+        run = subprocess.run
+        monkeypatch.setattr(core.subprocess, "run", lambda command, **kw: builds.append(command) or run(command, **kw))
+        assert core._rows_library(tmp_path) is not None and core._rows_library(tmp_path) is not None
+        assert len(builds) == 1
+        assert [path.suffix for path in tmp_path.iterdir()] == [".so"]  # no partial build is left behind
+
+    @needs_cc
+    def test_a_directory_that_cannot_be_made_or_a_bad_library_leaves_the_numpy_forms(self, tmp_path):
+        (tmp_path / "taken").write_text("")
+        assert core._rows_library(tmp_path / "taken") is None
+        assert core._rows_library(tmp_path / "built") is not None
+        (library,) = (tmp_path / "built").iterdir()
+        (tmp_path / "bad").mkdir()  # a loaded library is never written over: its pages are mapped
+        (tmp_path / "bad" / library.name).write_bytes(b"not a shared object")
+        assert core._rows_library(tmp_path / "bad") is None
+
+    @needs_cc
+    def test_the_source_compiles_without_warnings(self, tmp_path):
+        command = ["cc", *core._ROWS_FLAGS, "-Wall", "-Wextra", "-Werror", "-o", tmp_path / "r.so", core._ROWS_SOURCE]
+        result = subprocess.run(command, capture_output=True, text=True, timeout=120)
+        assert (result.returncode, result.stdout, result.stderr) == (0, "", "")

@@ -15,9 +15,11 @@ from helpers import (
     looped_order_by_scores,
     random_incomplete_profile,
     recount_pairwise,
+    row_kernel_paths,
     run_trial,
     sequential_log_likelihood,
     total_distance,
+    u64_array,
     widened,
 )
 from mallows_select import core, estimators
@@ -66,9 +68,7 @@ class TestAccumulateCounts:
         stream = Stream.from_seed(100)
         profiles = [random_incomplete_profile(n=4 + stream.below(4), r=6, stream=stream) for _ in range(20)]
         profiles.append(widened(random_incomplete_profile(n=5, r=9, stream=stream), 3))
-        # the default block holds every profile whole; 50 bytes splits all of them
-        for block_bytes in (core._PRECEDENCE_BLOCK_BYTES, 50):
-            monkeypatch.setattr(core, "_PRECEDENCE_BLOCK_BYTES", block_bytes)
+        for _ in row_kernel_paths(monkeypatch, split=True):
             for profile in profiles:
                 counts = accumulate_counts(profile)
                 appear, wins = recount_pairwise(profile)
@@ -244,7 +244,7 @@ def mixed_profiles(draw):
 
 
 class TestSizeGroupedCounting:
-    """The size-grouped pair blocks against the loops of ``helpers``, at both block sizes."""
+    """The pair counts and discordances against the loops of ``helpers``, on each kernel path and block size."""
 
     @settings(max_examples=100, deadline=None)
     @given(case=mixed_profiles(), data=st.data())
@@ -253,27 +253,28 @@ class TestSizeGroupedCounting:
         pi = Ranking(data.draw(st.permutations(range(profile.n))))
         appear, wins = recount_pairwise(profile)
         expected = sequential_log_likelihood(pi, profile, beta)
-        for block_bytes in (core._PRECEDENCE_BLOCK_BYTES, 50):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(core, "_PRECEDENCE_BLOCK_BYTES", block_bytes)
+        with pytest.MonkeyPatch.context() as patch:
+            for _ in row_kernel_paths(patch, split=True):
                 counts = accumulate_counts(profile)
                 assert (counts.appear == appear).all() and (counts.wins == wins).all()
                 assert log_likelihood(pi, profile, beta) == expected
 
-    def test_pair_only_counting_memory_is_linear_in_the_pairs(self):
+    def test_pair_only_counting_memory_is_linear_in_the_pairs(self, monkeypatch):
         # one r x n x n boolean block would take 1.8 GB here, and even one row-block of n x n
         # booleans per 186 rows, the blocking of a dense compare, takes 16 MB
         n, r = 300, 20000
         selection = generate_selection(SelectionSpec(kind="pairwise", n=n), r)
         profile = sample_profile(MallowsParams(Ranking.identity(n), 1.0), selection, Stream.from_seed(5))
-        tracemalloc.start()
-        try:
-            counts = accumulate_counts(profile)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert counts.appear.sum() == 2 * r
-        assert peak < 4 << 20
+        for _ in row_kernel_paths(monkeypatch):
+            tracemalloc.start()
+            try:
+                counts = accumulate_counts(profile)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert counts.appear.sum() == 2 * r
+            assert peak < 4 << 20
+
 
 
 class TestScore:
@@ -377,8 +378,7 @@ class TestLogLikelihood:
         profile = widened(random_incomplete_profile(n=6, r=12, stream=stream), 4)
         cases.append((Ranking(stream.permutation(10)), profile, 1.3))
         cases.append((Ranking(stream.permutation(12)), profile, 0.4))  # pi also ranks items beyond n
-        for block_bytes in (core._PRECEDENCE_BLOCK_BYTES, 50):
-            monkeypatch.setattr(core, "_PRECEDENCE_BLOCK_BYTES", block_bytes)
+        for _ in row_kernel_paths(monkeypatch, split=True):
             for pi, profile, beta in cases:
                 assert log_likelihood(pi, profile, beta) == sequential_log_likelihood(pi, profile, beta)
 
@@ -389,7 +389,7 @@ class TestLogLikelihood:
 
 
 def _complete_profile_of_size(n: int, r: int, stream: Stream) -> SampleProfile:
-    rows = (stream.u64_array(r * n).reshape(r, n) >> np.uint64(1)).astype(np.int64).argsort(axis=1)
+    rows = (u64_array(stream, r * n).reshape(r, n) >> np.uint64(1)).astype(np.int64).argsort(axis=1)
     selection = SelectionSequence._from_arrays(n, np.arange(r + 1) * n, np.tile(np.arange(n), r))
     return SampleProfile._from_arrays(selection, rows.ravel())
 
@@ -400,36 +400,39 @@ class TestKernelMemory:
         [accumulate_counts, lambda profile: log_likelihood(Ranking.identity(profile.n), profile, 1.0)],
         ids=["accumulate_counts", "log_likelihood"],
     )
-    def test_peak_does_not_grow_with_profile_length(self, reduce):
+    def test_peak_does_not_grow_with_profile_length(self, monkeypatch, reduce):
         stream = Stream.from_seed(103)
-        peaks = []
-        for r in (1000, 4000):
-            profile = _complete_profile_of_size(200, r, stream.child(r))
-            tracemalloc.start()
-            try:
-                reduce(profile)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        # one r x n x n boolean block would be 40 MB at r=1000 and 160 MB at r=4000
-        assert peaks[1] <= peaks[0] + (1 << 20)
-        assert peaks[1] <= core._PRECEDENCE_BLOCK_BYTES + (8 << 20)
+        profiles = [_complete_profile_of_size(200, r, stream.child(r)) for r in (1000, 4000)]
+        for _ in row_kernel_paths(monkeypatch):
+            peaks = []
+            for profile in profiles:
+                tracemalloc.start()
+                try:
+                    reduce(profile)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            # one r x n x n boolean block would be 40 MB at r=1000 and 160 MB at r=4000
+            assert peaks[1] <= peaks[0] + (1 << 20)
+            assert peaks[1] <= core._PRECEDENCE_BLOCK_BYTES + (8 << 20)
 
-    def test_posest_holds_nothing_after_it_returns(self):
+    def test_posest_holds_nothing_after_it_returns(self, monkeypatch):
         # its counts and pair buffers take 32 MB each at n=2000; a held triu_indices(2000, 1) took another 30.5 MiB
         n = 2000
         selection = SelectionSequence._from_arrays(n, np.array([0, n, 2 * n]), np.tile(np.arange(n), 2))
         profile = SampleProfile._from_arrays(selection, np.concatenate((np.arange(n), np.arange(n)[::-1])))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            result = positional_estimator(profile, Stream.from_seed(2))
-            assert len(result.tie_groups) == 1 and result.zero_pairs == ()  # every pair split once each way
-            del result
-            held = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert held < 1 << 20
+        for _ in row_kernel_paths(monkeypatch):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                result = positional_estimator(profile, Stream.from_seed(2))
+                assert len(result.tie_groups) == 1 and result.zero_pairs == ()  # every pair split once each way
+                del result
+                held = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert held < 1 << 20
+
 
 
 class TestBruteForce:

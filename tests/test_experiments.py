@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from helpers import bootstrap_mean_diff_lower, exact_two_item_success, linear_fit, looped_cell
+from helpers import bootstrap_mean_diff_lower, exact_two_item_success, linear_fit, looped_cell, row_kernel_paths
 from mallows_select import experiments as xp
 from mallows_select.core import Ranking
 from mallows_select.experiments import (
@@ -401,14 +401,16 @@ def cell_cases(draw):
 
 
 class TestTrialKernel:
-    """``experiments._cell`` against the looped protocol of ``helpers.run_trial``, at zero tolerance."""
+    """``experiments._cell`` against the looped protocol of ``helpers.run_trial``, exactly, on each kernel path."""
 
     @staticmethod
     def assert_same(root, trials, case):
-        batched = xp._cell(root, trials, **case)
-        looped = looped_cell(root, trials, **case)
-        assert batched[0].dtype == looped[0].dtype and batched[1].dtype == looped[1].dtype
-        assert np.array_equal(batched[0], looped[0]) and np.array_equal(batched[1], looped[1])
+        with pytest.MonkeyPatch.context() as patch:
+            for _ in row_kernel_paths(patch):
+                batched = xp._cell(root, trials, **case)
+                looped = looped_cell(root, trials, **case)
+                assert batched[0].dtype == looped[0].dtype and batched[1].dtype == looped[1].dtype
+                assert np.array_equal(batched[0], looped[0]) and np.array_equal(batched[1], looped[1])
 
     @settings(max_examples=60, deadline=None)
     @given(case=cell_cases(), seed=st.integers(0, 2**32), start=st.integers(0, 300), length=st.integers(1, 8))
@@ -446,9 +448,10 @@ class TestTrialKernel:
             cells = []
             for budget in self.BUDGETS:
                 monkeypatch.setattr(xp, "_TRIAL_BLOCK_BYTES", budget)
-                whole, tail = xp._cell(root, range(30), **case), xp._cell(root, range(17, 30), **case)
-                assert all(np.array_equal(a[17:], b) for a, b in zip(whole, tail)), (case, budget)
-                cells.append(whole)
+                for _ in row_kernel_paths(monkeypatch):
+                    whole, tail = xp._cell(root, range(30), **case), xp._cell(root, range(17, 30), **case)
+                    assert all(np.array_equal(a[17:], b) for a, b in zip(whole, tail)), (case, budget)
+                    cells.append(whole)
             assert all(np.array_equal(a, b) for cell in cells[1:] for a, b in zip(cells[0], cell)), case
 
     @pytest.mark.parametrize("figure", ["figure1", "figure3"])
@@ -458,14 +461,15 @@ class TestTrialKernel:
         found = []
         for budget in self.BUDGETS[1:]:
             monkeypatch.setattr(xp, "_TRIAL_BLOCK_BYTES", budget)
-            found.append([
-                binary_search_complexity(
-                    config.n, config.beta, p, config.target_success, config.trials_per_point,
-                    config.selection_kind, Stream.from_seed(config.seed).child(xp._EXP_COMPLEXITY, p_idx, 0),
-                )
-                for p_idx, p in enumerate(config.p_values)
-            ])
-        assert found[0] == found[1]
+            for _ in row_kernel_paths(monkeypatch):
+                found.append([
+                    binary_search_complexity(
+                        config.n, config.beta, p, config.target_success, config.trials_per_point,
+                        config.selection_kind, Stream.from_seed(config.seed).child(xp._EXP_COMPLEXITY, p_idx, 0),
+                    )
+                    for p_idx, p in enumerate(config.p_values)
+                ])
+        assert all(searches == found[0] for searches in found[1:])
 
     def test_checks_run_before_any_draw(self):
         root = Stream.from_seed(0)
@@ -478,29 +482,31 @@ class TestTrialKernel:
         with pytest.raises(ValueError, match="over the limit of 2"):
             xp._cell(root, range(3), 40, 1.0, 1e-6, 10**6, "bernoulli_random")
 
-    def test_working_memory_is_bounded_by_blocks(self):
+    def test_working_memory_is_bounded_by_blocks(self, monkeypatch):
         # unblocked, the pair buffers of the count alone take 16 bytes per pair of every set of every trial: 13 MB at
         # (1/6, 256); a cell's peak, its two output arrays included, stays under the budget on every figure cell
-        for kind in ("mixed_pfrequent", "bernoulli_random"):
-            for p, r in ((1, 8), (1, 32), (1 / 2, 32), (1 / 6, 128), (1 / 6, 256)):
-                args = (Stream.from_seed(4), range(100), 20, 2.0, p, r, kind)
-                xp._cell(*args)  # warm the selection cache
-                tracemalloc.start()
-                try:
-                    xp._cell(*args)
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-                assert peak <= xp._TRIAL_BLOCK_BYTES, (kind, p, r)
+        for _ in row_kernel_paths(monkeypatch):
+            for kind in ("mixed_pfrequent", "bernoulli_random"):
+                for p, r in ((1, 8), (1, 32), (1 / 2, 32), (1 / 6, 128), (1 / 6, 256)):
+                    args = (Stream.from_seed(4), range(100), 20, 2.0, p, r, kind)
+                    xp._cell(*args)  # warm the selection cache
+                    tracemalloc.start()
+                    try:
+                        xp._cell(*args)
+                        peak = tracemalloc.get_traced_memory()[1]
+                    finally:
+                        tracemalloc.stop()
+                    assert peak <= xp._TRIAL_BLOCK_BYTES, (kind, p, r)
 
-    def test_pair_only_cell_memory_is_linear_in_the_set_sizes(self):
+    def test_pair_only_cell_memory_is_linear_in_the_set_sizes(self, monkeypatch):
         # a dense (r, n, n) compare of one trial's samples takes 20 MB here; its CSR rows take 128 KB
         args = (Stream.from_seed(4), range(4), 100, 1.0, 1.0, 2000, "pairwise")
         xp._cell(*args)  # warm the selection cache
-        tracemalloc.start()
-        try:
-            xp._cell(*args)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 << 20
+        for _ in row_kernel_paths(monkeypatch):
+            tracemalloc.start()
+            try:
+                xp._cell(*args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 << 20

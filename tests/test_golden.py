@@ -2,13 +2,23 @@
 
 Each case runs through ``cli.dispatch`` in-process and hashes the files it
 writes (CSV, SVG, sampled profile) or its stdout.  stderr carries paths and
-is not hashed.  A digest changes only when an output byte changes.
+is not hashed.  A digest changes only when an output byte changes.  The
+digests hold on the compiled row kernels and, in a process that finds no C
+compiler, on their numpy forms.
 """
 
 import hashlib
+import json
+import os
+import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mallows_select
 from mallows_select.cli import dispatch
 
 EXPERIMENTS = {
@@ -125,9 +135,8 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.fixture(scope="module")
-def digests(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("golden")
+def compute_digests(tmp: Path) -> dict[str, str]:
+    """The digest of every pinned output, written into the directory ``tmp``."""
     out = {}
     for name, argv in EXPERIMENTS.items():
         csv = tmp / f"{name}.csv"
@@ -163,6 +172,11 @@ def digests(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    return compute_digests(tmp_path_factory.mktemp("golden"))
+
+
 def test_outputs_cover_every_pinned_file(digests):
     assert sorted(digests) == sorted(GOLDEN)
 
@@ -170,3 +184,32 @@ def test_outputs_cover_every_pinned_file(digests):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_bytes_unchanged(digests, name):
     assert digests[name] == GOLDEN[name]
+
+
+def test_numpy_row_kernels_give_the_same_bytes(tmp_path):
+    # a copy of the package with no built library, run where no C compiler is on the path
+    package = tmp_path / "package" / "mallows_select"
+    shutil.copytree(Path(mallows_select.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "bin").mkdir()
+    (tmp_path / "out").mkdir()
+    script = """if True:
+        import contextlib, io, json, sys
+        from pathlib import Path
+        import test_golden
+        from mallows_select import core
+        with contextlib.redirect_stderr(io.StringIO()) as log:
+            digests = test_golden.compute_digests(Path(sys.argv[1]))
+        kernels = repr(core._row_kernels())
+        print(json.dumps({"core": core.__file__, "kernels": kernels, "digests": digests, "log": log.getvalue()}))
+    """
+    path = os.pathsep.join([str(package.parent), str(Path(__file__).parent)])
+    env = {**os.environ, "PATH": str(tmp_path / "bin"), "PYTHONPATH": path}
+    command = [sys.executable, "-c", script, str(tmp_path / "out")]
+    run = subprocess.run(command, env=env, cwd=tmp_path, capture_output=True, text=True, timeout=600)
+    assert (run.returncode, run.stderr) == (0, "")
+    report = json.loads(run.stdout)
+    assert Path(report["core"]).parent == package and report["kernels"] == "None"
+    assert not list(package.glob("__pycache__/_rows*"))
+    assert report["digests"] == GOLDEN
+    # the commands' own stderr: the resolved settings, one key=value per line, and nothing else
+    assert all(re.fullmatch(r"[\w-]+=.*", line) for line in report["log"].splitlines())

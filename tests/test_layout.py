@@ -7,8 +7,11 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mallows_select"
 MODULES = sorted(SRC.glob("*.py"))
-# the kernels that read CSR rows, and the buffer bound they share, all defined in core
-ROW_KERNELS = {"_triu_pairs", "_pair_blocks", "_pair_counts", "_discordances", "_PRECEDENCE_BLOCK_BYTES"}
+# the kernels that read CSR rows, the buffer bound they share and the loader of their compiled forms, all in core
+ROW_KERNELS = {
+    "_triu_pairs", "_pair_blocks", "_pair_counts", "_discordances", "_PRECEDENCE_BLOCK_BYTES",
+    "_rows_library", "_row_kernels",
+}
 
 
 def _tree(path: Path) -> ast.Module:

@@ -197,6 +197,37 @@ class TestReachableStateDp:
         assert 0 < held <= mle._TABLE_BYTES
         assert max(len(arrays[0]) for arrays in mle._tables.values()) < math.comb(18, 9)
 
+    def test_a_full_cache_makes_room_for_new_shapes(self, monkeypatch):
+        mle._tables.clear()
+        rng = np.random.default_rng(50)
+        for radius in (0, 1, 2, 3, 4, 5, 6, 8):  # every window but R=7 fills the cap, as in a process that ran others
+            for n in range(30, 0, -1):
+                _dp_window_max(rng.integers(0, 3, size=(n, n)).astype(np.int64), radius)
+        assert sum(array.nbytes for arrays in mle._tables.values() for array in arrays) > 0.9 * mle._TABLE_BYTES
+        wins = rng.integers(0, 51, size=(20, 20)).astype(np.int64)
+        expected = _dp_window_max(wins, 7)
+        built = []
+        for name in ("_popcount_masks", "_moves"):
+            build = getattr(mle, name)
+            monkeypatch.setattr(mle, name, lambda *args, build=build, name=name: built.append(name) or build(*args))
+        assert _dp_window_max(wins, 7) == expected
+        assert built == []
+
+    def test_full_window_holds_one_shape_at_a_time(self, monkeypatch):
+        # nothing held: each shape of S_16 is built for its step, the last shape's tables gone before the build
+        monkeypatch.setattr(mle, "_TABLE_BYTES", 0)
+        monkeypatch.setattr(mle, "_tables", {})
+        n = 16
+        wins = np.random.default_rng(51).integers(0, 5, size=(n, n)).astype(np.int64)
+        tracemalloc.start()
+        try:
+            _dp_window_max(wins, n - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        widest = math.comb(n, n // 2) * n * 12  # its float64 placed and int32 successor tables
+        assert peak < 2 * widest
+
 
 def brute_force_mle_from_counts(counts: PairwiseCounts) -> Ranking:
     perms = np.array(list(itertools.permutations(range(counts.n))), dtype=np.int64)

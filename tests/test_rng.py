@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import u64_array, uniform
 from mallows_select.rng import Stream, _below_array, child_key_grid, draw_matrix, mix64, permutation_rows
 
 
@@ -12,15 +13,15 @@ def test_draws_are_deterministic_and_pinned():
     # frozen values guard against accidental changes to the stream definition
     assert first == [
         Stream.from_seed(7).u64(),
-        Stream.from_seed(7).u64_array(2)[1].item(),
-        Stream.from_seed(7).u64_array(3)[2].item(),
+        u64_array(Stream.from_seed(7), 2)[1].item(),
+        u64_array(Stream.from_seed(7), 3)[2].item(),
     ]
 
 
 def test_scalar_and_vector_draws_agree():
     s1 = Stream.from_seed(123).child(4, 5)
     s2 = Stream.from_seed(123).child(4, 5)
-    assert [s1.u64() for _ in range(10)] == [int(x) for x in s2.u64_array(10)]
+    assert [s1.u64() for _ in range(10)] == [int(x) for x in u64_array(s2, 10)]
 
 
 def test_child_keys_match_child():
@@ -41,7 +42,7 @@ def test_draw_matrix_matches_streams():
 def test_children_are_independent_of_draw_position():
     s = Stream.from_seed(1)
     before = s.child(2).key
-    s.u64_array(100)
+    u64_array(s, 100)
     assert s.child(2).key == before
 
 
@@ -80,7 +81,7 @@ def test_shuffle_permutes_in_place():
 
 def test_uniform_moments():
     s = Stream.from_seed(21)
-    xs = [s.uniform() for _ in range(20000)]
+    xs = [uniform(s) for _ in range(20000)]
     assert abs(np.mean(xs) - 0.5) < 0.01
     assert abs(np.var(xs) - 1 / 12) < 0.005
 
@@ -109,7 +110,7 @@ def test_draw_matrix_continues_each_stream_from_its_counter():
     start = np.array([0, 5, 2**40], dtype=np.uint64)
     mat = draw_matrix(keys, 4, start=start)
     for i in range(3):
-        assert [int(x) for x in mat[i]] == [int(x) for x in Stream(int(keys[i]), int(start[i])).u64_array(4)]
+        assert [int(x) for x in mat[i]] == [int(x) for x in u64_array(Stream(int(keys[i]), int(start[i])), 4)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 20, 257, 8192])
@@ -122,7 +123,7 @@ def test_permutation_rows_match_stream_permutation(n):
 
 def test_below_array_is_the_exact_high_product():
     edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
-    u = np.array(edges + [int(x) for x in Stream.from_seed(1).u64_array(2000)], dtype=np.uint64)
+    u = np.array(edges + [int(x) for x in u64_array(Stream.from_seed(1), 2000)], dtype=np.uint64)
     for bound in (1, 2, 3, 20, 8191, 2**31 + 7, 2**32 - 1):
         got = _below_array(u, np.uint64(bound))
         assert got.tolist() == [(int(x) * bound) >> 64 for x in u]

@@ -17,9 +17,11 @@ from helpers import (
     looped_sample_profile,
     mallows_pmf,
     pair_scan_coappearance,
+    row_kernel_paths,
     tuple_selection_sets,
+    u64_array,
 )
-from mallows_select import core, sampling
+from mallows_select import sampling
 from mallows_select.core import (
     MallowsParams,
     Ranking,
@@ -304,8 +306,7 @@ class TestVerifyPFrequent:
         selections.append(generate_selection(SelectionSpec(kind="mixed_pfrequent", n=6, p=0.5), 9))
         # alternatives 7..9 are never selected, so every worst pair involves them
         selections.append(SelectionSequence(selections[-1].sets, 10))
-        for block_bytes in (core._PRECEDENCE_BLOCK_BYTES, 50):
-            monkeypatch.setattr(core, "_PRECEDENCE_BLOCK_BYTES", block_bytes)
+        for _ in row_kernel_paths(monkeypatch, split=True):
             for sel in selections:
                 report = verify_p_frequent(sel, 0.3)
                 expected = pair_scan_coappearance(sel)
@@ -367,7 +368,7 @@ class TestBatchedDraws:
     def test_generate_selection_continues_a_used_stream(self):
         spec = SelectionSpec(kind="bernoulli_random", n=5, p=0.2)
         stream, reference = Stream.from_seed(32), Stream.from_seed(32)
-        stream.u64_array(7), reference.u64_array(7)
+        u64_array(stream, 7), u64_array(reference, 7)
         assert list(generate_selection(spec, 15, stream).sets) == looped_bernoulli_sets(spec, 15, reference)
         assert stream.u64() == reference.u64()
 
@@ -454,7 +455,7 @@ def ragged_rows(draw):
 
 
 class TestOneSampler:
-    """``sample_profile`` and ``sample_mallows`` against the list-insertion reference in ``helpers``."""
+    """``sample_profile`` and ``sample_mallows`` against the list-insertion reference of ``helpers``, on each path."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -465,8 +466,11 @@ class TestOneSampler:
     )
     def test_sample_profile_equals_reference(self, selection, data, beta, seed):
         params = MallowsParams(Ranking(data.draw(st.permutations(range(selection.n)))), beta)
-        profile = sample_profile(params, selection, Stream.from_seed(seed))
-        assert [rk.items for rk in profile.rankings] == looped_sample_profile(params, selection, Stream.from_seed(seed))
+        expected = looped_sample_profile(params, selection, Stream.from_seed(seed))
+        with pytest.MonkeyPatch.context() as patch:
+            for _ in row_kernel_paths(patch):
+                profile = sample_profile(params, selection, Stream.from_seed(seed))
+                assert [rk.items for rk in profile.rankings] == expected
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -476,10 +480,15 @@ class TestOneSampler:
         used=st.integers(0, 40),
     )
     def test_sample_mallows_on_a_used_stream_equals_reference(self, items, beta, seed, used):
-        stream, reference = Stream.from_seed(seed), Stream.from_seed(seed)
-        stream.u64_array(used), reference.u64_array(used)
-        assert sample_mallows(Ranking(items), beta, stream).items == insertion_sample(tuple(items), beta, reference)
-        assert stream._ctr == reference._ctr
+        reference = Stream.from_seed(seed)
+        u64_array(reference, used)
+        expected = insertion_sample(tuple(items), beta, reference)
+        with pytest.MonkeyPatch.context() as patch:
+            for _ in row_kernel_paths(patch):
+                stream = Stream.from_seed(seed)
+                u64_array(stream, used)
+                assert sample_mallows(Ranking(items), beta, stream).items == expected
+                assert stream._ctr == reference._ctr
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -494,36 +503,39 @@ class TestOneSampler:
         keys = Stream.from_seed(seed).child_keys(len(offsets) - 1)
         expected = grouped_sample_rows(keys, offsets, restricted, beta, start)
         with pytest.MonkeyPatch.context() as patch:
-            if budget is not None:
+            if budget is not None:  # the chunks of the numpy form: the compiled kernel runs row by row
                 patch.setattr(sampling, "_PRECEDENCE_BLOCK_BYTES", budget)
-            assert np.array_equal(sampling._sample_rows(keys, offsets, restricted, beta, start), expected)
+            for _ in row_kernel_paths(patch):
+                assert np.array_equal(sampling._sample_rows(keys, offsets, restricted, beta, start), expected)
 
-    def test_pair_only_profile_memory_is_linear_in_the_set_sizes(self):
+    def test_pair_only_profile_memory_is_linear_in_the_set_sizes(self, monkeypatch):
         # a dense (r, n) array of any dtype would take at least 4 MB here
         n, r = 2000, 2000
         selection = generate_selection(SelectionSpec(kind="pairwise", n=n), r)
         params = MallowsParams(Ranking(Stream.from_seed(3).permutation(n)), 1.0)
-        tracemalloc.start()
-        try:
-            sample_profile(params, selection, Stream.from_seed(4))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 << 20
+        for _ in row_kernel_paths(monkeypatch):
+            tracemalloc.start()
+            try:
+                sample_profile(params, selection, Stream.from_seed(4))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 << 20
 
-    def test_skewed_profile_memory_is_linear_in_the_set_sizes(self):
+    def test_skewed_profile_memory_is_linear_in_the_set_sizes(self, monkeypatch):
         # 4 full sets and 3,996 pairs: padding every row to the largest set takes 64 MB of int32 positions here
         n, r = 4000, 4000
         selection = generate_selection(SelectionSpec(kind="mixed_pfrequent", n=n, p=0.001), r)
         params = MallowsParams(Ranking(Stream.from_seed(3).permutation(n)), 1.0)
-        tracemalloc.start()
-        try:
-            profile = sample_profile(params, selection, Stream.from_seed(4))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert np.diff(profile.offsets).tolist() == [n] * 4 + [2] * (r - 4)
-        assert peak < 8 << 20
+        for _ in row_kernel_paths(monkeypatch):
+            tracemalloc.start()
+            try:
+                profile = sample_profile(params, selection, Stream.from_seed(4))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.diff(profile.offsets).tolist() == [n] * 4 + [2] * (r - 4)
+            assert peak < 8 << 20
 
     @pytest.mark.parametrize("kind", ["pairwise", "mixed_pfrequent", "adversarial_matching"])
     def test_pair_lists_are_bounded_by_r(self, kind):
