@@ -36,10 +36,6 @@ class PairwiseCounts:
         """appear[i][j] counts the samples holding both i and j (symmetric, zero diagonal)."""
         return self.wins + self.wins.T
 
-    def validate(self) -> None:
-        assert self.wins.shape == (self.n, self.n)
-        assert (np.diag(self.wins) == 0).all()
-
 
 def accumulate_counts(profile: SampleProfile) -> PairwiseCounts:
     """Tally precedences in one pass over the profile's ranking rows."""
@@ -100,8 +96,8 @@ def positional_estimator_from_counts(counts: PairwiseCounts, stream: Stream) -> 
 def _order_by_scores(raw: np.ndarray, keys: np.ndarray, start=0) -> np.ndarray:
     """Each row of the (T, n) scores ``raw`` as alternatives by ascending score, ties shuffled from the row's stream.
 
-    Row t equals shuffling each tie group in score order with ``Stream(keys[t], start).shuffle``: a group of
-    size s takes s-1 draws after those of the groups before it.  One Fisher-Yates pass over the step index
+    Row t equals a Fisher-Yates shuffle of each tie group in score order from the draws of ``Stream(keys[t], start)``:
+    a group of size s takes s-1 draws after those of the groups before it.  One Fisher-Yates pass over the step index
     shuffles every group of every row, as ``rng.permutation_rows`` does whole rows.
     """
     T, n = raw.shape

@@ -197,10 +197,8 @@ def _cell_block(root, trials, n, beta, r, members, threshold, radius, planted) -
     wins = _pair_counts(n, offsets, samples, groups=len(keys))
     est = _order_by_scores(_beaten_by(wins, wins + wins.transpose(0, 2, 1)), sub[:, 3])
     if radius is not None:  # the windowed DP refines each anchor trial by trial
-        est = np.array([
-            _recover_from_counts(PairwiseCounts(wins[t]), radius, Ranking(row, validate=False))[0].items
-            for t, row in enumerate(est.tolist())
-        ], dtype=np.int64)
+        for t in range(len(keys)):
+            est[t] = _recover_from_counts(PairwiseCounts(wins[t]), radius, est[t])[0]
     return est, centers
 
 

@@ -16,7 +16,8 @@ successor, a row-wise argmax), costing C(2R, R)*w instead of the
 move tables of a step depend on the window's shape alone, never on the
 wins or on n once n > 2R+1, so each shape is built once per process and
 held, read-only, within ``_TABLE_BYTES`` (4 MiB: every R <= 7), the least
-recently used making room for a new shape.
+recently used making room for a new shape.  A search of all of S_n evicts
+none: it holds its shapes only in the room left free.
 
 The DP is exact on its feasible set.  A maximizer that touches the window
 boundary signals that the window may be truncating the true optimum; the
@@ -33,13 +34,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Ranking, SampleProfile, check_beta, pointwise_distance
+from .core import Ranking, SampleProfile, check_beta
 from .estimators import (
     PairwiseCounts,
     accumulate_counts,
     log_likelihood,
     positional_estimator_from_counts,
-    score,
+    score_permutation_array,
 )
 from .rng import Stream
 
@@ -55,9 +56,9 @@ class BoundaryTouchError(RuntimeError):
     ``score`` so callers can still inspect what the truncated search found.
     """
 
-    def __init__(self, message: str, result: "Ranking", score: int):
+    def __init__(self, message: str, result: np.ndarray, score: int):
         super().__init__(message)
-        self.result = result
+        self.result = Ranking(result.tolist(), validate=False)
         self.score = score
 
 
@@ -88,15 +89,18 @@ _TABLE_BYTES = 1 << 22
 _tables: dict[tuple, tuple[np.ndarray, ...]] = {}  # least recently used first
 
 
-def _table(key: tuple, build) -> tuple[np.ndarray, ...]:
-    """``build()``'s arrays, read-only, held for later calls within _TABLE_BYTES, least recently used out first."""
+def _table(key: tuple, build, evict: bool = True) -> tuple[np.ndarray, ...]:
+    """``build()``'s arrays, read-only, held for later calls within _TABLE_BYTES, least recently used out first.
+
+    Without ``evict`` a new table is held only in the room left free, and otherwise serves this call alone.
+    """
     arrays = _tables.pop(key, None)
     if arrays is None:
         arrays = build()
         for a in arrays:
             a.setflags(write=False)
         size, held = sum(a.nbytes for a in arrays), sum(a.nbytes for t in _tables.values() for a in t)
-        if size > _TABLE_BYTES:
+        if size > (_TABLE_BYTES if evict else _TABLE_BYTES - held):
             return arrays
         while held + size > _TABLE_BYTES:
             held -= sum(a.nbytes for a in _tables.pop(next(iter(_tables))))
@@ -148,7 +152,8 @@ def _dp_window_max(wins_rel: np.ndarray, radius: int) -> tuple[list[int], int]:
     # clear when hi = t+R; position n holds the full mask alone
     bounds = [(max(0, t - R), min(n - 1, t + R)) for t in range(n + 1)]
     keys = [(hi - lo + 1 - (hi == t + R), t - lo) for t, (lo, hi) in enumerate(bounds)]
-    mask_sets = {key: _table(key, lambda: (_popcount_masks(*key),))[0] for key in set(keys)}
+    evict = R < n - 1  # a search of all of S_n would evict the windows that recur for every n
+    mask_sets = {key: _table(key, lambda: (_popcount_masks(*key),), evict)[0] for key in set(keys)}
     v_next, choices, shape = np.zeros(1), [None] * n, None
     for t in range(n - 1, -1, -1):
         (lo, hi), m, last = bounds[t], mask_sets[keys[t]], shape
@@ -158,7 +163,7 @@ def _dp_window_max(wins_rel: np.ndarray, radius: int) -> tuple[list[int], int]:
         shape = (keys[t], keys[t + 1], w, shift)
         if shape != last:  # the last shape's tables go first: two of all of S_20 take about 44 MB each
             placed = nxt = None
-            placed, nxt = _table(shape, lambda: _moves(m, mask_sets[keys[t + 1]], w, shift))
+            placed, nxt = _table(shape, lambda: _moves(m, mask_sets[keys[t + 1]], w, shift), evict)
         win, suf_lo, v_ext = wins_t[lo : hi + 1, lo : hi + 1], suf[lo : hi + 1, lo], np.append(v_next, -np.inf)
         v_next, choices[t] = np.empty(len(m)), np.empty(len(m), dtype=np.uint8)
         step = max(1, _STEP_BLOCK // (w * w))
@@ -185,21 +190,10 @@ def _dp_window_max(wins_rel: np.ndarray, radius: int) -> tuple[list[int], int]:
     return seq, total
 
 
-def _dp_once(counts: PairwiseCounts, anchor: Ranking, radius: int) -> tuple[Ranking, int]:
-    n = counts.n
-    items = np.fromiter(anchor.items, dtype=np.int64, count=n)
-    wins_rel = counts.wins[np.ix_(items, items)]
-    seq, total = _dp_window_max(wins_rel, radius)
-    result = Ranking((anchor.items[e] for e in seq), validate=False)
-    achieved = score(result, counts)
-    assert achieved == total, "DP value table disagrees with recomputed score"
-    return result, achieved
-
-
 def _maximize_with_widening(
-    counts: PairwiseCounts, anchor: Ranking, radius: int, budget: int, widen: bool = True
-) -> tuple[Ranking, int, int, int]:
-    """Run the DP at ``radius``, capped at n - 1; returns (ranking, score, radius used, widenings).
+    counts: PairwiseCounts, anchor: np.ndarray, radius: int, budget: int, widen: bool = True
+) -> tuple[np.ndarray, int, int, int]:
+    """Run the DP around the anchor's items at ``radius``, capped at n - 1: (items, score, radius used, widenings).
 
     While the optimum touches the window boundary, ``widen`` doubles the
     radius (capped at n - 1) and reruns; without it BoundaryTouchError
@@ -207,6 +201,7 @@ def _maximize_with_widening(
     and at n - 1 the feasible set is all of S_n, so neither can truncate.
     """
     n = counts.n
+    wins_rel = counts.wins[np.ix_(anchor, anchor)]
     radius, widenings = min(radius, n - 1), 0
     while True:
         need = 1 << min(2 * radius + 1, n)
@@ -215,8 +210,11 @@ def _maximize_with_widening(
                 f"window radius {radius} needs {need} states per position, over the budget of {budget}; "
                 f"raise max_states_budget to at least {need} or reduce the radius"
             )
-        result, achieved = _dp_once(counts, anchor, radius)
-        if radius in (0, n - 1) or pointwise_distance(result, anchor) != radius:
+        seq, achieved = _dp_window_max(wins_rel, radius)
+        result = anchor[seq]
+        assert score_permutation_array(result[None], counts)[0] == achieved, "DP value table disagrees with the score"
+        # the pointwise distance to the anchor, in anchor coordinates
+        if radius in (0, n - 1) or np.abs(np.arange(n) - seq).max() != radius:
             return result, achieved, radius, widenings
         if not widen:
             raise BoundaryTouchError(
@@ -240,8 +238,9 @@ def dp_maximize(counts: PairwiseCounts, config: DpConfig) -> Ranking:
     n = counts.n
     if len(config.anchor) != n or not config.anchor.is_complete(n):
         raise ValueError("anchor must be a complete ranking over the counted alternatives")
-    widen = config.boundary_policy == "widen"
-    return _maximize_with_widening(counts, config.anchor, config.radius, config.max_states_budget, widen)[0]
+    anchor, widen = np.array(config.anchor.items, dtype=np.int64), config.boundary_policy == "widen"
+    items = _maximize_with_widening(counts, anchor, config.radius, config.max_states_budget, widen)[0]
+    return Ranking(items.tolist(), validate=False)
 
 
 def _window(what: str, beta: float, p: float, r: int, alpha: float, formula) -> int:
@@ -300,9 +299,9 @@ class MleReport:
 
 
 def _recover_from_counts(
-    counts: PairwiseCounts, radius: int, anchor: Ranking, budget: int = 1 << 22
-) -> tuple[Ranking, int, int, int]:
-    """Run the widening DP around ``anchor``; returns (ranking, score, window used, widenings)."""
+    counts: PairwiseCounts, radius: int, anchor: np.ndarray, budget: int = 1 << 22
+) -> tuple[np.ndarray, int, int, int]:
+    """Run the widening DP around the anchor's items; returns (items, score, window used, widenings)."""
     if not radius >= 0:
         raise ValueError(f"radius_override must be nonnegative, got {radius}")
     n = counts.n
@@ -320,8 +319,9 @@ def _recover(profile: SampleProfile, beta: float, radius: int, budget: int, stre
     """Anchor on the positional estimate, ties broken from ``stream``, and run the widening DP around it."""
     beta = check_beta(beta)
     counts = accumulate_counts(profile)
-    anchor = positional_estimator_from_counts(counts, stream).ranking
-    result, achieved, used, widenings = _recover_from_counts(counts, radius, anchor, budget)
+    anchor = np.array(positional_estimator_from_counts(counts, stream).ranking.items, dtype=np.int64)
+    items, achieved, used, widenings = _recover_from_counts(counts, radius, anchor, budget)
+    result = Ranking(items.tolist(), validate=False)
     return MleReport(
         result=result,
         mode=mode,

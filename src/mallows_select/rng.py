@@ -28,10 +28,16 @@ def mix64(z: int) -> int:
 
 
 def mix64_array(z: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`mix64` over a uint64 array."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    """Vectorized :func:`mix64` over a uint64 array, in place: ``z`` is overwritten and returned.
+
+    Every caller passes a temporary of its own, so the mix holds one shifted copy at a time.
+    """
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _fold(key: int, element: int) -> int:
@@ -68,28 +74,11 @@ class Stream:
         """Keys of ``child(0) .. child(count-1)`` as a uint64 array."""
         return child_key_grid(np.array([self.key], dtype=np.uint64), np.arange(count))[0]
 
-    def u64(self) -> int:
-        """Next 64-bit uniform."""
-        self._ctr += 1
-        return mix64((self.key + self._ctr * _GAMMA) & _MASK)
-
-    def below(self, n: int) -> int:
-        """Uniform integer in [0, n) via the 128-bit multiply-shift method."""
-        if n <= 0:
-            raise ValueError("bound must be positive")
-        return (self.u64() * n) >> 64
-
     def permutation(self, n: int) -> tuple[int, ...]:
-        """Uniformly random permutation of range(n): :meth:`shuffle` of ``list(range(n))``."""
-        items = list(range(n))
-        self.shuffle(items)
-        return tuple(items)
-
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
-            items[i], items[j] = items[j], items[i]
+        """Uniformly random permutation of range(n): :func:`permutation_rows` of this stream's next n-1 draws."""
+        perm = permutation_rows(np.array([self.key], dtype=np.uint64), n, self._ctr)[0]
+        self._ctr += max(n - 1, 0)
+        return tuple(perm.tolist())
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Stream(key={self.key:#018x}, counter={self._ctr})"
@@ -109,12 +98,16 @@ def draw_matrix(keys: np.ndarray, count: int, start=0) -> np.ndarray:
     Row ``i`` equals the ``count`` outputs of ``Stream(keys[i], start)``;
     ``start`` is one counter or one per key.
     """
-    steps = np.arange(1, count + 1, dtype=np.uint64) + np.asarray(start, dtype=np.uint64)[..., None]
-    return mix64_array(keys[:, None] + steps * np.uint64(_GAMMA))
+    z = np.empty((len(keys), count), dtype=np.uint64)
+    z[:] = np.arange(1, count + 1, dtype=np.uint64)
+    z += np.asarray(start, dtype=np.uint64)[..., None]
+    z *= np.uint64(_GAMMA)
+    z += keys[:, None]
+    return mix64_array(z)
 
 
 def _below_array(u: np.ndarray, bound: np.ndarray) -> np.ndarray:
-    """:meth:`Stream.below` of uint64 draws: the high 64 bits of ``u * bound``, for bounds below 2^32.
+    """Uniform integers in [0, bound) from uint64 draws: the high 64 bits of ``u * bound``, for bounds below 2^32.
 
     The product is formed from the 32-bit limbs of u, so no partial product
     overflows 64 bits.
@@ -123,14 +116,14 @@ def _below_array(u: np.ndarray, bound: np.ndarray) -> np.ndarray:
     return (((u >> shift) * bound + (((u & lo32) * bound) >> shift)) >> shift).astype(np.intp)
 
 
-def permutation_rows(keys: np.ndarray, n: int) -> np.ndarray:
-    """Row ``i`` equals ``Stream(keys[i]).permutation(n)``, shape (len(keys), n), for n < 2^32.
+def permutation_rows(keys: np.ndarray, n: int, start=0) -> np.ndarray:
+    """Uniformly random permutations of range(n), one row per stream ``Stream(keys[i], start)``, for n < 2^32.
 
     One Fisher-Yates pass over all rows: step ``i`` (n-1 down to 1) swaps
-    position i with ``below(i+1)`` of the row's next draw.
+    position i with a uniform index in [0, i] from the row's next draw.
     """
     perm = np.tile(np.arange(n, dtype=np.int64), (len(keys), 1))
-    j = _below_array(draw_matrix(keys, n - 1), np.arange(n, 1, -1, dtype=np.uint64))  # bound i+1 for i = n-1 .. 1
+    j = _below_array(draw_matrix(keys, max(n - 1, 0), start), np.arange(n, 1, -1, dtype=np.uint64))  # bound i+1
     rows = np.arange(len(keys))
     for c, i in enumerate(range(n - 1, 0, -1)):
         held = perm[rows, j[:, c]]

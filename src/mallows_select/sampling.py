@@ -187,7 +187,8 @@ def _bernoulli_members(
     while active.size:
         want = r - done[active]
         w = int(want.max())
-        draws = draw_matrix(keys[active], w * n, start=used[active]) >> np.uint64(1)
+        draws = draw_matrix(keys[active], w * n, start=used[active])
+        draws >>= np.uint64(1)
         member = (draws < threshold).reshape(len(active), w, n)
         ok = (member.sum(axis=2) >= 2) & (np.arange(w) < want[:, None])  # rows past a stream's want were never drawn
         rank = ok.cumsum(axis=1) - 1

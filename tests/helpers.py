@@ -25,10 +25,16 @@ from mallows_select.core import (
     log_partition_function,
     restrict,
 )
-from mallows_select.estimators import accumulate_counts, positional_estimator, score, score_permutation_array
+from mallows_select.estimators import (
+    PairwiseCounts,
+    accumulate_counts,
+    positional_estimator,
+    score,
+    score_permutation_array,
+)
 from mallows_select.fileio import FileFormatError, _err, _parse_header
 from mallows_select.mle import recover_likelier_than_nature, recover_mle
-from mallows_select.rng import _GAMMA, Stream, draw_matrix, mix64_array
+from mallows_select.rng import _GAMMA, _MASK, Stream, draw_matrix, mix64, mix64_array
 from mallows_select.sampling import SelectionSpec, generate_selection, sample_profile
 
 
@@ -46,8 +52,41 @@ def row_kernel_paths(patch, split: bool = False):
         yield
 
 
+def u64(stream: Stream) -> int:
+    """The stream's next 64-bit uniform, one scalar draw: the reference form of ``rng.draw_matrix``."""
+    stream._ctr += 1
+    return mix64((stream.key + stream._ctr * _GAMMA) & _MASK)
+
+
+def below(stream: Stream, n: int) -> int:
+    """Uniform integer in [0, n) from the stream's next draw by the 128-bit multiply-shift method."""
+    if n <= 0:
+        raise ValueError("bound must be positive")
+    return (u64(stream) * n) >> 64
+
+
+def shuffle(stream: Stream, items: list) -> None:
+    """In-place Fisher-Yates shuffle, one :func:`below` per step: the reference form of ``rng.permutation_rows``."""
+    for i in range(len(items) - 1, 0, -1):
+        j = below(stream, i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+def scalar_permutation(stream: Stream, n: int) -> tuple[int, ...]:
+    """The reference form of ``Stream.permutation``: :func:`shuffle` of ``list(range(n))``."""
+    items = list(range(n))
+    shuffle(stream, items)
+    return tuple(items)
+
+
+def validate_counts(counts: PairwiseCounts) -> None:
+    """The invariants of a count matrix: square, with a zero diagonal."""
+    assert counts.wins.shape == (counts.n, counts.n)
+    assert (np.diag(counts.wins) == 0).all()
+
+
 def u64_array(stream: Stream, count: int) -> np.ndarray:
-    """The next ``count`` 64-bit uniforms of ``stream`` as a uint64 array: ``count`` calls of ``Stream.u64``."""
+    """The next ``count`` 64-bit uniforms of ``stream`` as a uint64 array: ``count`` calls of :func:`u64`."""
     ctr = np.arange(stream._ctr + 1, stream._ctr + count + 1, dtype=np.uint64)
     stream._ctr += count
     return mix64_array(np.uint64(stream.key) + ctr * np.uint64(_GAMMA))
@@ -55,7 +94,7 @@ def u64_array(stream: Stream, count: int) -> np.ndarray:
 
 def uniform(stream: Stream) -> float:
     """A float in [0, 1) from the stream's next draw; for statistics only, never for sampling decisions."""
-    return stream.u64() / 18446744073709551616.0
+    return u64(stream) / 18446744073709551616.0
 
 
 def pair_scan_kendall(a: Ranking, b: Ranking) -> int:
@@ -296,7 +335,7 @@ def looped_order_by_scores(raw: list[int], stream: Stream) -> tuple[list[int], l
     """The reference form of ``estimators._order_by_scores`` on one row; also the tie groups.
 
     Alternatives by ascending score, each tie group (items ascending)
-    shuffled from ``stream`` with ``Stream.shuffle``, in score order.
+    shuffled from ``stream`` with :func:`shuffle`, in score order.
     """
     order: list[int] = []
     tie_groups: list[tuple[int, ...]] = []
@@ -307,7 +346,7 @@ def looped_order_by_scores(raw: list[int], stream: Stream) -> tuple[list[int], l
         group = by_score[s]
         if len(group) > 1:
             tie_groups.append(tuple(group))
-            stream.shuffle(group)
+            shuffle(stream, group)
         order.extend(group)
     return order, tie_groups
 
@@ -329,7 +368,7 @@ def run_trial(
     ``sample_profile`` from ``child(2)`` and the public estimator on
     ``child(3)``.
     """
-    pi0 = center if center is not None else Ranking(trial_stream.child(0).permutation(n), validate=False)
+    pi0 = center if center is not None else Ranking(scalar_permutation(trial_stream.child(0), n), validate=False)
     spec = SelectionSpec(kind=selection_kind, n=n, p=p)
     selection = generate_selection(spec, r, trial_stream.child(1) if selection_kind == "bernoulli_random" else None)
     profile = sample_profile(MallowsParams(pi0, beta), selection, trial_stream.child(2))
@@ -366,10 +405,10 @@ def random_incomplete_profile(n: int, r: int, stream: Stream, min_size: int = 2)
     sets = []
     rankings = []
     for ell in range(r):
-        size = min_size + stream.below(n - min_size + 1)
+        size = min_size + below(stream, n - min_size + 1)
         members = sorted(stream.permutation(n)[:size])
         order = list(members)
-        stream.shuffle(order)
+        shuffle(stream, order)
         sets.append(tuple(members))
         rankings.append(Ranking(order))
     return SampleProfile(rankings, SelectionSequence(sets, n))

@@ -17,6 +17,7 @@ import pytest
 from scipy import stats
 
 from helpers import (
+    below,
     bootstrap_mean_diff_lower,
     brute_force_mle,
     enumerate_window,
@@ -118,7 +119,7 @@ def test_criterion_02_lemma1_equivalence():
         perms = [Ranking(p) for p in itertools.permutations(range(n))]
         perm_arr = np.array([p.items for p in perms], dtype=np.int64)
         for _ in range(50):
-            profile = random_incomplete_profile(n=n, r=1 + stream.below(8), stream=stream)
+            profile = random_incomplete_profile(n=n, r=1 + below(stream, 8), stream=stream)
             counts = accumulate_counts(profile)
             scores = score_permutation_array(perm_arr, counts)
             # independent likelihood oracle: quadratic pair scans on restrictions

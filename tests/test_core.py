@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import pair_scan_kendall, row_kernel_paths
+from helpers import below, pair_scan_kendall, row_kernel_paths
 from mallows_select import core, sampling
 from mallows_select.core import (
     MallowsParams,
@@ -88,7 +88,7 @@ class TestKendallTau:
     def test_metric_properties_random_triples(self):
         stream = Stream.from_seed(2024)
         for _ in range(200):
-            m = 2 + stream.below(6)
+            m = 2 + below(stream, 6)
             a = Ranking(stream.permutation(m))
             b = Ranking(stream.permutation(m))
             c = Ranking(stream.permutation(m))
@@ -145,7 +145,7 @@ class TestKendallTauIncomplete:
         stream = Stream.from_seed(77)
         center = Ranking(stream.permutation(9))
         for _ in range(25):
-            size = 2 + stream.below(8)
+            size = 2 + below(stream, 8)
             s = set(stream.permutation(9)[:size])
             assert kendall_tau_incomplete(center, restrict(center, s)) == 0
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import regression_pins
 from helpers import (
     argmax_set,
+    below,
     brute_force_mle,
     exact_two_item_success,
     looped_order_by_scores,
@@ -19,7 +20,9 @@ from helpers import (
     run_trial,
     sequential_log_likelihood,
     total_distance,
+    u64,
     u64_array,
+    validate_counts,
     widened,
 )
 from mallows_select import core, estimators
@@ -66,7 +69,7 @@ class TestAccumulateCounts:
 
     def test_matches_independent_recount(self, monkeypatch):
         stream = Stream.from_seed(100)
-        profiles = [random_incomplete_profile(n=4 + stream.below(4), r=6, stream=stream) for _ in range(20)]
+        profiles = [random_incomplete_profile(n=4 + below(stream, 4), r=6, stream=stream) for _ in range(20)]
         profiles.append(widened(random_incomplete_profile(n=5, r=9, stream=stream), 3))
         for _ in row_kernel_paths(monkeypatch, split=True):
             for profile in profiles:
@@ -74,7 +77,7 @@ class TestAccumulateCounts:
                 appear, wins = recount_pairwise(profile)
                 assert (counts.appear == appear).all()
                 assert (counts.wins == wins).all()
-                counts.validate()
+                validate_counts(counts)
 
     def test_total_comparisons_invariant(self):
         stream = Stream.from_seed(101)
@@ -186,7 +189,7 @@ def _drawn(key: int, start: int) -> Stream:
     """``Stream(key)`` after ``start`` draws."""
     stream = Stream(key)
     for _ in range(start):
-        stream.u64()
+        u64(stream)
     return stream
 
 
@@ -319,7 +322,7 @@ class TestLemmaOneEquivalence:
         for n in (3, 4, 5):
             perms = [Ranking(p) for p in itertools.permutations(range(n))]
             for _ in range(25):
-                profile = random_incomplete_profile(n=n, r=1 + stream.below(8), stream=stream)
+                profile = random_incomplete_profile(n=n, r=1 + below(stream, 8), stream=stream)
                 counts = accumulate_counts(profile)
                 scores = [score(pi, counts) for pi in perms]
                 dists = [total_distance(pi, profile) for pi in perms]
@@ -372,9 +375,9 @@ class TestLogLikelihood:
         stream = Stream.from_seed(102)
         cases = []
         for _ in range(30):
-            n = 3 + stream.below(8)
-            profile = random_incomplete_profile(n=n, r=1 + stream.below(40), stream=stream)
-            cases.append((Ranking(stream.permutation(n)), profile, 0.1 + 3 * stream.below(1000) / 1000))
+            n = 3 + below(stream, 8)
+            profile = random_incomplete_profile(n=n, r=1 + below(stream, 40), stream=stream)
+            cases.append((Ranking(stream.permutation(n)), profile, 0.1 + 3 * below(stream, 1000) / 1000))
         profile = widened(random_incomplete_profile(n=6, r=12, stream=stream), 4)
         cases.append((Ranking(stream.permutation(10)), profile, 1.3))
         cases.append((Ranking(stream.permutation(12)), profile, 0.4))  # pi also ranks items beyond n

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from helpers import bootstrap_mean_diff_lower, exact_two_item_success, linear_fit, looped_cell, row_kernel_paths
-from mallows_select import experiments as xp
+from mallows_select import experiments as xp, mle
 from mallows_select.core import Ranking
 from mallows_select.experiments import (
     ExperimentConfig,
@@ -433,6 +433,21 @@ class TestTrialKernel:
     )
     def test_batched_equals_looped_on_figure_cells(self, case):
         self.assert_same(Stream.from_seed(3).child(case["r"]), range(40), case)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            dict(n=12, beta=1.0, p=0.5, r=16, selection_kind="bernoulli_random", estimator="ltn"),
+            dict(n=10, beta=2.0, p=1.0, r=45, selection_kind="pairwise", estimator="mle"),
+        ],
+    )
+    def test_batched_equals_looped_on_widening_trials(self, monkeypatch, case):
+        root, trials, runs = Stream.from_seed(3).child(case["r"]), range(40), []
+        dp = mle._dp_window_max
+        monkeypatch.setattr(mle, "_dp_window_max", lambda wins, radius: runs.append(radius) or dp(wins, radius))
+        xp._cell(root, trials, **case)
+        assert len(runs) > len(trials)  # some trials touched the window boundary and ran again, wider
+        self.assert_same(root, trials, case)
 
     # one trial per block, the default budget, and every trial of a cell in one block
     BUDGETS = (1, xp._TRIAL_BLOCK_BYTES, 1 << 40)

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 import regression_pins
-from helpers import brute_force_mle, enumerate_window, full_mask_dp, random_incomplete_profile, windowed_oracle
+from helpers import (
+    below,
+    brute_force_mle,
+    enumerate_window,
+    full_mask_dp,
+    random_incomplete_profile,
+    windowed_oracle,
+)
 from mallows_select import mle
 from mallows_select.core import MallowsParams, Ranking, pointwise_distance
 from mallows_select.estimators import (
@@ -213,6 +220,22 @@ class TestReachableStateDp:
         assert _dp_window_max(wins, 7) == expected
         assert built == []
 
+    def test_a_search_of_all_of_s_n_evicts_no_held_window(self, monkeypatch):
+        mle._tables.clear()
+        rng = np.random.default_rng(52)
+        wins = rng.integers(0, 51, size=(20, 20)).astype(np.int64)
+        expected = _dp_window_max(wins, 7)
+        held = dict(mle._tables)
+        full = rng.integers(0, 51, size=(14, 14)).astype(np.int64)
+        assert _dp_window_max(full, 13) == full_mask_dp(full, 13)
+        assert held.keys() <= mle._tables.keys()  # S_14 held its shapes only in the room left free
+        built = []
+        for name in ("_popcount_masks", "_moves"):
+            build = getattr(mle, name)
+            monkeypatch.setattr(mle, name, lambda *args, build=build, name=name: built.append(name) or build(*args))
+        assert _dp_window_max(wins, 7) == expected
+        assert built == []
+
     def test_full_window_holds_one_shape_at_a_time(self, monkeypatch):
         # nothing held: each shape of S_16 is built for its step, the last shape's tables gone before the build
         monkeypatch.setattr(mle, "_TABLE_BYTES", 0)
@@ -312,7 +335,7 @@ class TestRecoveryPipelines:
     def test_result_dominates_positional_anchor(self):
         stream = Stream.from_seed(602)
         for t in range(30):
-            n = 5 + stream.below(4)
+            n = 5 + below(stream, 4)
             center = Ranking(stream.child(t, 0).permutation(n))
             sel = generate_selection(SelectionSpec(kind="mixed_pfrequent", n=n, p=0.5), 4)
             profile = sample_profile(MallowsParams(center, 0.7), sel, stream.child(t, 1))

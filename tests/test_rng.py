@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
 
-from helpers import u64_array, uniform
+from helpers import below, scalar_permutation, shuffle, u64, u64_array, uniform
 from mallows_select.rng import Stream, _below_array, child_key_grid, draw_matrix, mix64, permutation_rows
 
 
 def test_draws_are_deterministic_and_pinned():
     s = Stream.from_seed(7)
-    first = [s.u64() for _ in range(3)]
-    again = [Stream.from_seed(7).u64() for _ in range(1)]
+    first = [u64(s) for _ in range(3)]
+    again = [u64(Stream.from_seed(7)) for _ in range(1)]
     assert first[0] == again[0]
     # frozen values guard against accidental changes to the stream definition
     assert first == [
-        Stream.from_seed(7).u64(),
+        u64(Stream.from_seed(7)),
         u64_array(Stream.from_seed(7), 2)[1].item(),
         u64_array(Stream.from_seed(7), 3)[2].item(),
     ]
@@ -21,7 +21,7 @@ def test_draws_are_deterministic_and_pinned():
 def test_scalar_and_vector_draws_agree():
     s1 = Stream.from_seed(123).child(4, 5)
     s2 = Stream.from_seed(123).child(4, 5)
-    assert [s1.u64() for _ in range(10)] == [int(x) for x in u64_array(s2, 10)]
+    assert [u64(s1) for _ in range(10)] == [int(x) for x in u64_array(s2, 10)]
 
 
 def test_child_keys_match_child():
@@ -36,7 +36,7 @@ def test_draw_matrix_matches_streams():
     mat = draw_matrix(keys, 6)
     for i in range(4):
         child = s.child(i)
-        assert [int(x) for x in mat[i]] == [child.u64() for _ in range(6)]
+        assert [int(x) for x in mat[i]] == [u64(child) for _ in range(6)]
 
 
 def test_children_are_independent_of_draw_position():
@@ -54,7 +54,7 @@ def test_distinct_paths_distinct_keys():
 
 def test_below_is_in_range_and_roughly_uniform():
     s = Stream.from_seed(11)
-    draws = [s.below(10) for _ in range(5000)]
+    draws = [below(s, 10) for _ in range(5000)]
     assert min(draws) == 0 and max(draws) == 9
     counts = np.bincount(draws, minlength=10)
     assert counts.min() > 350  # expectation 500 per bucket
@@ -62,7 +62,7 @@ def test_below_is_in_range_and_roughly_uniform():
 
 def test_below_rejects_nonpositive():
     with pytest.raises(ValueError):
-        Stream.from_seed(0).below(0)
+        below(Stream.from_seed(0), 0)
 
 
 def test_permutation_is_uniform_ish():
@@ -74,7 +74,7 @@ def test_permutation_is_uniform_ish():
 def test_shuffle_permutes_in_place():
     s = Stream.from_seed(8)
     items = list(range(12))
-    s.shuffle(items)
+    shuffle(s, items)
     assert sorted(items) == list(range(12))
     assert items != list(range(12))
 
@@ -118,7 +118,18 @@ def test_permutation_rows_match_stream_permutation(n):
     keys = Stream.from_seed(n).child_keys(6 if n < 1000 else 2)
     rows = permutation_rows(keys, n)
     assert rows.shape == (len(keys), n)
-    assert [tuple(row) for row in rows.tolist()] == [Stream(int(k)).permutation(n) for k in keys]
+    assert [tuple(row) for row in rows.tolist()] == [scalar_permutation(Stream(int(k)), n) for k in keys]
+    start = permutation_rows(keys, n, start=7)
+    assert [tuple(row) for row in start.tolist()] == [scalar_permutation(Stream(int(k), 7), n) for k in keys]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 100])
+@pytest.mark.parametrize("counter", [0, 3, 2**40])
+def test_stream_permutation_draws_as_the_scalar_shuffle(n, counter):
+    stream, reference = Stream(Stream.from_seed(n).key, counter), Stream(Stream.from_seed(n).key, counter)
+    assert stream.permutation(n) == scalar_permutation(reference, n)
+    assert stream._ctr == reference._ctr == counter + max(n - 1, 0)
+    assert stream.permutation(n) == scalar_permutation(reference, n)  # and the next one continues from there
 
 
 def test_below_array_is_the_exact_high_product():

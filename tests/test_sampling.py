@@ -19,6 +19,7 @@ from helpers import (
     pair_scan_coappearance,
     row_kernel_paths,
     tuple_selection_sets,
+    u64,
     u64_array,
 )
 from mallows_select import sampling
@@ -257,7 +258,7 @@ class TestGenerateSelection:
         stream = Stream.from_seed(15)
         with pytest.raises(InfeasibleSpecError, match="uniforms"):
             generate_selection(spec, 1, stream)
-        assert stream.u64() == Stream.from_seed(15).u64()
+        assert u64(stream) == u64(Stream.from_seed(15))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InfeasibleSpecError):
@@ -363,14 +364,28 @@ class TestBatchedDraws:
             sets = generate_selection(spec, r, stream).sets
             assert list(sets) == looped_bernoulli_sets(spec, r, reference)
             assert [tuple(np.flatnonzero(row).tolist()) for row in mask] == list(sets)
-            assert stream.u64() == reference.u64()  # both streams stop at the same counter
+            assert u64(stream) == u64(reference)  # both streams stop at the same counter
+
+    def test_bernoulli_members_hold_17_bytes_per_uniform(self):
+        # the first round's draws (8 bytes each), one shifted copy inside the mix (8) and the result masks (1)
+        n, r, spec = 20, 256, SelectionSpec(kind="bernoulli_random", n=20, p=1 / 6)
+        keys, threshold = Stream.from_seed(4).child_keys(8), sampling._bernoulli_threshold(spec, r)
+        expected = sampling._bernoulli_members(keys, n, r, threshold)
+        tracemalloc.start()
+        try:
+            masks, used = sampling._bernoulli_members(keys, n, r, threshold)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(masks, expected[0]) and np.array_equal(used, expected[1])
+        assert peak / (len(keys) * r * n) < 17.5
 
     def test_generate_selection_continues_a_used_stream(self):
         spec = SelectionSpec(kind="bernoulli_random", n=5, p=0.2)
         stream, reference = Stream.from_seed(32), Stream.from_seed(32)
         u64_array(stream, 7), u64_array(reference, 7)
         assert list(generate_selection(spec, 15, stream).sets) == looped_bernoulli_sets(spec, 15, reference)
-        assert stream.u64() == reference.u64()
+        assert u64(stream) == u64(reference)
 
 
 @st.composite
@@ -399,7 +414,7 @@ class TestSelectionArrays:
         sel = generate_selection(spec, r, stream)
         expected = tuple_selection_sets(spec, r, reference)
         assert sel.sets == tuple(expected)
-        assert stream.u64() == reference.u64()  # both streams stop at the same counter
+        assert u64(stream) == u64(reference)  # both streams stop at the same counter
         offsets, items = _csr_arrays(expected)
         assert np.array_equal(sel.offsets, offsets) and np.array_equal(sel.items, items)
         assert all(type(x) is int for s in sel.sets for x in s)
