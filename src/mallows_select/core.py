@@ -9,15 +9,19 @@ and :func:`_discordances`, at a cost that grows with the sum of m^2 over
 the rows.  Tuple and ``Ranking`` views are lazy.
 
 The pair count and the sampler's insertion pass (``sampling._sample_rows``)
-also have C forms, in ``_rows.c``: the first process that needs them builds
-the file with the system ``cc`` into the package's ``__pycache__``, and
-every process loads it through ``ctypes``.  Where there is no compiler, no
+also have C forms, in ``_rows.c``, as has the experiment kernel's block of
+trials (``experiments._block_wins``), which draws, restricts, samples and
+counts every row of a block in one call.  The first process that needs
+them builds the file with the system ``cc`` into the package's
+``__pycache__``, removing the builds of other sources there, and every
+process loads it through ``ctypes``.  Where there is no compiler, no
 writable directory or no loadable library, the numpy forms run; both give
 the same results, bit for bit.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import itertools
@@ -67,14 +71,21 @@ def _rows_library(directory: Path) -> ctypes.CDLL | None:
                 os.replace(partial, path)
             finally:
                 partial.unlink(missing_ok=True)
+            for stale in directory.glob("_rows.*.so"):  # the builds of other sources or flags
+                if stale != path:
+                    with contextlib.suppress(OSError):
+                        stale.unlink()
         lib = ctypes.CDLL(str(path))
     except (OSError, subprocess.SubprocessError):
         return None
-    pointer, int64 = ctypes.c_void_p, ctypes.c_int64
-    lib.sample_rows.argtypes = [int64, pointer, pointer, pointer, pointer, pointer, ctypes.c_uint64, pointer]
+    pointer, int64, uint64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64
+    lib.sample_rows.argtypes = [int64, pointer, pointer, pointer, pointer, pointer, uint64, pointer]
     lib.sample_rows.restype = None
     lib.pair_counts.argtypes = [int64, int64, int64, int64, pointer, pointer, pointer]
     lib.pair_counts.restype = ctypes.c_int
+    lib.block_wins.argtypes = [int64, int64, int64, pointer, pointer, pointer, pointer, uint64, pointer, pointer,
+                               pointer, pointer]
+    lib.block_wins.restype = ctypes.c_int
     return lib
 
 

@@ -9,21 +9,21 @@ trials are scheduled across workers.
 
 All experiments reduce the rows of one cell kernel, :func:`_cell`, which
 runs a range of trials as arrays: trial keys by vectorised stream folds,
-centers by one Fisher-Yates pass over all trials, the sets of all trials
-as one array of CSR rows, each in its center's order, samples and
-pairwise wins by the sampler and the pair counter of a single profile
-(one repeated-insertion pass and a count that grows with the sum of m^2
-over the rows, grouped by trial: the compiled kernels of ``core`` where
-they loaded, row by row, else their numpy forms, with the same rows), and
-the positional estimate by one sort and tie shuffle of the scores of all
-trials, the routine behind the public estimator.  Only the windowed DP
-of the ltn and mle estimators runs trial by trial, around those
-estimates.  The rows equal those of running each trial object by object,
-the reference kept in the tests.  The trials run in blocks sized by the
-bytes a trial holds, counted from its sets' items and pairs (exactly for
-the cached deterministic sets, in expectation for Bernoulli sets), so a
-cell peaks under ``_TRIAL_BLOCK_BYTES`` whenever a block holds more than
-one trial.
+centers by one Fisher-Yates pass over all trials, the pairwise wins of
+every trial by :func:`_block_wins`, and the positional estimate by one
+sort and tie shuffle of the scores of all trials, the routine behind the
+public estimator.  :func:`_block_wins` makes the draws and counts of the
+selection generator, the sampler and the pair counter of a single
+profile: one call of the compiled kernel of ``core`` that takes each
+trial's sets row by row from its center, where it loaded, else the sets
+of all trials as one array of CSR rows, each in its center's order,
+through the numpy forms.  Only the windowed DP of the ltn and mle
+estimators runs trial by trial, around those estimates.  The rows equal
+those of running each trial object by object, the reference kept in the
+tests.  The trials run in blocks sized by the bytes a trial holds on the
+path that runs it: the compiled path holds no per-item or per-set array,
+so a figure cell runs as one block.  A cell peaks under
+``_TRIAL_BLOCK_BYTES`` whenever a block holds more than one trial.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import core
 from .core import Ranking, _discordances, _pair_counts, check_beta
 from .estimators import PairwiseCounts, _beaten_by, _order_by_scores
 from .mle import _recover_from_counts, mle_window, pointwise_window
@@ -44,6 +45,7 @@ from .sampling import (
     SelectionSpec,
     _bernoulli_members,
     _bernoulli_threshold,
+    _insertion_weights,
     _sample_rows,
     generate_selection,
 )
@@ -164,13 +166,12 @@ def _cell(
     if estimator != "posest":
         radius = (pointwise_window if estimator == "ltn" else mle_window)(n, beta, p, r)
     planted = None if center is None else np.array(center.items, dtype=np.int64)
-    # a trial's peak bytes: its r*n membership mask, held throughout, plus its largest phase, each calibrated with
-    # tracemalloc at n = 6..40: the Bernoulli rejection loop, 33 per uniform; the sampler, 90 per item and 64 per set
-    # (nonzero indices, restricted centers, stream keys, draws, positions and samples); the count, 48 per item and per
-    # set, 16 per pair (the two int64 pair buffers) and 8 per cell of n*n; the scores, 24 per item, 12 per set and
-    # 28 per cell of n*n
+    # a trial's peak bytes on the path of _block_wins that runs it.  Compiled: its n*n wins and score temporaries.
+    # numpy: its r*n membership mask and the largest of its phases (the Bernoulli loop, the sampler, the count, the
+    # scores), by bytes per uniform, item, set, pair and n*n cell, each calibrated with tracemalloc
     phases = (33 * draws, 90 * items + 64 * r, 48 * (items + r) + 16 * pairs + 8 * n * n, 24 * items + 12 * r + 28 * n * n)
-    step = max(1, int(_TRIAL_BLOCK_BYTES // (r * n + max(phases))))
+    held = 36 * n * n if core._row_kernels() is not None else r * n + max(phases)
+    step = max(1, int(_TRIAL_BLOCK_BYTES // held))
     est, pi0 = np.empty((len(trials), n), dtype=np.int64), np.empty((len(trials), n), dtype=np.int64)
     for a in range(0, len(trials), step):
         block = trials[a : a + step]
@@ -180,21 +181,52 @@ def _cell(
     return est, pi0
 
 
+def _block_wins(centers, selection_keys, profile_keys, beta, r, members, threshold) -> np.ndarray:
+    """The (T, n, n) pairwise wins of a block's trials, drawn from their (T, n) centers.
+
+    Set l of trial t is ``members[l]`` of the shared (r, n) mask or, where ``members`` is None, the l-th Bernoulli set
+    of stream ``selection_keys[t]`` under ``threshold``.  Its sample is drawn on its restricted center, the center's
+    members in center order, from child l of ``profile_keys[t]``.  Where the compiled kernels of ``core`` loaded, one
+    call draws, restricts, samples and counts every row; else the numpy forms run the same rows as CSR arrays.
+    """
+    T, n = centers.shape
+    kernels = core._row_kernels()
+    if kernels is not None:
+        if len(profile_keys) != T or len(selection_keys) != T:
+            raise ValueError(f"{T} trials need as many stream keys")
+        if members is not None and members.shape != (r, n):
+            raise ValueError(f"the membership mask must have shape ({r}, {n}), got {members.shape}")
+        wins, work = np.zeros((T, n, n), dtype=np.int64), np.empty(2 * n, dtype=np.int64)
+        cum, scaled = _insertion_weights(beta, n)
+        centers = np.ascontiguousarray(centers, np.int64)
+        mask = None if members is None else np.ascontiguousarray(members, np.bool_)
+        profile_keys, selection_keys = (np.ascontiguousarray(keys, np.uint64) for keys in (profile_keys, selection_keys))
+        failed = kernels.block_wins(
+            T, n, r, centers.ctypes.data, profile_keys.ctypes.data, None if mask is None else mask.ctypes.data,
+            selection_keys.ctypes.data, int(threshold or 0), cum.ctypes.data, scaled.ctypes.data, work.ctypes.data,
+            wins.ctypes.data,
+        )
+        if failed:
+            raise IndexError(f"a center holds an item outside [0, {n})")
+        return wins
+    # memberships in center coordinates: column k is the trial's k-th center item
+    if members is None:
+        in_center = np.take_along_axis(_bernoulli_members(selection_keys, n, r, threshold)[0], centers[:, None, :], axis=2)
+    else:
+        in_center = members[:, centers].transpose(1, 0, 2)
+    # row t * r + l holds trial t's set l as its restricted center: the members in center order, in item labels
+    row, k = np.nonzero(in_center.reshape(-1, n))
+    offsets = np.searchsorted(row, np.arange(T * r + 1))
+    samples = _sample_rows(child_key_grid(profile_keys, range(r)).ravel(), offsets, centers[row // r, k], beta)
+    return _pair_counts(n, offsets, samples, groups=T)
+
+
 def _cell_block(root, trials, n, beta, r, members, threshold, radius, planted) -> tuple[np.ndarray, np.ndarray]:
     """The (estimate, center) rows of a block of trials, computed as arrays; see :func:`_cell`."""
     keys = child_key_grid(np.array([root.key], dtype=np.uint64), np.asarray(trials))[0]
     sub = child_key_grid(keys, range(4))  # per trial: center, selection, profile and tie-break keys
     centers = permutation_rows(sub[:, 0], n) if planted is None else np.tile(planted, (len(keys), 1))
-    # memberships in center coordinates: column k is the trial's k-th center item
-    if members is None:
-        in_center = np.take_along_axis(_bernoulli_members(sub[:, 1], n, r, threshold)[0], centers[:, None, :], axis=2)
-    else:
-        in_center = members[:, centers].transpose(1, 0, 2)
-    # row t * r + l holds trial t's set l as its restricted center: the members in center order, in item labels
-    row, k = np.nonzero(in_center.reshape(-1, n))
-    offsets = np.searchsorted(row, np.arange(len(keys) * r + 1))
-    samples = _sample_rows(child_key_grid(sub[:, 2], range(r)).ravel(), offsets, centers[row // r, k], beta)
-    wins = _pair_counts(n, offsets, samples, groups=len(keys))
+    wins = _block_wins(centers, sub[:, 1], sub[:, 2], beta, r, members, threshold)
     est = _order_by_scores(_beaten_by(wins, wins + wins.transpose(0, 2, 1)), sub[:, 3])
     if radius is not None:  # the windowed DP refines each anchor trial by trial
         for t in range(len(keys)):

@@ -232,6 +232,12 @@ def verify_p_frequent(selection: SelectionSequence, p: float) -> PFrequencyRepor
     return PFrequencyReport(ok=bool(min_frac >= p - 1e-12), min_pair_fraction=float(min_frac), counts=counts)
 
 
+def _insertion_weights(beta: float, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """``cum[k]``, the sum of e^{-beta*d} over d = 0..k, for k < ``width``, and ``cum * 2^63``: the same at any width."""
+    cum = np.cumsum(np.exp(-beta * np.arange(width, dtype=np.float64)))
+    return cum, cum * _SCALE  # exact: a power of two, which commutes with the rounding of a threshold's division
+
+
 def _sample_rows(
     keys: np.ndarray, offsets: np.ndarray, restricted: np.ndarray, beta: float, start: int = 0
 ) -> np.ndarray:
@@ -259,8 +265,7 @@ def _sample_rows(
     with rows times n.
     """
     sizes = np.diff(offsets)
-    cum = np.cumsum(np.exp(-beta * np.arange(int(sizes.max(initial=0)), dtype=np.float64)))
-    scaled = cum * _SCALE  # exact: a power of two, which commutes with the rounding of the division below
+    cum, scaled = _insertion_weights(beta, int(sizes.max(initial=0)))
     samples = np.empty(len(restricted), dtype=np.int64)
     kernels = core._row_kernels()
     if kernels is not None:

@@ -1,8 +1,11 @@
 import itertools
 import math
+import os
 import re
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -263,6 +266,46 @@ class TestTriuPairs:
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on the path")
 
 
+UBSAN_SCRIPT = """
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from mallows_select import core, experiments as xp
+from mallows_select.core import MallowsParams, Ranking
+from mallows_select.estimators import accumulate_counts
+from mallows_select.rng import Stream
+from mallows_select.sampling import SelectionSpec, generate_selection, sample_profile
+
+core._ROWS_FLAGS = (*core._ROWS_FLAGS, "-fsanitize=undefined", "-fno-sanitize-recover=all")
+sanitized = core._rows_library(Path(sys.argv[1]))
+assert sanitized is not None
+cells = [
+    dict(n=20, beta=2.0, p=1 / 6, r=49, selection_kind="mixed_pfrequent"),
+    dict(n=20, beta=2.0, p=1 / 6, r=64, selection_kind="bernoulli_random"),
+    dict(n=3, beta=1.0, p=0.04, r=20, selection_kind="bernoulli_random"),
+    dict(n=8, beta=1.0, p=0.5, r=5, selection_kind="adversarial_matching", center=Ranking.identity(8)),
+    dict(n=6, beta=2.0, p=0.5, r=6, selection_kind="mixed_pfrequent", estimator="ltn"),
+]
+selection = generate_selection(SelectionSpec("bernoulli_random", 30, 0.25), 200, Stream.from_seed(5))
+params = MallowsParams(Ranking(Stream.from_seed(6).permutation(30)), 0.7)
+
+
+def outputs():
+    rows = [xp._cell(Stream.from_seed(3).child(case["r"]), range(40), **case) for case in cells]
+    profile = sample_profile(params, selection, Stream.from_seed(7))
+    return [a for cell in rows for a in cell] + [profile.rank_items, accumulate_counts(profile).wins]
+
+
+core._row_kernels = lambda: sanitized
+compiled = outputs()
+core._row_kernels = lambda: None
+assert all(np.array_equal(a, b) for a, b in zip(compiled, outputs(), strict=True))
+print("equal")
+"""
+
+
 @st.composite
 def grouped_rows(draw):
     """``(n, groups, offsets, restricted)``: CSR rows of restricted centers over n items, in equal runs per group."""
@@ -318,9 +361,30 @@ class TestCompiledRowKernels:
         builds = []
         run = subprocess.run
         monkeypatch.setattr(core.subprocess, "run", lambda command, **kw: builds.append(command) or run(command, **kw))
+        (tmp_path / "_rows.0123456789abcdef.so").write_bytes(b"the build of an earlier source")
         assert core._rows_library(tmp_path) is not None and core._rows_library(tmp_path) is not None
         assert len(builds) == 1
-        assert [path.suffix for path in tmp_path.iterdir()] == [".so"]  # no partial build is left behind
+        # the stale build is gone and no partial build is left behind
+        (library,) = tmp_path.iterdir()
+        assert library.suffix == ".so" and library.name != "_rows.0123456789abcdef.so"
+
+    @needs_cc
+    def test_a_stale_build_that_cannot_be_removed_is_left(self, tmp_path):
+        (tmp_path / "_rows.0123456789abcdef.so").mkdir()  # unlink fails on a directory
+        assert core._rows_library(tmp_path) is not None
+        assert len(list(tmp_path.iterdir())) == 2
+
+    @needs_cc
+    def test_the_kernels_run_clean_under_the_undefined_behaviour_sanitizer(self, tmp_path):
+        # a build that aborts at the first undefined operation runs figure cells, a sampled profile and its count,
+        # each equal to the numpy forms' result
+        src = str(Path(core.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run(
+            [sys.executable, "-c", UBSAN_SCRIPT, str(tmp_path)], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert (result.returncode, result.stdout) == (0, "equal\n"), result.stderr
+        assert [path.suffix for path in tmp_path.iterdir()] == [".so"]
 
     @needs_cc
     def test_a_directory_that_cannot_be_made_or_a_bad_library_leaves_the_numpy_forms(self, tmp_path):

@@ -4,12 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from helpers import bootstrap_mean_diff_lower, exact_two_item_success, linear_fit, looped_cell, row_kernel_paths
-from mallows_select import experiments as xp, mle
+from mallows_select import core, experiments as xp, mle
 from mallows_select.core import Ranking
 from mallows_select.experiments import (
     ExperimentConfig,
@@ -22,7 +22,8 @@ from mallows_select.experiments import (
     run_distance_experiment,
     run_topk_experiment,
 )
-from mallows_select.rng import Stream
+from mallows_select.rng import Stream, child_key_grid, permutation_rows
+from mallows_select.sampling import SelectionSpec, _bernoulli_threshold
 
 
 class TestBinarySearch:
@@ -400,6 +401,50 @@ def cell_cases(draw):
     )
 
 
+class TestBlockWins:
+    """``experiments._block_wins``, the trial-block seam, gives the same (T, n, n) wins on both row-kernel paths."""
+
+    @staticmethod
+    def both_paths(seed, trials, n, beta, p, r, selection_kind, center=None, **_):
+        spec = SelectionSpec(kind=selection_kind, n=n, p=p)
+        if selection_kind == "bernoulli_random":
+            members, threshold = None, _bernoulli_threshold(spec, r)
+        else:
+            members, threshold = xp._cached_selection(selection_kind, n, p, r), None
+        sub = child_key_grid(Stream.from_seed(seed).child_keys(trials), range(4))
+        centers = permutation_rows(sub[:, 0], n) if center is None else np.tile(center.items, (trials, 1))
+        wins = []
+        with pytest.MonkeyPatch.context() as patch:
+            for _ in row_kernel_paths(patch):
+                wins.append(xp._block_wins(centers, sub[:, 1], sub[:, 2], beta, r, members, threshold))
+        return wins
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=cell_cases(), beta=st.floats(0.05, 40.0), seed=st.integers(0, 2**32), trials=st.integers(1, 6))
+    # the rejection tail: at q = 0.2 and n = 3 most candidate sets have fewer than two members
+    @example(case=dict(n=3, p=0.04, r=30, selection_kind="bernoulli_random"), beta=1.0, seed=0, trials=6)
+    @example(case=dict(n=20, p=1 / 6, r=256, selection_kind="bernoulli_random"), beta=2.0, seed=1, trials=3)
+    @example(case=dict(n=20, p=1 / 6, r=256, selection_kind="mixed_pfrequent"), beta=2.0, seed=2, trials=3)
+    def test_compiled_wins_equal_the_numpy_wins(self, case, beta, seed, trials):
+        compiled, numpy = self.both_paths(seed, trials, **{**case, "beta": beta})
+        assert compiled.shape == numpy.shape == (trials, case["n"], case["n"])
+        assert compiled.dtype == numpy.dtype and np.array_equal(compiled, numpy)
+        # every kept set has two members or more, and the counts are of its samples' pairs
+        assert (compiled + compiled.transpose(0, 2, 1)).sum() >= 2 * case["r"] * trials
+
+    def test_inputs_the_compiled_kernel_would_read_past_are_refused(self):
+        if core._row_kernels() is None:
+            pytest.skip("the compiled row kernels did not load")
+        members, centers = xp._cached_selection("complete", 3, 1.0, 2), np.array([[0, 1, 2], [2, 0, 1]])
+        keys = Stream.from_seed(0).child_keys(2)
+        with pytest.raises(IndexError, match="outside"):
+            xp._block_wins(np.array([[0, 1, 2], [0, 3, 1]]), keys, keys, 1.0, 2, members, None)
+        with pytest.raises(ValueError, match="as many stream keys"):
+            xp._block_wins(centers, keys[:1], keys[:1], 1.0, 2, members, None)
+        with pytest.raises(ValueError, match="must have shape"):
+            xp._block_wins(centers, keys, keys, 1.0, 3, members, None)
+
+
 class TestTrialKernel:
     """``experiments._cell`` against the looped protocol of ``helpers.run_trial``, exactly, on each kernel path."""
 
@@ -497,21 +542,45 @@ class TestTrialKernel:
         with pytest.raises(ValueError, match="over the limit of 2"):
             xp._cell(root, range(3), 40, 1.0, 1e-6, 10**6, "bernoulli_random")
 
+    FIGURE_CELLS = [(kind, p, r) for kind in ("mixed_pfrequent", "bernoulli_random")
+                    for p, r in ((1, 8), (1, 32), (1 / 2, 32), (1 / 6, 128), (1 / 6, 256))]
+
+    @staticmethod
+    def cell_peak(*args) -> int:
+        """The tracemalloc peak of ``xp._cell(*args)`` after a warm-up call, which fills the selection cache."""
+        xp._cell(*args)
+        tracemalloc.start()
+        try:
+            xp._cell(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_working_memory_is_bounded_by_blocks(self, monkeypatch):
         # unblocked, the pair buffers of the count alone take 16 bytes per pair of every set of every trial: 13 MB at
         # (1/6, 256); a cell's peak, its two output arrays included, stays under the budget on every figure cell
         for _ in row_kernel_paths(monkeypatch):
-            for kind in ("mixed_pfrequent", "bernoulli_random"):
-                for p, r in ((1, 8), (1, 32), (1 / 2, 32), (1 / 6, 128), (1 / 6, 256)):
-                    args = (Stream.from_seed(4), range(100), 20, 2.0, p, r, kind)
-                    xp._cell(*args)  # warm the selection cache
-                    tracemalloc.start()
-                    try:
-                        xp._cell(*args)
-                        peak = tracemalloc.get_traced_memory()[1]
-                    finally:
-                        tracemalloc.stop()
-                    assert peak <= xp._TRIAL_BLOCK_BYTES, (kind, p, r)
+            for kind, p, r in self.FIGURE_CELLS:
+                peak = self.cell_peak(Stream.from_seed(4), range(100), 20, 2.0, p, r, kind)
+                assert peak <= xp._TRIAL_BLOCK_BYTES, (kind, p, r)
+
+    @pytest.mark.skipif(core._row_kernels() is None, reason="the compiled row kernels did not load")
+    def test_compiled_blocks_are_sized_by_the_counts_they_hold(self, monkeypatch):
+        # the compiled path holds no per-item or per-set array, so a 100-trial figure cell runs as one block
+        blocks, cell_block = [], xp._cell_block
+
+        def counted(*args):  # the blocks of the measured call, not of its warm-up
+            blocks.append(tracemalloc.is_tracing())
+            return cell_block(*args)
+
+        monkeypatch.setattr(xp, "_cell_block", counted)
+        for kind, p, r in self.FIGURE_CELLS:
+            peak = self.cell_peak(Stream.from_seed(4), range(100), 20, 2.0, p, r, kind)
+            assert (sum(blocks), peak <= xp._TRIAL_BLOCK_BYTES) == (1, True), (kind, p, r, peak)
+            blocks.clear()
+        # here a trial's 1024 complete sets would hold 4.8 MB of items on the numpy path; its n*n counts take 80 KB
+        peak = self.cell_peak(Stream.from_seed(4), range(100), 100, 1.0, 1.0, 1024, "complete")
+        assert peak <= xp._TRIAL_BLOCK_BYTES and 1 < sum(blocks) < 100, (peak, sum(blocks))
 
     def test_pair_only_cell_memory_is_linear_in_the_set_sizes(self, monkeypatch):
         # a dense (r, n, n) compare of one trial's samples takes 20 MB here; its CSR rows take 128 KB
