@@ -6,7 +6,9 @@ immutable after construction and safe to share across threads.  Sets and
 rankings are held as CSR arrays (row offsets plus flat items), and every
 module counts their pairs by the row kernels here, :func:`_pair_counts`
 and :func:`_discordances`, at a cost that grows with the sum of m^2 over
-the rows.  Tuple and ``Ranking`` views are lazy.
+the rows, in buffers bounded by the one working budget, ``_BLOCK_BYTES``
+(4 MiB), which the sampler's chunks and the experiment kernel's trial
+blocks also read.  Tuple and ``Ranking`` views are lazy.
 
 The pair count and the sampler's insertion pass (``sampling._sample_rows``)
 also have C forms, in ``_rows.c``, as has the experiment kernel's block of
@@ -39,8 +41,8 @@ import numpy as np
 # a larger n is refused before any n x n table is made; one int64 table at this n takes 512 MiB
 _MAX_N = 8192
 
-# rows per counting block are chosen so the block's two int64 pair arrays hold about this many bytes
-_PRECEDENCE_BLOCK_BYTES = 1 << 24
+# the one working budget: trial blocks, sampler chunks and pair blocks hold about this many bytes, read at call time
+_BLOCK_BYTES = 4 << 20
 
 _ROWS_SOURCE = Path(__file__).with_name("_rows.c")
 # no contraction of a multiply and an add into one rounding, so the C thresholds are the numpy ones
@@ -304,13 +306,13 @@ def _pair_blocks(offsets: np.ndarray, items: np.ndarray, relabel: np.ndarray | N
     entries.  ``first[k, q]`` and ``second[k, q]`` are row ``rows[k]``'s
     entries at positions a < b, pair q of ``triu(m)``: the work grows with
     the sum of m^2 over the rows, never with rows times n^2.  All blocks
-    share two pair buffers of about ``_PRECEDENCE_BLOCK_BYTES`` together
-    (more only when one row needs more): a block is valid until the next
-    one is drawn, and the caller may overwrite it.
+    share two pair buffers of about ``_BLOCK_BYTES`` together (more only
+    when one row needs more): a block is valid until the next one is
+    drawn, and the caller may overwrite it.
     """
     sizes = np.diff(offsets)
     pairs = sizes * (sizes - 1) // 2
-    cells = min(int(pairs.sum()), max(_PRECEDENCE_BLOCK_BYTES // (2 * items.itemsize), int(pairs.max(initial=0))))
+    cells = min(int(pairs.sum()), max(_BLOCK_BYTES // (2 * items.itemsize), int(pairs.max(initial=0))))
     buf = np.empty((2, cells), dtype=items.dtype if relabel is None else relabel.dtype)
     present = np.flatnonzero(np.bincount(sizes))
     for m in present[present >= 2].tolist():

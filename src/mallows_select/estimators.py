@@ -3,10 +3,11 @@
 A profile's counts, ``PairwiseCounts``, hold one matrix: wins[i][j], the
 samples in which i precedes j; the appearances are ``wins + wins.T``.
 The positional estimator ranks alternative i by the number of opponents j
-that precede i in at least half of the samples where both appear.  The
-majority test is the integer comparison ``2 * wins[j][i] >= appear[i][j]``:
-an exact half split increments both sides, and a pair that never co-appears
-also increments both sides, encoding total ignorance.  Ties in the
+that precede i in at least half of the samples where both appear.  For
+integer counts that majority test, ``2 * wins[j][i] >= wins[i][j] +
+wins[j][i]``, is ``wins[j][i] >= wins[i][j]``, so the scores read ``wins``
+alone.  A tie increments both sides: an exact half split, and a pair that
+never co-appears, which encodes total ignorance.  Ties in the
 resulting scores are broken uniformly at random by one array routine that
 serves one profile and a block of experiment trials alike.
 """
@@ -42,10 +43,9 @@ def accumulate_counts(profile: SampleProfile) -> PairwiseCounts:
     return PairwiseCounts(_pair_counts(profile.n, profile.offsets, profile.rank_items)[0])
 
 
-def _beaten_by(wins: np.ndarray, appear: np.ndarray) -> np.ndarray:
-    """Opponents j != i with ``2 * wins[j, i] >= appear[i, j]``, for every i of every trailing (n, n) block."""
-    beaten = 2 * np.swapaxes(wins, -1, -2) >= appear
-    return beaten.sum(axis=-1) - np.diagonal(beaten, axis1=-2, axis2=-1)
+def _beaten_by(wins: np.ndarray) -> np.ndarray:
+    """Opponents j != i with ``wins[j, i] >= wins[i, j]``, for every i of every trailing (n, n) block."""
+    return (np.swapaxes(wins, -1, -2) >= wins).sum(axis=-1) - 1  # j = i always passes
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,7 @@ def positional_estimator(profile: SampleProfile, stream: Stream) -> PosEstResult
 
 
 def positional_estimator_from_counts(counts: PairwiseCounts, stream: Stream) -> PosEstResult:
-    n, appear = counts.n, counts.appear
-    raw = _beaten_by(counts.wins, appear)
+    raw, n, appear = _beaten_by(counts.wins), counts.n, counts.appear  # appear serves the diagnostics only
     order = _order_by_scores(raw[None], np.array([stream.key], dtype=np.uint64), stream._ctr)[0]
     sizes = np.bincount(raw)  # group size per score
     stream._ctr += n - np.count_nonzero(sizes)  # a tie group of size s took s-1 draws

@@ -22,8 +22,9 @@ estimators runs trial by trial, around those estimates.  The rows equal
 those of running each trial object by object, the reference kept in the
 tests.  The trials run in blocks sized by the bytes a trial holds on the
 path that runs it: the compiled path holds no per-item or per-set array,
-so a figure cell runs as one block.  A cell peaks under
-``_TRIAL_BLOCK_BYTES`` whenever a block holds more than one trial.
+so a figure cell runs as one block.  A block of more than one trial
+holds at most the one working budget, ``core._BLOCK_BYTES``, its share of
+the cell's rows included, so a cell that runs as one block peaks under it.
 """
 
 from __future__ import annotations
@@ -123,10 +124,6 @@ def _cached_selection(kind: str, n: int, p: float, r: int) -> np.ndarray:
     return members
 
 
-# trials per kernel block are chosen so a cell's peak, measured with tracemalloc, stays under this many bytes
-_TRIAL_BLOCK_BYTES = 4 << 20
-
-
 def _cell(
     root: Stream,
     trials: range,
@@ -145,7 +142,7 @@ def _cell(
     (unless one is planted), a bernoulli_random selection from
     ``child(1)``, its profile from ``child(2)`` and its estimate's
     tie-breaks from ``child(3)``.  The trials run as arrays, as many at a
-    time as fit in ``_TRIAL_BLOCK_BYTES`` (one at least), and a row depends
+    time as fit in ``core._BLOCK_BYTES`` (one at least), and a row depends
     on its trial index only, never on the range or the block it ran in.
     """
     spec = SelectionSpec(kind=selection_kind, n=n, p=p)
@@ -166,12 +163,13 @@ def _cell(
     if estimator != "posest":
         radius = (pointwise_window if estimator == "ltn" else mle_window)(n, beta, p, r)
     planted = None if center is None else np.array(center.items, dtype=np.int64)
-    # a trial's peak bytes on the path of _block_wins that runs it.  Compiled: its n*n wins and score temporaries.
-    # numpy: its r*n membership mask and the largest of its phases (the Bernoulli loop, the sampler, the count, the
-    # scores), by bytes per uniform, item, set, pair and n*n cell, each calibrated with tracemalloc
-    phases = (33 * draws, 90 * items + 64 * r, 48 * (items + r) + 16 * pairs + 8 * n * n, 24 * items + 12 * r + 28 * n * n)
-    held = 36 * n * n if core._row_kernels() is not None else r * n + max(phases)
-    step = max(1, int(_TRIAL_BLOCK_BYTES // held))
+    # a trial's peak bytes on the path of _block_wins that runs it.  Compiled: its scores, 9 per n*n cell (the wins
+    # and their compare) and 80 per item (its rows).  numpy: its r*n membership mask and the largest of its phases (the
+    # Bernoulli loop, the sampler, the count, the scores), by bytes per uniform, item, set, pair and n*n cell
+    scores = (9 * n + 80) * n + 64
+    phases = (33 * draws, 90 * items + 64 * r, 48 * (items + r) + 16 * pairs + 8 * n * n, 24 * items + 12 * r + scores)
+    held = scores if core._row_kernels() is not None else r * n + max(phases)
+    step = max(1, int(core._BLOCK_BYTES // held))
     est, pi0 = np.empty((len(trials), n), dtype=np.int64), np.empty((len(trials), n), dtype=np.int64)
     for a in range(0, len(trials), step):
         block = trials[a : a + step]
@@ -227,7 +225,7 @@ def _cell_block(root, trials, n, beta, r, members, threshold, radius, planted) -
     sub = child_key_grid(keys, range(4))  # per trial: center, selection, profile and tie-break keys
     centers = permutation_rows(sub[:, 0], n) if planted is None else np.tile(planted, (len(keys), 1))
     wins = _block_wins(centers, sub[:, 1], sub[:, 2], beta, r, members, threshold)
-    est = _order_by_scores(_beaten_by(wins, wins + wins.transpose(0, 2, 1)), sub[:, 3])
+    est = _order_by_scores(_beaten_by(wins), sub[:, 3])
     if radius is not None:  # the windowed DP refines each anchor trial by trial
         for t in range(len(keys)):
             est[t] = _recover_from_counts(PairwiseCounts(wins[t]), radius, est[t])[0]

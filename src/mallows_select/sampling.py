@@ -12,8 +12,9 @@ rows as arrays, each from its own keyed stream, so :func:`sample_mallows`
 kernel (a row per set of every trial) make the same draws.  A step's
 weights depend on the step and beta only, never on the set size, so the
 routine runs one pass over rows of every size, sorted by size, with no
-group per size; where the C row kernels of ``core`` loaded, they run the
-rows one by one with the same thresholds and draws instead.
+group per size, in chunks within ``core._BLOCK_BYTES``, the working budget
+it shares with the pair count; where the C row kernels of ``core``
+loaded, they run the rows one by one with the same thresholds and draws.
 
 Selections, profiles, files and the experiment kernel hold their sets and
 samples as CSR rows, and :func:`generate_selection` builds them as such;
@@ -36,16 +37,7 @@ from itertools import chain, combinations, cycle, islice
 import numpy as np
 
 from . import core
-from .core import (
-    _MAX_N,
-    _PRECEDENCE_BLOCK_BYTES,
-    MallowsParams,
-    Ranking,
-    SampleProfile,
-    SelectionSequence,
-    _pair_counts,
-    check_beta,
-)
+from .core import _MAX_N, MallowsParams, Ranking, SampleProfile, SelectionSequence, _pair_counts, check_beta
 from .rng import Stream, draw_matrix
 
 _SCALE_BITS = 63
@@ -257,12 +249,11 @@ def _sample_rows(
     binary search in the same thresholds and a ``memmove``, when it loaded.
     The numpy form runs the rows sorted by size, largest first, so the rows
     that step k moves (those with m > k) are a prefix, and a chunk of rows
-    takes max m - 1 steps.  A chunk holds at most
-    ``_PRECEDENCE_BLOCK_BYTES // 64`` cells padded to its largest row (more
-    only when one row needs more): each costs 4 bytes of int32 position,
-    and each of the chunk's items about 70 bytes of draws and indices while
-    they are drawn.  So the memory grows with the total row size, never
-    with rows times n.
+    takes max m - 1 steps.  A chunk holds at most ``core._BLOCK_BYTES //
+    74`` cells padded to its largest row (more only when one row needs
+    more): each costs 4 bytes of int32 position and, at most, one item's
+    70 bytes of draws and indices while they are drawn.  So the memory
+    grows with the total row size, never with rows times n.
     """
     sizes = np.diff(offsets)
     cum, scaled = _insertion_weights(beta, int(sizes.max(initial=0)))
@@ -282,7 +273,7 @@ def _sample_rows(
     sizes = sizes[order]
     lo = 0
     while lo < len(order):
-        m = sizes[lo : lo + max(1, _PRECEDENCE_BLOCK_BYTES // 64 // int(sizes[lo]))]  # descending
+        m = sizes[lo : lo + max(1, core._BLOCK_BYTES // 74 // int(sizes[lo]))]  # descending
         rows, width = order[lo : lo + len(m)], int(m[0])
         lo += len(m)
         live = np.searchsorted(-m, -np.arange(width), side="left")  # live[c]: the rows with m > c

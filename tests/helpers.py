@@ -42,14 +42,25 @@ def row_kernel_paths(patch, split: bool = False):
     """Set each path of the core row kernels in turn through the MonkeyPatch ``patch``, yielding after each.
 
     The compiled kernels (the numpy ones where they did not load), then the numpy ones; with ``split``, also the
-    numpy ones in blocks of 50 bytes, which split the pair blocks of every small profile.
+    numpy ones under a working budget of 50 bytes, which splits the trial blocks, sampler chunks and pair blocks of
+    every small profile and cell.
     """
-    compiled, numpy, whole = core._row_kernels, lambda: None, core._PRECEDENCE_BLOCK_BYTES
+    compiled, numpy, whole = core._row_kernels, lambda: None, core._BLOCK_BYTES
     compiled()  # loaded before a test measures anything
     for kernels, block_bytes in ((compiled, whole), (numpy, whole), (numpy, 50))[: 3 if split else 2]:
         patch.setattr(core, "_row_kernels", kernels)
-        patch.setattr(core, "_PRECEDENCE_BLOCK_BYTES", block_bytes)
+        patch.setattr(core, "_BLOCK_BYTES", block_bytes)
         yield
+
+
+def appearance_beaten_by(wins: np.ndarray) -> np.ndarray:
+    """Opponents j != i with ``2 * wins[j, i] >= appear[i, j]``, for every i of every trailing (n, n) block.
+
+    The majority test as the paper states it, on the appearances ``wins + wins.T``: the reference of
+    ``estimators._beaten_by``.
+    """
+    beaten = 2 * np.swapaxes(wins, -1, -2) >= wins + np.swapaxes(wins, -1, -2)
+    return beaten.sum(axis=-1) - np.diagonal(beaten, axis1=-2, axis2=-1)
 
 
 def u64(stream: Stream) -> int:

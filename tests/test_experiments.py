@@ -494,8 +494,8 @@ class TestTrialKernel:
         assert len(runs) > len(trials)  # some trials touched the window boundary and ran again, wider
         self.assert_same(root, trials, case)
 
-    # one trial per block, the default budget, and every trial of a cell in one block
-    BUDGETS = (1, xp._TRIAL_BLOCK_BYTES, 1 << 40)
+    # one trial per block (and one row per sampler chunk and pair block), the default budget, and one block per cell
+    BUDGETS = (1, core._BLOCK_BYTES, 1 << 40)
 
     def test_blocks_do_not_change_rows(self, monkeypatch):
         root = Stream.from_seed(21)
@@ -507,8 +507,8 @@ class TestTrialKernel:
         ):
             cells = []
             for budget in self.BUDGETS:
-                monkeypatch.setattr(xp, "_TRIAL_BLOCK_BYTES", budget)
                 for _ in row_kernel_paths(monkeypatch):
+                    monkeypatch.setattr(core, "_BLOCK_BYTES", budget)
                     whole, tail = xp._cell(root, range(30), **case), xp._cell(root, range(17, 30), **case)
                     assert all(np.array_equal(a[17:], b) for a, b in zip(whole, tail)), (case, budget)
                     cells.append(whole)
@@ -520,8 +520,8 @@ class TestTrialKernel:
         config = preset(figure)
         found = []
         for budget in self.BUDGETS[1:]:
-            monkeypatch.setattr(xp, "_TRIAL_BLOCK_BYTES", budget)
             for _ in row_kernel_paths(monkeypatch):
+                monkeypatch.setattr(core, "_BLOCK_BYTES", budget)
                 found.append([
                     binary_search_complexity(
                         config.n, config.beta, p, config.target_success, config.trials_per_point,
@@ -562,7 +562,7 @@ class TestTrialKernel:
         for _ in row_kernel_paths(monkeypatch):
             for kind, p, r in self.FIGURE_CELLS:
                 peak = self.cell_peak(Stream.from_seed(4), range(100), 20, 2.0, p, r, kind)
-                assert peak <= xp._TRIAL_BLOCK_BYTES, (kind, p, r)
+                assert peak <= core._BLOCK_BYTES, (kind, p, r)
 
     @pytest.mark.skipif(core._row_kernels() is None, reason="the compiled row kernels did not load")
     def test_compiled_blocks_are_sized_by_the_counts_they_hold(self, monkeypatch):
@@ -576,11 +576,17 @@ class TestTrialKernel:
         monkeypatch.setattr(xp, "_cell_block", counted)
         for kind, p, r in self.FIGURE_CELLS:
             peak = self.cell_peak(Stream.from_seed(4), range(100), 20, 2.0, p, r, kind)
-            assert (sum(blocks), peak <= xp._TRIAL_BLOCK_BYTES) == (1, True), (kind, p, r, peak)
+            assert (sum(blocks), peak <= core._BLOCK_BYTES) == (1, True), (kind, p, r, peak)
             blocks.clear()
         # here a trial's 1024 complete sets would hold 4.8 MB of items on the numpy path; its n*n counts take 80 KB
         peak = self.cell_peak(Stream.from_seed(4), range(100), 100, 1.0, 1.0, 1024, "complete")
-        assert peak <= xp._TRIAL_BLOCK_BYTES and 1 < sum(blocks) < 100, (peak, sum(blocks))
+        assert peak <= core._BLOCK_BYTES and 1 < sum(blocks) <= 5, (peak, sum(blocks))
+
+    def test_a_numpy_trial_over_the_budget_holds_its_items_and_one_budget(self, monkeypatch):
+        # one trial's 1024 complete sets at n=100: 5.1 M pairs, whose pair buffers are bounded by the budget (they took
+        # 16 MiB under the count's own budget), plus the trial's own item arrays while it samples
+        monkeypatch.setattr(core, "_row_kernels", lambda: None)
+        assert self.cell_peak(Stream.from_seed(4), range(2), 100, 1.0, 1.0, 1024, "complete") <= 10 << 20
 
     def test_pair_only_cell_memory_is_linear_in_the_set_sizes(self, monkeypatch):
         # a dense (r, n, n) compare of one trial's samples takes 20 MB here; its CSR rows take 128 KB

@@ -7,11 +7,13 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mallows_select"
 MODULES = sorted(SRC.glob("*.py"))
-# the kernels that read CSR rows, the buffer bound they share and the loader of their compiled forms, all in core
+# the kernels that read CSR rows, the working budget they share and the loader of their compiled forms, all in core
 ROW_KERNELS = {
-    "_triu_pairs", "_pair_blocks", "_pair_counts", "_discordances", "_PRECEDENCE_BLOCK_BYTES",
+    "_triu_pairs", "_pair_blocks", "_pair_counts", "_discordances", "_BLOCK_BYTES",
     "_rows_library", "_row_kernels",
 }
+# byte bounds that are not working budgets: the DP's window tables, held between calls
+HELD_BYTES = {"mle.py": {"_TABLE_BYTES"}}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -57,6 +59,15 @@ def test_row_kernels_live_in_core_only():
         assert wrong == [], f"{path.name} imports row kernels from outside core"
         defined = _top_level_names(tree) & ROW_KERNELS
         assert defined == (ROW_KERNELS if path.name == "core.py" else set()), path.name
+
+
+def test_one_working_budget_is_read_from_core():
+    """Only core defines a ``*_BYTES`` working budget, and no module binds one by value, so one patch reaches all."""
+    for path in MODULES:
+        tree = _tree(path)
+        budgets = {name for name in _top_level_names(tree) if name.endswith("_BYTES")} - HELD_BYTES.get(path.name, set())
+        assert budgets == ({"_BLOCK_BYTES"} if path.name == "core.py" else set()), path.name
+        assert [name for _, _, name in _imports(tree) if name.endswith("_BYTES")] == [], f"{path.name} imports a budget"
 
 
 def _cache_decorators(tree: ast.Module):

@@ -22,7 +22,7 @@ from helpers import (
     u64,
     u64_array,
 )
-from mallows_select import sampling
+from mallows_select import core, sampling
 from mallows_select.core import (
     MallowsParams,
     Ranking,
@@ -511,16 +511,16 @@ class TestOneSampler:
         beta=st.floats(0.05, 6.0),
         seed=st.integers(0, 2**32),
         start=st.integers(0, 10**6),
-        budget=st.sampled_from([None, 64, 64 * 7, 64 * 60]),  # chunks of at most 1, 7 or 60 padded cells, or one row
+        cells=st.sampled_from([None, 1, 7, 60]),  # chunks of at most 1, 7 or 60 padded cells, or the default budget
     )
-    def test_one_pass_equals_the_size_grouped_reference(self, rows, beta, seed, start, budget):
+    def test_one_pass_equals_the_size_grouped_reference(self, rows, beta, seed, start, cells):
         offsets, restricted = rows
         keys = Stream.from_seed(seed).child_keys(len(offsets) - 1)
         expected = grouped_sample_rows(keys, offsets, restricted, beta, start)
         with pytest.MonkeyPatch.context() as patch:
-            if budget is not None:  # the chunks of the numpy form: the compiled kernel runs row by row
-                patch.setattr(sampling, "_PRECEDENCE_BLOCK_BYTES", budget)
             for _ in row_kernel_paths(patch):
+                if cells is not None:  # the chunks of the numpy form, 74 bytes a padded cell: the C form runs row by row
+                    patch.setattr(core, "_BLOCK_BYTES", 74 * cells)
                 assert np.array_equal(sampling._sample_rows(keys, offsets, restricted, beta, start), expected)
 
     def test_pair_only_profile_memory_is_linear_in_the_set_sizes(self, monkeypatch):
