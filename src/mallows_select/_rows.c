@@ -10,7 +10,7 @@
 
 #define GAMMA 0x9E3779B97F4A7C15ULL
 
-/* the splitmix64 finalizer of rng.mix64 */
+/* the splitmix64 finalizer of rng.mix64_array */
 static uint64_t mix64(uint64_t z)
 {
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;

@@ -184,8 +184,8 @@ def _experiment_config(args) -> xp.ExperimentConfig:
 
 
 def _cmd_sample(args) -> int:
-    stream = Stream.from_seed(args.seed)
     spec = SelectionSpec(kind=args.kind, n=args.n, p=args.p, q=args.q)
+    stream = Stream.from_seed(args.seed)
     selection = generate_selection(spec, args.r, stream.child(0))
     center = _resolve_center(args.center, args.n, stream.child(1))
     params = MallowsParams(center, args.beta)
@@ -196,8 +196,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    stream = Stream.from_seed(args.seed)
     spec = SelectionSpec(kind=args.kind, n=args.n, p=args.p, q=args.q)
+    stream = Stream.from_seed(args.seed)
     selection = generate_selection(spec, args.r, stream.child(0))
     _log(command="select", n=args.n, p=args.p, r=args.r, kind=args.kind, seed=args.seed)
     _write_out(args.out, format_selection(selection))

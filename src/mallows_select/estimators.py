@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Ranking, SampleProfile, _discordances, _pair_counts, _triu_pairs, check_beta, log_partition_function
-from .rng import Stream, _below_array, draw_matrix
+from .rng import Stream, draw_matrix, shuffle_runs
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,8 @@ def _order_by_scores(raw: np.ndarray, keys: np.ndarray, start=0) -> np.ndarray:
     """Each row of the (T, n) scores ``raw`` as alternatives by ascending score, ties shuffled from the row's stream.
 
     Row t equals a Fisher-Yates shuffle of each tie group in score order from the draws of ``Stream(keys[t], start)``:
-    a group of size s takes s-1 draws after those of the groups before it.  One Fisher-Yates pass over the step index
-    shuffles every group of every row, as ``rng.permutation_rows`` does whole rows.
+    a group of size s takes s-1 draws after those of the groups before it.  ``rng.shuffle_runs`` shuffles the groups
+    of every row at once, in chunks by size, largest first, so padding at most doubles a chunk's steps.
     """
     T, n = raw.shape
     order = np.argsort(raw, axis=1, kind="stable")
@@ -108,13 +108,13 @@ def _order_by_scores(raw: np.ndarray, keys: np.ndarray, start=0) -> np.ndarray:
     # each group: its flat position in ``order``, its size and the draws of its row's groups before it
     head = np.flatnonzero(first)
     size, before = np.diff(head, append=T * n), np.cumsum(~first, axis=1).ravel()[head]
-    u, flat = draw_matrix(keys, n - 1, start), order.reshape(-1)
-    for k in range(int(size.max(initial=1)) - 1):  # step k swaps the group's position s-1-k with below(s-k)
-        live = size > k + 1
-        head, size, before = head[live], size[live], before[live]
-        i, j = head + size - 1 - k, head + _below_array(u[head // n, before + k], (size - k).astype(np.uint64))
-        flat[i], flat[j] = flat[j], flat[i]
-    return flat.reshape(T, n)
+    u, tied = draw_matrix(keys, n - 1, start), np.flatnonzero(size > 1)
+    while tied.size:  # the groups over half the largest left, whose padding at most doubles their steps
+        top = size[tied].max()
+        g, tied = tied[2 * size[tied] > top], tied[2 * size[tied] <= top]
+        draws = u[head[g, None] // n, np.minimum(before[g, None] + np.arange(top - 1), n - 2)]
+        shuffle_runs(order.ravel(), head[g], size[g], draws)
+    return order
 
 
 def score(pi: Ranking, counts: PairwiseCounts) -> int:

@@ -90,6 +90,10 @@ class ExperimentConfig:
             raise ValueError("estimator must be one of posest, ltn, mle")
         if self.r_grid is not None and sorted(set(self.r_grid)) != list(self.r_grid):
             raise ValueError("r_grid must be strictly increasing")
+        for p in self.p_values:  # every spec is refused before the first search, cell or stream
+            SelectionSpec(kind=self.selection_kind, n=self.n, p=p)
+        if self.r_grid and self.r_grid[0] < 1:
+            raise InfeasibleSpecError("selection sequences must contain at least one set")
 
     def metadata(self) -> dict:
         return asdict(self)

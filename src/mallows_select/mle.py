@@ -37,9 +37,10 @@ import numpy as np
 from .core import Ranking, SampleProfile, check_beta
 from .estimators import (
     PairwiseCounts,
+    _beaten_by,
+    _order_by_scores,
     accumulate_counts,
     log_likelihood,
-    positional_estimator_from_counts,
     score_permutation_array,
 )
 from .rng import Stream
@@ -319,7 +320,7 @@ def _recover(profile: SampleProfile, beta: float, radius: int, budget: int, stre
     """Anchor on the positional estimate, ties broken from ``stream``, and run the widening DP around it."""
     beta = check_beta(beta)
     counts = accumulate_counts(profile)
-    anchor = np.array(positional_estimator_from_counts(counts, stream).ranking.items, dtype=np.int64)
+    anchor = _order_by_scores(_beaten_by(counts.wins)[None], np.array([stream.key], np.uint64), stream._ctr)[0]
     items, achieved, used, widenings = _recover_from_counts(counts, radius, anchor, budget)
     result = Ranking(items.tolist(), validate=False)
     return MleReport(

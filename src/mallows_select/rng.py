@@ -2,11 +2,11 @@
 
 Every randomized routine in this package draws from a :class:`Stream`.
 Streams are cheap value objects: a 64-bit key plus a draw counter.  The
-i-th draw of a stream is ``mix64(key + i*GAMMA)``, so draws can be
-produced one at a time or as a whole numpy block with identical results.
-Child streams are derived from the parent key and an integer path, never
-from the draw position, which makes any tree of substreams reproducible
-regardless of evaluation order or thread count.
+i-th draw of a stream is ``mix64(key + i*GAMMA)``, drawn in numpy blocks
+by :func:`mix64_array`, the one mixer; :func:`shuffle_runs` is the one
+Fisher-Yates pass.  Child streams are derived from the parent key and an
+integer path, never from the draw position, which makes any tree of
+substreams reproducible regardless of evaluation order or thread count.
 """
 
 from __future__ import annotations
@@ -19,16 +19,8 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def mix64(z: int) -> int:
-    """splitmix64 finalizer on a 64-bit integer."""
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-    return z ^ (z >> 31)
-
-
 def mix64_array(z: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`mix64` over a uint64 array, in place: ``z`` is overwritten and returned.
+    """The splitmix64 finalizer over a uint64 array, in place: ``z`` is overwritten and returned.
 
     Every caller passes a temporary of its own, so the mix holds one shifted copy at a time.
     """
@@ -38,12 +30,6 @@ def mix64_array(z: np.ndarray) -> np.ndarray:
     z *= np.uint64(_MIX2)
     z ^= z >> np.uint64(31)
     return z
-
-
-def _fold(key: int, element: int) -> int:
-    if element < 0:
-        raise ValueError("stream path elements must be nonnegative integers")
-    return mix64(key ^ mix64((element + _GAMMA) & _MASK))
 
 
 class Stream:
@@ -57,7 +43,7 @@ class Stream:
 
     @classmethod
     def from_seed(cls, seed: int) -> "Stream":
-        return cls(mix64((int(seed) ^ _MIX2) & _MASK))
+        return cls(int(mix64_array(np.array([(int(seed) ^ _MIX2) & _MASK], dtype=np.uint64))[0]))
 
     def child(self, *path: int) -> "Stream":
         """Derive an independent substream keyed by an integer path.
@@ -65,10 +51,13 @@ class Stream:
         Children depend only on the parent key and the path, not on how
         many draws the parent has produced.
         """
-        key = self.key
-        for element in path:
-            key = _fold(key, int(element))
-        return Stream(key)
+        path = [int(element) for element in path]
+        if any(element < 0 for element in path):
+            raise ValueError("stream path elements must be nonnegative integers")
+        key = np.array([self.key], dtype=np.uint64)
+        for mixed in mix64_array(np.array([(element + _GAMMA) & _MASK for element in path], dtype=np.uint64)):
+            key = mix64_array(key ^ mixed)
+        return Stream(int(key[0]))
 
     def child_keys(self, count: int) -> np.ndarray:
         """Keys of ``child(0) .. child(count-1)`` as a uint64 array."""
@@ -116,17 +105,25 @@ def _below_array(u: np.ndarray, bound: np.ndarray) -> np.ndarray:
     return (((u >> shift) * bound + (((u & lo32) * bound) >> shift)) >> shift).astype(np.intp)
 
 
+def shuffle_runs(flat: np.ndarray, head: np.ndarray, size: np.ndarray, draws: np.ndarray) -> None:
+    """Fisher-Yates shuffle every run ``flat[head:head+size]`` in place; the runs are disjoint, of 1 to 2^32-1 items.
+
+    Step k swaps the run's position size-1-k with ``below(size-k)`` of ``draws[:, k]``, the run's row of draws; a
+    run whose own steps are finished swaps its head with itself.  The swap indices are built once, in (steps, runs)
+    order, so each step is one contiguous gather and one scatter.
+    """
+    left = np.maximum(size - np.arange(draws.shape[1])[:, None], 1)  # step k's bound, per run
+    i, j = head + left - 1, head + _below_array(draws.T, left.astype(np.uint64))
+    for put, take in zip(np.concatenate((i, j), axis=1), np.concatenate((j, i), axis=1)):
+        flat[put] = flat[take]
+
+
 def permutation_rows(keys: np.ndarray, n: int, start=0) -> np.ndarray:
     """Uniformly random permutations of range(n), one row per stream ``Stream(keys[i], start)``, for n < 2^32.
 
-    One Fisher-Yates pass over all rows: step ``i`` (n-1 down to 1) swaps
-    position i with a uniform index in [0, i] from the row's next draw.
+    One :func:`shuffle_runs` over whole rows: step ``i`` (n-1 down to 1) swaps position i with a uniform index in
+    [0, i] from the row's next draw.
     """
     perm = np.tile(np.arange(n, dtype=np.int64), (len(keys), 1))
-    j = _below_array(draw_matrix(keys, max(n - 1, 0), start), np.arange(n, 1, -1, dtype=np.uint64))  # bound i+1
-    rows = np.arange(len(keys))
-    for c, i in enumerate(range(n - 1, 0, -1)):
-        held = perm[rows, j[:, c]]
-        perm[rows, j[:, c]] = perm[:, i]
-        perm[:, i] = held
+    shuffle_runs(perm.ravel(), np.arange(len(keys)) * n, np.full(len(keys), n), draw_matrix(keys, max(n - 1, 0), start))
     return perm

@@ -11,10 +11,10 @@ rows as arrays, each from its own keyed stream, so :func:`sample_mallows`
 (one row), :func:`sample_profile` (a row per set) and the experiment
 kernel (a row per set of every trial) make the same draws.  A step's
 weights depend on the step and beta only, never on the set size, so the
-routine runs one pass over rows of every size, sorted by size, with no
-group per size, in chunks within ``core._BLOCK_BYTES``, the working budget
-it shares with the pair count; where the C row kernels of ``core``
-loaded, they run the rows one by one with the same thresholds and draws.
+routine steps padded rows of every size, sorted by size, with no group
+per size, in chunks within ``core._BLOCK_BYTES``, the working budget it
+shares with the pair count; where the C row kernels of ``core`` loaded,
+they run the rows one by one with the same thresholds and draws.
 
 Selections, profiles, files and the experiment kernel hold their sets and
 samples as CSR rows, and :func:`generate_selection` builds them as such;
@@ -248,12 +248,12 @@ def _sample_rows(
     The C kernel of ``core`` runs the rows one by one, an insertion a
     binary search in the same thresholds and a ``memmove``, when it loaded.
     The numpy form runs the rows sorted by size, largest first, so the rows
-    that step k moves (those with m > k) are a prefix, and a chunk of rows
-    takes max m - 1 steps.  A chunk holds at most ``core._BLOCK_BYTES //
-    74`` cells padded to its largest row (more only when one row needs
-    more): each costs 4 bytes of int32 position and, at most, one item's
-    70 bytes of draws and indices while they are drawn.  So the memory
-    grows with the total row size, never with rows times n.
+    that step k moves (those with m > k) are a prefix: a chunk takes max
+    m - 1 steps over one padded matrix of draws and one of positions.  It
+    holds at most ``core._BLOCK_BYTES // 74`` padded cells (more only when
+    one row needs more) and ends at the first row half its widest or
+    smaller, so padding at most doubles its cells, and the memory grows
+    with the total row size, never with rows times n.
     """
     sizes = np.diff(offsets)
     cum, scaled = _insertion_weights(beta, int(sizes.max(initial=0)))
@@ -274,30 +274,26 @@ def _sample_rows(
     lo = 0
     while lo < len(order):
         m = sizes[lo : lo + max(1, core._BLOCK_BYTES // 74 // int(sizes[lo]))]  # descending
+        m = m[2 * m > m[0]]  # padding at most doubles the chunk's cells
         rows, width = order[lo : lo + len(m)], int(m[0])
         lo += len(m)
-        live = np.searchsorted(-m, -np.arange(width), side="left")  # live[c]: the rows with m > c
-        ends = np.cumsum(live)
-        # the chunk's items column by column: column c holds item c of its first live[c] rows
-        row = np.arange(ends[-1]) - np.repeat(ends - live, live)
-        col = np.repeat(np.arange(width), live)
-        # the items of columns 1.. in one flat draw: item c of a row takes its stream's draw start + c
-        u = draw_matrix(keys[rows][row[len(m) :]], 1, start + col[len(m) :] - 1)[:, 0] >> np.uint64(1)
-        # pos[c, i]: the rank of item c of row i.  A step updates pos[:k, :moved], fastest along a contiguous run,
+        # u[i, k-1]: the draw of item k of row i, its stream's draw start + k
+        u = draw_matrix(keys[rows], width - 1, start)
+        u >>= np.uint64(1)
+        live = np.searchsorted(-m, -np.arange(width), side="left")  # live[k]: the rows with m > k, a prefix
+        # pos[k, i]: the rank of item k of row i.  A step updates pos[:k, :moved], fastest along a contiguous run,
         # so the rows are contiguous when the middle step still moves as many rows as it has items before it.
         rows_contiguous = live[width // 2] >= width // 2
         pos = np.zeros((width, len(m)), np.int32) if rows_contiguous else np.zeros((len(m), width), np.int32).T
-        at = 0
         for k, moved in enumerate(live[1:].tolist(), 1):
             ins = pos[k, :moved]
             # floor(cum[:k+1] / cum[k] * 2^63), as the cast truncates these nonnegative values; the last is 2^63
             thr = (scaled[: k + 1] / cum[k]).astype(np.uint64)
-            np.subtract(k, np.searchsorted(thr, u[at : at + moved], side="right"), out=ins, casting="unsafe")
-            at += moved
+            np.subtract(k, np.searchsorted(thr, u[:moved, k - 1], side="right"), out=ins, casting="unsafe")
             head = pos[:k, :moved]
             head += head >= ins
-        first = offsets[rows][row]
-        samples[first + pos[np.arange(width)[:, None] < m]] = restricted[first + col]
+        first, valid = offsets[rows], np.arange(width)[:, None] < m
+        samples[(first + pos)[valid]] = restricted[(first + np.arange(width)[:, None])[valid]]
     return samples
 
 

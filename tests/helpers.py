@@ -34,7 +34,7 @@ from mallows_select.estimators import (
 )
 from mallows_select.fileio import FileFormatError, _err, _parse_header
 from mallows_select.mle import recover_likelier_than_nature, recover_mle
-from mallows_select.rng import _GAMMA, _MASK, Stream, draw_matrix, mix64, mix64_array
+from mallows_select.rng import _GAMMA, _MASK, _MIX1, _MIX2, Stream, draw_matrix, mix64_array
 from mallows_select.sampling import SelectionSpec, generate_selection, sample_profile
 
 
@@ -61,6 +61,26 @@ def appearance_beaten_by(wins: np.ndarray) -> np.ndarray:
     """
     beaten = 2 * np.swapaxes(wins, -1, -2) >= wins + np.swapaxes(wins, -1, -2)
     return beaten.sum(axis=-1) - np.diagonal(beaten, axis1=-2, axis2=-1)
+
+
+def mix64(z: int) -> int:
+    """The splitmix64 finalizer on one 64-bit integer: the reference form of ``rng.mix64_array``."""
+    z &= _MASK
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+    return z ^ (z >> 31)
+
+
+def fold(key: int, element: int) -> int:
+    """The key of ``Stream(key).child(element)`` by scalar mixes: the reference form of ``Stream.child``."""
+    if element < 0:
+        raise ValueError("stream path elements must be nonnegative integers")
+    return mix64(key ^ mix64((element + _GAMMA) & _MASK))
+
+
+def seed_key(seed: int) -> int:
+    """The key of ``Stream.from_seed(seed)`` by one scalar mix: its reference form."""
+    return mix64((seed ^ _MIX2) & _MASK)
 
 
 def u64(stream: Stream) -> int:

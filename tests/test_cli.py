@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from mallows_select import core, mle, rng
+from mallows_select import experiments as xp
 from mallows_select.cli import _build_parser, dispatch
 from mallows_select.core import MallowsParams, Ranking
 from mallows_select.estimators import positional_estimator
@@ -235,6 +236,21 @@ class TestCliErrors:
         assert code == 2
         assert out == ""
         assert "n=8193 is over the limit of 8192 alternatives" in err
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (("--p-values", "0.2,0"), "frequency parameter p must lie in (0, 1]"),
+            (("--p-values", "0.2,1.5"), "frequency parameter p must lie in (0, 1]"),
+            (("--kind", "borda"), "unknown selection kind 'borda'"),
+        ],
+    )
+    def test_every_p_is_refused_before_the_first_search(self, capsys, monkeypatch, argv, message):
+        searched = []
+        monkeypatch.setattr(xp, "binary_search_complexity", lambda *args: searched.append(args) or 1)
+        code, out, err = run(capsys, "exp-complexity", "--preset", "figure1", "--threads", "1", *argv)
+        assert (code, out, searched) == (2, "", [])
+        assert message in err
 
     def test_n_at_the_file_limit_still_selects(self, capsys):
         code, out, _ = run(capsys, "select", "--n", "8192", "--r", "1", "--kind", "pairwise")

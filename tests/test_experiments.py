@@ -138,6 +138,15 @@ class TestConfigAndPresets:
             ExperimentConfig(n=5, beta=1.0, r_grid=(10, 5))
         with pytest.raises(ValueError):
             ExperimentConfig(n=5, beta=1.0, estimator="borda")
+        # every selection spec and grid size is refused on construction, before any search or cell runs
+        with pytest.raises(ValueError, match="frequency parameter p must lie in"):
+            ExperimentConfig(n=5, beta=1.0, p_values=(0.2, 0.0))
+        with pytest.raises(ValueError, match="selection specs require n >= 2"):
+            ExperimentConfig(n=1, beta=1.0)
+        with pytest.raises(ValueError, match="unknown selection kind"):
+            ExperimentConfig(n=5, beta=1.0, selection_kind="borda")
+        with pytest.raises(ValueError, match="at least one set"):
+            ExperimentConfig(n=5, beta=1.0, r_grid=(0, 5))
 
 
 def small_complexity_config(**overrides):

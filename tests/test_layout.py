@@ -70,6 +70,20 @@ def test_one_working_budget_is_read_from_core():
         assert [name for _, _, name in _imports(tree) if name.endswith("_BYTES")] == [], f"{path.name} imports a budget"
 
 
+def test_one_mixer_and_one_fisher_yates_live_in_rng():
+    """Only rng defines or imports the array mixer and the multiply-shift bound, and no module defines a scalar mixer.
+
+    A second splitmix64 or a second Fisher-Yates swap loop reaches for these, so it fails here.
+    """
+    for path in MODULES:
+        tree = _tree(path)
+        assert _top_level_names(tree) & {"mix64", "_fold"} == set(), path.name
+        if path.name != "rng.py":
+            assert _top_level_names(tree) & {"mix64_array", "_below_array"} == set(), path.name
+            imported = [name for _, _, name in _imports(tree) if name in ("mix64_array", "_below_array")]
+            assert imported == [], f"{path.name} imports a draw primitive of rng"
+
+
 def _cache_decorators(tree: ast.Module):
     """``(function, maxsize node or None)`` of every ``cache``/``lru_cache`` decorator, however it is imported."""
     for node in ast.walk(tree):

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import below, scalar_permutation, shuffle, u64, u64_array, uniform
-from mallows_select.rng import Stream, _below_array, child_key_grid, draw_matrix, mix64, permutation_rows
+from helpers import below, fold, mix64, scalar_permutation, seed_key, shuffle, u64, u64_array, uniform
+from mallows_select.rng import (
+    Stream, _below_array, child_key_grid, draw_matrix, mix64_array, permutation_rows, shuffle_runs,
+)
 
 
 def test_draws_are_deterministic_and_pinned():
@@ -19,7 +23,7 @@ def test_draws_are_deterministic_and_pinned():
 
 
 def test_scalar_and_vector_draws_agree():
-    s1 = Stream.from_seed(123).child(4, 5)
+    s1 = Stream(fold(fold(seed_key(123), 4), 5))
     s2 = Stream.from_seed(123).child(4, 5)
     assert [u64(s1) for _ in range(10)] == [int(x) for x in u64_array(s2, 10)]
 
@@ -27,7 +31,20 @@ def test_scalar_and_vector_draws_agree():
 def test_child_keys_match_child():
     s = Stream.from_seed(99)
     keys = s.child_keys(64)
-    assert [int(k) for k in keys] == [s.child(i).key for i in range(64)]
+    assert [int(k) for k in keys] == [fold(s.key, i) for i in range(64)]
+
+
+@pytest.mark.parametrize("element", [0, 1, 2**63 - 1, 2**63, 2**64 + 5])
+def test_child_equals_the_scalar_fold(element):
+    s = Stream.from_seed(31)
+    assert s.child(element).key == fold(s.key, element)
+    assert s.child(element, 7, element).key == fold(fold(fold(s.key, element), 7), element)
+    assert s.child(np.uint64(element % 2**64)).key == fold(s.key, element % 2**64)
+
+
+@pytest.mark.parametrize("seed", [0, 1, -1, -(2**63), -(2**64) - 3, 2**63, 2**64 + 5])
+def test_from_seed_equals_the_scalar_mix(seed):
+    assert Stream.from_seed(seed).key == seed_key(seed)
 
 
 def test_draw_matrix_matches_streams():
@@ -87,20 +104,24 @@ def test_uniform_moments():
 
 
 def test_mix64_is_a_bijection_sample():
-    outs = {mix64(x) for x in range(4096)}
-    assert len(outs) == 4096
+    z = [*range(4096), 2**63, 2**64 - 1]
+    outs = mix64_array(np.array(z, dtype=np.uint64)).tolist()
+    assert outs == [mix64(x) for x in z]
+    assert len(set(outs)) == len(z)
 
 
 def test_path_elements_must_be_nonnegative():
     with pytest.raises(ValueError):
         Stream.from_seed(0).child(-1)
+    with pytest.raises(ValueError):
+        Stream.from_seed(0).child(3, -(2**64))
 
 
 def test_child_key_grid_matches_child():
     s = Stream.from_seed(17)
     keys = s.child_keys(5)
     grid = child_key_grid(keys, [0, 3, 1000])
-    assert [[int(k) for k in row] for row in grid] == [[s.child(i, e).key for e in (0, 3, 1000)] for i in range(5)]
+    assert [[int(k) for k in row] for row in grid] == [[fold(fold(s.key, i), e) for e in (0, 3, 1000)] for i in range(5)]
     with pytest.raises(ValueError):
         child_key_grid(keys, [-1])
 
@@ -141,3 +162,38 @@ def test_below_array_is_the_exact_high_product():
     # low limbs whose product carries into the high word
     carry = np.array([(2**32 - 1) << 32 | (2**32 - 1), 0xFFFFFFFF_80000000], dtype=np.uint64)
     assert _below_array(carry, np.uint64(2**32 - 1)).tolist() == [(int(x) * (2**32 - 1)) >> 64 for x in carry]
+
+
+class TestShuffleRuns:
+    """``rng.shuffle_runs`` against ``helpers.shuffle`` run by run, from the same draws, at zero tolerance."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 40), min_size=1, max_size=12),
+        whole_rows=st.booleans(),
+        extra=st.integers(0, 3),  # draw columns past the widest run's steps
+        seed=st.integers(0, 2**32),
+        start=st.integers(0, 2**40),
+        data=st.data(),
+    )
+    @example(sizes=[1, 1, 1], whole_rows=False, extra=0, seed=0, start=0, data=None)  # zero-width draws
+    @example(sizes=[1], whole_rows=True, extra=0, seed=1, start=0, data=None)
+    def test_equals_the_scalar_shuffle_run_by_run(self, sizes, whole_rows, extra, seed, start, data):
+        if whole_rows:  # rows of one size laid end to end, as permutation_rows runs them
+            sizes, gaps, order = [sizes[0]] * len(sizes), [0] * len(sizes), list(range(len(sizes)))
+        elif data is None:
+            gaps, order = [1] * len(sizes), list(range(len(sizes)))[::-1]
+        else:  # groups: untouched items between them, passed in any order, as the tie groups are
+            gaps = data.draw(st.lists(st.integers(0, 3), min_size=len(sizes), max_size=len(sizes)))
+            order = data.draw(st.permutations(range(len(sizes))))
+        head = np.cumsum([0] + [g + s for g, s in zip(gaps, sizes)])[:-1] + np.array(gaps)
+        flat = np.arange(int(head[-1]) + sizes[-1] + 2) * 3  # two items past the last run
+        keys = Stream.from_seed(seed).child_keys(len(sizes))[order]
+        draws = draw_matrix(keys, max(sizes) - 1 + extra, start)
+        expected = flat.tolist()
+        for r, key in zip(order, keys.tolist()):
+            run = expected[head[r] : head[r] + sizes[r]]
+            shuffle(Stream(key, start), run)
+            expected[head[r] : head[r] + sizes[r]] = run
+        shuffle_runs(flat, head[order], np.array(sizes)[order], draws)
+        assert flat.tolist() == expected

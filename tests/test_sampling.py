@@ -552,6 +552,20 @@ class TestOneSampler:
             assert np.diff(profile.offsets).tolist() == [n] * 4 + [2] * (r - 4)
             assert peak < 8 << 20
 
+    def test_numpy_pass_holds_padded_rows_not_item_arrays(self, monkeypatch):
+        # a files_io-sized profile: flat per-item index arrays and draws, about 70 bytes an item, take it past 4 MiB
+        n, r = 100, 2000
+        selection = generate_selection(SelectionSpec(kind="bernoulli_random", n=n, p=0.25), r, Stream.from_seed(1))
+        params = MallowsParams(Ranking(Stream.from_seed(3).permutation(n)), 1.0)
+        monkeypatch.setattr(core, "_row_kernels", lambda: None)
+        tracemalloc.start()
+        try:
+            sample_profile(params, selection, Stream.from_seed(4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
     @pytest.mark.parametrize("kind", ["pairwise", "mixed_pfrequent", "adversarial_matching"])
     def test_pair_lists_are_bounded_by_r(self, kind):
         # all C(1500, 2) pairs would take over 100 MB
