@@ -1,8 +1,9 @@
 /* The CSR row kernels of mallows_select.core in C: repeated-insertion sampling, pairwise precedence counts, and the
- * two together over a block of experiment trials.
+ * two together over a block of experiment trials; and the windowed DP of mallows_select.mle.
  *
- * Each routine mirrors its numpy form draw for draw and count for count: core builds this file with the system C
- * compiler into the package's __pycache__, loads it through ctypes, and runs the numpy forms wherever it cannot.
+ * Each routine mirrors its numpy form draw for draw, count for count and choice for choice: core builds this file
+ * with the system C compiler into the package's __pycache__, loads it through ctypes, and runs the numpy forms
+ * wherever it cannot.
  * Row l of a CSR array is items[offsets[l]:offsets[l+1]].
  */
 #include <stdint.h>
@@ -131,4 +132,133 @@ int block_wins(int64_t trials, int64_t n, int64_t r, const int64_t *centers, con
         }
     }
     return 0;
+}
+
+/* C(a, b) for 0 <= a <= 61 and b >= 0, zero where b > a: each partial product j * C(a - b + j, j) stays below 2^64 */
+static uint64_t choose(int64_t a, int64_t b)
+{
+    uint64_t c = 1;
+    for (int64_t j = 1; j <= b; j++)
+        c = c * (uint64_t)(a - b + j) / (uint64_t)j;
+    return c;
+}
+
+/* The next larger mask with as many bits set (Gosper's step), or 0 after 0 */
+static uint64_t next_mask(uint64_t mask)
+{
+    uint64_t low = mask & -mask, up = mask + low;
+    return low ? up | ((up ^ mask) >> 2) / low : 0;
+}
+
+/* The index of mask among the ascending masks of its popcount: C(c_1, 1) + C(c_2, 2) + ... over its bits c_1 < c_2 */
+static int64_t mask_index(uint64_t mask)
+{
+    int64_t index = 0;
+    for (int64_t i = 1; mask; mask &= mask - 1, i++)
+        index += (int64_t)choose(__builtin_ctzll(mask), i);
+    return index;
+}
+
+/* The window [lo, hi] of position t and the width and popcount of its state masks, as in mle._dp_window_max */
+static void window(int64_t n, int64_t R, int64_t t, int64_t *lo, int64_t *hi, int64_t *width, int64_t *k)
+{
+    *lo = t > R ? t - R : 0;
+    *hi = t + R < n - 1 ? t + R : n - 1;
+    *width = *hi - *lo + 1 - (*hi == t + R);
+    *k = t - *lo;
+}
+
+/* table[a * w + c] = the wins of element lo + c over the elements first + j, j a bit of a < 2^bits: the subset sums
+ * of one half of a window's state masks, by the lowest-bit recurrence
+ */
+static void subset_sums(int64_t n, const int64_t *wins, int64_t lo, int64_t w, int64_t first, int64_t bits,
+                        int64_t *table)
+{
+    for (int64_t c = 0; c < w; c++)
+        table[c] = 0;
+    for (uint64_t a = 1; a < (uint64_t)1 << bits; a++) {
+        const int64_t *rest = table + (a & (a - 1)) * w, *column = wins + lo * n + first + __builtin_ctzll(a);
+        for (int64_t c = 0; c < w; c++)
+            table[a * w + c] = rest[c] + column[c * n];
+    }
+}
+
+/* The windowed DP of mle._dp_window_max on wins (n x n, relabeled so the anchor is the identity) at radius R, with
+ * n >= 2 and 0 <= R <= n - 1: writes the placement sequence to seq and returns its score.
+ *
+ * Position t's states are its window's masks in ascending order, stepped by next_mask, so a state's index is its
+ * index in mle._popcount_masks.  Sweeping t down from n - 1, a state's value is the best over its free slots c of
+ * base[lo + c] (the wins of element lo + c over every element from lo on) less the wins over the placed slots (two
+ * half-window tables of subset sums) plus the successor's value, found through rank, the indices of the masks of
+ * position t + 1.  The first maximum is kept, so the smallest c wins ties as in the numpy argmax.  The forward walk
+ * then reads the stored choices from the empty mask.
+ *
+ * Every buffer is the caller's, with W the widest state mask: base holds n values, half (2^(W/2) + 2^(W - W/2)) *
+ * (W + 1), rank 2^W, values twice the largest layer and choices every layer of positions 0..n-1.  A layer's indices
+ * fit rank's int32 up to W = 33, past any table that memory holds.  Every value is a sum of wins entries, which the
+ * caller keeps below 2^53 in magnitude, so no sum overflows.
+ */
+int64_t window_dp(int64_t n, int64_t R, const int64_t *wins, int64_t *base, int64_t *half, int32_t *rank,
+                  int64_t *values, uint8_t *choices, int64_t *seq)
+{
+    int64_t lo, hi, width, k, offset = 0, largest = 1;
+    for (int64_t t = 0; t < n; t++) {
+        window(n, R, t, &lo, &hi, &width, &k);
+        int64_t count = (int64_t)choose(width, k);
+        offset += count;
+        largest = count > largest ? count : largest;
+    }
+    /* position n holds the full mask alone, of value 0 */
+    window(n, R, n, &lo, &hi, &width, &k);
+    int64_t *v_next = values, *v = values + largest, *swap;
+    v_next[0] = 0;
+    rank[((uint64_t)1 << k) - 1] = 0;
+    int64_t entered = n; /* base[e] is the wins of e over the elements from entered on, for e in [entered, hi] */
+    for (int64_t t = n - 1; t >= 0; t--) {
+        window(n, R, t, &lo, &hi, &width, &k);
+        int64_t w = hi - lo + 1, h = width / 2, shift = t >= R, count = (int64_t)choose(width, k);
+        while (entered > lo) {
+            entered--;
+            for (int64_t e = entered + 1; e <= hi; e++)
+                base[e] += wins[e * n + entered];
+            base[entered] = 0;
+            for (int64_t j = entered; j < n; j++)
+                base[entered] += wins[entered * n + j];
+        }
+        int64_t *low = half, *high = half + ((int64_t)1 << h) * w;
+        subset_sums(n, wins, lo, w, lo, h, low);
+        subset_sums(n, wins, lo, w, lo + h, width - h, high);
+        uint64_t first = ((uint64_t)1 << k) - 1, low_bits = ((uint64_t)1 << h) - 1, slots = ((uint64_t)1 << w) - 1;
+        offset -= count;
+        uint64_t s = first;
+        for (int64_t i = 0; i < count; i++, s = next_mask(s)) {
+            const int64_t *low_row = low + (s & low_bits) * w, *high_row = high + (s >> h) * w;
+            /* when the window slides, slot 0 leaves it, so it must be placed by now */
+            uint64_t free = shift && !(s & 1) ? 1 : ~s & slots;
+            int64_t best = INT64_MIN, choice = 0;
+            for (; free; free &= free - 1) {
+                int64_t c = __builtin_ctzll(free);
+                int64_t value = base[lo + c] - low_row[c] - high_row[c] + v_next[rank[(s | (uint64_t)1 << c) >> shift]];
+                int better = value > best;
+                best = better ? value : best;
+                choice = better ? c : choice;
+            }
+            v[i] = best;
+            choices[offset + i] = (uint8_t)choice;
+        }
+        s = first;
+        for (int64_t i = 0; i < count; i++, s = next_mask(s))
+            rank[s] = (int32_t)i;
+        swap = v_next, v_next = v, v = swap;
+    }
+    uint64_t mask = 0;
+    for (int64_t t = 0; t < n; t++) {
+        window(n, R, t, &lo, &hi, &width, &k);
+        int64_t c = choices[offset + mask_index(mask)];
+        seq[t] = lo + c;
+        mask |= (uint64_t)1 << c;
+        mask >>= t >= R;
+        offset += (int64_t)choose(width, k);
+    }
+    return v_next[0];
 }

@@ -11,9 +11,10 @@ the rows, in buffers bounded by the one working budget, ``_BLOCK_BYTES``
 blocks also read.  Tuple and ``Ranking`` views are lazy.
 
 The pair count and the sampler's insertion pass (``sampling._sample_rows``)
-also have C forms, in ``_rows.c``, as has the experiment kernel's block of
+also have C forms, in ``_rows.c``, as have the experiment kernel's block of
 trials (``experiments._block_wins``), which draws, restricts, samples and
-counts every row of a block in one call.  The first process that needs
+counts every row of a block in one call, and the windowed DP
+(``mle._dp_window_max``).  The first process that needs
 them builds the file with the system ``cc`` into the package's
 ``__pycache__``, removing the builds of other sources there, and every
 process loads it through ``ctypes``.  Where there is no compiler, no
@@ -88,6 +89,8 @@ def _rows_library(directory: Path) -> ctypes.CDLL | None:
     lib.block_wins.argtypes = [int64, int64, int64, pointer, pointer, pointer, pointer, uint64, pointer, pointer,
                                pointer, pointer]
     lib.block_wins.restype = ctypes.c_int
+    lib.window_dp.argtypes = [int64, int64, pointer, pointer, pointer, pointer, pointer, pointer, pointer]
+    lib.window_dp.restype = int64
     return lib
 
 

@@ -9,15 +9,19 @@ placed.  Every element below lo is, and element t+R cannot be, so the
 state is a fixed-popcount mask: t-lo bits set, the top one clear when
 hi = t+R.  Placing element e at position t gains the wins of e against
 every not-yet-placed element: a subset sum over the mask plus a suffix
-sum beyond the window.  One position is one vectorised step over its
-sorted masks (one product for all subset sums, a rank lookup for each
-successor, a row-wise argmax), costing C(2R, R)*w instead of the
-2^(2R+1)*w^2 of a sweep over every mask and candidate.  The masks and
-move tables of a step depend on the window's shape alone, never on the
-wins or on n once n > 2R+1, so each shape is built once per process and
-held, read-only, within ``_TABLE_BYTES`` (4 MiB: every R <= 7), the least
-recently used making room for a new shape.  A search of all of S_n evicts
-none: it holds its shapes only in the room left free.
+sum beyond the window.
+
+Where the C row kernels of ``core`` load, the whole DP runs in C
+(``window_dp`` in ``_rows.c``), in buffers that each call allocates
+through numpy, so nothing is held between calls.  Elsewhere the numpy
+form runs, with the same sequence and score: one vectorised step per
+position over its sorted masks (one product for all subset sums, a rank
+lookup for each successor, a row-wise argmax).  Its masks and move tables
+depend on the window's shape alone, never on the wins or on n once
+n > 2R+1, so each shape is built once per process and held, read-only,
+within ``_TABLE_BYTES``, the least recently used making room for a new
+shape.  A search of all of S_n evicts none: it holds its shapes only in
+the room left free.
 
 The DP is exact on its feasible set.  A maximizer that touches the window
 boundary signals that the window may be truncating the true optimum; the
@@ -31,9 +35,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
+from . import core
 from .core import Ranking, SampleProfile, check_beta
 from .estimators import (
     PairwiseCounts,
@@ -84,8 +90,8 @@ class DpConfig:
 # multiply-adds in one block of a step's subset-sum product: BLAS runs a
 # product this small on the calling thread, so the DP stays single-threaded
 _STEP_BLOCK = 1 << 18
-# bytes of masks and move tables held between DP calls, all R <= 7 among them; the least
-# recently used go to make room for a new one, and a table larger than this is never held
+# bytes of masks and move tables the numpy form holds between DP calls; the least recently
+# used go to make room for a new one, and a table larger than this is never held
 _TABLE_BYTES = 1 << 22
 _tables: dict[tuple, tuple[np.ndarray, ...]] = {}  # least recently used first
 
@@ -133,6 +139,24 @@ def _moves(m: np.ndarray, m_next: np.ndarray, w: int, shift: int) -> tuple[np.nd
     return placed.astype(np.float64), nxt
 
 
+def _windows(n: int, R: int) -> tuple[list, list]:
+    """``(bounds, keys)`` of positions t = 0..n: the window [lo, hi] and the (width, popcount) of its masks.
+
+    Every element below lo is placed before t and element t+R cannot be, so the masks of position t are those of
+    keys[t], the top bit clear when hi = t+R; position n holds the full mask alone.
+    """
+    bounds = [(max(0, t - R), min(n - 1, t + R)) for t in range(n + 1)]
+    return bounds, [(hi - lo + 1 - (hi == t + R), t - lo) for t, (lo, hi) in enumerate(bounds)]
+
+
+@lru_cache(maxsize=64)
+def _buffer_sizes(n: int, R: int) -> tuple[int, int, int]:
+    """The widest mask, the most masks of one position and the masks of positions 0..n-1, sizing the C DP's buffers."""
+    keys = _windows(n, R)[1]
+    sizes = [math.comb(*key) for key in keys]
+    return max(width for width, _ in keys), max(sizes), sum(sizes[:-1])
+
+
 def _dp_window_max(wins_rel: np.ndarray, radius: int) -> tuple[list[int], int]:
     """Exact maximizer of the relabeled score over the R-window around identity.
 
@@ -141,18 +165,24 @@ def _dp_window_max(wins_rel: np.ndarray, radius: int) -> tuple[list[int], int]:
     """
     n = wins_rel.shape[0]
     R = min(radius, n - 1)
-    # every DP value is a sum of wins entries, so float64 holds it exactly
-    assert radius >= 0 and int(np.abs(wins_rel).sum()) < 1 << 53
+    # every DP value is a sum of wins entries, so float64 (and int64 in C) holds it exactly
+    assert radius >= 0 and wins_rel.shape == (n, n) and int(np.abs(wins_rel).sum()) < 1 << 53
     if n == 1:
         return [0], 0
+    kernels = core._row_kernels()
+    if kernels is not None:  # the same DP in C, in buffers of this call alone: no table is held between calls
+        widest, largest, total = _buffer_sizes(n, R)
+        wins = np.ascontiguousarray(wins_rel, np.int64)
+        base, seq, values = np.empty(n, np.int64), np.empty(n, np.int64), np.empty(2 * largest, np.int64)
+        half = np.empty(((1 << widest // 2) + (1 << widest - widest // 2)) * (widest + 1), np.int64)
+        rank, choices = np.empty(1 << widest, np.int32), np.empty(total, np.uint8)
+        score = kernels.window_dp(n, R, wins.ctypes.data, base.ctypes.data, half.ctypes.data, rank.ctypes.data,
+                                  values.ctypes.data, choices.ctypes.data, seq.ctypes.data)
+        return seq.tolist(), score
+    bounds, keys = _windows(n, R)
     wins_t = np.ascontiguousarray(wins_rel.T, dtype=np.float64)
     # suf[e, q] = sum_{k >= q} wins_rel[e, k]
     suf = wins_rel[:, ::-1].cumsum(axis=1)[:, ::-1].astype(np.float64)
-    # every element below lo is placed before t and element t+R cannot be, so the
-    # masks of position t are those of (width, popcount) = keys[t], the top bit
-    # clear when hi = t+R; position n holds the full mask alone
-    bounds = [(max(0, t - R), min(n - 1, t + R)) for t in range(n + 1)]
-    keys = [(hi - lo + 1 - (hi == t + R), t - lo) for t, (lo, hi) in enumerate(bounds)]
     evict = R < n - 1  # a search of all of S_n would evict the windows that recur for every n
     mask_sets = {key: _table(key, lambda: (_popcount_masks(*key),), evict)[0] for key in set(keys)}
     v_next, choices, shape = np.zeros(1), [None] * n, None

@@ -250,10 +250,10 @@ def _sample_rows(
     The numpy form runs the rows sorted by size, largest first, so the rows
     that step k moves (those with m > k) are a prefix: a chunk takes max
     m - 1 steps over one padded matrix of draws and one of positions.  It
-    holds at most ``core._BLOCK_BYTES // 74`` padded cells (more only when
-    one row needs more) and ends at the first row half its widest or
-    smaller, so padding at most doubles its cells, and the memory grows
-    with the total row size, never with rows times n.
+    holds what fits in ``core._BLOCK_BYTES`` at 16 bytes a padded cell and
+    48 a row (more only when one row needs more) and ends at the first row
+    half its widest or smaller, so padding at most doubles its cells, and
+    the memory grows with the total row size, never with rows times n.
     """
     sizes = np.diff(offsets)
     cum, scaled = _insertion_weights(beta, int(sizes.max(initial=0)))
@@ -273,7 +273,10 @@ def _sample_rows(
     sizes = sizes[order]
     lo = 0
     while lo < len(order):
-        m = sizes[lo : lo + max(1, core._BLOCK_BYTES // 74 // int(sizes[lo]))]  # descending
+        # a chunk's bytes beyond its output: 16 a padded cell, its uint64 draws and the copy their mix shifts (the
+        # draws and the int32 positions hold 12 as it steps); and 48 a row, its size twice while the chunk is cut
+        # (16), then its first item and a scatter step's two item indices and item (32), all int64
+        m = sizes[lo : lo + max(1, core._BLOCK_BYTES // (16 * int(sizes[lo]) + 48))]  # descending
         m = m[2 * m > m[0]]  # padding at most doubles the chunk's cells
         rows, width = order[lo : lo + len(m)], int(m[0])
         lo += len(m)
@@ -292,8 +295,9 @@ def _sample_rows(
             np.subtract(k, np.searchsorted(thr, u[:moved, k - 1], side="right"), out=ins, casting="unsafe")
             head = pos[:k, :moved]
             head += head >= ins
-        first, valid = offsets[rows], np.arange(width)[:, None] < m
-        samples[(first + pos)[valid]] = restricted[(first + np.arange(width)[:, None])[valid]]
+        first = offsets[rows]
+        for k, moved in enumerate(live.tolist()):  # a step at a time, so no index array is as large as the chunk
+            samples[first[:moved] + pos[k, :moved]] = restricted[first[:moved] + k]
     return samples
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import below, pair_scan_kendall, row_kernel_paths
+from helpers import below, needs_cc, pair_scan_kendall, row_kernel_paths
 from mallows_select import core, sampling
 from mallows_select.core import (
     MallowsParams,
@@ -263,9 +263,6 @@ class TestTriuPairs:
         assert core._triu_pairs(65)[0] is not core._triu_pairs(65)[0]
 
 
-needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on the path")
-
-
 UBSAN_SCRIPT = """
 import sys
 from pathlib import Path
@@ -275,6 +272,7 @@ import numpy as np
 from mallows_select import core, experiments as xp
 from mallows_select.core import MallowsParams, Ranking
 from mallows_select.estimators import accumulate_counts
+from mallows_select.mle import _dp_window_max
 from mallows_select.rng import Stream
 from mallows_select.sampling import SelectionSpec, generate_selection, sample_profile
 
@@ -290,12 +288,17 @@ cells = [
 ]
 selection = generate_selection(SelectionSpec("bernoulli_random", 30, 0.25), 200, Stream.from_seed(5))
 params = MallowsParams(Ranking(Stream.from_seed(6).permutation(30)), 0.7)
+rng = np.random.default_rng(8)
+# every radius below n, on wins of few values (many ties) and on all-zero wins
+windows = [(wins, radius) for n in (1, 2, 9, 14) for wins in (rng.integers(0, 3, size=(n, n)), np.zeros((n, n), int))
+           for radius in range(n)]
 
 
 def outputs():
     rows = [xp._cell(Stream.from_seed(3).child(case["r"]), range(40), **case) for case in cells]
     profile = sample_profile(params, selection, Stream.from_seed(7))
-    return [a for cell in rows for a in cell] + [profile.rank_items, accumulate_counts(profile).wins]
+    dp = [np.array([*seq, total]) for seq, total in (_dp_window_max(wins, radius) for wins, radius in windows)]
+    return [a for cell in rows for a in cell] + [profile.rank_items, accumulate_counts(profile).wins] + dp
 
 
 core._row_kernels = lambda: sanitized
@@ -376,8 +379,9 @@ class TestCompiledRowKernels:
 
     @needs_cc
     def test_the_kernels_run_clean_under_the_undefined_behaviour_sanitizer(self, tmp_path):
-        # a build that aborts at the first undefined operation runs figure cells, a sampled profile and its count,
-        # each equal to the numpy forms' result
+        # a build that aborts at the first undefined operation runs figure cells (an ltn cell among them), a sampled
+        # profile and its count, and the windowed DP at every radius below n = 1, 2, 9 and 14, each equal to the
+        # numpy forms' result
         src = str(Path(core.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         result = subprocess.run(

@@ -14,6 +14,13 @@ ROW_KERNELS = {
 }
 # byte bounds that are not working budgets: the DP's window tables, held between calls
 HELD_BYTES = {"mle.py": {"_TABLE_BYTES"}}
+# each routine of _rows.c: the one function that calls it, besides core's loader, which declares its argtypes
+COMPILED_CALLERS = {
+    "sample_rows": ("sampling.py", "_sample_rows"),
+    "pair_counts": ("core.py", "_pair_counts"),
+    "block_wins": ("experiments.py", "_block_wins"),
+    "window_dp": ("mle.py", "_dp_window_max"),
+}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -82,6 +89,23 @@ def test_one_mixer_and_one_fisher_yates_live_in_rng():
             assert _top_level_names(tree) & {"mix64_array", "_below_array"} == set(), path.name
             imported = [name for _, _, name in _imports(tree) if name in ("mix64_array", "_below_array")]
             assert imported == [], f"{path.name} imports a draw primitive of rng"
+
+
+def test_compiled_routines_are_loaded_by_core_and_called_from_one_place():
+    """Only core imports ``ctypes``, and each C routine is reached by core's loader and its one caller alone.
+
+    A second loader imports ``ctypes``, and a second caller reads the routine's attribute, so either fails here.
+    """
+    reached = {name: set() for name in COMPILED_CALLERS}
+    for path in MODULES:
+        tree = _tree(path)
+        importers = [module for _, module, _ in _imports(tree) if module.split(".")[0] == "ctypes"]
+        assert importers == ([] if path.name != "core.py" else ["ctypes"]), path.name
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr in reached:
+                    reached[node.attr].add((path.name, getattr(top, "name", None)))
+    assert reached == {name: {("core.py", "_rows_library"), caller} for name, caller in COMPILED_CALLERS.items()}
 
 
 def _cache_decorators(tree: ast.Module):

@@ -1,9 +1,12 @@
+import gc
 import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import regression_pins
 from helpers import (
@@ -11,10 +14,12 @@ from helpers import (
     brute_force_mle,
     enumerate_window,
     full_mask_dp,
+    needs_cc,
     random_incomplete_profile,
+    row_kernel_paths,
     windowed_oracle,
 )
-from mallows_select import mle
+from mallows_select import core, mle
 from mallows_select.core import MallowsParams, Ranking, pointwise_distance
 from mallows_select.estimators import (
     PairwiseCounts,
@@ -36,6 +41,12 @@ from mallows_select.mle import (
 )
 from mallows_select.rng import Stream
 from mallows_select.sampling import SelectionSpec, generate_selection, sample_profile
+
+
+@pytest.fixture
+def numpy_dp(monkeypatch):
+    """The numpy form of the DP, the one that holds window tables between calls."""
+    monkeypatch.setattr(core, "_row_kernels", lambda: None)
 
 
 def random_counts(n: int, rng: np.random.Generator, hi: int = 6) -> PairwiseCounts:
@@ -167,10 +178,14 @@ class TestReachableStateDp:
             wins = np.zeros((n, n), dtype=np.int64)
             assert _dp_window_max(wins, radius) == (list(range(n)), 0)
 
+    @pytest.mark.usefixtures("numpy_dp")
     def test_peak_memory_within_reference_and_not_carried_over(self):
+        # from empty tables and, before each call, empty small-object free lists: neither is left to earlier tests
+        mle._tables.clear()
         wins = np.random.default_rng(48).integers(0, 51, size=(40, 40)).astype(np.int64)
         peaks = []
         for dp in (full_mask_dp, _dp_window_max, _dp_window_max):
+            gc.collect()
             tracemalloc.start()
             try:
                 dp(wins, 8)
@@ -181,6 +196,7 @@ class TestReachableStateDp:
         assert first <= reference
         assert second <= first
 
+    @pytest.mark.usefixtures("numpy_dp")
     def test_held_tables_are_read_only(self):
         mle._tables.clear()
         _dp_window_max(np.ones((12, 12), dtype=np.int64), 3)
@@ -191,6 +207,7 @@ class TestReachableStateDp:
                 with pytest.raises(ValueError):
                     array[...] = 0
 
+    @pytest.mark.usefixtures("numpy_dp")
     def test_held_bytes_stay_under_the_cap(self):
         mle._tables.clear()
         rng = np.random.default_rng(49)
@@ -204,6 +221,7 @@ class TestReachableStateDp:
         assert 0 < held <= mle._TABLE_BYTES
         assert max(len(arrays[0]) for arrays in mle._tables.values()) < math.comb(18, 9)
 
+    @pytest.mark.usefixtures("numpy_dp")
     def test_a_full_cache_makes_room_for_new_shapes(self, monkeypatch):
         mle._tables.clear()
         rng = np.random.default_rng(50)
@@ -220,6 +238,7 @@ class TestReachableStateDp:
         assert _dp_window_max(wins, 7) == expected
         assert built == []
 
+    @pytest.mark.usefixtures("numpy_dp")
     def test_a_search_of_all_of_s_n_evicts_no_held_window(self, monkeypatch):
         mle._tables.clear()
         rng = np.random.default_rng(52)
@@ -236,6 +255,7 @@ class TestReachableStateDp:
         assert _dp_window_max(wins, 7) == expected
         assert built == []
 
+    @pytest.mark.usefixtures("numpy_dp")
     def test_full_window_holds_one_shape_at_a_time(self, monkeypatch):
         # nothing held: each shape of S_16 is built for its step, the last shape's tables gone before the build
         monkeypatch.setattr(mle, "_TABLE_BYTES", 0)
@@ -250,6 +270,57 @@ class TestReachableStateDp:
             tracemalloc.stop()
         widest = math.comb(n, n // 2) * n * 12  # its float64 placed and int32 successor tables
         assert peak < 2 * widest
+
+
+@st.composite
+def dp_inputs(draw):
+    """``(wins, radius)``: n of 1-16, a radius of 0 to n + 1, and wins of 0-3 (many ties), all 0 or near the guard."""
+    n = draw(st.integers(1, 16))
+    radius, kind = draw(st.integers(0, n + 1)), draw(st.sampled_from(("ties", "zero", "guard")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    top = ((1 << 53) - 1) // (n * n)  # n * n entries of at most top sum below 2^53
+    if kind == "zero":
+        return np.zeros((n, n), np.int64), radius
+    return rng.integers(*((0, 4) if kind == "ties" else (top - 3, top + 1)), size=(n, n)), radius
+
+
+@needs_cc
+class TestCompiledDp:
+    """The C form of the DP in ``_rows.c`` against the numpy form, at zero tolerance in sequence and score."""
+
+    @staticmethod
+    def both_forms(wins, radius):
+        with pytest.MonkeyPatch.context() as patch:
+            return [_dp_window_max(wins, radius) for _ in row_kernel_paths(patch)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=dp_inputs())
+    def test_equals_the_numpy_form(self, inputs):
+        compiled, numpy = self.both_forms(*inputs)
+        assert compiled == numpy
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_all_of_s_n_equals_the_numpy_form(self, n):
+        wins = np.random.default_rng(60 + n).integers(0, 4, size=(n, n))
+        compiled, numpy = self.both_forms(wins, n - 1)
+        assert compiled == numpy
+
+    @pytest.mark.parametrize("n, radius", [(40, 8), (16, 15)])
+    def test_its_buffers_peak_under_the_numpy_form_and_none_outlives_the_call(self, n, radius):
+        wins = np.random.default_rng(48).integers(0, 51, size=(n, n))
+        measured = []
+        with pytest.MonkeyPatch.context() as patch:
+            for _ in row_kernel_paths(patch):
+                patch.setattr(mle, "_tables", {})  # the numpy form from cold tables
+                tracemalloc.start()
+                try:
+                    _dp_window_max(wins, radius)
+                    measured.append(tracemalloc.get_traced_memory())
+                finally:
+                    tracemalloc.stop()
+        (held, peak), (_, numpy_peak) = measured
+        assert peak < numpy_peak
+        assert held < 4 << 10  # a few small objects at most: no buffer is kept
 
 
 def brute_force_mle_from_counts(counts: PairwiseCounts) -> Ranking:

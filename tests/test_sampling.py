@@ -519,8 +519,8 @@ class TestOneSampler:
         expected = grouped_sample_rows(keys, offsets, restricted, beta, start)
         with pytest.MonkeyPatch.context() as patch:
             for _ in row_kernel_paths(patch):
-                if cells is not None:  # the chunks of the numpy form, 74 bytes a padded cell: the C form runs row by row
-                    patch.setattr(core, "_BLOCK_BYTES", 74 * cells)
+                if cells is not None:  # numpy chunks of at most this many 16-byte cells: the C form runs row by row
+                    patch.setattr(core, "_BLOCK_BYTES", 16 * cells)
                 assert np.array_equal(sampling._sample_rows(keys, offsets, restricted, beta, start), expected)
 
     def test_pair_only_profile_memory_is_linear_in_the_set_sizes(self, monkeypatch):
@@ -565,6 +565,21 @@ class TestOneSampler:
         finally:
             tracemalloc.stop()
         assert peak < 4 << 20
+
+    def test_one_numpy_chunk_fills_the_working_budget_and_stays_under_it(self, monkeypatch):
+        # rows of 100 items, as many as one chunk holds at 16 bytes a padded cell and 48 a row
+        width = 100
+        rows = core._BLOCK_BYTES // (16 * width + 48)
+        offsets, restricted = np.arange(rows + 1) * width, np.tile(np.arange(width), rows)
+        keys = Stream.from_seed(5).child_keys(rows)
+        monkeypatch.setattr(core, "_row_kernels", lambda: None)
+        tracemalloc.start()
+        try:
+            sampling._sample_rows(keys, offsets, restricted, 1.0)
+            held = tracemalloc.get_traced_memory()[1] - restricted.nbytes  # beyond the output, as large as the input
+        finally:
+            tracemalloc.stop()
+        assert 0.9 * core._BLOCK_BYTES < held < core._BLOCK_BYTES
 
     @pytest.mark.parametrize("kind", ["pairwise", "mixed_pfrequent", "adversarial_matching"])
     def test_pair_lists_are_bounded_by_r(self, kind):
