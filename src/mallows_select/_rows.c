@@ -1,5 +1,6 @@
-/* The CSR row kernels of mallows_select.core in C: repeated-insertion sampling, pairwise precedence counts, and the
- * two together over a block of experiment trials; and the windowed DP of mallows_select.mle.
+/* The CSR row kernels of mallows_select.core in C: repeated-insertion sampling, pairwise precedence counts, the two
+ * together over a block of experiment trials, and per-row inversion counts; the windowed DP of mallows_select.mle;
+ * and the byte pass of mallows_select.fileio, which reads a profile or selection file into CSR rows.
  *
  * Each routine mirrors its numpy form draw for draw, count for count and choice for choice: core builds this file
  * with the system C compiler into the package's __pycache__, loads it through ctypes, and runs the numpy forms
@@ -261,4 +262,131 @@ int64_t window_dp(int64_t n, int64_t R, const int64_t *wins, int64_t *base, int6
         offset += (int64_t)choose(width, k);
     }
     return v_next[0];
+}
+
+/* Sort x[0..m) ascending in place by heapsort: O(m log m) for any order, with no buffer */
+static void heap_sort(int64_t m, int64_t *x)
+{
+    for (int64_t end = m, i = m / 2; end > 1;) {
+        int64_t top, root, child;
+        if (i > 0) { /* heapify: sift x[--i] down */
+            top = x[--i];
+            root = i;
+        } else { /* move the largest to the end, then sift the last item down from the root */
+            top = x[--end];
+            x[end] = x[0];
+            root = 0;
+        }
+        while ((child = 2 * root + 1) < end) {
+            child += child + 1 < end && x[child + 1] > x[child];
+            if (x[child] <= top)
+                break;
+            x[root] = x[child];
+            root = child;
+        }
+        x[root] = top;
+    }
+}
+
+/* One part of a line at *at: runs of one to nine ASCII digits joined by single commas, each a value below n, written
+ * to out from index *count while it stays below capacity.  Returns the byte after the part, or NULL where the part
+ * breaks a rule.
+ */
+static const uint8_t *scan_part(const uint8_t *at, int64_t n, int64_t capacity, int64_t *count, int64_t *out)
+{
+    for (;;) {
+        int64_t value = 0, digits = 0;
+        for (; *at >= '0' && *at <= '9'; at++, digits++) {
+            if (digits == 9)
+                return NULL;
+            value = value * 10 + (*at - '0');
+        }
+        if (digits == 0 || value >= n || *count >= capacity)
+            return NULL;
+        out[(*count)++] = value;
+        if (*at != ',')
+            return at;
+        at++;
+    }
+}
+
+/* The byte pass of fileio._byte_pass over text, its lines each ended by a newline: 0 once every line takes one
+ * layout, "S:<set>|R:<ranking>\n" where ranked and "S:<set>\n" otherwise, with a set of two or more distinct items
+ * below n and a ranking that is a permutation of its set; nonzero at the first line that breaks a rule.
+ *
+ * On 0, offsets (lines + 1) and set_items hold the CSR rows of the sets, each sorted (a row that is not ascending
+ * by a heapsort), and rank_items the rankings, where ranked; the item arrays hold exactly set_capacity and
+ * rank_capacity items.  stamp holds n zeros: an item's entry marks the last line whose set (2l + 1) or ranking
+ * (2l + 2) holds it, so each ranking holds distinct items of its set, and, the two capacities being equal for a
+ * ranked file, as many as its set.  A part ends at a byte that is neither a digit nor a comma and a line at a
+ * newline, and the text must end in one, so no read passes its last byte.
+ */
+int scan_rows(const uint8_t *text, int64_t size, int64_t lines, int64_t n, int ranked, int64_t set_capacity,
+              int64_t rank_capacity, int64_t *stamp, int64_t *offsets, int64_t *set_items, int64_t *rank_items)
+{
+    const uint8_t *at = text, *end = text + size;
+    int64_t sets = 0, ranks = 0;
+    offsets[0] = 0;
+    if (lines > 0 && (size < 1 || end[-1] != '\n'))
+        return 1;
+    for (int64_t l = 0; l < lines; l++) {
+        if (at == end || at[0] != 'S' || at[1] != ':')
+            return 1;
+        int64_t first = sets, *row = set_items + first, sorted = 1;
+        if ((at = scan_part(at + 2, n, set_capacity, &sets, set_items)) == NULL || sets - first < 2)
+            return 1;
+        for (int64_t k = 0; k < sets - first; k++) {
+            if (stamp[row[k]] == 2 * l + 1)
+                return 1;
+            stamp[row[k]] = 2 * l + 1;
+            sorted &= k == 0 || row[k - 1] < row[k];
+        }
+        if (!sorted)
+            heap_sort(sets - first, row);
+        if (ranked) {
+            int64_t start = ranks;
+            if (at[0] != '|' || at[1] != 'R' || at[2] != ':')
+                return 1;
+            if ((at = scan_part(at + 3, n, rank_capacity, &ranks, rank_items)) == NULL)
+                return 1;
+            for (int64_t k = start; k < ranks; k++) {
+                if (stamp[rank_items[k]] != 2 * l + 1)
+                    return 1;
+                stamp[rank_items[k]] = 2 * l + 2;
+            }
+        }
+        if (*at++ != '\n')
+            return 1;
+        offsets[l + 1] = sets;
+    }
+    return at != end || sets != set_capacity || ranks != (ranked ? rank_capacity : 0);
+}
+
+/* out[l] = the pairs a < b of row l whose items x (or their relabel entries, where relabel is not NULL) stand in
+ * descending order: the row's inversions, counted pair by pair.  Returns -1 at the first row with an item outside
+ * [0, size) of relabel, before it counts that row, and 0 otherwise.
+ */
+int row_inversions(int64_t rows, const int64_t *offsets, const int64_t *items, const int64_t *relabel, int64_t size,
+                   int64_t *out)
+{
+    for (int64_t l = 0; l < rows; l++) {
+        const int64_t *x = items + offsets[l];
+        int64_t m = offsets[l + 1] - offsets[l], count = 0;
+        if (relabel != NULL) {
+            for (int64_t a = 0; a < m; a++)
+                if (x[a] < 0 || x[a] >= size)
+                    return -1;
+            for (int64_t a = 0; a + 1 < m; a++) {
+                int64_t ahead = relabel[x[a]];
+                for (int64_t b = a + 1; b < m; b++)
+                    count += relabel[x[b]] < ahead;
+            }
+        } else {
+            for (int64_t a = 0; a + 1 < m; a++)
+                for (int64_t b = a + 1; b < m; b++)
+                    count += x[b] < x[a];
+        }
+        out[l] = count;
+    }
+    return 0;
 }

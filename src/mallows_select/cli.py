@@ -25,7 +25,7 @@ from .fileio import (
     format_selection,
     parse_profile,
 )
-from .mle import BudgetExceededError, recover_likelier_than_nature, recover_mle
+from .mle import BudgetExceededError, _check_dp_settings, recover_likelier_than_nature, recover_mle
 from .rng import Stream
 from .sampling import InfeasibleSpecError, SelectionSpec, _check_frequency, generate_selection, sample_profile
 
@@ -217,6 +217,7 @@ def _cmd_posest(args) -> int:
 
 
 def _cmd_mle(args) -> int:
+    _check_dp_settings(args.budget, args.radius_override)
     profile, header_beta = parse_profile(Path(args.infile).read_text())
     beta = args.beta if args.beta is not None else header_beta
     if beta is None:

@@ -10,11 +10,12 @@ the rows, in buffers bounded by the one working budget, ``_BLOCK_BYTES``
 (4 MiB), which the sampler's chunks and the experiment kernel's trial
 blocks also read.  Tuple and ``Ranking`` views are lazy.
 
-The pair count and the sampler's insertion pass (``sampling._sample_rows``)
-also have C forms, in ``_rows.c``, as have the experiment kernel's block of
-trials (``experiments._block_wins``), which draws, restricts, samples and
-counts every row of a block in one call, and the windowed DP
-(``mle._dp_window_max``).  The first process that needs
+The pair count, the discordance count and the sampler's insertion pass
+(``sampling._sample_rows``) also have C forms, in ``_rows.c``, as have the
+experiment kernel's block of trials (``experiments._block_wins``), which
+draws, restricts, samples and counts every row of a block in one call,
+the windowed DP (``mle._dp_window_max``) and the parser's byte pass
+(``fileio._byte_pass``).  The first process that needs
 them builds the file with the system ``cc`` into the package's
 ``__pycache__``, removing the builds of other sources there, and every
 process loads it through ``ctypes``.  Where there is no compiler, no
@@ -91,6 +92,11 @@ def _rows_library(directory: Path) -> ctypes.CDLL | None:
     lib.block_wins.restype = ctypes.c_int
     lib.window_dp.argtypes = [int64, int64, pointer, pointer, pointer, pointer, pointer, pointer, pointer]
     lib.window_dp.restype = int64
+    lib.scan_rows.argtypes = [ctypes.c_char_p, int64, int64, int64, ctypes.c_int, int64, int64, pointer, pointer,
+                              pointer, pointer]
+    lib.scan_rows.restype = ctypes.c_int
+    lib.row_inversions.argtypes = [int64, pointer, pointer, pointer, int64, pointer]
+    lib.row_inversions.restype = ctypes.c_int
     return lib
 
 
@@ -103,7 +109,7 @@ def _row_kernels() -> ctypes.CDLL | None:
 def _checked_csr(offsets: np.ndarray, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``offsets`` and ``items`` as contiguous int64 arrays, once each row lies within ``items``: what the C kernels read."""
     offsets, items = np.ascontiguousarray(offsets, np.int64), np.ascontiguousarray(items, np.int64)
-    if len(offsets) == 0 or offsets[0] != 0 or offsets[-1] != len(items) or (np.diff(offsets) < 0).any():
+    if len(offsets) == 0 or offsets[0] != 0 or offsets[-1] != len(items) or (offsets[1:] < offsets[:-1]).any():
         raise ValueError("CSR offsets must run from 0 to the item count without falling")
     return offsets, items
 
@@ -359,8 +365,20 @@ def _pair_counts(n: int, offsets: np.ndarray, items: np.ndarray, groups: int = 1
 
 
 def _discordances(offsets: np.ndarray, items: np.ndarray, relabel: np.ndarray | None = None) -> np.ndarray:
-    """Per CSR row, the pairs whose items (or ``relabel`` entries) stand in descending order: the row's inversions."""
+    """Per CSR row, the pairs whose items (or ``relabel`` entries) stand in descending order: the row's inversions.
+
+    The C kernel counts row by row, pair by pair, when it loaded, and refuses an item outside ``relabel``; the numpy
+    form counts the pairs of the blocks of :func:`_pair_blocks`.
+    """
     out = np.zeros(len(offsets) - 1, dtype=np.int64)
+    kernels = _row_kernels()
+    if kernels is not None:
+        offsets, items = _checked_csr(offsets, items)
+        at = None if relabel is None else np.ascontiguousarray(relabel, np.int64)
+        table, size = (None, 0) if at is None else (at.ctypes.data, len(at))
+        if kernels.row_inversions(len(out), offsets.ctypes.data, items.ctypes.data, table, size, out.ctypes.data):
+            raise IndexError(f"a row holds an item outside [0, {size}) of relabel")
+        return out
     for rows, first, second in _pair_blocks(offsets, items, relabel):
         out[rows] = np.count_nonzero(first > second, axis=1)
     return out

@@ -10,24 +10,26 @@ and word every error: the lines are those of ``str.splitlines``, blank
 lines are skipped and take no line number, and a token is whatever
 ``int`` reads after the line is stripped, so spaces around a token, a
 ``+`` sign, ``_`` separators and non-ASCII digits are accepted.  A file
-is read whole or declined by a byte pass, which tokenises the UTF-8 of
-all non-blank lines at once with array operations.  It reads a file whose
-lines all take the form that :func:`format_profile` writes, or all the
-form of :func:`format_selection`, and whose invariants all hold: the line
-shape, no empty token, no duplicate (by sorting ``line * n + item``),
-every item in ``[0, n)``, a set of at least two, a ranking whose sorted
-items equal the set's.  Its arrays are then the file's, and the common
-file builds no per-line object.  It declines any other file at its first
-failed check, and the whole file is read line by line by the per-line
-checks instead, so a file reads, and fails, exactly as it would line by
-line, errors and their order included.  Readers pass the CSR arrays to
-the core types as they are; writers read them.
+is read whole or declined by a byte pass over the UTF-8 of all non-blank
+lines: one pass of ``scan_rows`` in ``_rows.c`` where core's compiled
+kernels load, and array operations otherwise, with the same result.  It
+reads a file whose lines all take the form that :func:`format_profile`
+writes, or all the form of :func:`format_selection`, and whose
+invariants all hold: the line shape, no empty token, no duplicate, every
+item in ``[0, n)``, a set of at least two, a ranking whose items are the
+set's.  Its arrays are then the file's, and the common file builds no
+per-line object.  It declines any other file at its first failed check,
+and the whole file is read line by line by the per-line checks instead,
+so a file reads, and fails, exactly as it would line by line, errors and
+their order included.  Readers pass the CSR arrays to the core types as
+they are; writers read them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import core
 from .core import _MAX_N, SampleProfile, SelectionSequence, _csr_arrays
 from .sampling import _check_frequency, verify_p_frequent
 
@@ -142,15 +144,42 @@ def _byte_pass(body: list[str], n: int) -> tuple[np.ndarray, np.ndarray, np.ndar
 
     Returns ``(offsets, set_items, rank_items)``, the CSR arrays of the
     lines in order, sets sorted, when every line is canonical and valid,
-    and None as soon as any check fails.  All lines must take one layout:
-    ``S:<set>|R:<ranking>``, or ``S:<set>``, for which ``rank_items`` is
-    None.  Each part is runs of at most nine ASCII digits joined by
-    single commas, a set holds at least two distinct items below n, and a
-    ranking is a permutation of its set.  Positions are int32 and bytes
-    uint8, so the scratch arrays stay a few times the size of the text.
+    and None as soon as any check fails.  All lines must take the layout
+    of the first: ``S:<set>|R:<ranking>``, or ``S:<set>``, for which
+    ``rank_items`` is None; an empty body reads as the former.  Each part
+    is runs of at most nine ASCII digits joined by single commas, a set
+    holds at least two distinct items below n, and a ranking is a
+    permutation of its set.  The C pass reads the bytes once into arrays
+    sized by the token count, commas plus one per part; the numpy form,
+    :func:`_numpy_byte_pass`, reads them with array operations.
     """
-    lines = len(body)
-    data = np.frombuffer("\n".join([*body, ""]).encode(errors="surrogatepass"), dtype=np.uint8)
+    data = "\n".join([*body, ""]).encode(errors="surrogatepass")
+    kernels = core._row_kernels()
+    if kernels is None:
+        return _numpy_byte_pass(data, len(body), n)
+    parts = 2 if not body or "|" in body[0] else 1
+    tokens = data.count(b",") + len(body) * parts
+    if tokens % parts:
+        return None
+    offsets, stamp = np.empty(len(body) + 1, np.int64), np.zeros(n, np.int64)
+    set_items = np.empty(tokens // parts, np.int64)
+    rank_items = np.empty(len(set_items), np.int64) if parts == 2 else None
+    failed = kernels.scan_rows(
+        data, len(data), len(body), n, parts == 2, len(set_items), len(set_items), stamp.ctypes.data,
+        offsets.ctypes.data, set_items.ctypes.data, None if rank_items is None else rank_items.ctypes.data,
+    )
+    return None if failed else (offsets, set_items, rank_items)
+
+
+def _numpy_byte_pass(text: bytes, lines: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None] | None:
+    """:func:`_byte_pass` by array operations over ``text``, its ``lines`` each ended by a newline: the fallback.
+
+    A file of one layout holds that layout's bytes on every line and no
+    other byte but digits and commas, so the count of those bytes picks
+    it.  Positions are int32 and bytes uint8, so the scratch arrays stay a
+    few times the size of the text.
+    """
+    data = np.frombuffer(text, dtype=np.uint8)
     cls = _BYTE_CLASS[data]
     ends = _positions(data == 10)  # line i ends at ends[i]
     starts = np.concatenate(([0], ends + 1))[:lines].astype(np.int32)

@@ -83,8 +83,15 @@ class DpConfig:
             raise ValueError("window radius must be nonnegative")
         if self.boundary_policy not in ("error", "widen"):
             raise ValueError("boundary_policy must be 'error' or 'widen'")
-        if self.max_states_budget < 2:
-            raise ValueError("state budget must admit at least one window bit")
+        _check_dp_settings(self.max_states_budget, None)
+
+
+def _check_dp_settings(budget: int, radius_override: int | None) -> None:
+    """Refuse, before any work, a state budget that no window meets (radius 0 needs 2 states) or a negative radius."""
+    if budget < 2:
+        raise ValueError("state budget must admit at least one window bit")
+    if radius_override is not None and not radius_override >= 0:
+        raise ValueError(f"radius_override must be nonnegative, got {radius_override}")
 
 
 # multiply-adds in one block of a step's subset-sum product: BLAS runs a
@@ -333,8 +340,6 @@ def _recover_from_counts(
     counts: PairwiseCounts, radius: int, anchor: np.ndarray, budget: int = 1 << 22
 ) -> tuple[np.ndarray, int, int, int]:
     """Run the widening DP around the anchor's items; returns (items, score, window used, widenings)."""
-    if not radius >= 0:
-        raise ValueError(f"radius_override must be nonnegative, got {radius}")
     n = counts.n
     if 2 * radius + 1 >= n:
         # the window already holds the 2^n masks per position of the unconstrained
@@ -348,6 +353,7 @@ def _recover_from_counts(
 
 def _recover(profile: SampleProfile, beta: float, radius: int, budget: int, stream: Stream, mode: str) -> MleReport:
     """Anchor on the positional estimate, ties broken from ``stream``, and run the widening DP around it."""
+    _check_dp_settings(budget, radius)
     beta = check_beta(beta)
     counts = accumulate_counts(profile)
     anchor = _order_by_scores(_beaten_by(counts.wins)[None], np.array([stream.key], np.uint64), stream._ctr)[0]

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from mallows_select import core, mle, rng
+from mallows_select import cli, core, mle, rng
 from mallows_select import experiments as xp
 from mallows_select.cli import _build_parser, dispatch
 from mallows_select.core import MallowsParams, Ranking
@@ -304,6 +304,28 @@ class TestCliErrors:
         assert out == ""
         assert message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        ("flags", "message"),
+        [
+            (("--budget", "-3"), "state budget must admit at least one window bit"),
+            (("--budget", "1"), "state budget must admit at least one window bit"),
+            (("--radius-override", "-1"), "radius_override must be nonnegative, got -1"),
+        ],
+    )
+    def test_a_dp_setting_no_run_can_meet_exits_two_before_the_file_is_read(self, tmp_path, capsys, monkeypatch, flags, message):
+        # radius 0 needs a window of 2 states, so a budget below 2 fails every run
+        prof = tmp_path / "prof.txt"
+        assert run(capsys, "sample", "--n", "12", "--beta", "2", "--p", "0.5", "--r", "20", "--out", str(prof))[0] == 0
+        calls = []
+        monkeypatch.setattr(cli, "parse_profile", lambda text: calls.append(text) or parse_profile(text))
+        code, out, err = run(capsys, "mle", "--in", str(prof), "--p", "0.5", *flags)
+        assert (code, out, calls) == (2, "", [])
+        assert message in err and "Traceback" not in err
+        # the smallest budget that can succeed reads the file, then finds the window over it
+        code, out, err = run(capsys, "mle", "--in", str(prof), "--p", "0.5", "--budget", "2")
+        assert (code, out, len(calls)) == (2, "", 1)
+        assert "over the budget of 2" in err
 
     def test_nan_beta_exits_two_before_the_dp(self, tmp_path, capsys, monkeypatch):
         def unreachable(*args):

@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -269,9 +270,9 @@ from pathlib import Path
 
 import numpy as np
 
-from mallows_select import core, experiments as xp
+from mallows_select import core, experiments as xp, fileio
 from mallows_select.core import MallowsParams, Ranking
-from mallows_select.estimators import accumulate_counts
+from mallows_select.estimators import accumulate_counts, log_likelihood
 from mallows_select.mle import _dp_window_max
 from mallows_select.rng import Stream
 from mallows_select.sampling import SelectionSpec, generate_selection, sample_profile
@@ -292,13 +293,25 @@ rng = np.random.default_rng(8)
 # every radius below n, on wins of few values (many ties) and on all-zero wins
 windows = [(wins, radius) for n in (1, 2, 9, 14) for wins in (rng.integers(0, 3, size=(n, n)), np.zeros((n, n), int))
            for radius in range(n)]
+# a files_io-sized profile file (n=100, r=2000, sets of about 50), and a body for each way the byte pass declines
+big = sample_profile(MallowsParams(Ranking.identity(100), 1.0),
+                     generate_selection(SelectionSpec("bernoulli_random", 100, 0.25), 2000, Stream.from_seed(9)),
+                     Stream.from_seed(10))
+bodies = [(fileio.format_profile(big).splitlines()[1:], 100)] + [(body, 4) for body in (
+    ["S:0000000001,2|R:2,0000000001"], ["S:000000001,3|R:3,000000001"], ["S:0,4|R:4,0"], ["S:1,1|R:1,1"],
+    ["S:3,0,2|R:2,3,0"], ["S:0,1,2|R:1,0"], ["S:0,1|R:1,0,2"], ["S:0,1|R:1,\u00e90"], ["S:0,1|R:1,0", "S:2,3"],
+    ["S:2,3", "S:0,1|R:1,0"], ["S:0,1,3", "S:3,2"], [], ["S:,0,1"], ["S:0,1|R:1,0,"], ["S:0"],
+)]
 
 
 def outputs():
     rows = [xp._cell(Stream.from_seed(3).child(case["r"]), range(40), **case) for case in cells]
     profile = sample_profile(params, selection, Stream.from_seed(7))
     dp = [np.array([*seq, total]) for seq, total in (_dp_window_max(wins, radius) for wins, radius in windows)]
-    return [a for cell in rows for a in cell] + [profile.rank_items, accumulate_counts(profile).wins] + dp
+    reads = [fileio._byte_pass(body, n) for body, n in bodies]
+    parsed = [np.array([-1]) if read is None else np.array([-2]) if a is None else a for read in reads for a in read or [None]]
+    likelihood = np.array([log_likelihood(Ranking(Stream.from_seed(11).permutation(100)), big, 0.7)])
+    return [a for cell in rows for a in cell] + [profile.rank_items, accumulate_counts(profile).wins] + dp + parsed + [likelihood]
 
 
 core._row_kernels = lambda: sanitized
@@ -318,6 +331,19 @@ def grouped_rows(draw):
     rng.shuffle(sizes)
     restricted = np.concatenate([rng.permutation(n)[:m] for m in sizes])
     return n, groups, np.concatenate(([0], np.cumsum(sizes))), restricted
+
+
+@st.composite
+def ragged_rows(draw):
+    """``(offsets, items, relabel)``: CSR rows of 0 to 40 items below n, none at all among them, and a relabel table
+    of distinct or tied entries, or None."""
+    n = draw(st.integers(1, 60))
+    sizes = draw(st.lists(st.integers(0, 40), max_size=30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    relabel = draw(st.sampled_from([None, "permutation", "ties"]))
+    if relabel is not None:
+        relabel = rng.permutation(n) if relabel == "permutation" else rng.integers(-3, 3, size=n)
+    return np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))), rng.integers(0, n, size=sum(sizes)), relabel
 
 
 class TestCompiledRowKernels:
@@ -354,6 +380,38 @@ class TestCompiledRowKernels:
             with pytest.raises(IndexError, match="outside"):
                 core._pair_counts(3, offsets, np.array(items), groups)
 
+    @settings(max_examples=300, deadline=None)
+    @given(ragged_rows())
+    def test_discordances_equal_the_numpy_form(self, rows):
+        offsets, items, relabel = rows
+        with pytest.MonkeyPatch.context() as patch:
+            native, *numpy = (core._discordances(offsets, items, relabel) for _ in row_kernel_paths(patch, split=True))
+        for other in numpy:
+            assert native.dtype == other.dtype == np.int64 and np.array_equal(native, other)
+
+    @needs_cc
+    def test_discordances_refuse_an_item_outside_relabel(self):
+        offsets, relabel = np.array([0, 2, 4]), np.arange(3)[::-1]
+        assert core._discordances(offsets, np.array([0, 1, 2, 0]), relabel).tolist() == [1, 0]
+        for items in ([0, 1, 3, 0], [0, 1, -1, 0]):
+            with pytest.raises(IndexError, match="outside"):
+                core._discordances(offsets, np.array(items), relabel)
+
+    @needs_cc
+    def test_compiled_discordances_hold_nothing_beyond_their_output(self):
+        rng = np.random.default_rng(4)
+        offsets, items = np.arange(2001, dtype=np.int64) * 50, rng.integers(0, 100, size=100_000)
+        relabel = rng.permutation(100)
+        core._discordances(offsets, items, relabel)  # ctypes' own first-call objects are made before the measure
+        tracemalloc.start()
+        try:
+            out = core._discordances(offsets, items, relabel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # beyond the output, the offsets check's one byte a row
+        assert peak <= out.nbytes + len(out) + 4096, peak
+
     def test_without_a_compiler_the_numpy_forms_run(self, monkeypatch, tmp_path):
         monkeypatch.setattr(core.shutil, "which", lambda name: None)
         assert core._rows_library(tmp_path / "cache") is None
@@ -380,8 +438,9 @@ class TestCompiledRowKernels:
     @needs_cc
     def test_the_kernels_run_clean_under_the_undefined_behaviour_sanitizer(self, tmp_path):
         # a build that aborts at the first undefined operation runs figure cells (an ltn cell among them), a sampled
-        # profile and its count, and the windowed DP at every radius below n = 1, 2, 9 and 14, each equal to the
-        # numpy forms' result
+        # profile and its count, the windowed DP at every radius below n = 1, 2, 9 and 14, the byte pass of a
+        # files_io-sized file and of a body for each way it declines, and a likelihood, each equal to the numpy
+        # forms' result
         src = str(Path(core.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         result = subprocess.run(

@@ -372,25 +372,28 @@ class TestLemmaOneEquivalence:
 
 
 class TestLogLikelihood:
-    def test_maximum_at_zero_distances(self):
+    def test_maximum_at_zero_distances(self, monkeypatch):
         center = Ranking([2, 0, 1, 3])
         sel = generate_selection(SelectionSpec(kind="mixed_pfrequent", n=4, p=0.5), 6)
         profile = SampleProfile([restrict(center, s) for s in sel.sets], sel)
         beta = 1.1
         expected = -sum(log_partition_function(len(s), beta) for s in sel.sets)
-        assert log_likelihood(center, profile, beta) == pytest.approx(expected, rel=1e-12)
+        for _ in row_kernel_paths(monkeypatch):
+            assert log_likelihood(center, profile, beta) == pytest.approx(expected, rel=1e-12)
 
-    def test_one_inverted_pair_costs_beta(self):
+    def test_one_inverted_pair_costs_beta(self, monkeypatch):
         beta = 0.9
         sel = SelectionSequence([(0, 1)], n=2)
         profile = SampleProfile([Ranking([0, 1])], sel)
-        delta = log_likelihood(Ranking([0, 1]), profile, beta) - log_likelihood(Ranking([1, 0]), profile, beta)
-        assert delta == pytest.approx(beta, rel=1e-12)
+        for _ in row_kernel_paths(monkeypatch):
+            delta = log_likelihood(Ranking([0, 1]), profile, beta) - log_likelihood(Ranking([1, 0]), profile, beta)
+            assert delta == pytest.approx(beta, rel=1e-12)
 
-    def test_rejects_nonpositive_beta(self):
+    def test_rejects_nonpositive_beta(self, monkeypatch):
         profile = complete_profile([(0, 1)], 2)
-        with pytest.raises(ValueError):
-            log_likelihood(Ranking([0, 1]), profile, 0.0)
+        for _ in row_kernel_paths(monkeypatch):
+            with pytest.raises(ValueError):
+                log_likelihood(Ranking([0, 1]), profile, 0.0)
 
     def test_equals_sequential_sum_bit_for_bit(self, monkeypatch):
         stream = Stream.from_seed(102)
@@ -406,10 +409,11 @@ class TestLogLikelihood:
             for pi, profile, beta in cases:
                 assert log_likelihood(pi, profile, beta) == sequential_log_likelihood(pi, profile, beta)
 
-    def test_sample_item_missing_from_pi_rejected(self):
+    def test_sample_item_missing_from_pi_rejected(self, monkeypatch):
         profile = complete_profile([(0, 1, 2), (2, 1, 0)], 3)
-        with pytest.raises(ValueError, match=r"\[2\]"):
-            log_likelihood(Ranking([1, 0]), profile, 1.0)
+        for _ in row_kernel_paths(monkeypatch):
+            with pytest.raises(ValueError, match=r"\[2\]"):
+                log_likelihood(Ranking([1, 0]), profile, 1.0)
 
 
 def _complete_profile_of_size(n: int, r: int, stream: Stream) -> SampleProfile:

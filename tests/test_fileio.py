@@ -1,14 +1,15 @@
 """Profile text format: round trips, itemized errors, and validator/parser agreement."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import legacy_scan
-from mallows_select import fileio
+from helpers import legacy_scan, needs_cc, row_kernel_paths
+from mallows_select import core, fileio
 from mallows_select.cli import dispatch
 from mallows_select.core import MallowsParams, Ranking, SampleProfile, SelectionSequence, _csr_rows
 from mallows_select.fileio import (
@@ -194,16 +195,25 @@ def selection_texts(draw):
     return format_selection(generate_selection(spec, draw(st.integers(1, 12)), Stream.from_seed(draw(st.integers(0, 99)))))
 
 
-def _both_readings(text):
-    """``fileio._scan`` and ``helpers.legacy_scan`` of one text, each as (n, beta, sets, rankings, selection_only) or errors."""
+def _scan_reading(text):
+    """``fileio._scan`` of one text as (n, beta, sets, rankings, selection_only), or its errors."""
     try:
         beta, selection, rank_items, selection_only = fileio._scan(text)
     except FileFormatError as exc:
-        new = exc.errors
-    else:
-        offsets, set_items = selection.offsets, selection.items
-        assert offsets.dtype == set_items.dtype == rank_items.dtype == np.int64
-        new = (selection.n, beta, _csr_rows(offsets, set_items), _csr_rows(offsets, rank_items), selection_only)
+        return exc.errors
+    offsets, set_items = selection.offsets, selection.items
+    assert offsets.dtype == set_items.dtype == rank_items.dtype == np.int64
+    return selection.n, beta, _csr_rows(offsets, set_items), _csr_rows(offsets, rank_items), selection_only
+
+
+def _both_readings(text):
+    """``fileio._scan`` and ``helpers.legacy_scan`` of one text, each as (n, beta, sets, rankings, selection_only) or errors.
+
+    ``fileio._scan`` reads the text on each row-kernel path, and the two readings must be equal.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        new, numpy = (_scan_reading(text) for _ in row_kernel_paths(patch))
+    assert new == numpy
     try:
         n, beta, sets, rankings = legacy_scan(text)
     except FileFormatError as exc:
@@ -212,6 +222,98 @@ def _both_readings(text):
         # a selection-only line keeps its set as its ranking row
         old = (n, beta, sets, [s if rk is None else rk for s, rk in zip(sets, rankings)], None in rankings)
     return new, old
+
+
+def _byte_passes(body, n):
+    """``fileio._byte_pass`` of one body on each row-kernel path: the compiled pass, then the numpy form."""
+    with pytest.MonkeyPatch.context() as patch:
+        return [fileio._byte_pass(body, n) for _ in row_kernel_paths(patch)]
+
+
+def _same_pass(body, n):
+    """The compiled and the numpy byte pass of one body, asserted equal at zero tolerance; returns the reading."""
+    compiled, numpy = _byte_passes(body, n)
+    assert (compiled is None) == (numpy is None)
+    if numpy is not None:
+        for native, other in zip(compiled, numpy, strict=True):
+            assert (native is None) == (other is None)
+            if other is not None:
+                assert native.dtype == other.dtype == np.int64 and native.shape == other.shape
+                assert np.array_equal(native, other)
+    return numpy
+
+
+# bytes a mutation puts in: the format's own, a space, a sign, a non-ASCII letter and digit, and a line break
+_MUTATIONS = "0123456789,|RS: -\u00e9\u0663\n"
+
+
+@st.composite
+def mutated_bodies(draw):
+    """``(body, n)``: the sample lines of a written profile or selection file, as ``fileio._scan`` passes them, with
+    at most one character replaced, put in or taken out."""
+    text = draw(st.one_of(profile_texts(), selection_texts()))
+    header, _, rest = text.partition("\n")
+    at, kind = draw(st.integers(0, len(rest))), draw(st.sampled_from(["none", "replace", "insert", "delete"]))
+    put = draw(st.sampled_from(_MUTATIONS))
+    rest = {"none": rest, "replace": rest[:at] + put + rest[at + 1 :], "insert": rest[:at] + put + rest[at:],
+            "delete": rest[:at] + rest[at + 1 :]}[kind]
+    return [line for line in rest.splitlines() if line.strip()], int(header.split(",")[0])
+
+
+class TestCompiledBytePass:
+    """The compiled ``fileio._byte_pass`` against its numpy form: the same arrays and dtypes, or None on both."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_bodies())
+    def test_equals_the_numpy_form_on_written_and_mutated_files(self, case):
+        _same_pass(*case)
+
+    @pytest.mark.parametrize(
+        "body, sets",
+        [
+            (["S:0000000001,2|R:2,0000000001"], None),  # a ten-digit token
+            (["S:000000001,3|R:3,000000001"], [1, 3]),  # nine digits
+            (["S:0,3|R:3,0"], [0, 3]),  # n - 1
+            (["S:0,4|R:4,0"], None),  # n
+            (["S:1,1|R:1,1"], None),  # a duplicate
+            (["S:2,3", "S:1,1"], None),
+            (["S:0,1|R:1,1"], None),
+            (["S:3,0,2|R:2,3,0", "S:2,1|R:1,2"], [0, 2, 3, 1, 2]),  # unsorted sets
+            (["S:0,1,2|R:1,0"], None),  # a ranking one item short
+            (["S:0,1|R:1,0,2"], None),  # one item long
+            (["S:0,1|R:1,\u00e90"], None),
+            (["S:0,1|R:1,0\u0663"], None),
+            (["S:0,1|R:1,0", "S:2,3"], None),  # mixed layouts
+            (["S:2,3", "S:0,1|R:1,0"], None),
+            (["S:2,3", "S:0,1,3"], [2, 3, 0, 1, 3]),
+            ([], []),  # an empty body reads as a file of ranked lines
+            (["S:,0,1"], None),
+            (["S:0,1,"], None),
+            (["S:0|R:0"], None),
+            (["S:0,1|R:1,0|R:1,0"], None),
+            (["S:0,1|R:1,0 "], None),
+        ],
+    )
+    def test_each_rule_reads_or_declines_as_the_numpy_form(self, body, sets):
+        read = _same_pass(body, 4)
+        assert (None if read is None else read[1].tolist()) == sets
+        if body == []:
+            assert read[0].tolist() == [0] and read[2].tolist() == []
+
+    @needs_cc
+    def test_a_files_io_sized_parse_peaks_under_the_working_budget(self, monkeypatch):
+        # n=100, r=2000 Bernoulli sets of about 50 items: a 588 KB text; the numpy form peaks at about 5.9 MiB
+        selection = generate_selection(SelectionSpec(kind="bernoulli_random", n=100, p=0.25), 2000, Stream.from_seed(1))
+        text = format_profile(sample_profile(MallowsParams(Ranking.identity(100), 1.0), selection, Stream.from_seed(2)))
+        parse_profile(text)  # ctypes' own first-call objects are made before the measure
+        tracemalloc.start()
+        try:
+            profile = parse_profile(text)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert profile.selection == selection
+        assert peak < core._BLOCK_BYTES, peak
 
 
 class TestByteParser:
@@ -230,8 +332,8 @@ class TestByteParser:
     def test_the_byte_pass_reads_every_written_file(self, case):
         text, selection_only = case
         header, *body = text.splitlines()
-        read = fileio._byte_pass(body, int(header.split(",")[0]))
-        assert read is not None and (read[2] is None) == selection_only
+        for read in _byte_passes(body, int(header.split(",")[0])):
+            assert read is not None and (read[2] is None) == selection_only
 
     @pytest.mark.parametrize(
         "text, errors",
@@ -253,7 +355,7 @@ class TestByteParser:
     def test_mixed_and_bad_files_are_read_line_by_line(self, text, errors):
         # a file mixing the two layouts, or holding one bad line, leaves the byte pass whole; a digit inside the
         # layout bytes, as in 'S1:' or '|0R:', fails only its layout check
-        assert fileio._byte_pass(text.splitlines()[1:], 4) is None
+        assert _byte_passes(text.splitlines()[1:], 4) == [None, None]
         new, old = _both_readings(text)
         assert new == old
         if errors is None:

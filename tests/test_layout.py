@@ -20,6 +20,8 @@ COMPILED_CALLERS = {
     "pair_counts": ("core.py", "_pair_counts"),
     "block_wins": ("experiments.py", "_block_wins"),
     "window_dp": ("mle.py", "_dp_window_max"),
+    "scan_rows": ("fileio.py", "_byte_pass"),
+    "row_inversions": ("core.py", "_discordances"),
 }
 
 

@@ -455,6 +455,26 @@ class TestRecoveryPipelines:
             with pytest.raises(ValueError, match="radius_override must be nonnegative, got -1"):
                 recover(profile, 1.0, 1.0, stream=Stream.from_seed(609), radius_override=-1)
 
+    @pytest.mark.parametrize(
+        ("settings", "message"),
+        [
+            (dict(budget=-3), "state budget must admit at least one window bit"),
+            (dict(budget=1, radius_override=0), "state budget must admit at least one window bit"),
+            (dict(radius_override=-1), "radius_override must be nonnegative, got -1"),
+        ],
+    )
+    def test_a_dp_setting_no_run_can_meet_is_refused_before_the_count(self, monkeypatch, settings, message):
+        calls = []
+        monkeypatch.setattr(mle, "accumulate_counts", lambda profile: calls.append(profile) or accumulate_counts(profile))
+        sel = generate_selection(SelectionSpec(kind="complete", n=5), 4)
+        profile = sample_profile(MallowsParams(Ranking.identity(5), 1.0), sel, Stream.from_seed(612))
+        for recover in (recover_likelier_than_nature, recover_mle):
+            with pytest.raises(ValueError, match=message):
+                recover(profile, 1.0, 1.0, stream=Stream.from_seed(613), **settings)
+        assert calls == []
+        recover_mle(profile, 1.0, 1.0, stream=Stream.from_seed(613), budget=2, radius_override=0)
+        assert calls == [profile]
+
     @pytest.mark.parametrize("beta", [math.nan, math.inf, 0.0, -1.0])
     def test_bad_beta_is_refused_before_the_dp(self, monkeypatch, beta):
         # with an override no window formula checks beta, and radius 19 at n=20 is all of S_20
