@@ -17,11 +17,9 @@ through numpy, so nothing is held between calls.  Elsewhere the numpy
 form runs, with the same sequence and score: one vectorised step per
 position over its sorted masks (one product for all subset sums, a rank
 lookup for each successor, a row-wise argmax).  Its masks and move tables
-depend on the window's shape alone, never on the wins or on n once
-n > 2R+1, so each shape is built once per process and held, read-only,
-within ``_TABLE_BYTES``, the least recently used making room for a new
-shape.  A search of all of S_n evicts none: it holds its shapes only in
-the room left free.
+depend on the window's shape alone, so a call builds each shape's once,
+for the run of positions that share it, and frees the last shape's move
+tables before building the next: it too holds nothing between calls.
 
 The DP is exact on its feasible set.  A maximizer that touches the window
 boundary signals that the window may be truncating the true optimum; the
@@ -97,29 +95,6 @@ def _check_dp_settings(budget: int, radius_override: int | None) -> None:
 # multiply-adds in one block of a step's subset-sum product: BLAS runs a
 # product this small on the calling thread, so the DP stays single-threaded
 _STEP_BLOCK = 1 << 18
-# bytes of masks and move tables the numpy form holds between DP calls; the least recently
-# used go to make room for a new one, and a table larger than this is never held
-_TABLE_BYTES = 1 << 22
-_tables: dict[tuple, tuple[np.ndarray, ...]] = {}  # least recently used first
-
-
-def _table(key: tuple, build, evict: bool = True) -> tuple[np.ndarray, ...]:
-    """``build()``'s arrays, read-only, held for later calls within _TABLE_BYTES, least recently used out first.
-
-    Without ``evict`` a new table is held only in the room left free, and otherwise serves this call alone.
-    """
-    arrays = _tables.pop(key, None)
-    if arrays is None:
-        arrays = build()
-        for a in arrays:
-            a.setflags(write=False)
-        size, held = sum(a.nbytes for a in arrays), sum(a.nbytes for t in _tables.values() for a in t)
-        if size > (_TABLE_BYTES if evict else _TABLE_BYTES - held):
-            return arrays
-        while held + size > _TABLE_BYTES:
-            held -= sum(a.nbytes for a in _tables.pop(next(iter(_tables))))
-    _tables[key] = arrays
-    return arrays
 
 
 def _popcount_masks(width: int, k: int) -> np.ndarray:
@@ -190,18 +165,17 @@ def _dp_window_max(wins_rel: np.ndarray, radius: int) -> tuple[list[int], int]:
     wins_t = np.ascontiguousarray(wins_rel.T, dtype=np.float64)
     # suf[e, q] = sum_{k >= q} wins_rel[e, k]
     suf = wins_rel[:, ::-1].cumsum(axis=1)[:, ::-1].astype(np.float64)
-    evict = R < n - 1  # a search of all of S_n would evict the windows that recur for every n
-    mask_sets = {key: _table(key, lambda: (_popcount_masks(*key),), evict)[0] for key in set(keys)}
+    mask_sets = {key: _popcount_masks(*key) for key in set(keys)}
     v_next, choices, shape = np.zeros(1), [None] * n, None
     for t in range(n - 1, -1, -1):
         (lo, hi), m, last = bounds[t], mask_sets[keys[t]], shape
         # shift: the window slides, so slot 0 must be placed now.  A shape recurs at every t in the
-        # middle, and for every n > 2R+1 at the ends, so its tables serve those positions and later calls
+        # middle, so its tables serve all those positions
         w, shift = hi - lo + 1, int(t >= R)
         shape = (keys[t], keys[t + 1], w, shift)
         if shape != last:  # the last shape's tables go first: two of all of S_20 take about 44 MB each
             placed = nxt = None
-            placed, nxt = _table(shape, lambda: _moves(m, mask_sets[keys[t + 1]], w, shift), evict)
+            placed, nxt = _moves(m, mask_sets[keys[t + 1]], w, shift)
         win, suf_lo, v_ext = wins_t[lo : hi + 1, lo : hi + 1], suf[lo : hi + 1, lo], np.append(v_next, -np.inf)
         v_next, choices[t] = np.empty(len(m)), np.empty(len(m), dtype=np.uint8)
         step = max(1, _STEP_BLOCK // (w * w))

@@ -225,10 +225,8 @@ def full_mask_dp(wins_rel: np.ndarray, radius: int) -> tuple[list[int], int]:
             e = lo + c
             row = wins_rel[e, lo : hi + 1]
             ss = np.zeros(size, dtype=np.int64)
-            for b in range(w):
-                v = row[b]
-                if v:
-                    ss.reshape(-1, 1 << (b + 1))[:, (1 << b) :] += v
+            for b in range(w):  # the masks with top bit b are those below 1 << b, each with bit b added
+                np.add(ss[: 1 << b], row[b], out=ss[1 << b : 2 << b])
             gain = int(suf[e, lo]) - ss
             newmask = masks | (1 << c)
             if shift:

@@ -12,8 +12,6 @@ ROW_KERNELS = {
     "_triu_pairs", "_pair_blocks", "_pair_counts", "_discordances", "_BLOCK_BYTES",
     "_rows_library", "_row_kernels",
 }
-# byte bounds that are not working budgets: the DP's window tables, held between calls
-HELD_BYTES = {"mle.py": {"_TABLE_BYTES"}}
 # each routine of _rows.c: the one function that calls it, besides core's loader, which declares its argtypes
 COMPILED_CALLERS = {
     "sample_rows": ("sampling.py", "_sample_rows"),
@@ -74,7 +72,7 @@ def test_one_working_budget_is_read_from_core():
     """Only core defines a ``*_BYTES`` working budget, and no module binds one by value, so one patch reaches all."""
     for path in MODULES:
         tree = _tree(path)
-        budgets = {name for name in _top_level_names(tree) if name.endswith("_BYTES")} - HELD_BYTES.get(path.name, set())
+        budgets = {name for name in _top_level_names(tree) if name.endswith("_BYTES")}
         assert budgets == ({"_BLOCK_BYTES"} if path.name == "core.py" else set()), path.name
         assert [name for _, _, name in _imports(tree) if name.endswith("_BYTES")] == [], f"{path.name} imports a budget"
 
@@ -134,3 +132,26 @@ def test_every_cache_is_bounded(path):
         if keyed and not bounded:
             unbounded.append(function.name)
     assert unbounded == [], f"{path.name}: caches without an integer maxsize"
+
+
+def _empty_container(node: ast.expr | None) -> bool:
+    """``{}``, ``[]``, or ``dict()``, ``list()`` or ``set()`` without arguments."""
+    if isinstance(node, (ast.Dict, ast.List, ast.Set)):
+        return not (node.keys if isinstance(node, ast.Dict) else node.elts)
+    return (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("dict", "list", "set")
+        and not node.args and not node.keywords
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_module_binds_an_empty_container(path):
+    """No module starts an empty dict, list or set at top level: the shape of a hand-written cache.
+
+    Caches go through ``functools``, which ``test_every_cache_is_bounded`` bounds; a constant table is not empty.
+    """
+    bound = [
+        node.lineno for node in _tree(path).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and _empty_container(node.value)
+    ]
+    assert bound == [], f"{path.name} binds an empty container at lines {bound}"

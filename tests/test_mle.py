@@ -45,8 +45,25 @@ from mallows_select.sampling import SelectionSpec, generate_selection, sample_pr
 
 @pytest.fixture
 def numpy_dp(monkeypatch):
-    """The numpy form of the DP, the one that holds window tables between calls."""
+    """The numpy form of the DP, the one that runs where the C row kernels do not load."""
     monkeypatch.setattr(core, "_row_kernels", lambda: None)
+
+
+def held_and_peak(call, *args) -> tuple[int, int]:
+    """``(bytes held once call(*args) returns, peak bytes)`` under ``tracemalloc``.
+
+    The small-object free lists are emptied before the call, so none is left to earlier tests, and again before
+    reading what it holds, with the cyclic garbage numpy leaves, so neither counts as held.
+    """
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0], peak
+    finally:
+        tracemalloc.stop()
 
 
 def random_counts(n: int, rng: np.random.Generator, hi: int = 6) -> PairwiseCounts:
@@ -159,18 +176,16 @@ class TestReachableStateDp:
         rng = np.random.default_rng(40 + radius)
         # few distinct win values make ties, and so the tie rule, common
         cases = [rng.integers(0, (2, 3, 51)[n % 3], size=(n, n)).astype(np.int64) for n in range(1, 31)]
-        expected = [full_mask_dp(wins, radius) for wins in cases]
+        for wins in cases:
+            assert _dp_window_max(wins, radius) == full_mask_dp(wins, radius), len(wins)
 
-        def check(order):
-            for wins in order:
-                assert _dp_window_max(wins, radius) == expected[len(wins) - 1], len(wins)
-
-        # n = 30..1 from cold tables, then 1..30 on tables built for other n, then cold again
-        mle._tables.clear()
-        check(cases[::-1])
-        check(cases)
-        mle._tables.clear()
-        check(cases[::-1])
+    @pytest.mark.parametrize("n, radius", [(19, 9), (21, 10), (14, 13)])
+    def test_wide_windows_match_full_mask_reference(self, n, radius, monkeypatch):
+        # past the radii above, on both forms: C(18, 9) and C(20, 10) masks a position, and all of S_14
+        wins = np.random.default_rng(49 + radius).integers(0, 3, size=(n, n)).astype(np.int64)
+        expected = full_mask_dp(wins, radius)
+        for _ in row_kernel_paths(monkeypatch):
+            assert _dp_window_max(wins, radius) == expected
 
     @pytest.mark.parametrize("radius", range(9))
     def test_no_information_gives_identity(self, radius):
@@ -180,94 +195,18 @@ class TestReachableStateDp:
 
     @pytest.mark.usefixtures("numpy_dp")
     def test_peak_memory_within_reference_and_not_carried_over(self):
-        # from empty tables and, before each call, empty small-object free lists: neither is left to earlier tests
-        mle._tables.clear()
         wins = np.random.default_rng(48).integers(0, 51, size=(40, 40)).astype(np.int64)
-        peaks = []
-        for dp in (full_mask_dp, _dp_window_max, _dp_window_max):
-            gc.collect()
-            tracemalloc.start()
-            try:
-                dp(wins, 8)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        reference, first, second = peaks
-        assert first <= reference
-        assert second <= first
+        reference = held_and_peak(full_mask_dp, wins, 8)[1]
+        held, peak = held_and_peak(_dp_window_max, wins, 8)
+        assert peak <= reference
+        assert held < 4 << 10  # a few small objects at most: no table outlives the call
 
     @pytest.mark.usefixtures("numpy_dp")
-    def test_held_tables_are_read_only(self):
-        mle._tables.clear()
-        _dp_window_max(np.ones((12, 12), dtype=np.int64), 3)
-        assert mle._tables
-        for arrays in mle._tables.values():
-            for array in arrays:
-                assert not array.flags.writeable
-                with pytest.raises(ValueError):
-                    array[...] = 0
-
-    @pytest.mark.usefixtures("numpy_dp")
-    def test_held_bytes_stay_under_the_cap(self):
-        mle._tables.clear()
-        rng = np.random.default_rng(49)
-        for radius in range(1, 11):
-            for n in (2 * radius + 1, 40):
-                wins = rng.integers(0, 3, size=(n, n)).astype(np.int64)
-                seq = _dp_window_max(wins, radius)
-                if radius >= 9 and n < 40:  # its widest window alone exceeds the cap, so it is built for the call only
-                    assert seq == full_mask_dp(wins, radius)
-        held = sum(array.nbytes for arrays in mle._tables.values() for array in arrays)
-        assert 0 < held <= mle._TABLE_BYTES
-        assert max(len(arrays[0]) for arrays in mle._tables.values()) < math.comb(18, 9)
-
-    @pytest.mark.usefixtures("numpy_dp")
-    def test_a_full_cache_makes_room_for_new_shapes(self, monkeypatch):
-        mle._tables.clear()
-        rng = np.random.default_rng(50)
-        for radius in (0, 1, 2, 3, 4, 5, 6, 8):  # every window but R=7 fills the cap, as in a process that ran others
-            for n in range(30, 0, -1):
-                _dp_window_max(rng.integers(0, 3, size=(n, n)).astype(np.int64), radius)
-        assert sum(array.nbytes for arrays in mle._tables.values() for array in arrays) > 0.9 * mle._TABLE_BYTES
-        wins = rng.integers(0, 51, size=(20, 20)).astype(np.int64)
-        expected = _dp_window_max(wins, 7)
-        built = []
-        for name in ("_popcount_masks", "_moves"):
-            build = getattr(mle, name)
-            monkeypatch.setattr(mle, name, lambda *args, build=build, name=name: built.append(name) or build(*args))
-        assert _dp_window_max(wins, 7) == expected
-        assert built == []
-
-    @pytest.mark.usefixtures("numpy_dp")
-    def test_a_search_of_all_of_s_n_evicts_no_held_window(self, monkeypatch):
-        mle._tables.clear()
-        rng = np.random.default_rng(52)
-        wins = rng.integers(0, 51, size=(20, 20)).astype(np.int64)
-        expected = _dp_window_max(wins, 7)
-        held = dict(mle._tables)
-        full = rng.integers(0, 51, size=(14, 14)).astype(np.int64)
-        assert _dp_window_max(full, 13) == full_mask_dp(full, 13)
-        assert held.keys() <= mle._tables.keys()  # S_14 held its shapes only in the room left free
-        built = []
-        for name in ("_popcount_masks", "_moves"):
-            build = getattr(mle, name)
-            monkeypatch.setattr(mle, name, lambda *args, build=build, name=name: built.append(name) or build(*args))
-        assert _dp_window_max(wins, 7) == expected
-        assert built == []
-
-    @pytest.mark.usefixtures("numpy_dp")
-    def test_full_window_holds_one_shape_at_a_time(self, monkeypatch):
-        # nothing held: each shape of S_16 is built for its step, the last shape's tables gone before the build
-        monkeypatch.setattr(mle, "_TABLE_BYTES", 0)
-        monkeypatch.setattr(mle, "_tables", {})
+    def test_full_window_holds_one_shape_at_a_time(self):
+        # each shape of S_16 is built for its step, the last shape's tables gone before the build
         n = 16
         wins = np.random.default_rng(51).integers(0, 5, size=(n, n)).astype(np.int64)
-        tracemalloc.start()
-        try:
-            _dp_window_max(wins, n - 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = held_and_peak(_dp_window_max, wins, n - 1)[1]
         widest = math.comb(n, n // 2) * n * 12  # its float64 placed and int32 successor tables
         assert peak < 2 * widest
 
@@ -308,16 +247,8 @@ class TestCompiledDp:
     @pytest.mark.parametrize("n, radius", [(40, 8), (16, 15)])
     def test_its_buffers_peak_under_the_numpy_form_and_none_outlives_the_call(self, n, radius):
         wins = np.random.default_rng(48).integers(0, 51, size=(n, n))
-        measured = []
         with pytest.MonkeyPatch.context() as patch:
-            for _ in row_kernel_paths(patch):
-                patch.setattr(mle, "_tables", {})  # the numpy form from cold tables
-                tracemalloc.start()
-                try:
-                    _dp_window_max(wins, radius)
-                    measured.append(tracemalloc.get_traced_memory())
-                finally:
-                    tracemalloc.stop()
+            measured = [held_and_peak(_dp_window_max, wins, radius) for _ in row_kernel_paths(patch)]
         (held, peak), (_, numpy_peak) = measured
         assert peak < numpy_peak
         assert held < 4 << 10  # a few small objects at most: no buffer is kept
