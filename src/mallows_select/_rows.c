@@ -1,6 +1,7 @@
 /* The CSR row kernels of mallows_select.core in C: repeated-insertion sampling, pairwise precedence counts, the two
  * together over a block of experiment trials, and per-row inversion counts; the windowed DP of mallows_select.mle;
- * and the byte pass of mallows_select.fileio, which reads a profile or selection file into CSR rows.
+ * and the byte pass and the row writer of mallows_select.fileio, which read a profile or selection file into CSR rows
+ * and write CSR rows out as one.
  *
  * Each routine mirrors its numpy form draw for draw, count for count and choice for choice: core builds this file
  * with the system C compiler into the package's __pycache__, loads it through ctypes, and runs the numpy forms
@@ -389,4 +390,64 @@ int row_inversions(int64_t rows, const int64_t *offsets, const int64_t *items, c
         out[l] = count;
     }
     return 0;
+}
+
+/* The decimal digits of x >= 0 at *at: returns the byte after them */
+static uint8_t *put_label(uint8_t *at, int64_t x)
+{
+    uint8_t digits[20];
+    int k = 0;
+    do
+        digits[k++] = (uint8_t)('0' + x % 10);
+    while ((x /= 10) > 0);
+    while (k > 0)
+        *at++ = digits[--k];
+    return at;
+}
+
+/* The m items x at *at as labels joined by commas: returns the byte after them */
+static uint8_t *put_part(uint8_t *at, int64_t m, const int64_t *x)
+{
+    for (int64_t a = 0; a < m; a++) {
+        if (a > 0)
+            *at++ = ',';
+        at = put_label(at, x[a]);
+    }
+    return at;
+}
+
+/* Whether any of the m items x lies outside [0, n) */
+static int outside(int64_t m, const int64_t *x, int64_t n)
+{
+    for (int64_t a = 0; a < m; a++)
+        if (x[a] < 0 || x[a] >= n)
+            return 1;
+    return 0;
+}
+
+/* The lines of fileio._format_rows written to out, one per CSR row l: "S:<set>|R:<ranking>\n", the row of set_items
+ * and that of rank_items, or "S:<set>\n" where rank_items is NULL.  Returns the count of bytes written, or -1 at the
+ * first row with an item outside [0, n), before it writes that row.  With d the digits of n - 1, a row of m items
+ * writes at most 2 + m (d + 1) bytes for its set and as many again for its ranking, which the caller's out holds.
+ */
+int64_t format_rows(int64_t n, int64_t rows, const int64_t *offsets, const int64_t *set_items,
+                    const int64_t *rank_items, uint8_t *out)
+{
+    uint8_t *at = out;
+    for (int64_t l = 0; l < rows; l++) {
+        int64_t first = offsets[l], m = offsets[l + 1] - first;
+        if (outside(m, set_items + first, n) || (rank_items != NULL && outside(m, rank_items + first, n)))
+            return -1;
+        *at++ = 'S';
+        *at++ = ':';
+        at = put_part(at, m, set_items + first);
+        if (rank_items != NULL) {
+            *at++ = '|';
+            *at++ = 'R';
+            *at++ = ':';
+            at = put_part(at, m, rank_items + first);
+        }
+        *at++ = '\n';
+    }
+    return at - out;
 }

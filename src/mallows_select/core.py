@@ -14,10 +14,11 @@ The pair count, the discordance count and the sampler's insertion pass
 (``sampling._sample_rows``) also have C forms, in ``_rows.c``, as have the
 experiment kernel's block of trials (``experiments._block_wins``), which
 draws, restricts, samples and counts every row of a block in one call,
-the windowed DP (``mle._dp_window_max``) and the parser's byte pass
-(``fileio._byte_pass``).  The first process that needs
-them builds the file with the system ``cc`` into the package's
-``__pycache__``, removing the builds of other sources there, and every
+the windowed DP (``mle._dp_window_max``), the parser's byte pass
+(``fileio._byte_pass``) and the writer's row formatter
+(``fileio._format_rows``).  The first process that needs them builds
+the file with the system ``cc`` into the package's ``__pycache__``,
+removing the builds of other sources there, and every
 process loads it through ``ctypes``.  Where there is no compiler, no
 writable directory or no loadable library, the numpy forms run; both give
 the same results, bit for bit.
@@ -97,6 +98,8 @@ def _rows_library(directory: Path) -> ctypes.CDLL | None:
     lib.scan_rows.restype = ctypes.c_int
     lib.row_inversions.argtypes = [int64, pointer, pointer, pointer, int64, pointer]
     lib.row_inversions.restype = ctypes.c_int
+    lib.format_rows.argtypes = [int64, int64, pointer, pointer, pointer, pointer]
+    lib.format_rows.restype = int64
     return lib
 
 

@@ -22,7 +22,9 @@ per-line object.  It declines any other file at its first failed check,
 and the whole file is read line by line by the per-line checks instead,
 so a file reads, and fails, exactly as it would line by line, errors and
 their order included.  Readers pass the CSR arrays to the core types as
-they are; writers read them.
+they are.  Writers read them: one pass of ``format_rows`` in ``_rows.c``
+writes every line into one buffer where the compiled kernels load, and
+the rows are joined from per-item labels otherwise, with the same bytes.
 """
 
 from __future__ import annotations
@@ -56,15 +58,39 @@ def _row_texts(n: int, offsets: np.ndarray, items: np.ndarray) -> list[str]:
     return [",".join(text[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
+def _format_rows(header: str, n: int, offsets: np.ndarray, set_items: np.ndarray, rank_items: np.ndarray | None) -> str:
+    """``header``, then one line per CSR row: ``S:<set>|R:<ranking>``, or ``S:<set>`` where ``rank_items`` is None.
+
+    Where core's compiled kernels load, ``format_rows`` writes the lines
+    into one buffer behind the header, sized by the digits of ``n - 1``,
+    and the text is decoded from it once; :func:`_row_texts` builds them
+    otherwise, with the same result.
+    """
+    kernels = core._row_kernels()
+    if kernels is None:
+        parts = [_row_texts(n, offsets, items) for items in (set_items, rank_items) if items is not None]
+        return "\n".join([header] + [f"S:{line}" for line in map("|R:".join, zip(*parts))]) + "\n"
+    offsets, set_items = core._checked_csr(offsets, set_items)
+    ranks = None if rank_items is None else core._checked_csr(offsets, rank_items)[1]
+    head, rows = f"{header}\n".encode(), len(offsets) - 1
+    # with d the digits of n - 1, each part of a row of m items takes at most 2 + m (d + 1) bytes
+    part = 2 * rows + len(set_items) * (len(str(n - 1)) + 1)
+    buf = np.empty(len(head) + (1 if ranks is None else 2) * part, np.uint8)
+    buf[: len(head)] = np.frombuffer(head, np.uint8)
+    rank_data = None if ranks is None else ranks.ctypes.data
+    written = kernels.format_rows(n, rows, offsets.ctypes.data, set_items.ctypes.data, rank_data, buf.ctypes.data + len(head))
+    if written < 0:
+        raise IndexError(f"a row holds an item outside [0, {n})")
+    return str(memoryview(buf)[: len(head) + written], "ascii")
+
+
 def format_profile(profile: SampleProfile, beta: float | None = None) -> str:
     header = f"{profile.n},{len(profile)}" + (f",{beta:g}" if beta is not None else "")
-    rows = (_row_texts(profile.n, profile.offsets, items) for items in (profile.set_items, profile.rank_items))
-    return "\n".join([header] + [f"S:{s}|R:{rk}" for s, rk in zip(*rows)]) + "\n"
+    return _format_rows(header, profile.n, profile.offsets, profile.set_items, profile.rank_items)
 
 
 def format_selection(selection: SelectionSequence) -> str:
-    sets = _row_texts(selection.n, selection.offsets, selection.items)
-    return "\n".join([f"{selection.n},{len(selection)}"] + [f"S:{s}" for s in sets]) + "\n"
+    return _format_rows(f"{selection.n},{len(selection)}", selection.n, selection.offsets, selection.items, None)
 
 
 def _parse_header(line: str) -> tuple[int, int, float | None]:

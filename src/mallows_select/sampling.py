@@ -130,7 +130,8 @@ def generate_selection(spec: SelectionSpec, r: int, stream: Stream | None = None
         keys = np.array([stream.key], dtype=np.uint64)
         members, used = _bernoulli_members(keys, n, r, _bernoulli_threshold(spec, r), start=stream._ctr)
         stream._ctr = int(used[0])
-        row, items = np.nonzero(members[0])  # row-major: rows in order, each row's items ascending
+        # row-major: rows in order, each row's items ascending, in arrays that own their bytes, as the C kernels read them
+        row, items = np.divmod(np.flatnonzero(members[0]), n)
         return SelectionSequence._from_arrays(n, np.searchsorted(row, np.arange(r + 1)), items)
 
     # the deterministic kinds: n_full full sets, then pairs, valid by construction

@@ -302,6 +302,7 @@ bodies = [(fileio.format_profile(big).splitlines()[1:], 100)] + [(body, 4) for b
     ["S:3,0,2|R:2,3,0"], ["S:0,1,2|R:1,0"], ["S:0,1|R:1,0,2"], ["S:0,1|R:1,\u00e90"], ["S:0,1|R:1,0", "S:2,3"],
     ["S:2,3", "S:0,1|R:1,0"], ["S:0,1,3", "S:3,2"], [], ["S:,0,1"], ["S:0,1|R:1,0,"], ["S:0"],
 )]
+one_row = generate_selection(SelectionSpec("bernoulli_random", 101, 0.25), 1, Stream.from_seed(12))
 
 
 def outputs():
@@ -311,7 +312,8 @@ def outputs():
     reads = [fileio._byte_pass(body, n) for body, n in bodies]
     parsed = [np.array([-1]) if read is None else np.array([-2]) if a is None else a for read in reads for a in read or [None]]
     likelihood = np.array([log_likelihood(Ranking(Stream.from_seed(11).permutation(100)), big, 0.7)])
-    return [a for cell in rows for a in cell] + [profile.rank_items, accumulate_counts(profile).wins] + dp + parsed + [likelihood]
+    written = [np.frombuffer(text.encode(), np.uint8) for text in (fileio.format_profile(big, beta=1.0), fileio.format_selection(one_row))]
+    return [a for cell in rows for a in cell] + [profile.rank_items, accumulate_counts(profile).wins] + dp + parsed + [likelihood] + written
 
 
 core._row_kernels = lambda: sanitized
@@ -439,8 +441,8 @@ class TestCompiledRowKernels:
     def test_the_kernels_run_clean_under_the_undefined_behaviour_sanitizer(self, tmp_path):
         # a build that aborts at the first undefined operation runs figure cells (an ltn cell among them), a sampled
         # profile and its count, the windowed DP at every radius below n = 1, 2, 9 and 14, the byte pass of a
-        # files_io-sized file and of a body for each way it declines, and a likelihood, each equal to the numpy
-        # forms' result
+        # files_io-sized file and of a body for each way it declines, a likelihood, and the writer on that file's
+        # profile and on a one-row selection, each equal to the numpy forms' result
         src = str(Path(core.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         result = subprocess.run(

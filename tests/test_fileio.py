@@ -195,6 +195,12 @@ def selection_texts(draw):
     return format_selection(generate_selection(spec, draw(st.integers(1, 12)), Stream.from_seed(draw(st.integers(0, 99)))))
 
 
+def _files_io_profile():
+    """A profile of files_io size: n=100, r=2000 Bernoulli sets of about 50 items."""
+    selection = generate_selection(SelectionSpec(kind="bernoulli_random", n=100, p=0.25), 2000, Stream.from_seed(1))
+    return sample_profile(MallowsParams(Ranking.identity(100), 1.0), selection, Stream.from_seed(2))
+
+
 def _scan_reading(text):
     """``fileio._scan`` of one text as (n, beta, sets, rankings, selection_only), or its errors."""
     try:
@@ -303,17 +309,80 @@ class TestCompiledBytePass:
     @needs_cc
     def test_a_files_io_sized_parse_peaks_under_the_working_budget(self, monkeypatch):
         # n=100, r=2000 Bernoulli sets of about 50 items: a 588 KB text; the numpy form peaks at about 5.9 MiB
-        selection = generate_selection(SelectionSpec(kind="bernoulli_random", n=100, p=0.25), 2000, Stream.from_seed(1))
-        text = format_profile(sample_profile(MallowsParams(Ranking.identity(100), 1.0), selection, Stream.from_seed(2)))
+        profile = _files_io_profile()
+        text = format_profile(profile)
         parse_profile(text)  # ctypes' own first-call objects are made before the measure
         tracemalloc.start()
         try:
-            profile = parse_profile(text)[0]
+            parsed = parse_profile(text)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert profile.selection == selection
+        assert parsed.selection == profile.selection
         assert peak < core._BLOCK_BYTES, peak
+
+
+@st.composite
+def csr_profiles(draw):
+    """Profiles over n whose labels take one to four digits, of one row or many, built from CSR arrays: each set
+    ascending, the first holding 0 and n - 1, each ranking shuffled, and every array a strided view where drawn so."""
+    n = draw(st.sampled_from([2, 10, 11, 100, 101, 8192]))
+    rows = draw(st.one_of(st.just(1), st.integers(2, 40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    sets = [np.sort(rng.choice(n, size=rng.integers(2, min(n, 12) + 1), replace=False)) for _ in range(rows)]
+    sets[0] = np.union1d(sets[0], [0, n - 1])
+    arrays = (
+        np.concatenate(([0], np.cumsum([len(s) for s in sets]))),
+        np.concatenate(sets),
+        np.concatenate([rng.permutation(s) for s in sets]),
+    )
+    if draw(st.booleans()):
+        arrays = [np.repeat(a, 2)[::2] for a in arrays]
+    offsets, set_items, rank_items = arrays
+    return SampleProfile._from_arrays(SelectionSequence._from_arrays(n, offsets, set_items), rank_items)
+
+
+class TestRowFormatter:
+    """``format_profile`` and ``format_selection`` on each row-kernel path against the lines of ``_row_texts``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(csr_profiles(), st.sampled_from([None, 0.5, 2.0]))
+    def test_writes_the_row_texts_form_and_reads_back(self, profile, beta):
+        n, offsets = profile.n, profile.offsets
+        sets, ranks = (fileio._row_texts(n, offsets, items) for items in (profile.set_items, profile.rank_items))
+        header = f"{n},{len(profile)}"
+        ranked = "\n".join([header + ("" if beta is None else f",{beta:g}")] + [f"S:{s}|R:{rk}" for s, rk in zip(sets, ranks)])
+        alone = "\n".join([header] + [f"S:{s}" for s in sets])
+        with pytest.MonkeyPatch.context() as patch:
+            for _ in row_kernel_paths(patch):
+                text = format_profile(profile, beta=beta)
+                assert (text, format_selection(profile.selection)) == (ranked + "\n", alone + "\n")
+                parsed, parsed_beta = parse_profile(text)
+                assert parsed_beta == beta and parse_selection(alone + "\n") == profile.selection
+                for name in ("offsets", "set_items", "rank_items"):
+                    assert np.array_equal(getattr(parsed, name), getattr(profile, name))
+
+    @needs_cc
+    @pytest.mark.parametrize("items", [[0, 3], [-1, 2]])
+    def test_an_item_outside_the_labels_is_refused(self, items):
+        # the buffer is sized by the digits of n - 1, so the compiled writer checks each row before it writes it
+        with pytest.raises(IndexError, match="outside"):
+            format_selection(SelectionSequence._from_arrays(3, np.array([0, 2]), np.array(items)))
+
+    @needs_cc
+    def test_a_files_io_sized_write_holds_its_buffer_and_its_text(self):
+        # a 588,689-byte text: the _row_texts form, the writer before the compiled one, peaked at 2,011,335 bytes on
+        # this profile; the compiled path holds the buffer and the decoded text, about 1.2 MB
+        profile = _files_io_profile()
+        format_profile(profile)  # ctypes' own first-call objects are made before the measure
+        tracemalloc.start()
+        try:
+            text = format_profile(profile)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text) == 588_689
+        assert peak <= 2_011_335, peak
 
 
 class TestByteParser:

@@ -20,6 +20,7 @@ COMPILED_CALLERS = {
     "window_dp": ("mle.py", "_dp_window_max"),
     "scan_rows": ("fileio.py", "_byte_pass"),
     "row_inversions": ("core.py", "_discordances"),
+    "format_rows": ("fileio.py", "_format_rows"),
 }
 
 

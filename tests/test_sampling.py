@@ -419,6 +419,9 @@ class TestSelectionArrays:
         assert np.array_equal(sel.offsets, offsets) and np.array_equal(sel.items, items)
         assert all(type(x) is int for s in sel.sets for x in s)
         assert not (sel.offsets.flags.writeable or sel.items.flags.writeable)
+        # no view of a larger array, which would hold its bytes and cost each C kernel call a copy
+        for array in (sel.offsets, sel.items):
+            assert array.flags.c_contiguous and array.flags.owndata
 
     @pytest.mark.parametrize("kind", ["complete", "pairwise", "mixed_pfrequent", "bernoulli_random", "adversarial_matching"])
     def test_constructor_and_array_built_selections_agree(self, kind):
