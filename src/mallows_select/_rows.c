@@ -1,7 +1,7 @@
-/* The CSR row kernels of mallows_select.core in C: repeated-insertion sampling, pairwise precedence counts, the two
- * together over a block of experiment trials, and per-row inversion counts; the windowed DP of mallows_select.mle;
- * and the byte pass and the row writer of mallows_select.fileio, which read a profile or selection file into CSR rows
- * and write CSR rows out as one.
+/* The CSR row kernels of mallows_select.core in C: repeated-insertion sampling, pairwise precedence counts and
+ * per-row inversion counts; a whole block of experiment trials, from each trial's center draw through its samples and
+ * wins to its positional estimate; the windowed DP of mallows_select.mle; and the byte pass and the row writer of
+ * mallows_select.fileio, which read a profile or selection file into CSR rows and write CSR rows out as one.
  *
  * Each routine mirrors its numpy form draw for draw, count for count and choice for choice: core builds this file
  * with the system C compiler into the package's __pycache__, loads it through ctypes, and runs the numpy forms
@@ -93,26 +93,49 @@ int pair_counts(int64_t n, int64_t rows, int64_t groups, int64_t per, const int6
     return 0;
 }
 
-/* The pairwise wins of a block of trials of experiments._cell_block: wins[t] (n x n, zeroed by the caller) counts
- * the pairs of trial t's samples of its r sets, trial t's center being row t of centers (T x n).
- *
- * Set l of a trial is members[l] (an r x n mask shared by all trials) or, where members is NULL, the l-th candidate
- * row with two members or more of the stream selection[t], as in sampling._bernoulli_members: candidate c takes draws
- * c * n + 1 .. c * n + n, item i a member where its draw falls below threshold.  Its restricted center holds the
- * center's items that are members, in center order, and its sample takes draws 1.. of the stream child(l) of
- * profile[t], as rng.child_key_grid derives it.  work holds 2n items.  Returns -1 before it draws, at a center item
- * outside [0, n), and 0 otherwise.
+/* x[0..size) shuffled in place by the Fisher-Yates of rng.shuffle_runs: step k swaps position size - 1 - k with
+ * below(size - k) of draw first + k of the stream key, below being rng._below_array, the high 64 bits of u * bound
  */
-int block_wins(int64_t trials, int64_t n, int64_t r, const int64_t *centers, const uint64_t *profile,
-               const uint8_t *members, const uint64_t *selection, uint64_t threshold, const double *cum,
-               const double *scaled, int64_t *work, int64_t *wins)
+static void shuffle(int64_t *x, int64_t size, uint64_t key, uint64_t first)
 {
-    for (int64_t i = 0; i < trials * n; i++)
-        if (centers[i] < 0 || centers[i] >= n)
+    for (int64_t k = 0; k + 1 < size; k++) {
+        int64_t i = size - 1 - k;
+        int64_t j = (int64_t)(((unsigned __int128)mix64(key + (first + (uint64_t)k) * GAMMA) * (uint64_t)(i + 1)) >> 64);
+        int64_t swap = x[i];
+        x[i] = x[j];
+        x[j] = swap;
+    }
+}
+
+/* The trial block of experiments._cell_block: row t of centers and estimates (T x n) and wins[t] (n x n, zeroed by
+ * the caller) for trial t, whose four stream keys, sub[4t .. 4t + 3], are those of its center, selection, profile
+ * and tie-breaks.
+ *
+ * The center is planted (n items) or, where planted is NULL, the Fisher-Yates of rng.permutation_rows from draws
+ * 1 .. n - 1.  Set l of a trial is members[l] (an r x n mask shared by all trials) or, where members is NULL, the
+ * l-th candidate row with two members or more of the selection stream, as in sampling._bernoulli_members: candidate
+ * c takes draws c * n + 1 .. c * n + n, item i a member where its draw falls below threshold.  Its restricted center
+ * holds the center's items that are members, in center order, and its sample takes draws 1.. of the stream child(l)
+ * of the profile key, as rng.child_key_grid derives it.  The estimate is estimators._order_by_scores of the
+ * estimators._beaten_by scores: the items by a stable counting sort of their scores, each tie group shuffled, in
+ * ascending score order, from draw before + 1 of the tie-break stream, before counting the draws of the groups
+ * before it.  work holds 3n + 1 items.  Returns -1 before it draws, at a planted item outside [0, n), and 0 otherwise.
+ */
+int cell_block(int64_t trials, int64_t n, int64_t r, const uint64_t *sub, const int64_t *planted,
+               const uint8_t *members, uint64_t threshold, const double *cum, const double *scaled, int64_t *work,
+               int64_t *centers, int64_t *wins, int64_t *estimates)
+{
+    for (int64_t k = 0; planted != NULL && k < n; k++)
+        if (planted[k] < 0 || planted[k] >= n)
             return -1;
-    int64_t *restricted = work, *sample = work + n;
+    int64_t *restricted = work, *sample = work + n, *end = work + 2 * n, *score = restricted;
     for (int64_t t = 0; t < trials; t++) {
-        const int64_t *center = centers + t * n;
+        const uint64_t *key = sub + 4 * t;
+        int64_t *center = centers + t * n, *table = wins + t * n * n, *estimate = estimates + t * n;
+        for (int64_t k = 0; k < n; k++)
+            center[k] = planted != NULL ? planted[k] : k;
+        if (planted == NULL)
+            shuffle(center, n, key[0], 1);
         uint64_t candidate = 0;
         for (int64_t l = 0; l < r; l++) {
             int64_t m = 0;
@@ -125,12 +148,35 @@ int block_wins(int64_t trials, int64_t n, int64_t r, const int64_t *centers, con
                     uint64_t base = candidate++ * (uint64_t)n + 1;
                     m = 0;
                     for (int64_t k = 0; k < n; k++)
-                        if (draw63(selection[t], base + (uint64_t)center[k]) < threshold)
+                        if (draw63(key[1], base + (uint64_t)center[k]) < threshold)
                             restricted[m++] = center[k];
                 } while (m < 2);
             }
-            insert_row(m, mix64(profile[t] ^ mix64((uint64_t)l + GAMMA)), 0, restricted, cum, scaled, sample);
-            count_row(n, m, sample, wins + t * n * n);
+            insert_row(m, mix64(key[2] ^ mix64((uint64_t)l + GAMMA)), 0, restricted, cum, scaled, sample);
+            count_row(n, m, sample, table);
+        }
+        /* score[i]: the opponents j != i with wins[j][i] >= wins[i][j]; end[s], once the items are placed: the items
+         * of score s or less, where group s ends */
+        memset(score, 0, (size_t)n * sizeof *score);
+        memset(end, 0, (size_t)(n + 1) * sizeof *end);
+        for (int64_t i = 0; i < n; i++)
+            for (int64_t j = i + 1; j < n; j++) {
+                score[i] += table[j * n + i] >= table[i * n + j];
+                score[j] += table[i * n + j] >= table[j * n + i];
+            }
+        for (int64_t i = 0; i < n; i++)
+            end[score[i] + 1]++;
+        for (int64_t s = 0; s < n; s++)
+            end[s + 1] += end[s];
+        for (int64_t i = 0; i < n; i++)
+            estimate[end[score[i]]++] = i;
+        uint64_t before = 0;
+        for (int64_t s = 0, head = 0; s < n; head = end[s++]) {
+            int64_t size = end[s] - head;
+            if (size > 1) {
+                shuffle(estimate + head, size, key[3], before + 1);
+                before += (uint64_t)(size - 1);
+            }
         }
     }
     return 0;

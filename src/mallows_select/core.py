@@ -12,9 +12,8 @@ blocks also read.  Tuple and ``Ranking`` views are lazy.
 
 The pair count, the discordance count and the sampler's insertion pass
 (``sampling._sample_rows``) also have C forms, in ``_rows.c``, as have the
-experiment kernel's block of trials (``experiments._block_wins``), which
-draws, restricts, samples and counts every row of a block in one call,
-the windowed DP (``mle._dp_window_max``), the parser's byte pass
+experiment kernel's block of trials (``experiments._cell_block``), drawn,
+sampled, counted and estimated in one call, the windowed DP (``mle._dp_window_max``), the parser's byte pass
 (``fileio._byte_pass``) and the writer's row formatter
 (``fileio._format_rows``).  The first process that needs them builds
 the file with the system ``cc`` into the package's ``__pycache__``,
@@ -88,9 +87,9 @@ def _rows_library(directory: Path) -> ctypes.CDLL | None:
     lib.sample_rows.restype = None
     lib.pair_counts.argtypes = [int64, int64, int64, int64, pointer, pointer, pointer]
     lib.pair_counts.restype = ctypes.c_int
-    lib.block_wins.argtypes = [int64, int64, int64, pointer, pointer, pointer, pointer, uint64, pointer, pointer,
-                               pointer, pointer]
-    lib.block_wins.restype = ctypes.c_int
+    lib.cell_block.argtypes = [int64, int64, int64, pointer, pointer, pointer, uint64, pointer, pointer, pointer,
+                               pointer, pointer, pointer]
+    lib.cell_block.restype = ctypes.c_int
     lib.window_dp.argtypes = [int64, int64, pointer, pointer, pointer, pointer, pointer, pointer, pointer]
     lib.window_dp.restype = int64
     lib.scan_rows.argtypes = [ctypes.c_char_p, int64, int64, int64, ctypes.c_int, int64, int64, pointer, pointer,

@@ -9,7 +9,7 @@ wins[j][i]``, is ``wins[j][i] >= wins[i][j]``, so the scores read ``wins``
 alone.  A tie increments both sides: an exact half split, and a pair that
 never co-appears, which encodes total ignorance.  Ties in the
 resulting scores are broken uniformly at random by one array routine that
-serves one profile and a block of experiment trials alike.
+serves one profile and a numpy block of experiment trials alike.
 """
 
 from __future__ import annotations

@@ -8,23 +8,19 @@ trial index), so aggregate results are byte-identical regardless of how
 trials are scheduled across workers.
 
 All experiments reduce the rows of one cell kernel, :func:`_cell`, which
-runs a range of trials as arrays: trial keys by vectorised stream folds,
-centers by one Fisher-Yates pass over all trials, the pairwise wins of
-every trial by :func:`_block_wins`, and the positional estimate by one
-sort and tie shuffle of the scores of all trials, the routine behind the
-public estimator.  :func:`_block_wins` makes the draws and counts of the
-selection generator, the sampler and the pair counter of a single
-profile: one call of the compiled kernel of ``core`` that takes each
-trial's sets row by row from its center, where it loaded, else the sets
-of all trials as one array of CSR rows, each in its center's order,
-through the numpy forms.  Only the windowed DP of the ltn and mle
-estimators runs trial by trial, around those estimates.  The rows equal
-those of running each trial object by object, the reference kept in the
-tests.  The trials run in blocks sized by the bytes a trial holds on the
-path that runs it: the compiled path holds no per-item or per-set array,
-so a figure cell runs as one block.  A block of more than one trial
-holds at most the one working budget, ``core._BLOCK_BYTES``, its share of
-the cell's rows included, so a cell that runs as one block peaks under it.
+runs a range of trials in blocks of arrays, :func:`_cell_block`.  Where the
+compiled kernels of ``core`` loaded, one call per block draws each trial's
+center, sets and samples, counts its wins and orders its scores into the
+positional estimate.  Else the numpy forms make the same arrays: one
+Fisher-Yates pass over all centers, the draws and counts of
+:func:`_block_wins` over the sets of all trials as one array of CSR rows,
+and one sort and tie shuffle of all trials' scores, the routine behind the
+public estimator.  Only the windowed DP of the ltn and mle estimators runs
+trial by trial, around those estimates.  The rows equal those of running
+each trial object by object, the reference kept in the tests.  A block
+holds what the cell's own rows leave of the one working budget,
+``core._BLOCK_BYTES``, by the bytes a trial holds on the path that runs
+it: a figure cell runs as one compiled block.
 """
 
 from __future__ import annotations
@@ -153,6 +149,9 @@ def _cell(
     if r < 1:
         raise InfeasibleSpecError("selection sequences must contain at least one set")
     beta = check_beta(beta)
+    planted = None if center is None else np.array(center.items, dtype=np.int64)
+    if planted is not None and not np.array_equal(np.sort(planted), np.arange(n)):
+        raise ValueError(f"the planted center {center!r} is not a permutation of range({n})")
     if spec.kind in _DETERMINISTIC_KINDS:
         members, threshold = _cached_selection(spec.kind, n, p, r), None
         sizes = np.count_nonzero(members, axis=1)
@@ -166,51 +165,35 @@ def _cell(
     radius = None  # the positional estimator needs no window
     if estimator != "posest":
         radius = (pointwise_window if estimator == "ltn" else mle_window)(n, beta, p, r)
-    planted = None if center is None else np.array(center.items, dtype=np.int64)
-    # a trial's peak bytes on the path of _block_wins that runs it.  Compiled: its scores, 9 per n*n cell (the wins
-    # and their compare) and 80 per item (its rows).  numpy: its r*n membership mask and the largest of its phases (the
-    # Bernoulli loop, the sampler, the count, the scores), by bytes per uniform, item, set, pair and n*n cell
+    # a trial's peak bytes in a block, on the path that runs it.  Compiled: its wins, 8 per n*n cell, and its estimate
+    # and center rows, 16 per item.  numpy: its r*n membership mask and the largest of its phases (the Bernoulli loop,
+    # the sampler, the count, the scores and their ordering), by bytes per uniform, item, set, pair and n*n cell
     scores = (9 * n + 80) * n + 64
     phases = (33 * draws, 90 * items + 64 * r, 48 * (items + r) + 16 * pairs + 8 * n * n, 24 * items + 12 * r + scores)
-    held = scores if core._row_kernels() is not None else r * n + max(phases)
-    step = max(1, int(core._BLOCK_BYTES // held))
+    held = (8 * n + 16) * n if core._row_kernels() is not None else r * n + max(phases)
+    # every block runs beside the cell's rows and stream keys, 16 bytes per item and 40 per trial, in what they leave
+    # of the budget, and at least half of it where they take more
+    room = max(core._BLOCK_BYTES - (16 * n + 40) * len(trials), core._BLOCK_BYTES // 2)
+    step = max(1, int(room // held))
+    keys = child_key_grid(np.array([root.key], dtype=np.uint64), np.asarray(trials))[0]
+    sub = child_key_grid(keys, range(4))  # per trial: center, selection, profile and tie-break keys
     est, pi0 = np.empty((len(trials), n), dtype=np.int64), np.empty((len(trials), n), dtype=np.int64)
     for a in range(0, len(trials), step):
-        block = trials[a : a + step]
-        est[a : a + len(block)], pi0[a : a + len(block)] = _cell_block(
-            root, block, n, beta, r, members, threshold, radius, planted
-        )
+        est[a : a + step], pi0[a : a + step] = _cell_block(
+            sub[a : a + step], n, beta, r, members, threshold, radius, planted
+        )[:2]
     return est, pi0
 
 
 def _block_wins(centers, selection_keys, profile_keys, beta, r, members, threshold) -> np.ndarray:
-    """The (T, n, n) pairwise wins of a block's trials, drawn from their (T, n) centers.
+    """The (T, n, n) pairwise wins of a block's trials, drawn from their (T, n) centers, by the numpy forms.
 
     Set l of trial t is ``members[l]`` of the shared (r, n) mask or, where ``members`` is None, the l-th Bernoulli set
     of stream ``selection_keys[t]`` under ``threshold``.  Its sample is drawn on its restricted center, the center's
-    members in center order, from child l of ``profile_keys[t]``.  Where the compiled kernels of ``core`` loaded, one
-    call draws, restricts, samples and counts every row; else the numpy forms run the same rows as CSR arrays.
+    members in center order, from child l of ``profile_keys[t]``.  The sets of all trials run as one array of CSR
+    rows through the selection generator, the sampler and the pair counter.
     """
     T, n = centers.shape
-    kernels = core._row_kernels()
-    if kernels is not None:
-        if len(profile_keys) != T or len(selection_keys) != T:
-            raise ValueError(f"{T} trials need as many stream keys")
-        if members is not None and members.shape != (r, n):
-            raise ValueError(f"the membership mask must have shape ({r}, {n}), got {members.shape}")
-        wins, work = np.zeros((T, n, n), dtype=np.int64), np.empty(2 * n, dtype=np.int64)
-        cum, scaled = _insertion_weights(beta, n)
-        centers = np.ascontiguousarray(centers, np.int64)
-        mask = None if members is None else np.ascontiguousarray(members, np.bool_)
-        profile_keys, selection_keys = (np.ascontiguousarray(keys, np.uint64) for keys in (profile_keys, selection_keys))
-        failed = kernels.block_wins(
-            T, n, r, centers.ctypes.data, profile_keys.ctypes.data, None if mask is None else mask.ctypes.data,
-            selection_keys.ctypes.data, int(threshold or 0), cum.ctypes.data, scaled.ctypes.data, work.ctypes.data,
-            wins.ctypes.data,
-        )
-        if failed:
-            raise IndexError(f"a center holds an item outside [0, {n})")
-        return wins
     # memberships in center coordinates: column k is the trial's k-th center item
     if members is None:
         in_center = np.take_along_axis(_bernoulli_members(selection_keys, n, r, threshold)[0], centers[:, None, :], axis=2)
@@ -223,17 +206,35 @@ def _block_wins(centers, selection_keys, profile_keys, beta, r, members, thresho
     return _pair_counts(n, offsets, samples, groups=T)
 
 
-def _cell_block(root, trials, n, beta, r, members, threshold, radius, planted) -> tuple[np.ndarray, np.ndarray]:
-    """The (estimate, center) rows of a block of trials, computed as arrays; see :func:`_cell`."""
-    keys = child_key_grid(np.array([root.key], dtype=np.uint64), np.asarray(trials))[0]
-    sub = child_key_grid(keys, range(4))  # per trial: center, selection, profile and tie-break keys
-    centers = permutation_rows(sub[:, 0], n) if planted is None else np.tile(planted, (len(keys), 1))
-    wins = _block_wins(centers, sub[:, 1], sub[:, 2], beta, r, members, threshold)
-    est = _order_by_scores(_beaten_by(wins), sub[:, 3])
+def _cell_block(sub, n, beta, r, members, threshold, radius, planted) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (estimate, center) rows and the (T, n, n) wins of the trials whose center, selection, profile and tie-break
+    keys are the rows of the (T, 4) ``sub``, by one compiled call or by the numpy forms; see :func:`_cell`."""
+    T, kernels = len(sub), core._row_kernels()
+    if kernels is None:
+        centers = permutation_rows(sub[:, 0], n) if planted is None else np.tile(planted, (T, 1))
+        wins = _block_wins(centers, sub[:, 1], sub[:, 2], beta, r, members, threshold)
+        est = _order_by_scores(_beaten_by(wins), sub[:, 3])
+    else:
+        if sub.shape != (T, 4) or (planted is not None and planted.shape != (n,)):
+            raise ValueError(f"{T} trials need four stream keys each and a planted center of {n} items")
+        if members is not None and members.shape != (r, n):
+            raise ValueError(f"the membership mask must have shape ({r}, {n}), got {members.shape}")
+        est, centers, wins = np.empty((T, n), np.int64), np.empty((T, n), np.int64), np.zeros((T, n, n), np.int64)
+        cum, scaled = _insertion_weights(beta, n)
+        sub, work = np.ascontiguousarray(sub, np.uint64), np.empty(3 * n + 1, dtype=np.int64)
+        planted = None if planted is None else np.ascontiguousarray(planted, np.int64)
+        mask = None if members is None else np.ascontiguousarray(members, np.bool_)
+        failed = kernels.cell_block(
+            T, n, r, sub.ctypes.data, None if planted is None else planted.ctypes.data,
+            None if mask is None else mask.ctypes.data, int(threshold or 0), cum.ctypes.data, scaled.ctypes.data,
+            work.ctypes.data, centers.ctypes.data, wins.ctypes.data, est.ctypes.data,
+        )
+        if failed:
+            raise IndexError(f"the planted center holds an item outside [0, {n})")
     if radius is not None:  # the windowed DP refines each anchor trial by trial
-        for t in range(len(keys)):
+        for t in range(T):
             est[t] = _recover_from_counts(PairwiseCounts(wins[t]), radius, est[t])[0]
-    return est, centers
+    return est, centers, wins
 
 
 def _prefix_matches(est: np.ndarray, pi0: np.ndarray, k: int) -> int:

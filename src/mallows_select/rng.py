@@ -4,7 +4,7 @@ Every randomized routine in this package draws from a :class:`Stream`.
 Streams are cheap value objects: a 64-bit key plus a draw counter.  The
 i-th draw of a stream is ``mix64(key + i*GAMMA)``, drawn in numpy blocks
 by :func:`mix64_array`, the one mixer; :func:`shuffle_runs` is the one
-Fisher-Yates pass.  Child streams are derived from the parent key and an
+Fisher-Yates pass (the C trial block mirrors both).  Child streams are derived from the parent key and an
 integer path, never from the draw position, which makes any tree of
 substreams reproducible regardless of evaluation order or thread count.
 """

@@ -286,6 +286,8 @@ cells = [
     dict(n=3, beta=1.0, p=0.04, r=20, selection_kind="bernoulli_random"),
     dict(n=8, beta=1.0, p=0.5, r=5, selection_kind="adversarial_matching", center=Ranking.identity(8)),
     dict(n=6, beta=2.0, p=0.5, r=6, selection_kind="mixed_pfrequent", estimator="ltn"),
+    dict(n=20, beta=2.0, p=1.0, r=2, selection_kind="complete", center=Ranking.identity(20)),
+    dict(n=2, beta=1.0, p=1.0, r=2, selection_kind="complete"),
 ]
 selection = generate_selection(SelectionSpec("bernoulli_random", 30, 0.25), 200, Stream.from_seed(5))
 params = MallowsParams(Ranking(Stream.from_seed(6).permutation(30)), 0.7)
@@ -439,10 +441,11 @@ class TestCompiledRowKernels:
 
     @needs_cc
     def test_the_kernels_run_clean_under_the_undefined_behaviour_sanitizer(self, tmp_path):
-        # a build that aborts at the first undefined operation runs figure cells (an ltn cell among them), a sampled
-        # profile and its count, the windowed DP at every radius below n = 1, 2, 9 and 14, the byte pass of a
-        # files_io-sized file and of a body for each way it declines, a likelihood, and the writer on that file's
-        # profile and on a one-row selection, each equal to the numpy forms' result
+        # a build that aborts at the first undefined operation runs figure cells (an ltn cell, a planted cell whose two
+        # complete sets leave many scores tied, and an n = 2 cell among them), a sampled profile and its count, the
+        # windowed DP at every radius below n = 1, 2, 9 and 14, the byte pass of a files_io-sized file and of a body
+        # for each way it declines, a likelihood, and the writer on that file's profile and on a one-row selection,
+        # each equal to the numpy forms' result
         src = str(Path(core.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         result = subprocess.run(

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,7 @@ from mallows_select.experiments import (
     run_distance_experiment,
     run_topk_experiment,
 )
-from mallows_select.rng import Stream, child_key_grid, permutation_rows
+from mallows_select.rng import Stream, child_key_grid
 from mallows_select.sampling import SelectionSpec, _bernoulli_threshold
 
 
@@ -411,7 +412,9 @@ def cell_cases(draw):
 
 
 class TestBlockWins:
-    """``experiments._block_wins``, the trial-block seam, gives the same (T, n, n) wins on both row-kernel paths."""
+    """``experiments._cell_block``, the trial-block seam, gives the same (estimate, center, wins) on both row-kernel
+    paths: one compiled call, and the numpy chain of ``permutation_rows``, ``_block_wins``, ``_beaten_by`` and
+    ``_order_by_scores``."""
 
     @staticmethod
     def both_paths(seed, trials, n, beta, p, r, selection_kind, center=None, **_):
@@ -421,12 +424,12 @@ class TestBlockWins:
         else:
             members, threshold = xp._cached_selection(selection_kind, n, p, r), None
         sub = child_key_grid(Stream.from_seed(seed).child_keys(trials), range(4))
-        centers = permutation_rows(sub[:, 0], n) if center is None else np.tile(center.items, (trials, 1))
-        wins = []
+        planted = None if center is None else np.array(center.items, dtype=np.int64)
+        blocks = []
         with pytest.MonkeyPatch.context() as patch:
             for _ in row_kernel_paths(patch):
-                wins.append(xp._block_wins(centers, sub[:, 1], sub[:, 2], beta, r, members, threshold))
-        return wins
+                blocks.append(xp._cell_block(sub, n, beta, r, members, threshold, None, planted))
+        return blocks
 
     @settings(max_examples=150, deadline=None)
     @given(case=cell_cases(), beta=st.floats(0.05, 40.0), seed=st.integers(0, 2**32), trials=st.integers(1, 6))
@@ -434,24 +437,40 @@ class TestBlockWins:
     @example(case=dict(n=3, p=0.04, r=30, selection_kind="bernoulli_random"), beta=1.0, seed=0, trials=6)
     @example(case=dict(n=20, p=1 / 6, r=256, selection_kind="bernoulli_random"), beta=2.0, seed=1, trials=3)
     @example(case=dict(n=20, p=1 / 6, r=256, selection_kind="mixed_pfrequent"), beta=2.0, seed=2, trials=3)
-    def test_compiled_wins_equal_the_numpy_wins(self, case, beta, seed, trials):
+    # one sample of all 20 items, whose scores are its positions, so no tie; then tie-heavy blocks: two such samples,
+    # two items, the planted identity under the starved matching, and the rejection tail on two sets
+    @example(case=dict(n=20, p=1.0, r=1, selection_kind="complete"), beta=2.0, seed=3, trials=6)
+    @example(case=dict(n=20, p=1.0, r=2, selection_kind="complete"), beta=2.0, seed=3, trials=6)
+    @example(case=dict(n=2, p=1.0, r=2, selection_kind="complete"), beta=0.3, seed=4, trials=6)
+    @example(
+        case=dict(n=8, p=0.5, r=5, selection_kind="adversarial_matching", center=Ranking.identity(8)),
+        beta=1.0, seed=5, trials=6,
+    )
+    @example(case=dict(n=3, p=0.04, r=2, selection_kind="bernoulli_random"), beta=1.0, seed=6, trials=6)
+    def test_compiled_block_equals_the_numpy_block(self, case, beta, seed, trials):
         compiled, numpy = self.both_paths(seed, trials, **{**case, "beta": beta})
-        assert compiled.shape == numpy.shape == (trials, case["n"], case["n"])
-        assert compiled.dtype == numpy.dtype and np.array_equal(compiled, numpy)
+        n = case["n"]
+        for native, reference in zip(compiled, numpy, strict=True):
+            assert native.dtype == reference.dtype and np.array_equal(native, reference)
+        est, centers, wins = compiled
+        assert est.shape == centers.shape == (trials, n) and wins.shape == (trials, n, n)
+        assert (np.sort(est, axis=1) == np.arange(n)).all() and (np.sort(centers, axis=1) == np.arange(n)).all()
         # every kept set has two members or more, and the counts are of its samples' pairs
-        assert (compiled + compiled.transpose(0, 2, 1)).sum() >= 2 * case["r"] * trials
+        assert (wins + wins.transpose(0, 2, 1)).sum() >= 2 * case["r"] * trials
 
     def test_inputs_the_compiled_kernel_would_read_past_are_refused(self):
         if core._row_kernels() is None:
             pytest.skip("the compiled row kernels did not load")
-        members, centers = xp._cached_selection("complete", 3, 1.0, 2), np.array([[0, 1, 2], [2, 0, 1]])
-        keys = Stream.from_seed(0).child_keys(2)
+        members = xp._cached_selection("complete", 3, 1.0, 2)
+        sub = child_key_grid(Stream.from_seed(0).child_keys(2), range(4))
         with pytest.raises(IndexError, match="outside"):
-            xp._block_wins(np.array([[0, 1, 2], [0, 3, 1]]), keys, keys, 1.0, 2, members, None)
-        with pytest.raises(ValueError, match="as many stream keys"):
-            xp._block_wins(centers, keys[:1], keys[:1], 1.0, 2, members, None)
+            xp._cell_block(sub, 3, 1.0, 2, members, None, None, np.array([0, 3, 1]))
+        with pytest.raises(ValueError, match="four stream keys"):
+            xp._cell_block(sub[:, :3], 3, 1.0, 2, members, None, None, None)
+        with pytest.raises(ValueError, match="planted center of 3 items"):
+            xp._cell_block(sub, 3, 1.0, 2, members, None, None, np.array([0, 1]))
         with pytest.raises(ValueError, match="must have shape"):
-            xp._block_wins(centers, keys, keys, 1.0, 3, members, None)
+            xp._cell_block(sub, 3, 1.0, 3, members, None, None, None)
 
 
 class TestTrialKernel:
@@ -550,6 +569,15 @@ class TestTrialKernel:
             xp._cell(root, range(3), 5, 1.0, 1.0, 4, "borda")
         with pytest.raises(ValueError, match="over the limit of 2"):
             xp._cell(root, range(3), 40, 1.0, 1e-6, 10**6, "bernoulli_random")
+        # a planted center that is not a permutation of range(n): too short, on a deterministic and a random kind, or
+        # with a repeated item
+        for n, kind, center in (
+            (4, "complete", Ranking.identity(3)),
+            (4, "bernoulli_random", Ranking.identity(3)),
+            (4, "complete", Ranking([0, 1, 2, 2], validate=False)),
+        ):
+            with pytest.raises(ValueError, match=rf"planted center {re.escape(repr(center))} is not a permutation"):
+                xp._cell(root, range(3), n, 1.0, 0.5, 4, kind, center=center)
 
     FIGURE_CELLS = [(kind, p, r) for kind in ("mixed_pfrequent", "bernoulli_random")
                     for p, r in ((1, 8), (1, 32), (1 / 2, 32), (1 / 6, 128), (1 / 6, 256))]

@@ -16,7 +16,7 @@ ROW_KERNELS = {
 COMPILED_CALLERS = {
     "sample_rows": ("sampling.py", "_sample_rows"),
     "pair_counts": ("core.py", "_pair_counts"),
-    "block_wins": ("experiments.py", "_block_wins"),
+    "cell_block": ("experiments.py", "_cell_block"),
     "window_dp": ("mle.py", "_dp_window_max"),
     "scan_rows": ("fileio.py", "_byte_pass"),
     "row_inversions": ("core.py", "_discordances"),
