@@ -18,13 +18,7 @@ from pathlib import Path
 from . import experiments as xp
 from .core import MallowsParams, Ranking
 from .estimators import positional_estimator, top_k
-from .fileio import (
-    FileFormatError,
-    collect_profile_errors,
-    format_profile,
-    format_selection,
-    parse_profile,
-)
+from .fileio import collect_profile_errors, format_profile, format_selection, parse_profile
 from .mle import BudgetExceededError, _check_dp_settings, recover_likelier_than_nature, recover_mle
 from .rng import Stream
 from .sampling import InfeasibleSpecError, SelectionSpec, _check_frequency, generate_selection, sample_profile
@@ -310,15 +304,9 @@ def dispatch(argv: list[str]) -> int:
         if args.command.startswith("exp-") and args.threads is None:
             args.threads = _default_threads(parser)
         return _COMMANDS[args.command](args)
-    except (
-        InfeasibleSpecError,
-        BudgetExceededError,
-        FileFormatError,
-        xp.SearchCapError,
-        ValueError,
-        OSError,
-    ) as exc:
-        print(f"mallows-select: error: {exc}", file=sys.stderr)
+    # ValueError covers FileFormatError and InfeasibleSpecError; a MemoryError is a setting too large for the host
+    except (BudgetExceededError, xp.SearchCapError, ValueError, OSError, MemoryError) as exc:
+        print(f"mallows-select: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -10,21 +10,25 @@ and word every error: the lines are those of ``str.splitlines``, blank
 lines are skipped and take no line number, and a token is whatever
 ``int`` reads after the line is stripped, so spaces around a token, a
 ``+`` sign, ``_`` separators and non-ASCII digits are accepted.  A file
-is read whole or declined by a byte pass over the UTF-8 of all non-blank
-lines: one pass of ``scan_rows`` in ``_rows.c`` where core's compiled
-kernels load, and array operations otherwise, with the same result.  It
-reads a file whose lines all take the form that :func:`format_profile`
-writes, or all the form of :func:`format_selection`, and whose
-invariants all hold: the line shape, no empty token, no duplicate, every
-item in ``[0, n)``, a set of at least two, a ranking whose items are the
-set's.  Its arrays are then the file's, and the common file builds no
-per-line object.  It declines any other file at its first failed check,
-and the whole file is read line by line by the per-line checks instead,
-so a file reads, and fails, exactly as it would line by line, errors and
-their order included.  Readers pass the CSR arrays to the core types as
-they are.  Writers read them: one pass of ``format_rows`` in ``_rows.c``
-writes every line into one buffer where the compiled kernels load, and
-the rows are joined from per-item labels otherwise, with the same bytes.
+whose header line ends at the first newline is read whole or declined by
+a byte pass over the UTF-8 of the text after that line: one pass of
+``scan_rows`` in ``_rows.c`` where core's compiled kernels load, and
+array operations otherwise, with the same result.  It reads a body whose
+lines each end in a newline and all take the form that
+:func:`format_profile` writes, or all the form of
+:func:`format_selection`, and whose invariants all hold: the line shape,
+no empty token, no duplicate, every item in ``[0, n)``, a set of at
+least two, a ranking whose items are the set's.  Its arrays are then the
+file's, and the common file builds no per-line object.  It declines any
+other body at its first failed check, and only then, or where the header
+ends otherwise, is the text split into lines.  The byte pass reads its
+non-blank lines again, each ended by a newline, and a file it declines
+again is read line by line by the per-line checks, so a file reads, and
+fails, exactly as it would line by line, errors and their order
+included.  Readers pass the CSR arrays to the core types as they are.
+Writers read them: one pass of ``format_rows`` in ``_rows.c`` writes
+every line into one buffer where the compiled kernels load, and the rows
+are joined from per-item labels otherwise, with the same bytes.
 """
 
 from __future__ import annotations
@@ -165,40 +169,40 @@ def _positions(mask: np.ndarray) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int32)
 
 
-def _byte_pass(body: list[str], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None] | None:
-    """Read every line of ``body`` at once from its bytes, or decline the whole file.
+def _byte_pass(data: bytes, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None] | None:
+    """Read every line of ``data``, the UTF-8 of a file's body after its header line, or decline the whole file.
 
     Returns ``(offsets, set_items, rank_items)``, the CSR arrays of the
     lines in order, sets sorted, when every line is canonical and valid,
-    and None as soon as any check fails.  All lines must take the layout
-    of the first: ``S:<set>|R:<ranking>``, or ``S:<set>``, for which
-    ``rank_items`` is None; an empty body reads as the former.  Each part
-    is runs of at most nine ASCII digits joined by single commas, a set
-    holds at least two distinct items below n, and a ranking is a
-    permutation of its set.  The C pass reads the bytes once into arrays
-    sized by the token count, commas plus one per part; the numpy form,
-    :func:`_numpy_byte_pass`, reads them with array operations.
+    and None as soon as any check fails.  All lines, each ended by a
+    newline, take the layout of the first: ``S:<set>|R:<ranking>``, or
+    ``S:<set>``, for which ``rank_items`` is None; an empty body reads as
+    the former.  Each part is runs of at most nine ASCII digits joined by
+    single commas, a set holds at least two distinct items below n, and a
+    ranking is a permutation of its set.  The C pass reads the bytes once
+    into arrays sized by the token count, commas plus one per part; the
+    numpy form, :func:`_numpy_byte_pass`, reads them with array operations.
     """
-    data = "\n".join([*body, ""]).encode(errors="surrogatepass")
+    lines = data.count(b"\n")
+    parts = 2 if not lines or b"|" in data[: data.index(b"\n")] else 1
+    tokens = data.count(b",") + lines * parts
+    if tokens % parts or (data and not data.endswith(b"\n")):
+        return None
     kernels = core._row_kernels()
     if kernels is None:
-        return _numpy_byte_pass(data, len(body), n)
-    parts = 2 if not body or "|" in body[0] else 1
-    tokens = data.count(b",") + len(body) * parts
-    if tokens % parts:
-        return None
-    offsets, stamp = np.empty(len(body) + 1, np.int64), np.zeros(n, np.int64)
+        return _numpy_byte_pass(data, n)
+    offsets, stamp = np.empty(lines + 1, np.int64), np.zeros(n, np.int64)
     set_items = np.empty(tokens // parts, np.int64)
     rank_items = np.empty(len(set_items), np.int64) if parts == 2 else None
     failed = kernels.scan_rows(
-        data, len(data), len(body), n, parts == 2, len(set_items), len(set_items), stamp.ctypes.data,
+        data, len(data), lines, n, parts == 2, len(set_items), len(set_items), stamp.ctypes.data,
         offsets.ctypes.data, set_items.ctypes.data, None if rank_items is None else rank_items.ctypes.data,
     )
     return None if failed else (offsets, set_items, rank_items)
 
 
-def _numpy_byte_pass(text: bytes, lines: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None] | None:
-    """:func:`_byte_pass` by array operations over ``text``, its ``lines`` each ended by a newline: the fallback.
+def _numpy_byte_pass(text: bytes, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None] | None:
+    """:func:`_byte_pass` by array operations over ``text``, empty or ended by a newline: the fallback.
 
     A file of one layout holds that layout's bytes on every line and no
     other byte but digits and commas, so the count of those bytes picks
@@ -208,6 +212,7 @@ def _numpy_byte_pass(text: bytes, lines: int, n: int) -> tuple[np.ndarray, np.nd
     data = np.frombuffer(text, dtype=np.uint8)
     cls = _BYTE_CLASS[data]
     ends = _positions(data == 10)  # line i ends at ends[i]
+    lines = len(ends)
     starts = np.concatenate(([0], ends + 1))[:lines].astype(np.int32)
 
     # line shape: row i of the marks is line i's layout bytes, as no line holds a newline but at its end;
@@ -266,18 +271,21 @@ def _scan(text: str) -> tuple[float | None, SelectionSequence, np.ndarray, bool]
     whether any line is selection-only (its ranking row repeats its set).
     Every invariant the core types check on construction has been checked.
     """
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
+    head, _, rest = text.partition("\n")
+    first = head.splitlines()[:1]  # the text's first line, as str.splitlines reads it
+    if not first or not first[0].strip():
         raise FileFormatError([_err(1, "missing header line")])
-    n, r, beta = _parse_header(lines[0])
+    n, r, beta = _parse_header(first[0])
 
-    errors: list[dict] = []
-    body = [ln for ln in lines[1:] if ln.strip()]
-    if len(body) != r:
-        errors.append(_err(1, f"header declares r={r} but file holds {len(body)} sample lines"))
-    read = _byte_pass(body, n)
-    # a file the byte pass reads gives no line error, so a declined file is read, and fails, wholly line by line
+    # the byte pass takes the rest of a header ended by the first newline; only a file it declines is split into lines,
+    # and its non-blank lines, which may still all be canonical between other line breaks, take the byte pass again
+    read = _byte_pass(rest.encode(errors="surrogatepass"), n) if first == [head] else None
+    body = [] if read is not None else [ln for ln in text.splitlines()[1:] if ln.strip()]
+    if read is None:
+        read = _byte_pass("".join(f"{line}\n" for line in body).encode(errors="surrogatepass"), n)
     checked = [] if read is not None else [_check_line(line, i + 2, n) for i, line in enumerate(body)]
+    count = len(body) if read is None else len(read[0]) - 1
+    errors = [] if count == r else [_err(1, f"header declares r={r} but file holds {count} sample lines")]
     errors += [c for c in checked if isinstance(c, dict)]
     if errors:
         raise FileFormatError(errors)

@@ -299,11 +299,13 @@ windows = [(wins, radius) for n in (1, 2, 9, 14) for wins in (rng.integers(0, 3,
 big = sample_profile(MallowsParams(Ranking.identity(100), 1.0),
                      generate_selection(SelectionSpec("bernoulli_random", 100, 0.25), 2000, Stream.from_seed(9)),
                      Stream.from_seed(10))
-bodies = [(fileio.format_profile(big).splitlines()[1:], 100)] + [(body, 4) for body in (
-    ["S:0000000001,2|R:2,0000000001"], ["S:000000001,3|R:3,000000001"], ["S:0,4|R:4,0"], ["S:1,1|R:1,1"],
-    ["S:3,0,2|R:2,3,0"], ["S:0,1,2|R:1,0"], ["S:0,1|R:1,0,2"], ["S:0,1|R:1,\u00e90"], ["S:0,1|R:1,0", "S:2,3"],
-    ["S:2,3", "S:0,1|R:1,0"], ["S:0,1,3", "S:3,2"], [], ["S:,0,1"], ["S:0,1|R:1,0,"], ["S:0"],
-)]
+# the two bodies without a final newline, which _byte_pass declines before any pass, are also read by scan_rows itself
+unended = [b"S:0,1|R:1,0", b"S:0,1|R:1,0\\n12,3"]
+bodies = [(fileio.format_profile(big).partition("\\n")[2].encode(), 100)] + [(body.encode(), 4) for body in (
+    "S:0000000001,2|R:2,0000000001\\n", "S:000000001,3|R:3,000000001\\n", "S:0,4|R:4,0\\n", "S:1,1|R:1,1\\n",
+    "S:3,0,2|R:2,3,0\\n", "S:0,1,2|R:1,0\\n", "S:0,1|R:1,0,2\\n", "S:0,1|R:1,\u00e90\\n", "S:0,1|R:1,0\\nS:2,3\\n",
+    "S:2,3\\nS:0,1|R:1,0\\n", "S:0,1,3\\nS:3,2\\n", "", "S:,0,1\\n", "S:0,1|R:1,0,\\n", "S:0\\n",
+)] + [(body, 4) for body in unended]
 one_row = generate_selection(SelectionSpec("bernoulli_random", 101, 0.25), 1, Stream.from_seed(12))
 
 
@@ -320,6 +322,11 @@ def outputs():
 
 core._row_kernels = lambda: sanitized
 compiled = outputs()
+# scan_rows' own checks of the end: a text left unread, as no line was counted, and a last byte that is not a newline
+stamp, out = np.zeros(4, np.int64), np.empty(6, np.int64)
+for body in unended:
+    args = (4, 1, 2, 2, stamp.ctypes.data, out.ctypes.data, out[2:].ctypes.data, out[4:].ctypes.data)
+    assert sanitized.scan_rows(body, len(body), body.count(b"\\n"), *args) == 1
 core._row_kernels = lambda: None
 assert all(np.array_equal(a, b) for a, b in zip(compiled, outputs(), strict=True))
 print("equal")
@@ -445,7 +452,7 @@ class TestCompiledRowKernels:
         # complete sets leave many scores tied, and an n = 2 cell among them), a sampled profile and its count, the
         # windowed DP at every radius below n = 1, 2, 9 and 14, the byte pass of a files_io-sized file and of a body
         # for each way it declines, a likelihood, and the writer on that file's profile and on a one-row selection,
-        # each equal to the numpy forms' result
+        # each equal to the numpy forms' result, and scan_rows itself on the two bodies without a final newline
         src = str(Path(core.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         result = subprocess.run(

@@ -493,7 +493,9 @@ class TestTrialKernel:
     @pytest.mark.parametrize(
         "case",
         [
-            dict(n=20, beta=2.0, p=1.0, r=1, selection_kind="complete", estimator="posest"),  # ties in most trials
+            # complete n = 20: one sample scores each item by its position, so r = 1 has no tie; r = 2 ties every trial
+            dict(n=20, beta=2.0, p=1.0, r=1, selection_kind="complete", estimator="posest"),
+            dict(n=20, beta=2.0, p=1.0, r=2, selection_kind="complete", estimator="posest"),
             dict(n=20, beta=2.0, p=1 / 6, r=49, selection_kind="mixed_pfrequent", estimator="posest"),
             dict(n=20, beta=2.0, p=1 / 6, r=64, selection_kind="bernoulli_random", estimator="posest"),
             dict(n=3, beta=1.0, p=0.04, r=20, selection_kind="bernoulli_random", estimator="posest"),

@@ -231,9 +231,11 @@ def _both_readings(text):
 
 
 def _byte_passes(body, n):
-    """``fileio._byte_pass`` of one body on each row-kernel path: the compiled pass, then the numpy form."""
+    """``fileio._byte_pass`` of one body, its text or its lines, on each row-kernel path: the compiled pass, then the
+    numpy form.  Lines are each ended by a newline."""
+    text = body if isinstance(body, str) else "".join(f"{line}\n" for line in body)
     with pytest.MonkeyPatch.context() as patch:
-        return [fileio._byte_pass(body, n) for _ in row_kernel_paths(patch)]
+        return [fileio._byte_pass(text.encode(errors="surrogatepass"), n) for _ in row_kernel_paths(patch)]
 
 
 def _same_pass(body, n):
@@ -255,15 +257,15 @@ _MUTATIONS = "0123456789,|RS: -\u00e9\u0663\n"
 
 @st.composite
 def mutated_bodies(draw):
-    """``(body, n)``: the sample lines of a written profile or selection file, as ``fileio._scan`` passes them, with
-    at most one character replaced, put in or taken out."""
+    """``(body, n)``: the text after the header line of a written profile or selection file, as ``fileio._scan``
+    passes it, with at most one character replaced, put in or taken out."""
     text = draw(st.one_of(profile_texts(), selection_texts()))
     header, _, rest = text.partition("\n")
     at, kind = draw(st.integers(0, len(rest))), draw(st.sampled_from(["none", "replace", "insert", "delete"]))
     put = draw(st.sampled_from(_MUTATIONS))
     rest = {"none": rest, "replace": rest[:at] + put + rest[at + 1 :], "insert": rest[:at] + put + rest[at:],
             "delete": rest[:at] + rest[at + 1 :]}[kind]
-    return [line for line in rest.splitlines() if line.strip()], int(header.split(",")[0])
+    return rest, int(header.split(",")[0])
 
 
 class TestCompiledBytePass:
@@ -456,6 +458,53 @@ class TestByteParser:
         ]
         assert _both_readings(text) == (errors, errors)
         assert collect_profile_errors(text) == errors
+
+    # the errors of a digit tail after the last newline, and of a text without a header line
+    TAIL = [{"line": 1, "message": "header declares r=1 but file holds 2 sample lines"},
+            {"line": 3, "message": "sample line must start with 'S:'"}]
+    HEADLESS = [{"line": 1, "message": "missing header line"}]
+
+    @pytest.mark.parametrize(
+        "text, errors",
+        [
+            ("4,1\r\nS:0,1|R:1,0\r\n", None),  # CRLF throughout
+            ("4,1\x85\nS:0,1|R:1,0\n", None),  # headers that str.splitlines ends before the first newline
+            ("4,1\u2028\nS:0,1|R:1,0\n", None),
+            ("4,1\x0c\nS:0,1|R:1,0\n", None),
+            ("4,2\u2028S:0,1|R:1,0\nS:2,3|R:3,2\n", None),  # a sample line before the first newline
+            ("4,1\nS:0,1|R:1,0", None),  # no final newline
+            ("4,1\nS:0,1|R:1,0\n12,3", TAIL),  # digit tails: one of an odd count of tokens, one of an even count
+            ("4,1\nS:0,1|R:1,0\n12", TAIL),
+            ("4,1\nS:0,1|R:1,0\n\n \n", None),  # trailing blank lines
+            ("4,0", None),
+            ("4,0\n", None),
+            ("", HEADLESS),
+            ("\n4,0\n", HEADLESS),
+        ],
+    )
+    def test_texts_at_the_branch_to_the_line_reader_read_as_the_per_line_checks_do(self, text, errors):
+        new, old = _both_readings(text)
+        assert new == old
+        assert isinstance(new, tuple) if errors is None else new == errors
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(profile_texts(), selection_texts()), st.sampled_from(["\n", "\r\n", "\n\n", "\n \t\n", "\x0c"]))
+    def test_written_files_never_reach_the_per_line_checks(self, text, newline):
+        # a written file is never split into lines; between other line breaks or among blank lines, its lines are, and
+        # the byte pass reads them again
+        class Unsplit(str):
+            def splitlines(self, *args):
+                raise AssertionError("a written file was split into lines")
+
+        def refuse(*args):
+            raise AssertionError("a written file was read line by line")
+
+        text = text.replace("\n", newline)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fileio, "_check_line", refuse)
+            readings = [_scan_reading(Unsplit(text) if newline == "\n" else text) for _ in row_kernel_paths(patch)]
+        new, old = _both_readings(text)
+        assert readings == [new, new] and new == old and isinstance(new, tuple)
 
     def test_lazy_views_equal_an_eager_profile(self):
         selection = generate_selection(SelectionSpec(kind="bernoulli_random", n=12, p=0.3), 40, Stream.from_seed(5))
