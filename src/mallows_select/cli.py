@@ -306,7 +306,8 @@ def dispatch(argv: list[str]) -> int:
         return _COMMANDS[args.command](args)
     # ValueError covers FileFormatError and InfeasibleSpecError; a MemoryError is a setting too large for the host
     except (BudgetExceededError, xp.SearchCapError, ValueError, OSError, MemoryError) as exc:
-        print(f"mallows-select: error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        reason = "out of memory" if isinstance(exc, MemoryError) and not str(exc) else exc
+        print(f"mallows-select: error: {reason}", file=sys.stderr)
         return 2
 
 

@@ -9,26 +9,22 @@ The per-line checks of :func:`_check_line` define the accepted language
 and word every error: the lines are those of ``str.splitlines``, blank
 lines are skipped and take no line number, and a token is whatever
 ``int`` reads after the line is stripped, so spaces around a token, a
-``+`` sign, ``_`` separators and non-ASCII digits are accepted.  A file
-whose header line ends at the first newline is read whole or declined by
-a byte pass over the UTF-8 of the text after that line: one pass of
-``scan_rows`` in ``_rows.c`` where core's compiled kernels load, and
-array operations otherwise, with the same result.  It reads a body whose
-lines each end in a newline and all take the form that
-:func:`format_profile` writes, or all the form of
-:func:`format_selection`, and whose invariants all hold: the line shape,
-no empty token, no duplicate, every item in ``[0, n)``, a set of at
-least two, a ranking whose items are the set's.  Its arrays are then the
-file's, and the common file builds no per-line object.  It declines any
-other body at its first failed check, and only then, or where the header
-ends otherwise, is the text split into lines.  The byte pass reads its
-non-blank lines again, each ended by a newline, and a file it declines
-again is read line by line by the per-line checks, so a file reads, and
-fails, exactly as it would line by line, errors and their order
-included.  Readers pass the CSR arrays to the core types as they are.
-Writers read them: one pass of ``format_rows`` in ``_rows.c`` writes
-every line into one buffer where the compiled kernels load, and the rows
-are joined from per-item labels otherwise, with the same bytes.
+``+`` sign, ``_`` separators and non-ASCII digits are accepted.  The
+UTF-8 of the text after the header line is read whole or declined by a
+byte pass: one pass of ``scan_rows`` in ``_rows.c`` where core's
+compiled kernels load, and array operations otherwise, with the same
+result.  It reads a body whose lines, ended by ``\\n`` or ``\\r\\n`` and
+blank only at its ends, all take the form that :func:`format_profile`
+writes, or all the form of :func:`format_selection`, and whose
+invariants all hold: the line shape, no empty token, no duplicate, every
+item in ``[0, n)``, a set of at least two, a ranking whose items are the
+set's.  Its arrays are then the file's.  Only a file it declines is
+split into lines, for the per-line checks, so a file reads, and fails,
+exactly as it would line by line, errors and their order included.
+Readers pass the CSR arrays to the core types as they are.  Writers read
+them: one pass of ``format_rows`` in ``_rows.c`` writes every line into
+one buffer where the compiled kernels load, and the rows are joined from
+per-item labels otherwise, with the same bytes.
 """
 
 from __future__ import annotations
@@ -183,14 +179,16 @@ def _byte_pass(data: bytes, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray 
     into arrays sized by the token count, commas plus one per part; the
     numpy form, :func:`_numpy_byte_pass`, reads them with array operations.
     """
-    lines = data.count(b"\n")
-    parts = 2 if not lines or b"|" in data[: data.index(b"\n")] else 1
-    tokens = data.count(b",") + lines * parts
-    if tokens % parts or (data and not data.endswith(b"\n")):
+    if data and not data.endswith(b"\n"):
         return None
     kernels = core._row_kernels()
     if kernels is None:
         return _numpy_byte_pass(data, n)
+    lines = data.count(b"\n")
+    parts = 2 if not lines or b"|" in data[: data.index(b"\n")] else 1
+    tokens = data.count(b",") + lines * parts
+    if tokens % parts:
+        return None
     offsets, stamp = np.empty(lines + 1, np.int64), np.zeros(n, np.int64)
     set_items = np.empty(tokens // parts, np.int64)
     rank_items = np.empty(len(set_items), np.int64) if parts == 2 else None
@@ -277,12 +275,13 @@ def _scan(text: str) -> tuple[float | None, SelectionSequence, np.ndarray, bool]
         raise FileFormatError([_err(1, "missing header line")])
     n, r, beta = _parse_header(first[0])
 
-    # the byte pass takes the rest of a header ended by the first newline; only a file it declines is split into lines,
-    # and its non-blank lines, which may still all be canonical between other line breaks, take the byte pass again
-    read = _byte_pass(rest.encode(errors="surrogatepass"), n) if first == [head] else None
+    # the body after a header line ended by "\n" or "\r\n" takes the byte pass, "\r\n" read as "\n", the blank lines at
+    # its ends dropped and a final newline put in; only a file it declines is split into lines
+    data = (rest.replace("\r\n", "\n") if "\r" in rest else rest).encode(errors="surrogatepass")
+    if data[:1] == b"\n" or not data.endswith(b"\n") or data.endswith(b"\n\n"):
+        data = (data.strip(b"\n") + b"\n").lstrip(b"\n")
+    read = _byte_pass(data, n) if first == [head.removesuffix("\r")] else None
     body = [] if read is not None else [ln for ln in text.splitlines()[1:] if ln.strip()]
-    if read is None:
-        read = _byte_pass("".join(f"{line}\n" for line in body).encode(errors="surrogatepass"), n)
     checked = [] if read is not None else [_check_line(line, i + 2, n) for i, line in enumerate(body)]
     count = len(body) if read is None else len(read[0]) - 1
     errors = [] if count == r else [_err(1, f"header declares r={r} but file holds {count} sample lines")]

@@ -183,16 +183,22 @@ class TestCliErrors:
         assert code == 2
         assert "error" in err
 
-    @pytest.mark.parametrize("error", [MemoryError("Unable to allocate 36.4 TiB for an array"), MemoryError()])
-    def test_a_memory_error_exits_two_without_a_traceback(self, capsys, monkeypatch, error):
+    @pytest.mark.parametrize(
+        "error, reason",
+        [
+            (MemoryError("Unable to allocate 36.4 TiB for an array"), "Unable to allocate 36.4 TiB for an array"),
+            (MemoryError(), "out of memory"),
+            (ValueError(), ""),  # only a bare MemoryError is worded as out of memory
+        ],
+    )
+    def test_a_memory_error_exits_two_without_a_traceback(self, capsys, monkeypatch, error, reason):
         # the error a setting too large for the host raises, here without the allocation that would raise it
         def no_room(*args, **kwargs):
             raise error
 
         monkeypatch.setattr(cli, "generate_selection", no_room)
         code, out, err = run(capsys, "sample", "--n", "5", "--beta", "1", "--r", "1000000000000")
-        assert (code, out) == (2, "")
-        assert err == f"mallows-select: error: {str(error) or 'out of memory'}\n"
+        assert (code, out, err) == (2, "", f"mallows-select: error: {reason}\n")
 
     def test_verify_invalid_profile_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

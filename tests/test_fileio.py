@@ -475,7 +475,12 @@ class TestByteParser:
             ("4,1\nS:0,1|R:1,0", None),  # no final newline
             ("4,1\nS:0,1|R:1,0\n12,3", TAIL),  # digit tails: one of an odd count of tokens, one of an even count
             ("4,1\nS:0,1|R:1,0\n12", TAIL),
-            ("4,1\nS:0,1|R:1,0\n\n \n", None),  # trailing blank lines
+            ("4,1\nS:0,1|R:1,0\n\n \n", None),  # trailing blank lines, the second of a space
+            ("4,2\r\n\r\nS:0,1|R:1,0\r\nS:2,3|R:2,3\r\n\r\n\r\n", None),  # CRLF with blank lines at both ends
+            ("4,2\nS:0,1|R:1,0\n\nS:2,3|R:2,3\n", None),  # a blank line between sample lines
+            ("4,2\nS:0,1|R:1,0\rS:2,3|R:2,3\n", None),  # a lone CR between sample lines
+            ("4,1\nS:0,1|R:1,0\r\r\n", None),  # a CR before a CRLF
+            ("4,1\r\r\nS:0,1|R:1,0\n", None),  # and one after the header
             ("4,0", None),
             ("4,0\n", None),
             ("", HEADLESS),
@@ -488,10 +493,10 @@ class TestByteParser:
         assert isinstance(new, tuple) if errors is None else new == errors
 
     @settings(max_examples=100, deadline=None)
-    @given(st.one_of(profile_texts(), selection_texts()), st.sampled_from(["\n", "\r\n", "\n\n", "\n \t\n", "\x0c"]))
-    def test_written_files_never_reach_the_per_line_checks(self, text, newline):
-        # a written file is never split into lines; between other line breaks or among blank lines, its lines are, and
-        # the byte pass reads them again
+    @given(st.one_of(profile_texts(), selection_texts()), st.sampled_from(["\n", "\r\n"]),
+           st.sampled_from(["", "\n", "\n\n"]), st.sampled_from(["", "\n", "\n\n"]), st.booleans())
+    def test_written_files_never_reach_the_per_line_checks(self, text, newline, lead, trail, ended):
+        # a written file is never split into lines, nor with CRLF line ends, blank lines around its body or no final newline
         class Unsplit(str):
             def splitlines(self, *args):
                 raise AssertionError("a written file was split into lines")
@@ -499,10 +504,12 @@ class TestByteParser:
         def refuse(*args):
             raise AssertionError("a written file was read line by line")
 
-        text = text.replace("\n", newline)
+        header, _, body = text.partition("\n")
+        body = body if ended else body.removesuffix("\n")
+        text = f"{header}\n{lead}{body}{trail}".replace("\n", newline)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(fileio, "_check_line", refuse)
-            readings = [_scan_reading(Unsplit(text) if newline == "\n" else text) for _ in row_kernel_paths(patch)]
+            readings = [_scan_reading(Unsplit(text)) for _ in row_kernel_paths(patch)]
         new, old = _both_readings(text)
         assert readings == [new, new] and new == old and isinstance(new, tuple)
 
