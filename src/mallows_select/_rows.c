@@ -30,7 +30,8 @@ static uint64_t draw63(uint64_t key, uint64_t i)
 /* One sample of the m items of center, top first, by repeated insertion into out.  Item k (k >= 1) goes in at index
  * k - d, the items at or past it moving back, where d counts the thresholds floor(scaled[j] / cum[k]), j = 0..k, at
  * or below draw start + k of the stream key: the searchsorted of sampling._sample_rows.  Threshold k is 2^63, above
- * every draw, so the search runs over j < k.
+ * every draw, so the search runs over j < k.  The thresholds do not fall as j rises and most draws fall below the
+ * first, so the search gallops from j = 0 (probing 0, 2, 6, 14, ...) and bisects the last bracket: the same d.
  */
 static void insert_row(int64_t m, uint64_t key, uint64_t start, const int64_t *center, const double *cum,
                        const double *scaled, int64_t *out)
@@ -40,7 +41,11 @@ static void insert_row(int64_t m, uint64_t key, uint64_t start, const int64_t *c
     out[0] = center[0];
     for (int64_t k = 1; k < m; k++) {
         uint64_t u = draw63(key, start + (uint64_t)k);
-        int64_t lo = 0, hi = k;
+        int64_t lo = 0, hi = 0;
+        for (; hi < k && (uint64_t)(scaled[hi] / cum[k]) <= u; hi = 2 * hi + 2)
+            lo = hi + 1;
+        if (hi > k)
+            hi = k;
         while (lo < hi) {
             int64_t mid = lo + (hi - lo) / 2;
             if ((uint64_t)(scaled[mid] / cum[k]) <= u)
@@ -49,7 +54,8 @@ static void insert_row(int64_t m, uint64_t key, uint64_t start, const int64_t *c
                 hi = mid;
         }
         int64_t at = k - lo;
-        memmove(out + at + 1, out + at, (size_t)(k - at) * sizeof *out);
+        for (int64_t i = k; i > at; i--)
+            out[i] = out[i - 1];
         out[at] = center[k];
     }
 }
@@ -115,11 +121,13 @@ static void shuffle(int64_t *x, int64_t size, uint64_t key, uint64_t first)
  * 1 .. n - 1.  Set l of a trial is members[l] (an r x n mask shared by all trials) or, where members is NULL, the
  * l-th candidate row with two members or more of the selection stream, as in sampling._bernoulli_members: candidate
  * c takes draws c * n + 1 .. c * n + n, item i a member where its draw falls below threshold.  Its restricted center
- * holds the center's items that are members, in center order, and its sample takes draws 1.. of the stream child(l)
- * of the profile key, as rng.child_key_grid derives it.  The estimate is estimators._order_by_scores of the
- * estimators._beaten_by scores: the items by a stable counting sort of their scores, each tie group shuffled, in
- * ascending score order, from draw before + 1 of the tie-break stream, before counting the draws of the groups
- * before it.  work holds 3n + 1 items.  Returns -1 before it draws, at a planted item outside [0, n), and 0 otherwise.
+ * holds the center's items that are members, in center order; each filter stores every item and adds its test to the
+ * count, as a branch on a test that holds for about half the items is often mispredicted.  Its sample takes draws 1..
+ * of the stream child(l) of the profile key, as rng.child_key_grid derives it.  The estimate is
+ * estimators._order_by_scores of the estimators._beaten_by scores: the items by a stable counting sort of their
+ * scores, each tie group shuffled, in ascending score order, from draw before + 1 of the tie-break stream, before
+ * counting the draws of the groups before it.  work holds 3n + 1 items.  Returns -1 before it draws, at a planted
+ * item outside [0, n), and 0 otherwise.
  */
 int cell_block(int64_t trials, int64_t n, int64_t r, const uint64_t *sub, const int64_t *planted,
                const uint8_t *members, uint64_t threshold, const double *cum, const double *scaled, int64_t *work,
@@ -140,16 +148,18 @@ int cell_block(int64_t trials, int64_t n, int64_t r, const uint64_t *sub, const 
         for (int64_t l = 0; l < r; l++) {
             int64_t m = 0;
             if (members != NULL) {
-                for (int64_t k = 0; k < n; k++)
-                    if (members[l * n + center[k]])
-                        restricted[m++] = center[k];
+                for (int64_t k = 0; k < n; k++) {
+                    restricted[m] = center[k];
+                    m += members[l * n + center[k]] != 0;
+                }
             } else {
                 do {
                     uint64_t base = candidate++ * (uint64_t)n + 1;
                     m = 0;
-                    for (int64_t k = 0; k < n; k++)
-                        if (draw63(key[1], base + (uint64_t)center[k]) < threshold)
-                            restricted[m++] = center[k];
+                    for (int64_t k = 0; k < n; k++) {
+                        restricted[m] = center[k];
+                        m += draw63(key[1], base + (uint64_t)center[k]) < threshold;
+                    }
                 } while (m < 2);
             }
             insert_row(m, mix64(key[2] ^ mix64((uint64_t)l + GAMMA)), 0, restricted, cum, scaled, sample);

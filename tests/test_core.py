@@ -288,6 +288,9 @@ cells = [
     dict(n=6, beta=2.0, p=0.5, r=6, selection_kind="mixed_pfrequent", estimator="ltn"),
     dict(n=20, beta=2.0, p=1.0, r=2, selection_kind="complete", center=Ranking.identity(20)),
     dict(n=2, beta=1.0, p=1.0, r=2, selection_kind="complete"),
+    # both ends of the insertion search: draws spread over every threshold of 64 items, and all below the first
+    dict(n=64, beta=0.05, p=1.0, r=3, selection_kind="complete"),
+    dict(n=20, beta=40.0, p=1 / 6, r=64, selection_kind="bernoulli_random"),
 ]
 selection = generate_selection(SelectionSpec("bernoulli_random", 30, 0.25), 200, Stream.from_seed(5))
 params = MallowsParams(Ranking(Stream.from_seed(6).permutation(30)), 0.7)
@@ -449,10 +452,11 @@ class TestCompiledRowKernels:
     @needs_cc
     def test_the_kernels_run_clean_under_the_undefined_behaviour_sanitizer(self, tmp_path):
         # a build that aborts at the first undefined operation runs figure cells (an ltn cell, a planted cell whose two
-        # complete sets leave many scores tied, and an n = 2 cell among them), a sampled profile and its count, the
-        # windowed DP at every radius below n = 1, 2, 9 and 14, the byte pass of a files_io-sized file and of a body
-        # for each way it declines, a likelihood, and the writer on that file's profile and on a one-row selection,
-        # each equal to the numpy forms' result, and scan_rows itself on the two bodies without a final newline
+        # complete sets leave many scores tied, an n = 2 cell, and cells at beta = 0.05 and 40, the two ends of the
+        # insertion search, among them), a sampled profile and its count, the windowed DP at every radius below
+        # n = 1, 2, 9 and 14, the byte pass of a files_io-sized file and of a body for each way it declines, a
+        # likelihood, and the writer on that file's profile and on a one-row selection, each equal to the numpy forms'
+        # result, and scan_rows itself on the two bodies without a final newline
         src = str(Path(core.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         result = subprocess.run(

@@ -447,6 +447,9 @@ class TestBlockWins:
         beta=1.0, seed=5, trials=6,
     )
     @example(case=dict(n=3, p=0.04, r=2, selection_kind="bernoulli_random"), beta=1.0, seed=6, trials=6)
+    # both ends of the insertion search: draws spread over every threshold of 64 items, and all below the first
+    @example(case=dict(n=64, p=1.0, r=3, selection_kind="complete"), beta=0.05, seed=7, trials=6)
+    @example(case=dict(n=20, p=1 / 6, r=64, selection_kind="bernoulli_random"), beta=40.0, seed=8, trials=3)
     def test_compiled_block_equals_the_numpy_block(self, case, beta, seed, trials):
         compiled, numpy = self.both_paths(seed, trials, **{**case, "beta": beta})
         n = case["n"]
