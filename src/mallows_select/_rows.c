@@ -28,10 +28,11 @@ static uint64_t draw63(uint64_t key, uint64_t i)
 }
 
 /* One sample of the m items of center, top first, by repeated insertion into out.  Item k (k >= 1) goes in at index
- * k - d, the items at or past it moving back, where d counts the thresholds floor(scaled[j] / cum[k]), j = 0..k, at
- * or below draw start + k of the stream key: the searchsorted of sampling._sample_rows.  Threshold k is 2^63, above
- * every draw, so the search runs over j < k.  The thresholds do not fall as j rises and most draws fall below the
- * first, so the search gallops from j = 0 (probing 0, 2, 6, 14, ...) and bisects the last bracket: the same d.
+ * k - d, the items at or past it moving back in a loop (at large beta most steps move none, and a memmove call costs
+ * more); d counts the thresholds floor(scaled[j] / cum[k]), j = 0..k, at or below draw start + k of the stream key,
+ * the searchsorted of sampling._sample_rows.  Threshold k is 2^63, above every draw, and none falls as j rises, so
+ * any rising probes of j < k closed by a bisection of the last bracket find d: the search probes j = 0 (most draws
+ * at beta = 2 fall below it), then gallops (2, 6, 14, ...) or, on nearly flat weights (cum[k] > k / 2), bisects.
  */
 static void insert_row(int64_t m, uint64_t key, uint64_t start, const int64_t *center, const double *cum,
                        const double *scaled, int64_t *out)
@@ -42,7 +43,7 @@ static void insert_row(int64_t m, uint64_t key, uint64_t start, const int64_t *c
     for (int64_t k = 1; k < m; k++) {
         uint64_t u = draw63(key, start + (uint64_t)k);
         int64_t lo = 0, hi = 0;
-        for (; hi < k && (uint64_t)(scaled[hi] / cum[k]) <= u; hi = 2 * hi + 2)
+        for (; hi < k && (uint64_t)(scaled[hi] / cum[k]) <= u; hi = 2 * cum[k] > k ? k : 2 * hi + 2)
             lo = hi + 1;
         if (hi > k)
             hi = k;
@@ -122,12 +123,11 @@ static void shuffle(int64_t *x, int64_t size, uint64_t key, uint64_t first)
  * l-th candidate row with two members or more of the selection stream, as in sampling._bernoulli_members: candidate
  * c takes draws c * n + 1 .. c * n + n, item i a member where its draw falls below threshold.  Its restricted center
  * holds the center's items that are members, in center order; each filter stores every item and adds its test to the
- * count, as a branch on a test that holds for about half the items is often mispredicted.  Its sample takes draws 1..
- * of the stream child(l) of the profile key, as rng.child_key_grid derives it.  The estimate is
- * estimators._order_by_scores of the estimators._beaten_by scores: the items by a stable counting sort of their
- * scores, each tie group shuffled, in ascending score order, from draw before + 1 of the tie-break stream, before
- * counting the draws of the groups before it.  work holds 3n + 1 items.  Returns -1 before it draws, at a planted
- * item outside [0, n), and 0 otherwise.
+ * count, as a branch on a test that holds for about half the items often mispredicts.  Its sample takes draws 1.. of
+ * the stream child(l) of the profile key (rng.child_key_grid).  The estimate is estimators._order_by_scores of the
+ * estimators._beaten_by scores: the items by a stable counting sort of their scores, each tie group shuffled, in
+ * ascending score order, from draw before + 1 of the tie-break stream, before counting the draws of the groups
+ * before it.  work holds 3n + 1 items.  Returns -1 before it draws, at a planted item outside [0, n), and 0 otherwise.
  */
 int cell_block(int64_t trials, int64_t n, int64_t r, const uint64_t *sub, const int64_t *planted,
                const uint8_t *members, uint64_t threshold, const double *cum, const double *scaled, int64_t *work,

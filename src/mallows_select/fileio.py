@@ -184,9 +184,9 @@ def _byte_pass(data: bytes, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray 
     kernels = core._row_kernels()
     if kernels is None:
         return _numpy_byte_pass(data, n)
-    lines, commas = (np.count_nonzero(np.frombuffer(data, np.uint8) == byte) for byte in b"\n,")
+    lines = np.count_nonzero((view := np.frombuffer(data, np.uint8)) == ord("\n"))
     parts = 2 if not lines or b"|" in data[: data.index(b"\n")] else 1
-    tokens = commas + lines * parts
+    tokens = np.count_nonzero(view == ord(",")) + lines * parts
     if tokens % parts:
         return None
     offsets, stamp = np.empty(lines + 1, np.int64), np.zeros(n, np.int64)

@@ -246,8 +246,8 @@ def _sample_rows(
     cumulative weights frozen to 63 bits, so they do not depend on the
     row's size, and one cumulative sum serves every step of every row.
 
-    The C kernel of ``core`` runs the rows one by one, an insertion a
-    binary search in the same thresholds and a ``memmove``, when it loaded.
+    The C kernel of ``core`` runs the rows one by one when it loaded, an
+    insertion a galloping search in the same thresholds and a shift.
     The numpy form runs the rows sorted by size, largest first, so the rows
     that step k moves (those with m > k) are a prefix: a chunk takes max
     m - 1 steps over one padded matrix of draws and one of positions.  It

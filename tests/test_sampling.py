@@ -517,9 +517,13 @@ class TestOneSampler:
         cells=st.sampled_from([None, 1, 7, 60]),  # chunks of at most 1, 7 or 60 padded cells, or the default budget
     )
     # both ends of the insertion search on rows of 200-300 items: at beta = 0.05 the draws spread over all k
-    # thresholds, so a search's bracket reaches k; at beta = 40 every draw falls below the first threshold
+    # thresholds, so a search's bracket reaches k; at beta = 40 every draw falls below the first threshold; at
+    # beta = 0.01 the weights are nearly flat (cum[k] > k / 2) up to k = 161, past which the search turns from
+    # bisecting after its first probe to galloping
     @example(rows=(np.array([0, 200, 500, 750]), np.r_[np.arange(200), np.arange(300)[::-1], np.arange(250)]),
              beta=0.05, seed=1, start=0, cells=None)
+    @example(rows=(np.array([0, 300, 550]), np.r_[np.arange(300), np.arange(250)[::-1]]),
+             beta=0.01, seed=3, start=0, cells=7)
     @example(rows=(np.array([0, 300, 520]), np.r_[np.arange(300)[::-1], np.arange(220)]),
              beta=40.0, seed=2, start=5, cells=60)
     def test_one_pass_equals_the_size_grouped_reference(self, rows, beta, seed, start, cells):
