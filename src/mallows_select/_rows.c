@@ -114,22 +114,52 @@ static void shuffle(int64_t *x, int64_t size, uint64_t key, uint64_t first)
     }
 }
 
+/* The next candidate set with two members or more of the Bernoulli stream key, as in sampling._bernoulli_members:
+ * returns its count and writes its members to out, in the order of the n items of order.  Candidate c, from
+ * *candidate on, takes draws start + c n + 1 .. start + (c + 1) n, item i a member where its draw falls below
+ * threshold. */
+static int64_t bernoulli_set(int64_t n, uint64_t key, uint64_t start, uint64_t threshold, uint64_t *candidate,
+                             const int64_t *order, int64_t *out)
+{
+    int64_t m;
+    do {
+        uint64_t base = start + (*candidate)++ * (uint64_t)n + 1;
+        m = 0;
+        for (int64_t k = 0; k < n; k++) {
+            out[m] = order[k];
+            m += draw63(key, base + (uint64_t)order[k]) < threshold;
+        }
+    } while (m < 2);
+    return m;
+}
+
+/* The r sets of sampling.generate_selection's bernoulli_random kind from draw start + 1 of the stream key, as CSR rows
+ * (offsets r + 1, items r n) in the order of order, range(n).  Returns the counter after the last candidate. */
+uint64_t bernoulli_rows(int64_t n, int64_t r, uint64_t key, uint64_t start, uint64_t threshold, const int64_t *order,
+                        int64_t *offsets, int64_t *items)
+{
+    uint64_t candidate = 0;
+    offsets[0] = 0;
+    for (int64_t l = 0; l < r; l++)
+        offsets[l + 1] = offsets[l] + bernoulli_set(n, key, start, threshold, &candidate, order, items + offsets[l]);
+    return start + candidate * (uint64_t)n;
+}
+
 /* The trial block of experiments._cell_block: row t of centers and estimates (T x n) and wins[t] (n x n, zeroed by
- * the caller) for trial t, whose four stream keys, sub[4t .. 4t + 3], are those of its center, selection, profile
- * and tie-breaks.
+ * the caller) for trial first + t, the stream child(first + t) of root, whose children 0 .. 3 (rng.child_key_grid)
+ * key its center, selection, profile and tie-breaks.
  *
  * The center is planted (n items) or, where planted is NULL, the Fisher-Yates of rng.permutation_rows from draws
  * 1 .. n - 1.  Set l of a trial is members[l] (an r x n mask shared by all trials) or, where members is NULL, the
- * l-th candidate row with two members or more of the selection stream, as in sampling._bernoulli_members: candidate
- * c takes draws c * n + 1 .. c * n + n, item i a member where its draw falls below threshold.  Its restricted center
- * holds the center's items that are members, in center order; each filter stores every item and adds its test to the
- * count, as a branch on a test that holds for about half the items often mispredicts.  Its sample takes draws 1.. of
- * the stream child(l) of the profile key (rng.child_key_grid).  The estimate is estimators._order_by_scores of the
- * estimators._beaten_by scores: the items by a stable counting sort of their scores, each tie group shuffled, in
- * ascending score order, from draw before + 1 of the tie-break stream, before counting the draws of the groups
- * before it.  work holds 3n + 1 items.  Returns -1 before it draws, at a planted item outside [0, n), and 0 otherwise.
+ * l-th set of bernoulli_set from draw 1 of the selection stream.  Its restricted center holds the center's items that
+ * are members, in center order; each filter stores every item and adds its test to the count, as a branch on a test
+ * that holds for about half the items often mispredicts.  Its sample takes draws 1.. of the stream child(l) of the
+ * profile key.  The estimate is estimators._order_by_scores of the estimators._beaten_by scores: the items by a
+ * stable counting sort of their scores, each tie group shuffled, in ascending score order, from draw before + 1 of the
+ * tie-break stream, before counting the draws of the groups before it.  work holds 3n + 1 items.  Returns -1 before
+ * it draws, at a planted item outside [0, n), and 0 otherwise.
  */
-int cell_block(int64_t trials, int64_t n, int64_t r, const uint64_t *sub, const int64_t *planted,
+int cell_block(int64_t trials, int64_t n, int64_t r, uint64_t root, uint64_t first, const int64_t *planted,
                const uint8_t *members, uint64_t threshold, const double *cum, const double *scaled, int64_t *work,
                int64_t *centers, int64_t *wins, int64_t *estimates)
 {
@@ -138,7 +168,9 @@ int cell_block(int64_t trials, int64_t n, int64_t r, const uint64_t *sub, const 
             return -1;
     int64_t *restricted = work, *sample = work + n, *end = work + 2 * n, *score = restricted;
     for (int64_t t = 0; t < trials; t++) {
-        const uint64_t *key = sub + 4 * t;
+        uint64_t trial = mix64(root ^ mix64(first + (uint64_t)t + GAMMA)), key[4];
+        for (int64_t j = 0; j < 4; j++)
+            key[j] = mix64(trial ^ mix64((uint64_t)j + GAMMA));
         int64_t *center = centers + t * n, *table = wins + t * n * n, *estimate = estimates + t * n;
         for (int64_t k = 0; k < n; k++)
             center[k] = planted != NULL ? planted[k] : k;
@@ -153,14 +185,7 @@ int cell_block(int64_t trials, int64_t n, int64_t r, const uint64_t *sub, const 
                     m += members[l * n + center[k]] != 0;
                 }
             } else {
-                do {
-                    uint64_t base = candidate++ * (uint64_t)n + 1;
-                    m = 0;
-                    for (int64_t k = 0; k < n; k++) {
-                        restricted[m] = center[k];
-                        m += draw63(key[1], base + (uint64_t)center[k]) < threshold;
-                    }
-                } while (m < 2);
+                m = bernoulli_set(n, key[1], 0, threshold, &candidate, center, restricted);
             }
             insert_row(m, mix64(key[2] ^ mix64((uint64_t)l + GAMMA)), 0, restricted, cum, scaled, sample);
             count_row(n, m, sample, table);

@@ -87,9 +87,11 @@ def _rows_library(directory: Path) -> ctypes.CDLL | None:
     lib.sample_rows.restype = None
     lib.pair_counts.argtypes = [int64, int64, int64, int64, pointer, pointer, pointer]
     lib.pair_counts.restype = ctypes.c_int
-    lib.cell_block.argtypes = [int64, int64, int64, pointer, pointer, pointer, uint64, pointer, pointer, pointer,
-                               pointer, pointer, pointer]
+    lib.cell_block.argtypes = [int64, int64, int64, uint64, uint64, pointer, pointer, uint64, pointer, pointer,
+                               pointer, pointer, pointer, pointer]
     lib.cell_block.restype = ctypes.c_int
+    lib.bernoulli_rows.argtypes = [int64, int64, uint64, uint64, uint64, pointer, pointer, pointer]
+    lib.bernoulli_rows.restype = uint64
     lib.window_dp.argtypes = [int64, int64, pointer, pointer, pointer, pointer, pointer, pointer, pointer]
     lib.window_dp.restype = int64
     lib.scan_rows.argtypes = [ctypes.c_char_p, int64, int64, int64, ctypes.c_int, int64, int64, pointer, pointer,

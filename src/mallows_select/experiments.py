@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -92,7 +92,7 @@ class ExperimentConfig:
             raise InfeasibleSpecError("selection sequences must contain at least one set")
 
     def metadata(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}  # every field is immutable, so no copy is needed
 
 
 def preset(name: str) -> ExperimentConfig:
@@ -135,15 +135,13 @@ def _cell(
     estimator: str = "posest",
     center: Ranking | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run trials ``root.child(t)`` for t in ``trials``; returns (estimate, center) item arrays.
+    """Run trials ``root.child(t)`` for t in ``trials``, a range of step 1; returns (estimate, center) item arrays.
 
-    Both arrays have one row of n items per trial.  Every experiment is a
-    reduction over these rows.  Trial t draws its center from ``child(0)``
-    (unless one is planted), a bernoulli_random selection from
-    ``child(1)``, its profile from ``child(2)`` and its estimate's
-    tie-breaks from ``child(3)``.  The trials run as arrays, as many at a
-    time as fit in ``core._BLOCK_BYTES`` (one at least), and a row depends
-    on its trial index only, never on the range or the block it ran in.
+    Both arrays have one row of n items per trial.  Every experiment is a reduction over these rows.  Trial t draws
+    its center from ``child(0)`` (unless one is planted), a bernoulli_random selection from ``child(1)``, its profile
+    from ``child(2)`` and its estimate's tie-breaks from ``child(3)``; the compiled block derives these keys from
+    ``root.key`` and t itself.  The trials run as arrays, as many at a time as fit in ``core._BLOCK_BYTES`` (one at
+    least), and a row depends on its trial index only, never on the range or the block it ran in.
     """
     spec = SelectionSpec(kind=selection_kind, n=n, p=p)
     if r < 1:
@@ -171,16 +169,14 @@ def _cell(
     scores = (9 * n + 80) * n + 64
     phases = (33 * draws, 90 * items + 64 * r, 48 * (items + r) + 16 * pairs + 8 * n * n, 24 * items + 12 * r + scores)
     held = (8 * n + 16) * n if core._row_kernels() is not None else r * n + max(phases)
-    # every block runs beside the cell's rows and stream keys, 16 bytes per item and 40 per trial, in what they leave
-    # of the budget, and at least half of it where they take more
+    # every block runs beside the cell's rows, 16 bytes per item, and the stream keys the numpy path derives, 40 per
+    # trial, in what they leave of the budget, and at least half of it where they take more
     room = max(core._BLOCK_BYTES - (16 * n + 40) * len(trials), core._BLOCK_BYTES // 2)
     step = max(1, int(room // held))
-    keys = child_key_grid(np.array([root.key], dtype=np.uint64), np.asarray(trials))[0]
-    sub = child_key_grid(keys, range(4))  # per trial: center, selection, profile and tie-break keys
     est, pi0 = np.empty((len(trials), n), dtype=np.int64), np.empty((len(trials), n), dtype=np.int64)
     for a in range(0, len(trials), step):
         est[a : a + step], pi0[a : a + step] = _cell_block(
-            sub[a : a + step], n, beta, r, members, threshold, radius, planted
+            root.key, trials[a : a + step], n, beta, r, members, threshold, radius, planted
         )[:2]
     return est, pi0
 
@@ -206,26 +202,26 @@ def _block_wins(centers, selection_keys, profile_keys, beta, r, members, thresho
     return _pair_counts(n, offsets, samples, groups=T)
 
 
-def _cell_block(sub, n, beta, r, members, threshold, radius, planted) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (estimate, center) rows and the (T, n, n) wins of the trials whose center, selection, profile and tie-break
-    keys are the rows of the (T, 4) ``sub``, by one compiled call or by the numpy forms; see :func:`_cell`."""
-    T, kernels = len(sub), core._row_kernels()
-    if kernels is None:
+def _cell_block(root_key, trials, n, beta, r, members, threshold, radius, planted) -> tuple[np.ndarray, ...]:
+    """The (estimate, center) rows and the (T, n, n) wins of trials ``Stream(root_key).child(t)``, t in the step-1 range
+    ``trials``, by one compiled call, which derives their keys itself, or by the numpy forms; see :func:`_cell`."""
+    T, kernels = len(trials), core._row_kernels()
+    if trials.step != 1 or trials.start < 0 or (planted is not None and planted.shape != (n,)):
+        raise ValueError(f"{trials!r} must count trials from 0 up in steps of 1, with a planted center of {n} items")
+    if kernels is None:  # per trial: center, selection, profile and tie-break keys
+        sub = child_key_grid(child_key_grid(np.array([root_key], dtype=np.uint64), np.asarray(trials))[0], range(4))
         centers = permutation_rows(sub[:, 0], n) if planted is None else np.tile(planted, (T, 1))
         wins = _block_wins(centers, sub[:, 1], sub[:, 2], beta, r, members, threshold)
         est = _order_by_scores(_beaten_by(wins), sub[:, 3])
     else:
-        if sub.shape != (T, 4) or (planted is not None and planted.shape != (n,)):
-            raise ValueError(f"{T} trials need four stream keys each and a planted center of {n} items")
         if members is not None and members.shape != (r, n):
             raise ValueError(f"the membership mask must have shape ({r}, {n}), got {members.shape}")
         est, centers, wins = np.empty((T, n), np.int64), np.empty((T, n), np.int64), np.zeros((T, n, n), np.int64)
-        cum, scaled = _insertion_weights(beta, n)
-        sub, work = np.ascontiguousarray(sub, np.uint64), np.empty(3 * n + 1, dtype=np.int64)
+        (cum, scaled), work = _insertion_weights(beta, n), np.empty(3 * n + 1, dtype=np.int64)
         planted = None if planted is None else np.ascontiguousarray(planted, np.int64)
         mask = None if members is None else np.ascontiguousarray(members, np.bool_)
         failed = kernels.cell_block(
-            T, n, r, sub.ctypes.data, None if planted is None else planted.ctypes.data,
+            T, n, r, root_key, trials.start, None if planted is None else planted.ctypes.data,
             None if mask is None else mask.ctypes.data, int(threshold or 0), cum.ctypes.data, scaled.ctypes.data,
             work.ctypes.data, centers.ctypes.data, wins.ctypes.data, est.ctypes.data,
         )

@@ -1,12 +1,10 @@
 """Splittable counter-based random streams built on the splitmix64 mixer.
 
-Every randomized routine in this package draws from a :class:`Stream`.
-Streams are cheap value objects: a 64-bit key plus a draw counter.  The
-i-th draw of a stream is ``mix64(key + i*GAMMA)``, drawn in numpy blocks
-by :func:`mix64_array`, the one mixer; :func:`shuffle_runs` is the one
-Fisher-Yates pass (the C trial block mirrors both).  Child streams are derived from the parent key and an
-integer path, never from the draw position, which makes any tree of
-substreams reproducible regardless of evaluation order or thread count.
+Every randomized routine in this package draws from a :class:`Stream`, a value object: a 64-bit key and a draw
+counter.  The i-th draw of a stream is ``mix64(key + i*GAMMA)``, drawn in numpy blocks by :func:`mix64_array`, the
+one array mixer; seed and child keys take its scalar form :func:`_mix64`.  :func:`shuffle_runs` is the one
+Fisher-Yates pass (the C trial block mirrors both).  Child streams are derived from the parent key and an integer
+path, never from the draw position, so any tree of substreams reproduces whatever the evaluation order or threads.
 """
 
 from __future__ import annotations
@@ -32,6 +30,13 @@ def mix64_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _mix64(z: int) -> int:
+    """The finalizer of :func:`mix64_array` on one Python int below 2^64, for the key of one stream."""
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+    return z ^ (z >> 31)
+
+
 class Stream:
     """A seedable, splittable source of 64-bit uniforms."""
 
@@ -43,21 +48,18 @@ class Stream:
 
     @classmethod
     def from_seed(cls, seed: int) -> "Stream":
-        return cls(int(mix64_array(np.array([(int(seed) ^ _MIX2) & _MASK], dtype=np.uint64))[0]))
+        return cls(_mix64((int(seed) ^ _MIX2) & _MASK))
 
     def child(self, *path: int) -> "Stream":
         """Derive an independent substream keyed by an integer path.
 
-        Children depend only on the parent key and the path, not on how
-        many draws the parent has produced.
-        """
-        path = [int(element) for element in path]
-        if any(element < 0 for element in path):
-            raise ValueError("stream path elements must be nonnegative integers")
-        key = np.array([self.key], dtype=np.uint64)
-        for mixed in mix64_array(np.array([(element + _GAMMA) & _MASK for element in path], dtype=np.uint64)):
-            key = mix64_array(key ^ mixed)
-        return Stream(int(key[0]))
+        Children depend only on the parent key and the path, not on how many draws the parent has produced."""
+        key = self.key
+        for element in map(int, path):
+            if element < 0:
+                raise ValueError("stream path elements must be nonnegative integers")
+            key = _mix64(key ^ _mix64((element + _GAMMA) & _MASK))
+        return Stream(key)
 
     def child_keys(self, count: int) -> np.ndarray:
         """Keys of ``child(0) .. child(count-1)`` as a uint64 array."""

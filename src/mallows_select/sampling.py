@@ -127,11 +127,15 @@ def generate_selection(spec: SelectionSpec, r: int, stream: Stream | None = None
     if spec.kind == "bernoulli_random":
         if stream is None:
             raise ValueError("bernoulli_random selection requires a stream")
-        keys = np.array([stream.key], dtype=np.uint64)
-        members, used = _bernoulli_members(keys, n, r, _bernoulli_threshold(spec, r), start=stream._ctr)
-        stream._ctr = int(used[0])
+        threshold, kernels = _bernoulli_threshold(spec, r), core._row_kernels()
         # row-major: rows in order, each row's items ascending, in arrays that own their bytes, as the C kernels read them
-        row, items = np.divmod(np.flatnonzero(members[0]), n)
+        if kernels is not None:  # the rows of _bernoulli_members and its counter, drawn and written by one C pass
+            offsets, items, order = np.empty(r + 1, np.int64), np.empty(r * n, np.int64), np.arange(n, dtype=np.int64)
+            args = (order.ctypes.data, offsets.ctypes.data, items.ctypes.data)
+            stream._ctr = kernels.bernoulli_rows(n, r, stream.key, stream._ctr, threshold, *args)
+            return SelectionSequence._from_arrays(n, offsets, items[: offsets[-1]].copy())
+        members, used = _bernoulli_members(np.array([stream.key], dtype=np.uint64), n, r, threshold, stream._ctr)
+        (row, items), stream._ctr = np.divmod(np.flatnonzero(members[0]), n), int(used[0])
         return SelectionSequence._from_arrays(n, np.searchsorted(row, np.arange(r + 1)), items)
 
     # the deterministic kinds: n_full full sets, then pairs, valid by construction

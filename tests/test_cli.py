@@ -248,7 +248,10 @@ class TestCliErrors:
         def no_draw(*args, **kwargs):
             raise AssertionError("a draw was made")
 
-        monkeypatch.setattr(rng, "mix64_array", no_draw)  # every draw of the package goes through it
+        # every draw of the numpy forms goes through the array mixer, so the compiled kernels, which draw in C, are off
+        monkeypatch.setattr(core, "_row_kernels", lambda: None)
+        monkeypatch.setattr(rng, "mix64_array", no_draw)
+        monkeypatch.setattr(rng, "_mix64", no_draw)  # and every stream key through its scalar form
         code, out, err = run(capsys, argv[0], "--n", "8193", *argv[1:])
         assert code == 2
         assert out == ""

@@ -310,17 +310,25 @@ bodies = [(fileio.format_profile(big).partition("\\n")[2].encode(), 100)] + [(bo
     "S:2,3\\nS:0,1|R:1,0\\n", "S:0,1,3\\nS:3,2\\n", "", "S:,0,1\\n", "S:0,1|R:1,0,\\n", "S:0\\n",
 )] + [(body, 4) for body in unended]
 one_row = generate_selection(SelectionSpec("bernoulli_random", 101, 0.25), 1, Stream.from_seed(12))
+bernoulli = [(30, 0.25, 200, 0), (3, 0.04, 60, 2**40 + 7), (2, 1.0, 3, 0)]
 
 
 def outputs():
     rows = [xp._cell(Stream.from_seed(3).child(case["r"]), range(40), **case) for case in cells]
+    rows.append(xp._cell(Stream.from_seed(3), range(17, 40), **cells[1]))  # trials 17.., the kernel's first + t
+    # Bernoulli selections, from a used stream and into the rejection tail of n = 3, q = 0.2
+    drawn = []
+    for n, p, r, start in bernoulli:
+        stream = Stream(13, start)
+        sets = generate_selection(SelectionSpec("bernoulli_random", n, p), r, stream)
+        drawn += [sets.offsets, sets.items, np.array([stream._ctr])]
     profile = sample_profile(params, selection, Stream.from_seed(7))
     dp = [np.array([*seq, total]) for seq, total in (_dp_window_max(wins, radius) for wins, radius in windows)]
     reads = [fileio._byte_pass(body, n) for body, n in bodies]
     parsed = [np.array([-1]) if read is None else np.array([-2]) if a is None else a for read in reads for a in read or [None]]
     likelihood = np.array([log_likelihood(Ranking(Stream.from_seed(11).permutation(100)), big, 0.7)])
     written = [np.frombuffer(text.encode(), np.uint8) for text in (fileio.format_profile(big, beta=1.0), fileio.format_selection(one_row))]
-    return [a for cell in rows for a in cell] + [profile.rank_items, accumulate_counts(profile).wins] + dp + parsed + [likelihood] + written
+    return [a for cell in rows for a in cell] + drawn + [profile.rank_items, accumulate_counts(profile).wins] + dp + parsed + [likelihood] + written
 
 
 core._row_kernels = lambda: sanitized
@@ -456,7 +464,9 @@ class TestCompiledRowKernels:
         # insertion search, among them), a sampled profile and its count, the windowed DP at every radius below
         # n = 1, 2, 9 and 14, the byte pass of a files_io-sized file and of a body for each way it declines, a
         # likelihood, and the writer on that file's profile and on a one-row selection, each equal to the numpy forms'
-        # result, and scan_rows itself on the two bodies without a final newline
+        # result, and scan_rows itself on the two bodies without a final newline.  One cell runs trials 17 to 39, so
+        # the kernel derives keys from a first trial index above 0, and generate_selection draws Bernoulli sets from a
+        # used stream and in the rejection tail of n = 3, p = 0.04
         src = str(Path(core.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         result = subprocess.run(

@@ -23,7 +23,7 @@ from mallows_select.experiments import (
     run_distance_experiment,
     run_topk_experiment,
 )
-from mallows_select.rng import Stream, child_key_grid
+from mallows_select.rng import Stream
 from mallows_select.sampling import SelectionSpec, _bernoulli_threshold
 
 
@@ -417,41 +417,45 @@ class TestBlockWins:
     ``_order_by_scores``."""
 
     @staticmethod
-    def both_paths(seed, trials, n, beta, p, r, selection_kind, center=None, **_):
+    def both_paths(seed, first, trials, n, beta, p, r, selection_kind, center=None, **_):
         spec = SelectionSpec(kind=selection_kind, n=n, p=p)
         if selection_kind == "bernoulli_random":
             members, threshold = None, _bernoulli_threshold(spec, r)
         else:
             members, threshold = xp._cached_selection(selection_kind, n, p, r), None
-        sub = child_key_grid(Stream.from_seed(seed).child_keys(trials), range(4))
+        key, span = Stream.from_seed(seed).key, range(first, first + trials)
         planted = None if center is None else np.array(center.items, dtype=np.int64)
         blocks = []
         with pytest.MonkeyPatch.context() as patch:
             for _ in row_kernel_paths(patch):
-                blocks.append(xp._cell_block(sub, n, beta, r, members, threshold, None, planted))
+                blocks.append(xp._cell_block(key, span, n, beta, r, members, threshold, None, planted))
         return blocks
 
     @settings(max_examples=150, deadline=None)
-    @given(case=cell_cases(), beta=st.floats(0.05, 40.0), seed=st.integers(0, 2**32), trials=st.integers(1, 6))
+    @given(case=cell_cases(), beta=st.floats(0.05, 40.0), seed=st.integers(0, 2**32), trials=st.integers(1, 6),
+           first=st.integers(0, 2**62))
     # the rejection tail: at q = 0.2 and n = 3 most candidate sets have fewer than two members
-    @example(case=dict(n=3, p=0.04, r=30, selection_kind="bernoulli_random"), beta=1.0, seed=0, trials=6)
-    @example(case=dict(n=20, p=1 / 6, r=256, selection_kind="bernoulli_random"), beta=2.0, seed=1, trials=3)
-    @example(case=dict(n=20, p=1 / 6, r=256, selection_kind="mixed_pfrequent"), beta=2.0, seed=2, trials=3)
+    @example(case=dict(n=3, p=0.04, r=30, selection_kind="bernoulli_random"), beta=1.0, seed=0, trials=6, first=0)
+    @example(case=dict(n=20, p=1 / 6, r=256, selection_kind="bernoulli_random"), beta=2.0, seed=1, trials=3, first=0)
+    @example(case=dict(n=20, p=1 / 6, r=256, selection_kind="mixed_pfrequent"), beta=2.0, seed=2, trials=3, first=0)
+    # trial indices past 2^32 and near 2^62, whose keys the compiled block derives from the root key
+    @example(case=dict(n=6, p=0.5, r=6, selection_kind="bernoulli_random"), beta=2.0, seed=9, trials=6, first=2**32 + 17)
+    @example(case=dict(n=9, p=0.5, r=9, selection_kind="mixed_pfrequent"), beta=1.0, seed=9, trials=5, first=2**62 - 1)
     # one sample of all 20 items, whose scores are its positions, so no tie; then tie-heavy blocks: two such samples,
     # two items, the planted identity under the starved matching, and the rejection tail on two sets
-    @example(case=dict(n=20, p=1.0, r=1, selection_kind="complete"), beta=2.0, seed=3, trials=6)
-    @example(case=dict(n=20, p=1.0, r=2, selection_kind="complete"), beta=2.0, seed=3, trials=6)
-    @example(case=dict(n=2, p=1.0, r=2, selection_kind="complete"), beta=0.3, seed=4, trials=6)
+    @example(case=dict(n=20, p=1.0, r=1, selection_kind="complete"), beta=2.0, seed=3, trials=6, first=0)
+    @example(case=dict(n=20, p=1.0, r=2, selection_kind="complete"), beta=2.0, seed=3, trials=6, first=0)
+    @example(case=dict(n=2, p=1.0, r=2, selection_kind="complete"), beta=0.3, seed=4, trials=6, first=0)
     @example(
         case=dict(n=8, p=0.5, r=5, selection_kind="adversarial_matching", center=Ranking.identity(8)),
-        beta=1.0, seed=5, trials=6,
+        beta=1.0, seed=5, trials=6, first=0,
     )
-    @example(case=dict(n=3, p=0.04, r=2, selection_kind="bernoulli_random"), beta=1.0, seed=6, trials=6)
+    @example(case=dict(n=3, p=0.04, r=2, selection_kind="bernoulli_random"), beta=1.0, seed=6, trials=6, first=0)
     # both ends of the insertion search: draws spread over every threshold of 64 items, and all below the first
-    @example(case=dict(n=64, p=1.0, r=3, selection_kind="complete"), beta=0.05, seed=7, trials=6)
-    @example(case=dict(n=20, p=1 / 6, r=64, selection_kind="bernoulli_random"), beta=40.0, seed=8, trials=3)
-    def test_compiled_block_equals_the_numpy_block(self, case, beta, seed, trials):
-        compiled, numpy = self.both_paths(seed, trials, **{**case, "beta": beta})
+    @example(case=dict(n=64, p=1.0, r=3, selection_kind="complete"), beta=0.05, seed=7, trials=6, first=0)
+    @example(case=dict(n=20, p=1 / 6, r=64, selection_kind="bernoulli_random"), beta=40.0, seed=8, trials=3, first=0)
+    def test_compiled_block_equals_the_numpy_block(self, case, beta, seed, trials, first):
+        compiled, numpy = self.both_paths(seed, first, trials, **{**case, "beta": beta})
         n = case["n"]
         for native, reference in zip(compiled, numpy, strict=True):
             assert native.dtype == reference.dtype and np.array_equal(native, reference)
@@ -464,16 +468,16 @@ class TestBlockWins:
     def test_inputs_the_compiled_kernel_would_read_past_are_refused(self):
         if core._row_kernels() is None:
             pytest.skip("the compiled row kernels did not load")
-        members = xp._cached_selection("complete", 3, 1.0, 2)
-        sub = child_key_grid(Stream.from_seed(0).child_keys(2), range(4))
+        members, key = xp._cached_selection("complete", 3, 1.0, 2), Stream.from_seed(0).key
         with pytest.raises(IndexError, match="outside"):
-            xp._cell_block(sub, 3, 1.0, 2, members, None, None, np.array([0, 3, 1]))
-        with pytest.raises(ValueError, match="four stream keys"):
-            xp._cell_block(sub[:, :3], 3, 1.0, 2, members, None, None, None)
+            xp._cell_block(key, range(2), 3, 1.0, 2, members, None, None, np.array([0, 3, 1]))
+        # the kernel reads trial first + t for t < T, so a range of another step would run other trials
+        with pytest.raises(ValueError, match="in steps of 1"):
+            xp._cell_block(key, range(0, 4, 2), 3, 1.0, 2, members, None, None, None)
         with pytest.raises(ValueError, match="planted center of 3 items"):
-            xp._cell_block(sub, 3, 1.0, 2, members, None, None, np.array([0, 1]))
+            xp._cell_block(key, range(2), 3, 1.0, 2, members, None, None, np.array([0, 1]))
         with pytest.raises(ValueError, match="must have shape"):
-            xp._cell_block(sub, 3, 1.0, 3, members, None, None, None)
+            xp._cell_block(key, range(2), 3, 1.0, 3, members, None, None, None)
 
 
 class TestTrialKernel:
@@ -564,7 +568,7 @@ class TestTrialKernel:
                 ])
         assert all(searches == found[0] for searches in found[1:])
 
-    def test_checks_run_before_any_draw(self):
+    def test_checks_run_before_any_draw(self, monkeypatch):
         root = Stream.from_seed(0)
         with pytest.raises(ValueError, match="at least one set"):
             xp._cell(root, range(3), 5, 1.0, 1.0, 0, "complete")
@@ -572,6 +576,9 @@ class TestTrialKernel:
             xp._cell(root, range(3), 5, float("nan"), 1.0, 4, "complete")
         with pytest.raises(ValueError, match="unknown selection kind"):
             xp._cell(root, range(3), 5, 1.0, 1.0, 4, "borda")
+        for _ in row_kernel_paths(monkeypatch):  # the compiled block reads trial indices first, first + 1, ...
+            with pytest.raises(ValueError, match="in steps of 1"):
+                xp._cell(root, range(0, 6, 2), 5, 1.0, 1.0, 4, "complete")
         with pytest.raises(ValueError, match="over the limit of 2"):
             xp._cell(root, range(3), 40, 1.0, 1e-6, 10**6, "bernoulli_random")
         # a planted center that is not a permutation of range(n): too short, on a deterministic and a random kind, or

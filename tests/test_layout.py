@@ -17,6 +17,7 @@ COMPILED_CALLERS = {
     "sample_rows": ("sampling.py", "_sample_rows"),
     "pair_counts": ("core.py", "_pair_counts"),
     "cell_block": ("experiments.py", "_cell_block"),
+    "bernoulli_rows": ("sampling.py", "generate_selection"),
     "window_dp": ("mle.py", "_dp_window_max"),
     "scan_rows": ("fileio.py", "_byte_pass"),
     "row_inversions": ("core.py", "_discordances"),
@@ -79,16 +80,18 @@ def test_one_working_budget_is_read_from_core():
 
 
 def test_one_mixer_and_one_fisher_yates_live_in_rng():
-    """Only rng defines or imports the array mixer and the multiply-shift bound, and no module defines a scalar mixer.
+    """Only rng defines or imports the array mixer, its scalar form for stream keys and the multiply-shift bound, and
+    no module defines another scalar mixer.
 
     A second splitmix64 or a second Fisher-Yates swap loop reaches for these, so it fails here.
     """
+    primitives = ("mix64_array", "_mix64", "_below_array")
     for path in MODULES:
         tree = _tree(path)
         assert _top_level_names(tree) & {"mix64", "_fold"} == set(), path.name
         if path.name != "rng.py":
-            assert _top_level_names(tree) & {"mix64_array", "_below_array"} == set(), path.name
-            imported = [name for _, _, name in _imports(tree) if name in ("mix64_array", "_below_array")]
+            assert _top_level_names(tree) & set(primitives) == set(), path.name
+            imported = [name for _, _, name in _imports(tree) if name in primitives]
             assert imported == [], f"{path.name} imports a draw primitive of rng"
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from helpers import below, fold, mix64, scalar_permutation, seed_key, shuffle, u64, u64_array, uniform
 from mallows_select.rng import (
-    Stream, _below_array, child_key_grid, draw_matrix, mix64_array, permutation_rows, shuffle_runs,
+    _GAMMA, Stream, _below_array, child_key_grid, draw_matrix, mix64_array, permutation_rows, shuffle_runs,
 )
 
 
@@ -108,6 +108,22 @@ def test_mix64_is_a_bijection_sample():
     outs = mix64_array(np.array(z, dtype=np.uint64)).tolist()
     assert outs == [mix64(x) for x in z]
     assert len(set(outs)) == len(z)
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.integers(0, 2**64 - 1), path=st.lists(st.integers(0, 2**64 - 1), max_size=4))
+@example(key=2**64 - 1, path=[2**64 - 1, 0, 2**64 - _GAMMA, 2**64 - _GAMMA - 1])
+def test_child_equals_the_chained_scalar_folds(key, path):
+    expected = key
+    for element in path:
+        expected = fold(expected, element)
+    assert Stream(key).child(*path).key == expected
+    assert Stream(key).child(*map(np.uint64, path)).key == expected  # numpy integers, as callers may pass them
+
+
+@pytest.mark.parametrize("seed", [0, 1, -1, -(2**63), -(2**64) - 3, 2**63, 2**64 - 1, 2**64, 2**70 + 9, -(10**30)])
+def test_from_seed_equals_the_scalar_seed_key(seed):
+    assert Stream.from_seed(seed).key == seed_key(seed)
 
 
 def test_path_elements_must_be_nonnegative():

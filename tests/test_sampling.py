@@ -366,6 +366,25 @@ class TestBatchedDraws:
             assert [tuple(np.flatnonzero(row).tolist()) for row in mask] == list(sets)
             assert u64(stream) == u64(reference)  # both streams stop at the same counter
 
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 40), p=st.floats(0.04, 1.0), r=st.integers(1, 120), seed=st.integers(0, 2**32),
+           start=st.one_of(st.just(0), st.integers(1, 2**64 - 1)))
+    # the rejection tail: at n = 3 and q = 0.2 about nine candidates in ten hold fewer than two members
+    @example(n=3, p=0.04, r=60, seed=0, start=0)
+    @example(n=3, p=0.04, r=60, seed=1, start=2**40 + 3)
+    @example(n=2, p=1.0, r=5, seed=2, start=2**64 - 4)  # q = 1, every candidate kept; the counter wraps past 2^64
+    def test_compiled_rows_equal_the_numpy_members(self, n, p, r, seed, start):
+        # the C pass of generate_selection, and its numpy path, against _bernoulli_members: sets and counter
+        spec = SelectionSpec(kind="bernoulli_random", n=n, p=p)
+        key, threshold = Stream.from_seed(seed).key, sampling._bernoulli_threshold(spec, r)
+        masks, used = sampling._bernoulli_members(np.array([key], dtype=np.uint64), n, r, threshold, start)
+        with pytest.MonkeyPatch.context() as patch:
+            for _ in row_kernel_paths(patch):
+                stream = Stream(key, start)
+                selection = generate_selection(spec, r, stream)
+                assert list(selection.sets) == [tuple(np.flatnonzero(row).tolist()) for row in masks[0]]
+                assert stream._ctr == int(used[0])
+
     def test_bernoulli_members_hold_17_bytes_per_uniform(self):
         # the first round's draws (8 bytes each), one shifted copy inside the mix (8) and the result masks (1)
         n, r, spec = 20, 256, SelectionSpec(kind="bernoulli_random", n=20, p=1 / 6)
