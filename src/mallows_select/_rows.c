@@ -80,6 +80,15 @@ void sample_rows(int64_t rows, const uint64_t *keys, const int64_t *offsets, con
                    samples + offsets[l]);
 }
 
+/* Whether any of the m items x lies outside [0, n): every item-range check of the routines below */
+static int outside(int64_t m, const int64_t *x, int64_t n)
+{
+    for (int64_t a = 0; a < m; a++)
+        if (x[a] < 0 || x[a] >= n)
+            return 1;
+    return 0;
+}
+
 /* counts[l / per][x_a][x_b] += 1 for every row l and positions a < b of its items x, counts holding groups n x n
  * blocks.  Returns -1 at the first row with an item outside [0, n) or a group past the last, before it counts that
  * row, and 0 otherwise.
@@ -90,11 +99,8 @@ int pair_counts(int64_t n, int64_t rows, int64_t groups, int64_t per, const int6
     for (int64_t l = 0; l < rows; l++) {
         const int64_t *x = items + offsets[l];
         int64_t m = offsets[l + 1] - offsets[l];
-        if (l / per >= groups)
+        if (l / per >= groups || outside(m, x, n))
             return -1;
-        for (int64_t a = 0; a < m; a++)
-            if (x[a] < 0 || x[a] >= n)
-                return -1;
         count_row(n, m, x, counts + l / per * n * n);
     }
     return 0;
@@ -163,9 +169,8 @@ int cell_block(int64_t trials, int64_t n, int64_t r, uint64_t root, uint64_t fir
                const uint8_t *members, uint64_t threshold, const double *cum, const double *scaled, int64_t *work,
                int64_t *centers, int64_t *wins, int64_t *estimates)
 {
-    for (int64_t k = 0; planted != NULL && k < n; k++)
-        if (planted[k] < 0 || planted[k] >= n)
-            return -1;
+    if (planted != NULL && outside(n, planted, n))
+        return -1;
     int64_t *restricted = work, *sample = work + n, *end = work + 2 * n, *score = restricted;
     for (int64_t t = 0; t < trials; t++) {
         uint64_t trial = mix64(root ^ mix64(first + (uint64_t)t + GAMMA)), key[4];
@@ -455,9 +460,8 @@ int row_inversions(int64_t rows, const int64_t *offsets, const int64_t *items, c
         const int64_t *x = items + offsets[l];
         int64_t m = offsets[l + 1] - offsets[l], count = 0;
         if (relabel != NULL) {
-            for (int64_t a = 0; a < m; a++)
-                if (x[a] < 0 || x[a] >= size)
-                    return -1;
+            if (outside(m, x, size))
+                return -1;
             for (int64_t a = 0; a + 1 < m; a++) {
                 int64_t ahead = relabel[x[a]];
                 for (int64_t b = a + 1; b < m; b++)
@@ -495,15 +499,6 @@ static uint8_t *put_part(uint8_t *at, int64_t m, const int64_t *x)
         at = put_label(at, x[a]);
     }
     return at;
-}
-
-/* Whether any of the m items x lies outside [0, n) */
-static int outside(int64_t m, const int64_t *x, int64_t n)
-{
-    for (int64_t a = 0; a < m; a++)
-        if (x[a] < 0 || x[a] >= n)
-            return 1;
-    return 0;
 }
 
 /* The lines of fileio._format_rows written to out, one per CSR row l: "S:<set>|R:<ranking>\n", the row of set_items

@@ -42,15 +42,30 @@ def _write_out(path: str, text: str) -> None:
         Path(path).write_text(text)
 
 
-def _default_threads(parser: _Parser) -> int:
-    """MALLOWS_SELECT_THREADS, else the core count; a value that is not an integer is a usage error."""
-    env = os.environ.get("MALLOWS_SELECT_THREADS")
-    if not env:
-        return os.cpu_count() or 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        parser.error(f"MALLOWS_SELECT_THREADS must be an integer, got {env!r}")
+def _write_report(out: str, report: xp.Report) -> int:
+    """The report's CSV at ``out`` and, where it has a plot and ``out`` is a file, its SVG beside it."""
+    _write_out(out, report.to_csv())
+    if report.plot is not None and out != "-":
+        svg_path = str(Path(out).with_suffix(".svg"))
+        Path(svg_path).write_text(report.to_svg())
+        _log(svg=svg_path)
+    return 0
+
+
+def _threads(parser: _Parser, flag: int | None) -> int:
+    """--threads, else MALLOWS_SELECT_THREADS, else the core count; a value below 1 or not an integer is a usage error."""
+    name, threads = "--threads", flag
+    if flag is None:
+        name, env = "MALLOWS_SELECT_THREADS", os.environ.get("MALLOWS_SELECT_THREADS")
+        if not env:
+            return os.cpu_count() or 1
+        try:
+            threads = int(env)
+        except ValueError:
+            parser.error(f"{name} must be an integer, got {env!r}")
+    if threads < 1:
+        parser.error(f"{name} must be at least 1, got {threads}")
+    return threads
 
 
 @cache  # built once per process: parse_args gives every call a fresh Namespace
@@ -256,20 +271,13 @@ def _cmd_exp_curve(args) -> int:
     config = _experiment_config(args)
     config = dataclasses.replace(config, r_grid=config.r_grid or default_grid)
     _log(command=args.command, threads=args.threads, **config.metadata())
-    curve = run(config, threads=args.threads)
-    _write_out(args.out, curve.to_csv())
-    if args.out != "-":
-        svg_path = str(Path(args.out).with_suffix(".svg"))
-        Path(svg_path).write_text(curve.to_svg())
-        _log(svg=svg_path)
-    return 0
+    return _write_report(args.out, run(config, threads=args.threads))
 
 
 def _cmd_exp_adversarial(args) -> int:
     _log(command="exp-adversarial", n=args.n, beta=args.beta, p=args.p, r=args.r, trials=args.trials, seed=args.seed, threads=args.threads)
     report = xp.run_adversarial_demo(args.n, args.beta, args.p, args.r, args.trials, seed=args.seed, threads=args.threads)
-    _write_out(args.out, report.to_csv())
-    return 0
+    return _write_report(args.out, report)
 
 
 def _cmd_verify(args) -> int:
@@ -301,8 +309,8 @@ def dispatch(argv: list[str]) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command.startswith("exp-") and args.threads is None:
-            args.threads = _default_threads(parser)
+        if args.command.startswith("exp-"):
+            args.threads = _threads(parser, args.threads)
         return _COMMANDS[args.command](args)
     # ValueError covers FileFormatError and InfeasibleSpecError; a MemoryError is a setting too large for the host
     except (BudgetExceededError, xp.SearchCapError, ValueError, OSError, MemoryError) as exc:

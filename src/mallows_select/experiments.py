@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
 
-from . import core
+from . import core, plotting
 from .core import Ranking, _discordances, _pair_counts, check_beta
 from .estimators import PairwiseCounts, _beaten_by, _order_by_scores
 from .mle import _recover_from_counts, mle_window, pointwise_window
@@ -40,6 +40,7 @@ from .rng import Stream, child_key_grid, permutation_rows
 from .sampling import (
     InfeasibleSpecError,
     SelectionSpec,
+    _bernoulli_acceptance,
     _bernoulli_members,
     _bernoulli_threshold,
     _insertion_weights,
@@ -51,8 +52,6 @@ _EXP_COMPLEXITY = 1
 _EXP_DISTANCE = 2
 _EXP_TOPK = 3
 _EXP_ADVERSARIAL = 4
-
-_DETERMINISTIC_KINDS = ("complete", "pairwise", "mixed_pfrequent", "adversarial_matching")
 
 
 class SearchCapError(RuntimeError):
@@ -150,16 +149,15 @@ def _cell(
     planted = None if center is None else np.array(center.items, dtype=np.int64)
     if planted is not None and not np.array_equal(np.sort(planted), np.arange(n)):
         raise ValueError(f"the planted center {center!r} is not a permutation of range({n})")
-    if spec.kind in _DETERMINISTIC_KINDS:
+    if spec.kind == "bernoulli_random":  # the expected items and pairs of the kept sets, and the loop's uniforms
+        members, threshold = None, _bernoulli_threshold(spec, r)
+        q = spec.inclusion_probability()
+        accept = _bernoulli_acceptance(n, q)  # positive once the threshold is known
+        items, pairs, draws = r * n * q * (1 - (1 - q) ** (n - 1)) / accept, r * q * q * n * (n - 1) / 2 / accept, r * n
+    else:
         members, threshold = _cached_selection(spec.kind, n, p, r), None
         sizes = np.count_nonzero(members, axis=1)
         items, pairs, draws = int(sizes.sum()), int((sizes * (sizes - 1)).sum()) // 2, 0
-    else:  # the expected items and pairs of the kept sets, those with two members or more, and the loop's uniforms
-        members, threshold = None, _bernoulli_threshold(spec, r)
-        q = spec.inclusion_probability()
-        miss = (1 - q) ** (n - 1)
-        accept = 1 - miss * (1 - q + n * q)  # positive once the threshold is known
-        items, pairs, draws = r * n * q * (1 - miss) / accept, r * q * q * n * (n - 1) / 2 / accept, r * n
     radius = None  # the positional estimator needs no window
     if estimator != "posest":
         radius = (pointwise_window if estimator == "ltn" else mle_window)(n, beta, p, r)
@@ -310,110 +308,34 @@ def binary_search_complexity(
 
 
 @dataclass(frozen=True)
-class ComplexityCurve:
-    """Mean estimated sample complexity per frequency parameter."""
+class Report:
+    """An experiment's result: its CSV header and rows, the settings echoed above them, and its plot, if it has one.
 
-    points: tuple[tuple[float, float, float, float], ...]  # (p, 1/p, mean_r*, std_r*)
-    metadata: dict = field(compare=False)
+    ``plot`` holds the arguments of :func:`plotting.line_plot_svg`: the (label, xs, ys) series, title, x and y labels.
+    """
+
+    header: str
+    rows: tuple[tuple, ...]
+    metadata: dict
+    plot: tuple | None = None
 
     def to_csv(self) -> str:
-        extra = (self.metadata["searches"], self.metadata["trials_per_point"])
-        return _csv(self.metadata, "p,inv_p,mean_r_star,std_r_star,searches,trials", (pt + extra for pt in self.points))
+        """``# key=value`` metadata lines, the column header, then one line per row."""
+        lines = [f"# {key}={_fmt(value)}" for key, value in self.metadata.items()]
+        lines.append(self.header)
+        lines.extend(",".join(_fmt(v) for v in row) for row in self.rows)
+        return "\n".join(lines) + "\n"
 
     def to_svg(self) -> str:
-        from .plotting import line_plot_svg
-
-        xs = [pt[1] for pt in self.points]
-        ys = [pt[2] for pt in self.points]
-        return line_plot_svg(
-            [("mean r*", xs, ys)],
-            title=f"Estimated sample complexity, n={self.metadata['n']}, beta={_fmt(self.metadata['beta'])}",
-            xlabel="1/p (inverse frequency parameter)",
-            ylabel=f"profile size for {_fmt(self.metadata['target_success'])} success",
-        )
-
-
-@dataclass(frozen=True)
-class DistanceCurve:
-    """Average distance between estimate and center per (p, r) cell."""
-
-    series: tuple[tuple[float, tuple[tuple[int, float, float], ...]], ...]  # p -> ((r, mean, std), ...)
-    metadata: dict = field(compare=False)
-
-    def to_csv(self) -> str:
-        trials = self.metadata["trials_per_point"]
-        rows = ((p,) + row + (trials,) for p, rows in self.series for row in rows)
-        return _csv(self.metadata, "p,r,mean_kt,std_kt,trials", rows)
-
-    def to_svg(self) -> str:
-        from .plotting import line_plot_svg
-
-        series = [
-            (f"p={_fmt(p)}", [float(row[0]) for row in rows], [row[1] for row in rows])
-            for p, rows in self.series
-        ]
-        return line_plot_svg(
-            series,
-            title=f"Average Kendall tau distance to the center, n={self.metadata['n']}, beta={_fmt(self.metadata['beta'])}",
-            xlabel="profile size r",
-            ylabel="mean Kendall tau distance",
-        )
-
-
-@dataclass(frozen=True)
-class TopkCurve:
-    """Top-k and full recovery rates over the profile-size grid."""
-
-    k: int
-    rows: tuple[tuple[int, float, float], ...]  # (r, topk_success, full_success)
-    metadata: dict = field(compare=False)
-
-    def to_csv(self) -> str:
-        trials = self.metadata["trials_per_point"]
-        return _csv(self.metadata, "k,r,topk_success,full_success,trials", ((self.k,) + row + (trials,) for row in self.rows))
-
-    def to_svg(self) -> str:
-        from .plotting import line_plot_svg
-
-        xs = [float(r) for r, _, _ in self.rows]
-        return line_plot_svg(
-            [
-                (f"top-{self.k} recovery", xs, [t for _, t, _ in self.rows]),
-                ("full recovery", xs, [f for _, _, f in self.rows]),
-            ],
-            title=f"Top-k vs full recovery, n={self.metadata['n']}, beta={_fmt(self.metadata['beta'])}",
-            xlabel="profile size r",
-            ylabel="success rate",
-        )
-
-
-@dataclass(frozen=True)
-class AdversarialReport:
-    """Estimator failure rates on starved vs benign selection sequences."""
-
-    rows: tuple[tuple[str, int, float, int], ...]  # (regime, r, failure_rate, trials)
-    metadata: dict = field(compare=False)
-
-    def to_csv(self) -> str:
-        return _csv(self.metadata, "regime,r,failure_rate,trials", self.rows)
+        return plotting.line_plot_svg(*self.plot)  # read from the module at each call, as a wrapper set there expects
 
 
 def _fmt(x) -> str:
+    if isinstance(x, tuple):  # a setting of several values, such as the p values, as one field
+        return "|".join(_fmt(v) for v in x)
     if isinstance(x, float):
         return f"{x:.6g}"
     return str(x)
-
-
-def _csv(meta: dict, header: str, rows) -> str:
-    """``# key=value`` metadata lines, the column header, then one line per row."""
-    lines = []
-    for key, value in meta.items():
-        if isinstance(value, tuple):
-            value = "|".join(_fmt(v) for v in value)
-        lines.append(f"# {key}={_fmt(value)}")
-    lines.append(header)
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
 
 
 def _map_tasks(fn, tasks: list[tuple], threads: int) -> list:
@@ -430,7 +352,7 @@ def _map_tasks(fn, tasks: list[tuple], threads: int) -> list:
         return list(pool.map(fn, *zip(*tasks), chunksize=chunk))
 
 
-def run_complexity_experiment(config: ExperimentConfig, threads: int = 1) -> ComplexityCurve:
+def run_complexity_experiment(config: ExperimentConfig, threads: int = 1) -> Report:
     """Average binary-search sample-complexity estimates per frequency p."""
     root = Stream.from_seed(config.seed)
     tasks = [
@@ -440,12 +362,18 @@ def run_complexity_experiment(config: ExperimentConfig, threads: int = 1) -> Com
         for s in range(config.searches)
     ]
     results = _map_tasks(binary_search_complexity, tasks, threads)
-    points = []
+    rows = []
     for p_idx, p in enumerate(config.p_values):
         rs = np.array(results[p_idx * config.searches : (p_idx + 1) * config.searches], dtype=np.float64)
-        points.append((p, 1.0 / p, float(rs.mean()), float(rs.std())))
-    points.sort(key=lambda pt: -pt[0])
-    return ComplexityCurve(points=tuple(points), metadata=config.metadata())
+        rows.append((p, 1.0 / p, float(rs.mean()), float(rs.std()), config.searches, config.trials_per_point))
+    rows.sort(key=lambda row: -row[0])
+    plot = (
+        [("mean r*", [row[1] for row in rows], [row[2] for row in rows])],
+        f"Estimated sample complexity, n={config.n}, beta={_fmt(config.beta)}",
+        "1/p (inverse frequency parameter)",
+        f"profile size for {_fmt(config.target_success)} success",
+    )
+    return Report("p,inv_p,mean_r_star,std_r_star,searches,trials", tuple(rows), config.metadata(), plot)
 
 
 def distance_cell(config: ExperimentConfig, p_idx: int, r: int) -> np.ndarray:
@@ -460,21 +388,28 @@ def distance_cell(config: ExperimentConfig, p_idx: int, r: int) -> np.ndarray:
     return _discordances(np.arange(len(at) + 1) * config.n, at.ravel())
 
 
-def run_distance_experiment(config: ExperimentConfig, threads: int = 1) -> DistanceCurve:
+def run_distance_experiment(config: ExperimentConfig, threads: int = 1) -> Report:
     """Mean Kendall tau distance between estimate and center over the r grid."""
     if not config.r_grid:
         raise ValueError("distance experiment requires a nonempty r_grid")
     tasks = [(config, p_idx, r) for p_idx in range(len(config.p_values)) for r in config.r_grid]
-    results = [d.astype(np.float64) for d in _map_tasks(distance_cell, tasks, threads)]
-    width = len(config.r_grid)
-    series = tuple(
-        (p, tuple((r, float(d.mean()), float(d.std())) for r, d in zip(config.r_grid, results[p_idx * width :])))
-        for p_idx, p in enumerate(config.p_values)
+    distances = [d.astype(np.float64) for d in _map_tasks(distance_cell, tasks, threads)]
+    rows = tuple(
+        (config.p_values[p_idx], r, float(d.mean()), float(d.std()), config.trials_per_point)
+        for (_, p_idx, r), d in zip(tasks, distances)
     )
-    return DistanceCurve(series=series, metadata=config.metadata())
+    xs, width = [float(r) for r in config.r_grid], len(config.r_grid)
+    plot = (
+        [(f"p={_fmt(p)}", xs, [row[2] for row in rows[i * width : (i + 1) * width]])
+         for i, p in enumerate(config.p_values)],
+        f"Average Kendall tau distance to the center, n={config.n}, beta={_fmt(config.beta)}",
+        "profile size r",
+        "mean Kendall tau distance",
+    )
+    return Report("p,r,mean_kt,std_kt,trials", rows, config.metadata(), plot)
 
 
-def run_topk_experiment(config: ExperimentConfig, threads: int = 1) -> TopkCurve:
+def run_topk_experiment(config: ExperimentConfig, threads: int = 1) -> Report:
     """Top-k vs full recovery rates side by side over the r grid."""
     if not config.r_grid:
         raise ValueError("top-k experiment requires a nonempty r_grid")
@@ -490,10 +425,17 @@ def run_topk_experiment(config: ExperimentConfig, threads: int = 1) -> TopkCurve
         for r in config.r_grid
     ]
     rows = tuple(
-        (r, _prefix_matches(est, pi0, config.k) / trials, _prefix_matches(est, pi0, config.n) / trials)
+        (config.k, r, _prefix_matches(est, pi0, config.k) / trials, _prefix_matches(est, pi0, config.n) / trials, trials)
         for r, (est, pi0) in zip(config.r_grid, _map_tasks(_cell, tasks, threads))
     )
-    return TopkCurve(k=config.k, rows=rows, metadata=config.metadata())
+    xs = [float(r) for r in config.r_grid]
+    plot = (
+        [(f"top-{config.k} recovery", xs, [row[2] for row in rows]), ("full recovery", xs, [row[3] for row in rows])],
+        f"Top-k vs full recovery, n={config.n}, beta={_fmt(config.beta)}",
+        "profile size r",
+        "success rate",
+    )
+    return Report("k,r,topk_success,full_success,trials", rows, config.metadata(), plot)
 
 
 def run_adversarial_demo(
@@ -504,7 +446,7 @@ def run_adversarial_demo(
     trials: int,
     seed: int = 0,
     threads: int = 1,
-) -> AdversarialReport:
+) -> Report:
     """Failure rate of the positional estimator on the starved matching sequence.
 
     The adversarial regime plants the center so the starved matching's
@@ -536,4 +478,4 @@ def run_adversarial_demo(
         successes = sum(_prefix_matches(est, pi0, n) for est, pi0 in cells[idx * parts : (idx + 1) * parts])
         rows.append((regime, r, (trials - successes) / trials, trials))
     meta = {"n": n, "beta": beta, "p": p, "r": r, "trials": trials, "seed": seed}
-    return AdversarialReport(rows=tuple(rows), metadata=meta)
+    return Report("regime,r,failure_rate,trials", tuple(rows), meta)

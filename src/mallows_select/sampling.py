@@ -154,10 +154,15 @@ def generate_selection(spec: SelectionSpec, r: int, stream: Stream | None = None
     return SelectionSequence._from_arrays(n, offsets, items)
 
 
+def _bernoulli_acceptance(n: int, q: float) -> float:
+    """The chance that a bernoulli_random candidate of n items, each in with chance q, has two members or more."""
+    return 1.0 - (1.0 - q) ** n - n * q * (1.0 - q) ** (n - 1)
+
+
 def _bernoulli_threshold(spec: SelectionSpec, r: int) -> np.uint64:
     """The 63-bit membership threshold of a bernoulli_random spec, once its rejection loop is known to be bounded."""
     n, q = spec.n, spec.inclusion_probability()
-    accept = 1.0 - (1.0 - q) ** n - n * q * (1.0 - q) ** (n - 1)  # P(a draw has >= 2 members)
+    accept = _bernoulli_acceptance(n, q)
     uniforms = r * n / accept if accept > 0 else math.inf
     if uniforms > _MAX_BERNOULLI_UNIFORMS:
         raise InfeasibleSpecError(

@@ -213,8 +213,8 @@ def _complexity_fit(preset_name: str, searches_reduced: int, seed: int):
         config = dataclasses.replace(config, searches=searches_reduced)
     config = dataclasses.replace(config, seed=seed)
     curve = run_complexity_experiment(config, threads=THREADS)
-    inv_p = [pt[1] for pt in curve.points]
-    means = [pt[2] for pt in curve.points]
+    inv_p = [row[1] for row in curve.rows]
+    means = [row[2] for row in curve.rows]
     slope, _, r2 = linear_fit(inv_p, means)
     return curve, slope, r2
 
@@ -233,9 +233,7 @@ def test_criterion_07_figure2_distance_curves():
     details = []
     ok = True
     finals = {}
-    for p_idx, (p, rows) in enumerate(
-        sorted(((p, rows) for p, rows in curve.series), key=lambda kv: kv[0])
-    ):
+    for p in sorted({row[0] for row in curve.rows}):
         true_idx = config.p_values.index(p)
         small = distance_cell(config, true_idx, r_lo)
         large = distance_cell(config, true_idx, r_hi)

@@ -178,6 +178,28 @@ class TestCliErrors:
         assert run(capsys, "select", "--n", "4", "--r", "2", "--out", str(sel_path))[0] == 0
         assert run(capsys, "verify", str(sel_path))[0] == 0
 
+    @pytest.mark.parametrize("command", ["exp-complexity", "exp-adversarial"])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_threads_flag_below_one_exits_one_before_any_work(self, tmp_path, capsys, command, value):
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            dispatch([command, "--n", "4", "--beta", "1", "--trials", "2", "--threads", value, "--out", str(out)])
+        assert excinfo.value.code == 1
+        captured = capsys.readouterr()
+        assert f"--threads must be at least 1, got {value}" in captured.err
+        assert "command=" not in captured.err and captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_threads_variable_below_one_exits_one_before_any_work(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("MALLOWS_SELECT_THREADS", value)
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            dispatch(["exp-distance", "--n", "4", "--beta", "1", "--trials", "2", "--r-grid", "2", "--out", str(out)])
+        assert excinfo.value.code == 1
+        captured = capsys.readouterr()
+        assert f"MALLOWS_SELECT_THREADS must be at least 1, got {value}" in captured.err
+        assert "command=" not in captured.err and captured.out == "" and not out.exists()
+
     def test_runtime_error_exits_two(self, tmp_path, capsys):
         code, _, err = run(capsys, "posest", "--in", str(tmp_path / "missing.txt"), "--seed", "0")
         assert code == 2
@@ -419,6 +441,15 @@ class TestCliExperiments:
         body = [ln for ln in lines if not ln.startswith("#")]
         assert body[0] == "regime,r,failure_rate,trials"
         assert len(body) == 3
+
+    def test_exp_adversarial_writes_no_svg(self, tmp_path, capsys):
+        out = tmp_path / "adv.csv"
+        code, _, err = run(
+            capsys, "exp-adversarial", "--n", "6", "--r", "2", "--trials", "4", "--threads", "1", "--out", str(out),
+        )
+        assert code == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["adv.csv"]
+        assert "svg=" not in err
 
     def test_exp_topk(self, capsys):
         code, out, _ = run(

@@ -163,20 +163,20 @@ class TestComplexityExperiment:
     def test_single_point_curve(self):
         cfg = small_complexity_config(p_values=(1.0,))
         curve = run_complexity_experiment(cfg)
-        assert len(curve.points) == 1
-        p, inv_p, mean, std = curve.points[0]
+        assert len(curve.rows) == 1
+        p, inv_p, mean, std, _searches, _trials = curve.rows[0]
         assert (p, inv_p) == (1.0, 1.0)
         assert mean >= 1.0 and std >= 0.0
 
     def test_points_sorted_by_p_descending(self):
         curve = run_complexity_experiment(small_complexity_config())
-        ps = [pt[0] for pt in curve.points]
+        ps = [row[0] for row in curve.rows]
         assert ps == sorted(ps, reverse=True)
 
     def test_lower_p_needs_more_samples(self):
         cfg = small_complexity_config(n=10, p_values=(1.0, 1 / 3), searches=6)
         curve = run_complexity_experiment(cfg)
-        by_p = {pt[0]: pt[2] for pt in curve.points}
+        by_p = {row[0]: row[2] for row in curve.rows}
         assert by_p[1 / 3] > by_p[1.0]
 
     def test_csv_format(self):
@@ -213,17 +213,16 @@ class TestDistanceExperiment:
             r_grid=(2, 5), selection_kind="mixed_pfrequent", seed=3,
         )
         curve = run_distance_experiment(cfg)
-        for _p, rows in curve.series:
-            for _r, mean, std in rows:
-                assert mean == 0.0 and std == 0.0
+        for _p, _r, mean, std, _trials in curve.rows:
+            assert mean == 0.0 and std == 0.0
 
     def test_distance_shrinks_with_r(self):
         cfg = ExperimentConfig(
             n=12, beta=0.3, p_values=(0.5,), trials_per_point=40,
             r_grid=(5, 80), selection_kind="mixed_pfrequent", seed=4,
         )
-        rows = dict(run_distance_experiment(cfg).series)[0.5]
-        assert rows[-1][1] < rows[0][1]
+        rows = [row for row in run_distance_experiment(cfg).rows if row[0] == 0.5]
+        assert rows[-1][2] < rows[0][2]
 
     def test_threads_do_not_change_output(self):
         cfg = ExperimentConfig(
@@ -240,7 +239,7 @@ class TestTopkExperiment:
             r_grid=(2, 6, 12), k=6, selection_kind="complete", seed=6,
         )
         curve = run_topk_experiment(cfg)
-        for _r, topk_rate, full_rate in curve.rows:
+        for _k, _r, topk_rate, full_rate, _trials in curve.rows:
             assert topk_rate == full_rate
 
     def test_requires_k(self):
@@ -253,7 +252,7 @@ class TestTopkExperiment:
             n=10, beta=1.0, p_values=(0.5,), trials_per_point=40,
             r_grid=(4, 10), k=2, selection_kind="mixed_pfrequent", seed=7,
         )
-        for _r, topk_rate, full_rate in run_topk_experiment(cfg).rows:
+        for _k, _r, topk_rate, full_rate, _trials in run_topk_experiment(cfg).rows:
             assert topk_rate >= full_rate
 
 
@@ -281,6 +280,28 @@ class TestAdversarialDemo:
         a = run_adversarial_demo(n=8, beta=1.0, p=0.5, r=4, trials=30, seed=10, threads=1)
         b = run_adversarial_demo(n=8, beta=1.0, p=0.5, r=4, trials=30, seed=10, threads=2)
         assert a.to_csv() == b.to_csv()
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: run_complexity_experiment(small_complexity_config()),
+        lambda: run_distance_experiment(
+            ExperimentConfig(n=6, beta=1.0, p_values=(0.5, 1.0), trials_per_point=5, r_grid=(2, 4, 8), seed=1)
+        ),
+        lambda: run_topk_experiment(
+            ExperimentConfig(n=6, beta=1.0, p_values=(0.5,), trials_per_point=5, r_grid=(3, 6), k=2, seed=2)
+        ),
+        lambda: run_adversarial_demo(n=6, beta=1.0, p=0.5, r=3, trials=5, seed=3),
+    ],
+    ids=["complexity", "distance", "topk", "adversarial"],
+)
+def test_csv_has_one_line_per_row_with_a_field_per_column(run):
+    report = run()
+    body = [line for line in report.to_csv().splitlines() if not line.startswith("# ")]
+    assert body[0] == report.header
+    assert len(body) == 1 + len(report.rows) and len(report.rows) > 0
+    assert all(len(line.split(",")) == len(report.header.split(",")) for line in body[1:])
 
 
 class TestSuccessCurveShape:
