@@ -3,9 +3,9 @@
  * wins to its positional estimate; the windowed DP of mallows_select.mle; and the byte pass and the row writer of
  * mallows_select.fileio, which read a profile or selection file into CSR rows and write CSR rows out as one.
  *
- * Each routine mirrors its numpy form draw for draw, count for count and choice for choice: core builds this file
- * with the system C compiler into the package's __pycache__, loads it through ctypes, and runs the numpy forms
- * wherever it cannot.
+ * Each routine mirrors its numpy form draw for draw, count for count and choice for choice, and the byte pass the
+ * per-line checks of fileio: core builds this file with the system C compiler into the package's __pycache__, loads
+ * it through ctypes, and runs those forms wherever it cannot.
  * Row l of a CSR array is items[offsets[l]:offsets[l+1]].
  */
 #include <stdint.h>

@@ -20,7 +20,8 @@ the file with the system ``cc`` into the package's ``__pycache__``,
 removing the builds of other sources there, and every
 process loads it through ``ctypes``.  Where there is no compiler, no
 writable directory or no loadable library, the numpy forms run; both give
-the same results, bit for bit.
+the same results, bit for bit.  The byte pass has no numpy form: without
+it, the parser reads every file by its per-line checks.
 """
 
 from __future__ import annotations

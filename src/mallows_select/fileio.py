@@ -11,9 +11,9 @@ lines are skipped and take no line number, and a token is whatever
 ``int`` reads after the line is stripped, so spaces around a token, a
 ``+`` sign, ``_`` separators and non-ASCII digits are accepted.  The
 UTF-8 of the text after the header line is read whole or declined by a
-byte pass: one pass of ``scan_rows`` in ``_rows.c`` where core's
-compiled kernels load, and array operations otherwise, with the same
-result.  It reads a body whose lines, ended by ``\\n`` or ``\\r\\n`` and
+byte pass, one pass of ``scan_rows`` in ``_rows.c``, where core's
+compiled kernels load; where they do not, every file is read line by
+line.  The pass reads a body whose lines, ended by ``\\n`` or ``\\r\\n`` and
 blank only at its ends, all take the form that :func:`format_profile`
 writes, or all the form of :func:`format_selection`, and whose
 invariants all hold: the line shape, no empty token, no duplicate, every
@@ -151,20 +151,6 @@ def _check_line(raw: str, line_no: int, n: int) -> dict | tuple[tuple[int, ...],
     return s_sorted, r_items
 
 
-# byte classes of the byte pass: digits, commas, and every other byte, which a canonical line holds as one layout
-_DIGIT, _COMMA = 1, 2
-_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
-_BYTE_CLASS[ord("0") : ord("9") + 1] = _DIGIT
-_BYTE_CLASS[ord(",")] = _COMMA
-_PROFILE_LAYOUT, _SELECTION_LAYOUT = (np.frombuffer(layout, dtype=np.uint8) for layout in (b"S:|R:\n", b"S:\n"))
-_MAX_DIGITS = 9  # int32 holds every shorter digit run; a longer one goes to the per-line checks
-
-
-def _positions(mask: np.ndarray) -> np.ndarray:
-    """The indices of the true entries of ``mask``, as int32."""
-    return np.flatnonzero(mask).astype(np.int32)
-
-
 def _byte_pass(data: bytes, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None] | None:
     """Read every line of ``data``, the UTF-8 of a file's body after its header line, or decline the whole file.
 
@@ -175,15 +161,14 @@ def _byte_pass(data: bytes, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray 
     ``S:<set>``, for which ``rank_items`` is None; an empty body reads as
     the former.  Each part is runs of at most nine ASCII digits joined by
     single commas, a set holds at least two distinct items below n, and a
-    ranking is a permutation of its set.  The C pass reads the bytes once
-    into arrays sized by the token count, commas plus one per part; the
-    numpy form, :func:`_numpy_byte_pass`, reads them with array operations.
+    ranking is a permutation of its set.  The C pass, ``scan_rows``, reads
+    the bytes once into arrays sized by the token count, commas plus one
+    per part.  Where core's compiled kernels do not load, every file is
+    declined, and the per-line checks read it.
     """
-    if data and not data.endswith(b"\n"):
-        return None
     kernels = core._row_kernels()
-    if kernels is None:
-        return _numpy_byte_pass(data, n)
+    if kernels is None or data and not data.endswith(b"\n"):
+        return None
     lines = np.count_nonzero((view := np.frombuffer(data, np.uint8)) == ord("\n"))
     parts = 2 if not lines or b"|" in data[: data.index(b"\n")] else 1
     tokens = np.count_nonzero(view == ord(",")) + lines * parts
@@ -197,68 +182,6 @@ def _byte_pass(data: bytes, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray 
         offsets.ctypes.data, set_items.ctypes.data, None if rank_items is None else rank_items.ctypes.data,
     )
     return None if failed else (offsets, set_items, rank_items)
-
-
-def _numpy_byte_pass(text: bytes, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None] | None:
-    """:func:`_byte_pass` by array operations over ``text``, empty or ended by a newline: the fallback.
-
-    A file of one layout holds that layout's bytes on every line and no
-    other byte but digits and commas, so the count of those bytes picks
-    it.  Positions are int32 and bytes uint8, so the scratch arrays stay a
-    few times the size of the text.
-    """
-    data = np.frombuffer(text, dtype=np.uint8)
-    cls = _BYTE_CLASS[data]
-    ends = _positions(data == 10)  # line i ends at ends[i]
-    lines = len(ends)
-    starts = np.concatenate(([0], ends + 1))[:lines].astype(np.int32)
-
-    # line shape: row i of the marks is line i's layout bytes, as no line holds a newline but at its end;
-    # a nonempty part follows each ':', and the other layout bytes are adjacent
-    marks = _positions(cls == 0)
-    layout = _PROFILE_LAYOUT if len(marks) == lines * len(_PROFILE_LAYOUT) else _SELECTION_LAYOUT
-    if len(marks) != lines * len(layout):
-        return None
-    at, ranked = marks.reshape(lines, len(layout)), layout is _PROFILE_LAYOUT
-    if not ((data[at] == layout).all() and (at[:, 0] == starts).all() and ((np.diff(at) > 1) == (layout[:-1] == ord(":"))).all()):
-        return None
-
-    # tokens: commas only between digits, digit runs of at most _MAX_DIGITS, each part's count
-    comma = _positions(cls == _COMMA)
-    if ((cls[comma - 1] != _DIGIT) | (cls[comma + 1] != _DIGIT)).any():
-        return None
-    step = np.diff((cls == _DIGIT).view(np.int8), prepend=np.int8(0))  # +1 where a run starts, -1 after it ends
-    del comma, cls
-    tok = _positions(step == 1)
-    length = _positions(step == -1) - tok  # the text ends in a newline, so every run ends
-    del step
-    if length.max(initial=0) > _MAX_DIGITS:
-        return None
-    # a set ends at the third layout byte: the '|' of a ranked line, the newline of a selection-only one
-    first, mid, last = (np.searchsorted(tok, bound).astype(np.int32) for bound in (starts, at[:, 2], ends))
-    set_count = mid - first
-    if (set_count < 2).any() or (ranked and (set_count != last - mid).any()):
-        return None
-
-    # values, in range
-    values = (data[tok] - 48).astype(np.int32)
-    for k in range(1, int(length.max(initial=0))):
-        more = length > k
-        values[more] = values[more] * 10 + (data[tok[more] + k] - 48)
-    del tok, length
-    if values.max(initial=0) >= n:
-        return None
-
-    # per line: distinct set items, and a ranking whose sorted items are the set's
-    line = np.repeat(np.arange(lines, dtype=np.int32), last - first)
-    in_ranking = np.arange(len(line), dtype=np.int32) >= np.repeat(mid, last - first)
-    set_keys = np.sort(line[~in_ranking].astype(np.int64) * n + values[~in_ranking])
-    rank_keys = line[in_ranking].astype(np.int64) * n + values[in_ranking] if ranked else None
-    del line, values, in_ranking
-    if (set_keys[1:] == set_keys[:-1]).any() or (ranked and (set_keys != np.sort(rank_keys)).any()):
-        return None
-    offsets = np.concatenate(([0], np.cumsum(set_count, dtype=np.int64)))
-    return offsets, set_keys % n, None if rank_keys is None else rank_keys % n
 
 
 def _scan(text: str) -> tuple[float | None, SelectionSequence, np.ndarray, bool]:
@@ -309,8 +232,10 @@ def collect_profile_errors(text: str, p: float | None = None) -> list[dict]:
     report = verify_p_frequent(selection, p)
     if report.ok:
         return []
-    pair = report.worst_pairs()[0]
-    count = int(report.counts[pair[0], pair[1]])
+    # the first minimal pair of the row-major upper triangle, worst_pairs()[0], without building the others
+    n, counts = selection.n, report.counts
+    pair = divmod(int(np.argmin(np.where(np.arange(n)[:, None] < np.arange(n), counts, len(selection) + 1))), n)
+    count = int(counts[pair])
     message = f"sequence is not {p:g}-frequent: pair {pair} co-appears in {count}/{len(selection)} sets"
     return [_err(1, message, pair=list(pair), count=count)]
 

@@ -324,15 +324,14 @@ def outputs():
         drawn += [sets.offsets, sets.items, np.array([stream._ctr])]
     profile = sample_profile(params, selection, Stream.from_seed(7))
     dp = [np.array([*seq, total]) for seq, total in (_dp_window_max(wins, radius) for wins, radius in windows)]
-    reads = [fileio._byte_pass(body, n) for body, n in bodies]
-    parsed = [np.array([-1]) if read is None else np.array([-2]) if a is None else a for read in reads for a in read or [None]]
     likelihood = np.array([log_likelihood(Ranking(Stream.from_seed(11).permutation(100)), big, 0.7)])
     written = [np.frombuffer(text.encode(), np.uint8) for text in (fileio.format_profile(big, beta=1.0), fileio.format_selection(one_row))]
-    return [a for cell in rows for a in cell] + drawn + [profile.rank_items, accumulate_counts(profile).wins] + dp + parsed + [likelihood] + written
+    return [a for cell in rows for a in cell] + drawn + [profile.rank_items, accumulate_counts(profile).wins] + dp + [likelihood] + written
 
 
 core._row_kernels = lambda: sanitized
 compiled = outputs()
+reads = [fileio._byte_pass(body, n) for body, n in bodies]
 # scan_rows' own checks of the end: a text left unread, as no line was counted, and a last byte that is not a newline
 stamp, out = np.zeros(4, np.int64), np.empty(6, np.int64)
 for body in unended:
@@ -340,6 +339,13 @@ for body in unended:
     assert sanitized.scan_rows(body, len(body), body.count(b"\\n"), *args) == 1
 core._row_kernels = lambda: None
 assert all(np.array_equal(a, b) for a, b in zip(compiled, outputs(), strict=True))
+# the written file and the valid bodies are read, each as the per-line checks read it behind a header; the rest declined
+assert [i for i, read in enumerate(reads) if read is not None] == [0, 2, 5, 11, 12]
+for (body, n), read in zip(bodies, reads):
+    if read is not None:
+        _, selection, rank_items, selection_only = fileio._scan(f"{n},{len(read[0]) - 1}\\n{body.decode()}")
+        assert (read[2] is None) == selection_only
+        assert all(np.array_equal(a, b) for a, b in zip(read, (selection.offsets, selection.items, rank_items)) if a is not None)
 print("equal")
 """
 
@@ -462,11 +468,11 @@ class TestCompiledRowKernels:
         # a build that aborts at the first undefined operation runs figure cells (an ltn cell, a planted cell whose two
         # complete sets leave many scores tied, an n = 2 cell, and cells at beta = 0.05 and 40, the two ends of the
         # insertion search, among them), a sampled profile and its count, the windowed DP at every radius below
-        # n = 1, 2, 9 and 14, the byte pass of a files_io-sized file and of a body for each way it declines, a
-        # likelihood, and the writer on that file's profile and on a one-row selection, each equal to the numpy forms'
-        # result, and scan_rows itself on the two bodies without a final newline.  One cell runs trials 17 to 39, so
-        # the kernel derives keys from a first trial index above 0, and generate_selection draws Bernoulli sets from a
-        # used stream and in the rejection tail of n = 3, p = 0.04
+        # n = 1, 2, 9 and 14, a likelihood, and the writer on a files_io-sized profile and on a one-row selection, each
+        # equal to the numpy forms' result; the byte pass of that profile's file and of a body for each way it declines,
+        # each read equal to the per-line reading of its text; and scan_rows itself on the two bodies without a final
+        # newline.  One cell runs trials 17 to 39, so the kernel derives keys from a first trial index above 0, and
+        # generate_selection draws Bernoulli sets from a used stream and in the rejection tail of n = 3, p = 0.04
         src = str(Path(core.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         result = subprocess.run(

@@ -21,7 +21,7 @@ from mallows_select.fileio import (
     parse_selection,
 )
 from mallows_select.rng import Stream
-from mallows_select.sampling import SelectionSpec, generate_selection, sample_profile
+from mallows_select.sampling import PFrequencyReport, SelectionSpec, generate_selection, sample_profile, verify_p_frequent
 
 
 @st.composite
@@ -142,6 +142,31 @@ def test_header_n_over_the_limit_is_refused_before_any_table(tmp_path, capsys):
     assert collect_profile_errors("8192,1\nS:0,1|R:1,0\n") == []
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "4,2\nS:0,1\nS:0,1\n",  # (0, 2), the first of five pairs never seen
+        "4,3\nS:0,1,2,3\nS:0,1,2\nS:1,2,3\n",  # (0, 3) alone, inside the triangle
+        "4,3\nS:0,1,2,3\nS:0,1,2\nS:0,1,3\n",  # (2, 3) alone, its last pair
+        format_selection(generate_selection(SelectionSpec("bernoulli_random", 30, 0.25), 20, Stream.from_seed(4))),
+    ],
+)
+def test_the_p_audit_names_the_first_minimal_pair_without_listing_them(text):
+    # worst_pairs() builds a tuple for every minimal pair, 8.4 M of them on a pair-only file at n = 4096
+    selection = parse_selection(text)
+    report = verify_p_frequent(selection, 0.9)
+    pair = report.worst_pairs()[0]
+    count = int(report.counts[pair])
+    message = f"sequence is not 0.9-frequent: pair {pair} co-appears in {count}/{len(selection)} sets"
+
+    def refuse(self):
+        raise AssertionError("the audit listed every minimal pair")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PFrequencyReport, "worst_pairs", refuse)
+        assert collect_profile_errors(text, p=0.9) == [{"line": 1, "message": message, "pair": list(pair), "count": count}]
+
+
 @pytest.mark.parametrize("beta", ["nan", "inf", "-inf", "0", "-1.5"])
 def test_header_beta_must_be_positive_and_finite(tmp_path, capsys, beta):
     text = f"4,1,{beta}\nS:0,1|R:1,0\n"
@@ -230,25 +255,21 @@ def _both_readings(text):
     return new, old
 
 
-def _byte_passes(body, n):
-    """``fileio._byte_pass`` of one body, its text or its lines, on each row-kernel path: the compiled pass, then the
-    numpy form.  Lines are each ended by a newline."""
+def _byte_pass(body, n):
+    """``fileio._byte_pass`` of one body, its text or its lines, each line ended by a newline.
+
+    Where the pass reads the body, ``helpers.legacy_scan`` of the body behind an ``n,r`` header must read it too, to
+    the same sets and rankings, and the arrays must be int64; returns the reading.
+    """
     text = body if isinstance(body, str) else "".join(f"{line}\n" for line in body)
-    with pytest.MonkeyPatch.context() as patch:
-        return [fileio._byte_pass(text.encode(errors="surrogatepass"), n) for _ in row_kernel_paths(patch)]
-
-
-def _same_pass(body, n):
-    """The compiled and the numpy byte pass of one body, asserted equal at zero tolerance; returns the reading."""
-    compiled, numpy = _byte_passes(body, n)
-    assert (compiled is None) == (numpy is None)
-    if numpy is not None:
-        for native, other in zip(compiled, numpy, strict=True):
-            assert (native is None) == (other is None)
-            if other is not None:
-                assert native.dtype == other.dtype == np.int64 and native.shape == other.shape
-                assert np.array_equal(native, other)
-    return numpy
+    read = fileio._byte_pass(text.encode(errors="surrogatepass"), n)
+    if read is not None:
+        offsets, set_items, rank_items = read
+        assert all(a.dtype == np.int64 for a in read if a is not None)
+        _, _, sets, rankings = legacy_scan(f"{n},{len(offsets) - 1}\n{text}")
+        assert _csr_rows(offsets, set_items) == sets
+        assert rankings == ([None] * len(sets) if rank_items is None else _csr_rows(offsets, rank_items))
+    return read
 
 
 # bytes a mutation puts in: the format's own, a space, a sign, a non-ASCII letter and digit, and a line break
@@ -269,12 +290,20 @@ def mutated_bodies(draw):
 
 
 class TestCompiledBytePass:
-    """The compiled ``fileio._byte_pass`` against its numpy form: the same arrays and dtypes, or None on both."""
+    """The compiled ``fileio._byte_pass`` against ``helpers.legacy_scan``: what it reads, the per-line reading reads
+    the same; and without the compiled kernels it declines every body."""
 
     @settings(max_examples=400, deadline=None)
     @given(mutated_bodies())
-    def test_equals_the_numpy_form_on_written_and_mutated_files(self, case):
-        _same_pass(*case)
+    def test_reads_written_and_mutated_files_as_the_per_line_reading(self, case):
+        _byte_pass(*case)
+
+    @settings(max_examples=50, deadline=None)
+    @given(mutated_bodies())
+    def test_declines_every_body_without_the_compiled_kernels(self, case):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "_row_kernels", lambda: None)
+            assert _byte_pass(*case) is None
 
     @pytest.mark.parametrize(
         "body, sets",
@@ -302,15 +331,16 @@ class TestCompiledBytePass:
             (["S:0,1|R:1,0 "], None),
         ],
     )
-    def test_each_rule_reads_or_declines_as_the_numpy_form(self, body, sets):
-        read = _same_pass(body, 4)
+    @needs_cc
+    def test_each_rule_reads_or_declines(self, body, sets):
+        read = _byte_pass(body, 4)
         assert (None if read is None else read[1].tolist()) == sets
         if body == []:
             assert read[0].tolist() == [0] and read[2].tolist() == []
 
     @needs_cc
     def test_a_files_io_sized_parse_peaks_under_the_working_budget(self, monkeypatch):
-        # n=100, r=2000 Bernoulli sets of about 50 items: a 588 KB text; the numpy form peaks at about 5.9 MiB
+        # n=100, r=2000 Bernoulli sets of about 50 items: a 588 KB text
         profile = _files_io_profile()
         text = format_profile(profile)
         parse_profile(text)  # ctypes' own first-call objects are made before the measure
@@ -398,13 +428,14 @@ class TestByteParser:
         if isinstance(new, tuple):
             assert all(type(x) is int for row in new[2] + new[3] for x in row)
 
+    @needs_cc
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(profile_texts().map(lambda text: (text, False)), selection_texts().map(lambda text: (text, True))))
     def test_the_byte_pass_reads_every_written_file(self, case):
         text, selection_only = case
         header, *body = text.splitlines()
-        for read in _byte_passes(body, int(header.split(",")[0])):
-            assert read is not None and (read[2] is None) == selection_only
+        read = _byte_pass(body, int(header.split(",")[0]))
+        assert read is not None and (read[2] is None) == selection_only
 
     @pytest.mark.parametrize(
         "text, errors",
@@ -426,7 +457,7 @@ class TestByteParser:
     def test_mixed_and_bad_files_are_read_line_by_line(self, text, errors):
         # a file mixing the two layouts, or holding one bad line, leaves the byte pass whole; a digit inside the
         # layout bytes, as in 'S1:' or '|0R:', fails only its layout check
-        assert _byte_passes(text.splitlines()[1:], 4) == [None, None]
+        assert _byte_pass(text.splitlines()[1:], 4) is None
         new, old = _both_readings(text)
         assert new == old
         if errors is None:
@@ -492,11 +523,13 @@ class TestByteParser:
         assert new == old
         assert isinstance(new, tuple) if errors is None else new == errors
 
+    @needs_cc
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(profile_texts(), selection_texts()), st.sampled_from(["\n", "\r\n"]),
            st.sampled_from(["", "\n", "\n\n"]), st.sampled_from(["", "\n", "\n\n"]), st.booleans())
     def test_written_files_never_reach_the_per_line_checks(self, text, newline, lead, trail, ended):
-        # a written file is never split into lines, nor with CRLF line ends, blank lines around its body or no final newline
+        # where the compiled kernels load, a written file is never split into lines, nor with CRLF line ends, blank
+        # lines around its body or no final newline; without them, every file is read line by line
         class Unsplit(str):
             def splitlines(self, *args):
                 raise AssertionError("a written file was split into lines")
@@ -509,9 +542,9 @@ class TestByteParser:
         text = f"{header}\n{lead}{body}{trail}".replace("\n", newline)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(fileio, "_check_line", refuse)
-            readings = [_scan_reading(Unsplit(text)) for _ in row_kernel_paths(patch)]
+            reading = _scan_reading(Unsplit(text))
         new, old = _both_readings(text)
-        assert readings == [new, new] and new == old and isinstance(new, tuple)
+        assert reading == new == old and isinstance(new, tuple)
 
     def test_lazy_views_equal_an_eager_profile(self):
         selection = generate_selection(SelectionSpec(kind="bernoulli_random", n=12, p=0.3), 40, Stream.from_seed(5))
