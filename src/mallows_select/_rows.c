@@ -1,7 +1,8 @@
-/* The CSR row kernels of mallows_select.core in C: repeated-insertion sampling, pairwise precedence counts and
- * per-row inversion counts; a whole block of experiment trials, from each trial's center draw through its samples and
- * wins to its positional estimate; the windowed DP of mallows_select.mle; and the byte pass and the row writer of
- * mallows_select.fileio, which read a profile or selection file into CSR rows and write CSR rows out as one.
+/* The CSR row kernels of mallows_select.core in C: restricted centers, repeated-insertion sampling, pairwise
+ * precedence counts and per-row inversion counts; a whole block of experiment trials, from each trial's center draw
+ * through its samples and wins to its positional estimate; the windowed DP of mallows_select.mle; and the byte pass
+ * and the row writer of mallows_select.fileio, which read a profile or selection file into CSR rows and write CSR rows
+ * out as one.
  *
  * Each routine mirrors its numpy form draw for draw, count for count and choice for choice, and the byte pass the
  * per-line checks of fileio: core builds this file with the system C compiler into the package's __pycache__, loads
@@ -375,25 +376,28 @@ static void heap_sort(int64_t m, int64_t *x)
     }
 }
 
-/* One part of a line at *at: runs of one to nine ASCII digits joined by single commas, each a value below n, written
- * to out from index *count while it stays below capacity.  Returns the byte after the part, or NULL where the part
- * breaks a rule.
+/* One part of a line at *at: runs of one to nine ASCII digits joined by single commas, written to out from index
+ * *count while it stays below capacity.  Each value v lies below n with low <= stamp[v] < mark and is then stamped
+ * mark; *rising is cleared at a value no larger than the one before.  Returns the byte after the part, or NULL
+ * where the part breaks a rule.
  */
-static const uint8_t *scan_part(const uint8_t *at, int64_t n, int64_t capacity, int64_t *count, int64_t *out)
+static inline __attribute__((always_inline)) const uint8_t *scan_tokens(const uint8_t *at, int64_t n,
+    int64_t capacity, int64_t *stamp, int64_t low, int64_t mark, int64_t *count, int64_t *out, int *rising)
 {
-    for (;;) {
+    for (int64_t last = -1;; at++) {
         int64_t value = 0, digits = 0;
         for (; *at >= '0' && *at <= '9'; at++, digits++) {
             if (digits == 9)
                 return NULL;
             value = value * 10 + (*at - '0');
         }
-        if (digits == 0 || value >= n || *count >= capacity)
+        if (digits == 0 || value >= n || *count >= capacity || stamp[value] < low || stamp[value] >= mark)
             return NULL;
-        out[(*count)++] = value;
+        stamp[value] = mark;
+        *rising &= value > last;
+        out[(*count)++] = last = value;
         if (*at != ',')
             return at;
-        at++;
     }
 }
 
@@ -404,9 +408,9 @@ static const uint8_t *scan_part(const uint8_t *at, int64_t n, int64_t capacity, 
  * On 0, offsets (lines + 1) and set_items hold the CSR rows of the sets, each sorted (a row that is not ascending
  * by a heapsort), and rank_items the rankings, where ranked; the item arrays hold exactly set_capacity and
  * rank_capacity items.  stamp holds n zeros: an item's entry marks the last line whose set (2l + 1) or ranking
- * (2l + 2) holds it, so each ranking holds distinct items of its set, and, the two capacities being equal for a
- * ranked file, as many as its set.  A part ends at a byte that is neither a digit nor a comma and a line at a
- * newline, and the text must end in one, so no read passes its last byte.
+ * (2l + 2) holds it, each token checked as it is read, so each ranking holds distinct items of its set, and, the two
+ * capacities being equal for a ranked file, as many as its set.  A part ends at a byte that is neither a digit nor a
+ * comma and a line at a newline, and the text must end in one, so no read passes its last byte.
  */
 int scan_rows(const uint8_t *text, int64_t size, int64_t lines, int64_t n, int ranked, int64_t set_capacity,
               int64_t rank_capacity, int64_t *stamp, int64_t *offsets, int64_t *set_items, int64_t *rank_items)
@@ -417,30 +421,21 @@ int scan_rows(const uint8_t *text, int64_t size, int64_t lines, int64_t n, int r
     if (lines > 0 && (size < 1 || end[-1] != '\n'))
         return 1;
     for (int64_t l = 0; l < lines; l++) {
+        int64_t first = sets;
+        int rising = 1;
         if (at == end || at[0] != 'S' || at[1] != ':')
             return 1;
-        int64_t first = sets, *row = set_items + first, sorted = 1;
-        if ((at = scan_part(at + 2, n, set_capacity, &sets, set_items)) == NULL || sets - first < 2)
+        at = scan_tokens(at + 2, n, set_capacity, stamp, 0, 2 * l + 1, &sets, set_items, &rising);
+        if (at == NULL || sets - first < 2)
             return 1;
-        for (int64_t k = 0; k < sets - first; k++) {
-            if (stamp[row[k]] == 2 * l + 1)
-                return 1;
-            stamp[row[k]] = 2 * l + 1;
-            sorted &= k == 0 || row[k - 1] < row[k];
-        }
-        if (!sorted)
-            heap_sort(sets - first, row);
+        if (!rising)
+            heap_sort(sets - first, set_items + first);
         if (ranked) {
-            int64_t start = ranks;
             if (at[0] != '|' || at[1] != 'R' || at[2] != ':')
                 return 1;
-            if ((at = scan_part(at + 3, n, rank_capacity, &ranks, rank_items)) == NULL)
+            at = scan_tokens(at + 3, n, rank_capacity, stamp, 2 * l + 1, 2 * l + 2, &ranks, rank_items, &rising);
+            if (at == NULL)
                 return 1;
-            for (int64_t k = start; k < ranks; k++) {
-                if (stamp[rank_items[k]] != 2 * l + 1)
-                    return 1;
-                stamp[rank_items[k]] = 2 * l + 2;
-            }
         }
         if (*at++ != '\n')
             return 1;
@@ -449,12 +444,12 @@ int scan_rows(const uint8_t *text, int64_t size, int64_t lines, int64_t n, int r
     return at != end || sets != set_capacity || ranks != (ranked ? rank_capacity : 0);
 }
 
-/* out[l] = the pairs a < b of row l whose items x (or their relabel entries, where relabel is not NULL) stand in
- * descending order: the row's inversions, counted pair by pair.  Returns -1 at the first row with an item outside
- * [0, size) of relabel, before it counts that row, and 0 otherwise.
+/* out[l] = the pairs a < b of row l whose items x (or their relabel entries, where relabel is not NULL, copied once
+ * into work, which holds the longest row) stand in descending order: the row's inversions, counted pair by pair.
+ * Returns -1 at the first row with an item outside [0, size) of relabel, before it counts that row, and 0 otherwise.
  */
 int row_inversions(int64_t rows, const int64_t *offsets, const int64_t *items, const int64_t *relabel, int64_t size,
-                   int64_t *out)
+                   int64_t *work, int64_t *out)
 {
     for (int64_t l = 0; l < rows; l++) {
         const int64_t *x = items + offsets[l];
@@ -462,16 +457,13 @@ int row_inversions(int64_t rows, const int64_t *offsets, const int64_t *items, c
         if (relabel != NULL) {
             if (outside(m, x, size))
                 return -1;
-            for (int64_t a = 0; a + 1 < m; a++) {
-                int64_t ahead = relabel[x[a]];
-                for (int64_t b = a + 1; b < m; b++)
-                    count += relabel[x[b]] < ahead;
-            }
-        } else {
-            for (int64_t a = 0; a + 1 < m; a++)
-                for (int64_t b = a + 1; b < m; b++)
-                    count += x[b] < x[a];
+            for (int64_t a = 0; a < m; a++)
+                work[a] = relabel[x[a]];
+            x = work;
         }
+        for (int64_t a = 0; a + 1 < m; a++)
+            for (int64_t b = a + 1; b < m; b++)
+                count += x[b] < x[a];
         out[l] = count;
     }
     return 0;
@@ -526,4 +518,27 @@ int64_t format_rows(int64_t n, int64_t rows, const int64_t *offsets, const int64
         *at++ = '\n';
     }
     return at - out;
+}
+
+/* Row l of restricted: the items of row l of items in the order of center (n items), at[i] the center position of
+ * item i, read off a bitmap over the positions, bits (n + 63) / 64 zero words that it leaves zero: O(m + n / 64) a
+ * row.  Returns -1 at the first row with an item outside [0, n) or a duplicate, and 0 otherwise.
+ */
+int center_rows(int64_t n, int64_t rows, const int64_t *offsets, const int64_t *items, const int64_t *center,
+                const int64_t *at, uint64_t *bits, int64_t *restricted)
+{
+    for (int64_t l = 0; l < rows; l++) {
+        const int64_t *x = items + offsets[l];
+        int64_t m = offsets[l + 1] - offsets[l], *out = restricted + offsets[l];
+        if (outside(m, x, n))
+            return -1;
+        for (int64_t k = 0; k < m; k++)
+            bits[at[x[k]] >> 6] |= (uint64_t)1 << (at[x[k]] & 63);
+        for (int64_t w = 0; w < (n + 63) / 64; w++)
+            for (; bits[w]; bits[w] &= bits[w] - 1)
+                *out++ = center[w * 64 + __builtin_ctzll(bits[w])];
+        if (out != restricted + offsets[l + 1])
+            return -1;
+    }
+    return 0;
 }

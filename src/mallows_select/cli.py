@@ -214,7 +214,7 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_posest(args) -> int:
-    profile, _beta = parse_profile(Path(args.infile).read_text())
+    profile, _beta = parse_profile(Path(args.infile).read_bytes())
     result = positional_estimator(profile, Stream.from_seed(args.seed).child(3))
     _log(command="posest", infile=args.infile, n=profile.n, r=len(profile), seed=args.seed)
     text = result.ranking.to_line() + "\n"
@@ -227,7 +227,7 @@ def _cmd_posest(args) -> int:
 
 def _cmd_mle(args) -> int:
     _check_dp_settings(args.budget, args.radius_override)
-    profile, header_beta = parse_profile(Path(args.infile).read_text())
+    profile, header_beta = parse_profile(Path(args.infile).read_bytes())
     beta = args.beta if args.beta is not None else header_beta
     if beta is None:
         raise InfeasibleSpecError("--beta required: profile header carries no spread parameter")
@@ -250,7 +250,7 @@ def _cmd_mle(args) -> int:
 
 
 def _cmd_topk(args) -> int:
-    profile, _beta = parse_profile(Path(args.infile).read_text())
+    profile, _beta = parse_profile(Path(args.infile).read_bytes())
     result = positional_estimator(profile, Stream.from_seed(args.seed).child(3))
     prefix = top_k(result.ranking, args.k)
     _log(command="topk", infile=args.infile, k=args.k, seed=args.seed)
@@ -285,7 +285,7 @@ def _cmd_verify(args) -> int:
         _check_frequency(args.p)
     reports = []
     for path in args.files:
-        errors = collect_profile_errors(Path(path).read_text(), p=args.p)
+        errors = collect_profile_errors(Path(path).read_bytes(), p=args.p)
         reports.append({"file": path, "ok": not errors, "errors": errors})
     _write_out(args.out, json.dumps(reports, sort_keys=True, indent=2) + "\n")
     return 0 if all(report["ok"] for report in reports) else 2

@@ -10,8 +10,8 @@ the rows, in buffers bounded by the one working budget, ``_BLOCK_BYTES``
 (4 MiB), which the sampler's chunks and the experiment kernel's trial
 blocks also read.  Tuple and ``Ranking`` views are lazy.
 
-The pair count, the discordance count and the sampler's insertion pass
-(``sampling._sample_rows``) also have C forms, in ``_rows.c``, as have the
+The pair count, the discordance count, the sampler's insertion pass
+(``sampling._sample_rows``) and its restricted centers also have C forms, in ``_rows.c``, as have the
 experiment kernel's block of trials (``experiments._cell_block``), drawn,
 sampled, counted and estimated in one call, the windowed DP (``mle._dp_window_max``), the parser's byte pass
 (``fileio._byte_pass``) and the writer's row formatter
@@ -84,6 +84,8 @@ def _rows_library(directory: Path) -> ctypes.CDLL | None:
     except (OSError, subprocess.SubprocessError):
         return None
     pointer, int64, uint64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64
+    lib.center_rows.argtypes = [int64, int64, pointer, pointer, pointer, pointer, pointer, pointer]
+    lib.center_rows.restype = ctypes.c_int
     lib.sample_rows.argtypes = [int64, pointer, pointer, pointer, pointer, pointer, uint64, pointer]
     lib.sample_rows.restype = None
     lib.pair_counts.argtypes = [int64, int64, int64, int64, pointer, pointer, pointer]
@@ -98,7 +100,7 @@ def _rows_library(directory: Path) -> ctypes.CDLL | None:
     lib.scan_rows.argtypes = [ctypes.c_char_p, int64, int64, int64, ctypes.c_int, int64, int64, pointer, pointer,
                               pointer, pointer]
     lib.scan_rows.restype = ctypes.c_int
-    lib.row_inversions.argtypes = [int64, pointer, pointer, pointer, int64, pointer]
+    lib.row_inversions.argtypes = [int64, pointer, pointer, pointer, int64, pointer, pointer]
     lib.row_inversions.restype = ctypes.c_int
     lib.format_rows.argtypes = [int64, int64, pointer, pointer, pointer, pointer]
     lib.format_rows.restype = int64
@@ -372,8 +374,8 @@ def _pair_counts(n: int, offsets: np.ndarray, items: np.ndarray, groups: int = 1
 def _discordances(offsets: np.ndarray, items: np.ndarray, relabel: np.ndarray | None = None) -> np.ndarray:
     """Per CSR row, the pairs whose items (or ``relabel`` entries) stand in descending order: the row's inversions.
 
-    The C kernel counts row by row, pair by pair, when it loaded, and refuses an item outside ``relabel``; the numpy
-    form counts the pairs of the blocks of :func:`_pair_blocks`.
+    The C kernel counts row by row, pair by pair, on a row's ``relabel`` entries copied once, when it loaded, and
+    refuses an item outside ``relabel``; the numpy form counts the pairs of the blocks of :func:`_pair_blocks`.
     """
     out = np.zeros(len(offsets) - 1, dtype=np.int64)
     kernels = _row_kernels()
@@ -381,7 +383,9 @@ def _discordances(offsets: np.ndarray, items: np.ndarray, relabel: np.ndarray | 
         offsets, items = _checked_csr(offsets, items)
         at = None if relabel is None else np.ascontiguousarray(relabel, np.int64)
         table, size = (None, 0) if at is None else (at.ctypes.data, len(at))
-        if kernels.row_inversions(len(out), offsets.ctypes.data, items.ctypes.data, table, size, out.ctypes.data):
+        longest = 0 if at is None else int(np.subtract(offsets[1:], offsets[:-1], out=out).max(initial=0))  # out as scratch
+        work = np.empty(longest, np.int64)  # one relabeled row
+        if kernels.row_inversions(len(out), offsets.ctypes.data, items.ctypes.data, table, size, work.ctypes.data, out.ctypes.data):
             raise IndexError(f"a row holds an item outside [0, {size}) of relabel")
         return out
     for rows, first, second in _pair_blocks(offsets, items, relabel):

@@ -14,7 +14,8 @@ serves one profile and a numpy block of experiment trials alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,13 +51,24 @@ def _beaten_by(wins: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PosEstResult:
-    """Output of the positional estimator with tie and coverage diagnostics."""
+    """Output of the positional estimator; its tie and coverage diagnostics are derived from ``wins`` on first read."""
 
     ranking: Ranking
     raw_scores: tuple[int, ...]
-    tie_groups: tuple[tuple[int, ...], ...]
-    zero_pairs: tuple[tuple[int, int], ...]
-    never_observed: tuple[int, ...]
+    wins: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def tie_groups(self) -> tuple[tuple[int, ...], ...]:
+        raw = np.array(self.raw_scores)
+        return tuple(tuple(np.flatnonzero(raw == s).tolist()) for s in np.flatnonzero(np.bincount(raw) > 1))
+
+    @cached_property
+    def zero_pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(*(a.tolist() for a in np.nonzero(np.triu(self.wins + self.wins.T == 0, 1)))))  # row-major
+
+    @cached_property
+    def never_observed(self) -> tuple[int, ...]:
+        return tuple(np.flatnonzero((self.wins.sum(axis=0) + self.wins.sum(axis=1)) == 0).tolist())
 
     def diagnostics(self) -> dict:
         return {
@@ -78,18 +90,10 @@ def positional_estimator(profile: SampleProfile, stream: Stream) -> PosEstResult
 
 
 def positional_estimator_from_counts(counts: PairwiseCounts, stream: Stream) -> PosEstResult:
-    raw, n, appear = _beaten_by(counts.wins), counts.n, counts.appear  # appear serves the diagnostics only
+    raw = _beaten_by(counts.wins)
     order = _order_by_scores(raw[None], np.array([stream.key], dtype=np.uint64), stream._ctr)[0]
-    sizes = np.bincount(raw)  # group size per score
-    stream._ctr += n - np.count_nonzero(sizes)  # a tie group of size s took s-1 draws
-    ai, bj = np.nonzero((appear == 0) & (np.arange(n)[:, None] < np.arange(n)))  # row-major, as triu_indices
-    return PosEstResult(
-        ranking=Ranking(order.tolist(), validate=False),
-        raw_scores=tuple(raw.tolist()),
-        tie_groups=tuple(tuple(np.flatnonzero(raw == s).tolist()) for s in np.flatnonzero(sizes > 1)),
-        zero_pairs=tuple(zip(ai.tolist(), bj.tolist())),
-        never_observed=tuple(np.flatnonzero(appear.sum(axis=1) == 0).tolist()),
-    )
+    stream._ctr += counts.n - np.count_nonzero(np.bincount(raw))  # a tie group of size s took s-1 draws
+    return PosEstResult(Ranking(order.tolist(), validate=False), tuple(raw.tolist()), counts.wins)
 
 
 def _order_by_scores(raw: np.ndarray, keys: np.ndarray, start=0) -> np.ndarray:
@@ -135,7 +139,8 @@ def score_permutation_array(perms: np.ndarray, counts: PairwiseCounts) -> np.nda
 
 
 def log_likelihood(pi: Ranking, profile: SampleProfile, beta: float) -> float:
-    """Log-probability of the profile under center ``pi`` and spread ``beta``, summed in sample order."""
+    """Log-probability of the profile under center ``pi`` and spread ``beta``, summed in sample order, each set size's
+    log normalizer looked up once (``np.subtract.accumulate`` gives the same bits, but slower on small profiles)."""
     beta = check_beta(beta)
     n = profile.n
     at = np.full(n, -1, dtype=np.int64)  # at[i]: the position of item i in pi, or -1
@@ -148,11 +153,12 @@ def log_likelihood(pi: Ranking, profile: SampleProfile, beta: float) -> float:
     if missing:
         raise ValueError(f"profile contains alternatives not in the ranking: {missing}")
     # a sample's distance to pi: its pairs that pi orders the other way, the inversions of its positions in pi
-    discordant = _discordances(profile.offsets, profile.rank_items, at).tolist()
+    discordant, sizes = _discordances(profile.offsets, profile.rank_items, at).tolist(), np.diff(profile.offsets).tolist()
+    log_z = {m: log_partition_function(m, beta) for m in set(sizes)}
     total = 0.0
-    for d, m in zip(discordant, np.diff(profile.offsets).tolist()):
+    for d, m in zip(discordant, sizes):
         total -= beta * d
-        total -= log_partition_function(m, beta)
+        total -= log_z[m]
     return total
 
 

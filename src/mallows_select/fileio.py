@@ -10,15 +10,16 @@ and word every error: the lines are those of ``str.splitlines``, blank
 lines are skipped and take no line number, and a token is whatever
 ``int`` reads after the line is stripped, so spaces around a token, a
 ``+`` sign, ``_`` separators and non-ASCII digits are accepted.  The
-UTF-8 of the text after the header line is read whole or declined by a
-byte pass, one pass of ``scan_rows`` in ``_rows.c``, where core's
-compiled kernels load; where they do not, every file is read line by
-line.  The pass reads a body whose lines, ended by ``\\n`` or ``\\r\\n`` and
-blank only at its ends, all take the form that :func:`format_profile`
-writes, or all the form of :func:`format_selection`, and whose
-invariants all hold: the line shape, no empty token, no duplicate, every
-item in ``[0, n)``, a set of at least two, a ranking whose items are the
-set's.  Its arrays are then the file's.  Only a file it declines is
+UTF-8 of the text after the header line, or of a file's bytes where they
+are ASCII without a ``\\r``, is read whole or declined by a byte pass,
+one pass of ``scan_rows`` in ``_rows.c``, where core's compiled kernels
+load; where they do not, every file is read line by line.  The pass
+reads a body whose lines, ended by ``\\n`` or ``\\r\\n`` and blank only
+at its ends, all take the form that :func:`format_profile` writes, or
+all the form of :func:`format_selection`, and whose invariants all
+hold: the line shape, no empty token, no duplicate, every item in
+``[0, n)``, a set of at least two, a ranking whose items are the set's.
+Its arrays are then the file's.  Only a file it declines is decoded and
 split into lines, for the per-line checks, so a file reads, and fails,
 exactly as it would line by line, errors and their order included.
 Readers pass the CSR arrays to the core types as they are.  Writers read
@@ -28,6 +29,8 @@ per-item labels otherwise, with the same bytes.
 """
 
 from __future__ import annotations
+
+import io
 
 import numpy as np
 
@@ -184,27 +187,33 @@ def _byte_pass(data: bytes, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray 
     return None if failed else (offsets, set_items, rank_items)
 
 
-def _scan(text: str) -> tuple[float | None, SelectionSequence, np.ndarray, bool]:
-    """Read and check every line; raises FileFormatError listing every error.
+def _scan(text: str | bytes) -> tuple[float | None, SelectionSequence, np.ndarray, bool]:
+    """Read and check every line of a text, or of a file's bytes; raises FileFormatError listing every error.
 
     Returns ``(beta, selection, rank_items, selection_only)``: the sample
     lines' sets, their rankings as rows on the selection's offsets, and
     whether any line is selection-only (its ranking row repeats its set).
     Every invariant the core types check on construction has been checked.
+    Bytes read as ``Path.read_text`` reads their file: as they are where ASCII
+    without a ``\\r``, and otherwise decoded by the locale codec, strict, with universal newlines.
     """
-    head, _, rest = text.partition("\n")
+    if isinstance(text, bytes) and not (text.isascii() and b"\r" not in text):
+        text = io.TextIOWrapper(io.BytesIO(text), encoding=io.text_encoding(None)).read()
+    raw = isinstance(text, bytes)
+    head, _, rest = text.partition(b"\n" if raw else "\n")
+    head = head.decode() if raw else head
     first = head.splitlines()[:1]  # the text's first line, as str.splitlines reads it
     if not first or not first[0].strip():
         raise FileFormatError([_err(1, "missing header line")])
     n, r, beta = _parse_header(first[0])
 
     # the body after a header line ended by "\n" or "\r\n" takes the byte pass, "\r\n" read as "\n", the blank lines at
-    # its ends dropped and a final newline put in; only a file it declines is split into lines
-    data = (rest.replace("\r\n", "\n") if "\r" in rest else rest).encode(errors="surrogatepass")
+    # its ends dropped and a final newline put in; only a file it declines is decoded, if bytes, and split into lines
+    data = rest if raw else (rest.replace("\r\n", "\n") if "\r" in rest else rest).encode(errors="surrogatepass")
     if data[:1] == b"\n" or not data.endswith(b"\n") or data.endswith(b"\n\n"):
         data = (data.strip(b"\n") + b"\n").lstrip(b"\n")
     read = _byte_pass(data, n) if first == [head.removesuffix("\r")] else None
-    body = [] if read is not None else [ln for ln in text.splitlines()[1:] if ln.strip()]
+    body = [] if read is not None else [ln for ln in (text.decode() if raw else text).splitlines()[1:] if ln.strip()]
     checked = [] if read is not None else [_check_line(line, i + 2, n) for i, line in enumerate(body)]
     count = len(body) if read is None else len(read[0]) - 1
     errors = [] if count == r else [_err(1, f"header declares r={r} but file holds {count} sample lines")]
@@ -219,7 +228,7 @@ def _scan(text: str) -> tuple[float | None, SelectionSequence, np.ndarray, bool]
     return beta, SelectionSequence._from_arrays(n, offsets, set_items), set_items if rank_items is None else rank_items, selection_only
 
 
-def collect_profile_errors(text: str, p: float | None = None) -> list[dict]:
+def collect_profile_errors(text: str | bytes, p: float | None = None) -> list[dict]:
     """Validate profile text; returns an itemized error list (empty when valid); a bad ``p`` raises first."""
     if p is not None:
         _check_frequency(p)
@@ -234,13 +243,14 @@ def collect_profile_errors(text: str, p: float | None = None) -> list[dict]:
         return []
     # the first minimal pair of the row-major upper triangle, worst_pairs()[0], without building the others
     n, counts = selection.n, report.counts
-    pair = divmod(int(np.argmin(np.where(np.arange(n)[:, None] < np.arange(n), counts, len(selection) + 1))), n)
+    upper = np.arange(n)[:, None] < np.arange(n)
+    pair = divmod(int(np.argmax((counts == np.min(counts, initial=len(selection), where=upper)) & upper)), n)
     count = int(counts[pair])
     message = f"sequence is not {p:g}-frequent: pair {pair} co-appears in {count}/{len(selection)} sets"
     return [_err(1, message, pair=list(pair), count=count)]
 
 
-def parse_profile(text: str) -> tuple[SampleProfile, float | None]:
+def parse_profile(text: str | bytes) -> tuple[SampleProfile, float | None]:
     """Parse a profile file; raises FileFormatError with itemized errors."""
     beta, selection, rank_items, selection_only = _scan(text)
     if selection_only:
@@ -248,5 +258,5 @@ def parse_profile(text: str) -> tuple[SampleProfile, float | None]:
     return SampleProfile._from_arrays(selection, rank_items), beta
 
 
-def parse_selection(text: str) -> SelectionSequence:
+def parse_selection(text: str | bytes) -> SelectionSequence:
     return _scan(text)[1]

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, cycle, islice
+from itertools import chain, combinations, combinations_with_replacement, cycle, islice
 
 import numpy as np
 
@@ -228,10 +228,14 @@ def verify_p_frequent(selection: SelectionSequence, p: float) -> PFrequencyRepor
     n, r = selection.n, len(selection)
     if r == 0:
         raise ValueError("cannot audit an empty selection sequence")
-    counts = _pair_counts(n, selection.offsets, selection.items)[0]
-    counts += counts.T
-    min_frac = counts[np.arange(n)[:, None] < np.arange(n)].min() / r
-    return PFrequencyReport(ok=bool(min_frac >= p - 1e-12), min_pair_fraction=float(min_frac), counts=counts)
+    counts, low = _pair_counts(n, selection.offsets, selection.items)[0], r
+    # counts += counts.T by square blocks, reading the lowest pair count: numpy would copy the overlapping transpose
+    step = max(2, min(math.isqrt(core._BLOCK_BYTES // 8), n // 4))
+    for a, b in combinations_with_replacement(range(0, n, step), 2):
+        block = counts[a : a + step, b : b + step] + counts[b : b + step, a : a + step].T
+        counts[a : a + step, b : b + step], counts[b : b + step, a : a + step] = block, block.T
+        low = min(low, int(np.min(block, initial=r, where=a < b or ~np.eye(len(block), dtype=bool))))
+    return PFrequencyReport(ok=low / r >= p - 1e-12, min_pair_fraction=low / r, counts=counts)
 
 
 def _insertion_weights(beta: float, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -329,14 +333,20 @@ def sample_profile(params: MallowsParams, selection: SelectionSequence, stream: 
     Position ``l`` of the profile is sampled from ``stream.child(l)``, so
     the result is identical whether positions are drawn sequentially or
     in parallel, and equals calling :func:`sample_mallows` position by
-    position with those child streams.
+    position with those child streams.  Each set's restricted center comes
+    from a bitmap over center positions in C, or from one numpy sort.
     """
     if selection.n != params.n:
         raise ValueError("selection sequence and parameters disagree on n")
     r, n, offsets, items = len(selection), params.n, selection.offsets, selection.items
     center = np.array(params.center.items, dtype=np.int64)
-    at = np.argsort(center)  # at[i]: the center position of item i
-    # sorting row * n + center position puts every set in center order, row after row
-    restricted = center[np.sort(np.repeat(np.arange(r) * n, np.diff(offsets)) + at[items]) % n]
+    at, kernels = np.argsort(center), core._row_kernels()  # at[i]: the center position of item i
+    if kernels is None:  # sorting row * n + center position puts every set in center order, row after row
+        restricted = center[np.sort(np.repeat(np.arange(r) * n, np.diff(offsets)) + at[items]) % n]
+    else:  # each set's center positions marked in a bitmap and read back in order
+        offsets, items = core._checked_csr(offsets, items)
+        restricted, bits = np.empty(len(items), np.int64), np.zeros((n + 63) // 64, np.uint64)
+        if kernels.center_rows(n, r, *(a.ctypes.data for a in (offsets, items, center, at, bits, restricted))):
+            raise IndexError(f"a set holds an item outside [0, {n}) or a duplicate")
     samples = _sample_rows(stream.child_keys(r), offsets, restricted, params.beta)
     return SampleProfile._from_arrays(selection, samples)

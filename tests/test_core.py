@@ -323,10 +323,12 @@ def outputs():
         sets = generate_selection(SelectionSpec("bernoulli_random", n, p), r, stream)
         drawn += [sets.offsets, sets.items, np.array([stream._ctr])]
     profile = sample_profile(params, selection, Stream.from_seed(7))
+    # restricted centers over two bitmap words: n = 100, the second word partly used
+    wide = sample_profile(MallowsParams(Ranking(Stream.from_seed(14).permutation(100)), 1.0), big.selection, Stream.from_seed(15))
     dp = [np.array([*seq, total]) for seq, total in (_dp_window_max(wins, radius) for wins, radius in windows)]
     likelihood = np.array([log_likelihood(Ranking(Stream.from_seed(11).permutation(100)), big, 0.7)])
     written = [np.frombuffer(text.encode(), np.uint8) for text in (fileio.format_profile(big, beta=1.0), fileio.format_selection(one_row))]
-    return [a for cell in rows for a in cell] + drawn + [profile.rank_items, accumulate_counts(profile).wins] + dp + [likelihood] + written
+    return [a for cell in rows for a in cell] + drawn + [profile.rank_items, accumulate_counts(profile).wins, wide.rank_items] + dp + [likelihood] + written
 
 
 core._row_kernels = lambda: sanitized
@@ -467,7 +469,8 @@ class TestCompiledRowKernels:
     def test_the_kernels_run_clean_under_the_undefined_behaviour_sanitizer(self, tmp_path):
         # a build that aborts at the first undefined operation runs figure cells (an ltn cell, a planted cell whose two
         # complete sets leave many scores tied, an n = 2 cell, and cells at beta = 0.05 and 40, the two ends of the
-        # insertion search, among them), a sampled profile and its count, the windowed DP at every radius below
+        # insertion search, among them), a sampled profile and its count, a profile sampled at n = 100, whose
+        # restricted centers take two bitmap words, the windowed DP at every radius below
         # n = 1, 2, 9 and 14, a likelihood, and the writer on a files_io-sized profile and on a one-row selection, each
         # equal to the numpy forms' result; the byte pass of that profile's file and of a body for each way it declines,
         # each read equal to the per-line reading of its text; and scan_rows itself on the two bodies without a final

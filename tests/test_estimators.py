@@ -128,6 +128,23 @@ class TestPositionalEstimator:
         # pairs (0,2) and (1,2) never co-appear; they are listed in the order of triu_indices
         assert result.zero_pairs == ((0, 2), (1, 2))
 
+    def test_diagnostics_are_built_on_first_read_as_from_the_appearances(self):
+        # ties, an item never seen and pairs never together: each diagnostic equals its reading of wins + wins.T, and
+        # none is built before it is read, as a pair-only profile at n = 4096 holds about 8.4 M unseen pairs
+        sel = SelectionSequence([(0, 1), (0, 1), (2, 3), (1, 3)], n=5)
+        profile = SampleProfile([Ranking([0, 1]), Ranking([1, 0]), Ranking([3, 2]), Ranking([1, 3])], sel)
+        result = positional_estimator(profile, Stream.from_seed(2))
+        assert not {"tie_groups", "zero_pairs", "never_observed"} & set(vars(result))
+        appear, raw = accumulate_counts(profile).appear, np.array(result.raw_scores)
+        unseen = [(i, j) for i in range(5) for j in range(i + 1, 5) if appear[i, j] == 0]
+        groups = [tuple(np.flatnonzero(raw == s).tolist()) for s in range(5) if np.count_nonzero(raw == s) > 1]
+        assert result.zero_pairs == tuple(unseen) and result.never_observed == (4,)
+        assert result.tie_groups == tuple(groups) and len(groups) == 2
+        assert result.diagnostics() == {
+            "tie_groups": [list(g) for g in groups], "zero_appearance_pairs": [list(pair) for pair in unseen],
+            "never_observed": [4],
+        }
+
     def test_tie_break_uses_stream(self):
         sel = SelectionSequence([(0, 1), (0, 1)], n=2)
         profile = SampleProfile([Ranking([0, 1]), Ranking([1, 0])], sel)

@@ -2,14 +2,15 @@
 
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import legacy_scan, needs_cc, row_kernel_paths
-from mallows_select import core, fileio
+from mallows_select import cli, core, fileio
 from mallows_select.cli import dispatch
 from mallows_select.core import MallowsParams, Ranking, SampleProfile, SelectionSequence, _csr_rows
 from mallows_select.fileio import (
@@ -287,6 +288,47 @@ def mutated_bodies(draw):
     rest = {"none": rest, "replace": rest[:at] + put + rest[at + 1 :], "insert": rest[:at] + put + rest[at:],
             "delete": rest[:at] + rest[at + 1 :]}[kind]
     return rest, int(header.split(",")[0])
+
+
+# bytes that a file's reading must decode as Path.read_text does: line ends, a BOM, the breaks of str.splitlines
+# outside "\n", invalid UTF-8, a non-ASCII digit, a blank line and a space
+_FILE_NOISE = [b"\r\n", b"\r", b"\xef\xbb\xbf", b"\x0b", b"\x0c", b"\x1c", "\x85".encode(), "\u2028".encode(), b"\xff",
+               b"\xc3", "\u0663".encode(), b"\n\n", b" "]
+
+
+@st.composite
+def file_bytes(draw):
+    """A written profile file's bytes, as they are or with a few of ``_FILE_NOISE`` put in, the header included, and
+    with or without its final newline."""
+    data = draw(profile_texts()).encode()
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(_FILE_NOISE)) + data[at:]
+    return data if draw(st.booleans()) else data.rstrip(b"\n")
+
+
+class _TextPath(type(Path())):
+    """A path whose bytes are read as text first: the reading of the file commands before they took bytes."""
+
+    def read_bytes(self):
+        return self.read_text()
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(file_bytes())
+def test_file_commands_read_bytes_as_the_text_of_the_file(tmp_path, capsys, data):
+    path = tmp_path / "profile.txt"
+    path.write_bytes(data)
+    commands = [["posest", "--in", str(path), "--emit-raw-scores"], ["verify", str(path), "--p", "0.2"],
+                ["mle", "--in", str(path), "--mode", "ltn", "--beta", "1", "--p", "0.2"]]
+    with pytest.MonkeyPatch.context() as patch:
+        for _ in row_kernel_paths(patch):
+            for argv in commands:
+                readings = []
+                for path_type in (Path, _TextPath):
+                    patch.setattr(cli, "Path", path_type)
+                    readings.append((dispatch(argv), *capsys.readouterr()))
+                assert readings[0] == readings[1]
 
 
 class TestCompiledBytePass:

@@ -14,6 +14,7 @@ ROW_KERNELS = {
 }
 # each routine of _rows.c: the one function that calls it, besides core's loader, which declares its argtypes
 COMPILED_CALLERS = {
+    "center_rows": ("sampling.py", "sample_profile"),
     "sample_rows": ("sampling.py", "_sample_rows"),
     "pair_counts": ("core.py", "_pair_counts"),
     "cell_block": ("experiments.py", "_cell_block"),

@@ -16,6 +16,7 @@ from helpers import (
     looped_bernoulli_sets,
     looped_sample_profile,
     mallows_pmf,
+    needs_cc,
     pair_scan_coappearance,
     row_kernel_paths,
     tuple_selection_sets,
@@ -112,6 +113,30 @@ class TestSampleMallows:
             hist[kendall_tau_incomplete(center, rk)] += 1
         tv = 0.5 * sum(abs(hist[d] / trials - q) for d, q in by_distance.items())
         assert tv < 0.005
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 63, 64, 65, 8192]), st.lists(st.booleans(), min_size=1, max_size=6), st.integers(0, 2**32))
+def test_restricted_centers_equal_the_numpy_sort(n, whole, seed):
+    # rows of 2 and of n items, put in center order by a bitmap of 64-bit words where the compiled kernels load
+    rng = np.random.default_rng(seed)
+    selection = SelectionSequence([range(n) if full else rng.choice(n, 2, replace=False) for full in whole], n)
+    center, r = rng.permutation(n), len(whole)
+    expected = center[np.sort(np.repeat(np.arange(r) * n, np.diff(selection.offsets)) + np.argsort(center)[selection.items]) % n]
+    handed = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sampling, "_sample_rows", lambda keys, offsets, restricted, beta: handed.append(restricted) or restricted)
+        for _ in row_kernel_paths(patch):
+            sample_profile(MallowsParams(Ranking(center.tolist()), 1.0), selection, Stream.from_seed(1))
+    assert len(handed) == 2 and all(np.array_equal(rows, expected) for rows in handed)
+
+
+@needs_cc
+@pytest.mark.parametrize("items", [[0, 3], [-1, 2], [1, 1]])
+def test_restricted_centers_refuse_an_item_outside_or_twice(items):
+    selection = SelectionSequence._from_arrays(3, np.array([0, 2]), np.array(items))
+    with pytest.raises(IndexError, match="outside"):
+        sample_profile(MallowsParams(Ranking.identity(3), 1.0), selection, Stream.from_seed(1))
 
 
 class TestSampleProfile:
@@ -318,6 +343,32 @@ class TestVerifyPFrequent:
                 assert report.worst_pairs() == [(i, j) for i, j in pairs if expected[i, j] == least]
                 assert report.min_pair_fraction == least / len(sel)
 
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 70), st.integers(1, 30), st.integers(0, 2**32))
+    def test_blocks_add_the_transpose_and_find_the_lowest_pair(self, n, r, seed):
+        # square blocks of max(2, n // 4) items, the last one cut short where they do not divide n
+        selection = generate_selection(SelectionSpec(kind="bernoulli_random", n=n, p=0.3), r, Stream.from_seed(seed))
+        report, expected = verify_p_frequent(selection, 0.3), pair_scan_coappearance(selection)
+        assert np.array_equal(report.counts, expected)
+        assert report.min_pair_fraction == expected[np.triu_indices(n, 1)].min() / r
+
+    @pytest.mark.parametrize("n", [1024, 2048])
+    def test_the_audit_peaks_under_one_and_a_quarter_tables(self, n):
+        # counts += counts.T made numpy copy the transpose first, as it overlaps its output: two tables at the peak
+        selection, r = generate_selection(SelectionSpec(kind="pairwise", n=n), 2000), 2000
+        verify_p_frequent(generate_selection(SelectionSpec(kind="pairwise", n=4), 3), 0.5)  # first-call objects
+        tracemalloc.start()
+        try:
+            report = verify_p_frequent(selection, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * n * n * 8, peak
+        expected = core._pair_counts(n, selection.offsets, selection.items)[0]
+        expected = expected + expected.T
+        assert np.array_equal(report.counts, expected) and report.counts.dtype == np.int64
+        assert report.min_pair_fraction == expected[np.triu_indices(n, 1)].min() / r == 0.0 and not report.ok
 
     def test_pair_only_audit_memory_is_linear_in_the_pairs(self):
         # a dense compare of 186-row blocks of n x n booleans takes 16 MB here
