@@ -62,10 +62,23 @@ static void insert_row(int64_t m, uint64_t key, uint64_t start, const int64_t *c
     }
 }
 
-/* table[x_a][x_b] += 1 for positions a < b of the m items x, in [0, n), table n x n */
+/* table[x_a][x_b] += 1 for positions a < b of the m items x, in [0, n), table n x n.  Four source items a .. a + 3
+ * take each pass over the suffix they share, so each x[b] is loaded once for four rows of the table; their six pairs
+ * among themselves are counted first, and a tail of fewer than four sources one by one.
+ */
 static void count_row(int64_t n, int64_t m, const int64_t *x, int64_t *table)
 {
-    for (int64_t a = 0; a + 1 < m; a++) {
+    int64_t a = 0;
+    for (; a + 4 <= m; a += 4) {
+        int64_t *r0 = table + x[a] * n, *r1 = table + x[a + 1] * n, *r2 = table + x[a + 2] * n,
+                *r3 = table + x[a + 3] * n;
+        r0[x[a + 1]]++, r0[x[a + 2]]++, r0[x[a + 3]]++, r1[x[a + 2]]++, r1[x[a + 3]]++, r2[x[a + 3]]++;
+        for (int64_t b = a + 4; b < m; b++) {
+            int64_t y = x[b];
+            r0[y]++, r1[y]++, r2[y]++, r3[y]++;
+        }
+    }
+    for (; a + 1 < m; a++) {
         int64_t *ahead = table + x[a] * n;
         for (int64_t b = a + 1; b < m; b++)
             ahead[x[b]]++;
@@ -445,8 +458,10 @@ int scan_rows(const uint8_t *text, int64_t size, int64_t lines, int64_t n, int r
 }
 
 /* out[l] = the pairs a < b of row l whose items x (or their relabel entries, where relabel is not NULL, copied once
- * into work, which holds the longest row) stand in descending order: the row's inversions, counted pair by pair.
- * Returns -1 at the first row with an item outside [0, size) of relabel, before it counts that row, and 0 otherwise.
+ * into work, which holds the longest row) stand in descending order: the row's inversions, counted pair by pair, as
+ * count_row steps, four items a .. a + 3 a pass over their suffix, each x[b] tallied against the four into four
+ * independent counts.  Returns -1 at the first row with an item outside [0, size) of relabel, before it counts that
+ * row, and 0 otherwise.
  */
 int row_inversions(int64_t rows, const int64_t *offsets, const int64_t *items, const int64_t *relabel, int64_t size,
                    int64_t *work, int64_t *out)
@@ -461,7 +476,17 @@ int row_inversions(int64_t rows, const int64_t *offsets, const int64_t *items, c
                 work[a] = relabel[x[a]];
             x = work;
         }
-        for (int64_t a = 0; a + 1 < m; a++)
+        int64_t a = 0;
+        for (; a + 4 <= m; a += 4) {
+            int64_t x0 = x[a], x1 = x[a + 1], x2 = x[a + 2], x3 = x[a + 3], c0 = 0, c1 = 0, c2 = 0, c3 = 0;
+            count += (x1 < x0) + (x2 < x0) + (x3 < x0) + (x2 < x1) + (x3 < x1) + (x3 < x2);
+            for (int64_t b = a + 4; b < m; b++) {
+                int64_t y = x[b];
+                c0 += y < x0, c1 += y < x1, c2 += y < x2, c3 += y < x3;
+            }
+            count += c0 + c1 + c2 + c3;
+        }
+        for (; a + 1 < m; a++)
             for (int64_t b = a + 1; b < m; b++)
                 count += x[b] < x[a];
         out[l] = count;
@@ -469,37 +494,29 @@ int row_inversions(int64_t rows, const int64_t *offsets, const int64_t *items, c
     return 0;
 }
 
-/* The decimal digits of x >= 0 at *at: returns the byte after them */
-static uint8_t *put_label(uint8_t *at, int64_t x)
-{
-    uint8_t digits[20];
-    int k = 0;
-    do
-        digits[k++] = (uint8_t)('0' + x % 10);
-    while ((x /= 10) > 0);
-    while (k > 0)
-        *at++ = digits[--k];
-    return at;
-}
-
-/* The m items x at *at as labels joined by commas: returns the byte after them */
-static uint8_t *put_part(uint8_t *at, int64_t m, const int64_t *x)
+/* The m items x at *at, each as its label of labels and a comma: returns the byte after the last comma.  Entry x of
+ * labels is 8 bytes, the digits of x, a comma and zeros, with the count of digits in its last byte; each entry is
+ * copied whole, and the bytes past its comma are written over by what follows.
+ */
+static uint8_t *put_part(uint8_t *at, int64_t m, const int64_t *x, const uint8_t *labels)
 {
     for (int64_t a = 0; a < m; a++) {
-        if (a > 0)
-            *at++ = ',';
-        at = put_label(at, x[a]);
+        const uint8_t *label = labels + 8 * x[a];
+        memcpy(at, label, 8);
+        at += label[7] + 1;
     }
     return at;
 }
 
 /* The lines of fileio._format_rows written to out, one per CSR row l: "S:<set>|R:<ranking>\n", the row of set_items
- * and that of rank_items, or "S:<set>\n" where rank_items is NULL.  Returns the count of bytes written, or -1 at the
- * first row with an item outside [0, n), before it writes that row.  With d the digits of n - 1, a row of m items
- * writes at most 2 + m (d + 1) bytes for its set and as many again for its ranking, which the caller's out holds.
+ * and that of rank_items, or "S:<set>\n" where rank_items is NULL, each part's last comma overwritten by the byte
+ * after it.  labels holds n entries, as put_part reads them.  Returns the count of bytes written, or -1 at the first
+ * row with an item outside [0, n), before it writes that row.  With d the digits of n - 1, a row of m items writes at
+ * most 2 + m (d + 1) bytes for its set and as many again for its ranking, and the last entry copied ends at most
+ * 6 bytes past the last byte written, all of which the caller's out holds.
  */
 int64_t format_rows(int64_t n, int64_t rows, const int64_t *offsets, const int64_t *set_items,
-                    const int64_t *rank_items, uint8_t *out)
+                    const int64_t *rank_items, const uint8_t *labels, uint8_t *out)
 {
     uint8_t *at = out;
     for (int64_t l = 0; l < rows; l++) {
@@ -508,12 +525,12 @@ int64_t format_rows(int64_t n, int64_t rows, const int64_t *offsets, const int64
             return -1;
         *at++ = 'S';
         *at++ = ':';
-        at = put_part(at, m, set_items + first);
+        at = put_part(at, m, set_items + first, labels) - (m > 0);
         if (rank_items != NULL) {
             *at++ = '|';
             *at++ = 'R';
             *at++ = ':';
-            at = put_part(at, m, rank_items + first);
+            at = put_part(at, m, rank_items + first, labels) - (m > 0);
         }
         *at++ = '\n';
     }

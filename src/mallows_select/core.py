@@ -48,8 +48,9 @@ _MAX_N = 8192
 _BLOCK_BYTES = 4 << 20
 
 _ROWS_SOURCE = Path(__file__).with_name("_rows.c")
-# no contraction of a multiply and an add into one rounding, so the C thresholds are the numpy ones
-_ROWS_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+# no contraction of a multiply and an add into one rounding, so the C thresholds are the numpy ones; every routine
+# starts a 64-byte line, so a kernel's speed does not shift with the code placed before it
+_ROWS_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-falign-functions=64")
 
 
 def _rows_library(directory: Path) -> ctypes.CDLL | None:
@@ -102,7 +103,7 @@ def _rows_library(directory: Path) -> ctypes.CDLL | None:
     lib.scan_rows.restype = ctypes.c_int
     lib.row_inversions.argtypes = [int64, pointer, pointer, pointer, int64, pointer, pointer]
     lib.row_inversions.restype = ctypes.c_int
-    lib.format_rows.argtypes = [int64, int64, pointer, pointer, pointer, pointer]
+    lib.format_rows.argtypes = [int64, int64, pointer, pointer, pointer, pointer, pointer]
     lib.format_rows.restype = int64
     return lib
 
@@ -374,7 +375,7 @@ def _pair_counts(n: int, offsets: np.ndarray, items: np.ndarray, groups: int = 1
 def _discordances(offsets: np.ndarray, items: np.ndarray, relabel: np.ndarray | None = None) -> np.ndarray:
     """Per CSR row, the pairs whose items (or ``relabel`` entries) stand in descending order: the row's inversions.
 
-    The C kernel counts row by row, pair by pair, on a row's ``relabel`` entries copied once, when it loaded, and
+    The C kernel counts row by row, four items a pass, on a row's ``relabel`` entries copied once, when it loaded, and
     refuses an item outside ``relabel``; the numpy form counts the pairs of the blocks of :func:`_pair_blocks`.
     """
     out = np.zeros(len(offsets) - 1, dtype=np.int64)

@@ -147,11 +147,12 @@ def log_likelihood(pi: Ranking, profile: SampleProfile, beta: float) -> float:
     for t, x in enumerate(pi.items):
         if 0 <= x < n:
             at[x] = t
-    seen = np.zeros(n, dtype=bool)
-    seen[profile.rank_items] = True
-    missing = np.flatnonzero(seen & (at < 0)).tolist()
-    if missing:
-        raise ValueError(f"profile contains alternatives not in the ranking: {missing}")
+    if (at < 0).any():  # a ranking of every item leaves none of the profile's out
+        seen = np.zeros(n, dtype=bool)
+        seen[profile.rank_items] = True
+        missing = np.flatnonzero(seen & (at < 0)).tolist()
+        if missing:
+            raise ValueError(f"profile contains alternatives not in the ranking: {missing}")
     # a sample's distance to pi: its pairs that pi orders the other way, the inversions of its positions in pi
     discordant, sizes = _discordances(profile.offsets, profile.rank_items, at).tolist(), np.diff(profile.offsets).tolist()
     log_z = {m: log_partition_function(m, beta) for m in set(sizes)}

@@ -61,13 +61,29 @@ def _row_texts(n: int, offsets: np.ndarray, items: np.ndarray) -> list[str]:
     return [",".join(text[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
+def _label_table(n: int) -> np.ndarray:
+    """Row x < n of an n x 8 byte table, as ``format_rows`` reads it: the digits of x, a comma and zeros, with the
+    count of digits in the last byte (so n is at most 10^6)."""
+    x, width, digits = np.arange(n), len(str(max(n - 1, 0))), np.ones(n, np.int64)
+    for k in range(1, width):
+        digits += x >= 10**k
+    table = np.zeros((n, 8), np.uint8)
+    for k in range(width):  # the k-th digit from the right
+        has = digits > k
+        table[x[has], digits[has] - 1 - k] = ord("0") + x[has] // 10**k % 10
+    table[x, digits] = ord(",")
+    table[:, 7] = digits
+    return table
+
+
 def _format_rows(header: str, n: int, offsets: np.ndarray, set_items: np.ndarray, rank_items: np.ndarray | None) -> str:
     """``header``, then one line per CSR row: ``S:<set>|R:<ranking>``, or ``S:<set>`` where ``rank_items`` is None.
 
     Where core's compiled kernels load, ``format_rows`` writes the lines
     into one buffer behind the header, sized by the digits of ``n - 1``,
-    and the text is decoded from it once; :func:`_row_texts` builds them
-    otherwise, with the same result.
+    copying each label from :func:`_label_table`, and the text is decoded
+    from it once; :func:`_row_texts` builds them otherwise, with the same
+    result.
     """
     kernels = core._row_kernels()
     if kernels is None:
@@ -76,12 +92,15 @@ def _format_rows(header: str, n: int, offsets: np.ndarray, set_items: np.ndarray
     offsets, set_items = core._checked_csr(offsets, set_items)
     ranks = None if rank_items is None else core._checked_csr(offsets, rank_items)[1]
     head, rows = f"{header}\n".encode(), len(offsets) - 1
-    # with d the digits of n - 1, each part of a row of m items takes at most 2 + m (d + 1) bytes
+    # with d the digits of n - 1, each part of a row of m items takes at most 2 + m (d + 1) bytes, and the last label
+    # copied may write 6 bytes past the text
     part = 2 * rows + len(set_items) * (len(str(n - 1)) + 1)
-    buf = np.empty(len(head) + (1 if ranks is None else 2) * part, np.uint8)
+    buf = np.empty(len(head) + (1 if ranks is None else 2) * part + 6, np.uint8)
     buf[: len(head)] = np.frombuffer(head, np.uint8)
-    rank_data = None if ranks is None else ranks.ctypes.data
-    written = kernels.format_rows(n, rows, offsets.ctypes.data, set_items.ctypes.data, rank_data, buf.ctypes.data + len(head))
+    rank_data, labels = None if ranks is None else ranks.ctypes.data, _label_table(n)
+    written = kernels.format_rows(
+        n, rows, offsets.ctypes.data, set_items.ctypes.data, rank_data, labels.ctypes.data, buf.ctypes.data + len(head)
+    )
     if written < 0:
         raise IndexError(f"a row holds an item outside [0, {n})")
     return str(memoryview(buf)[: len(head) + written], "ascii")

@@ -1,3 +1,4 @@
+import ctypes
 import itertools
 import math
 import os
@@ -10,10 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import below, needs_cc, pair_scan_kendall, row_kernel_paths
+from test_layout import COMPILED_CALLERS
 from mallows_select import core, sampling
 from mallows_select.core import (
     MallowsParams,
@@ -264,7 +266,7 @@ class TestTriuPairs:
         assert core._triu_pairs(65)[0] is not core._triu_pairs(65)[0]
 
 
-UBSAN_SCRIPT = """
+SANITIZER_SCRIPT = """
 import sys
 from pathlib import Path
 
@@ -277,7 +279,7 @@ from mallows_select.mle import _dp_window_max
 from mallows_select.rng import Stream
 from mallows_select.sampling import SelectionSpec, generate_selection, sample_profile
 
-core._ROWS_FLAGS = (*core._ROWS_FLAGS, "-fsanitize=undefined", "-fno-sanitize-recover=all")
+core._ROWS_FLAGS = (*core._ROWS_FLAGS, *sys.argv[2].split())
 sanitized = core._rows_library(Path(sys.argv[1]))
 assert sanitized is not None
 cells = [
@@ -311,6 +313,15 @@ bodies = [(fileio.format_profile(big).partition("\\n")[2].encode(), 100)] + [(bo
 )] + [(body, 4) for body in unended]
 one_row = generate_selection(SelectionSpec("bernoulli_random", 101, 0.25), 1, Stream.from_seed(12))
 bernoulli = [(30, 0.25, 200, 0), (3, 0.04, 60, 2**40 + 7), (2, 1.0, 3, 0)]
+# rows of 2 to 9 items, every remainder of the kernels' four-item steps, three times over (three pair-count groups),
+# over labels of one to four digits, items repeating where n is small and each profile's last label the widest
+edge = np.random.default_rng(16)
+edges = []
+for n in (1, 10, 11, 100, 101, 1000, 8192):
+    offsets = np.concatenate(([0], np.cumsum(np.tile(np.arange(2, 10), 3))))
+    items = edge.integers(0, n, size=offsets[-1])
+    items[-1] = n - 1
+    edges.append(core.SampleProfile._from_arrays(core.SelectionSequence._from_arrays(n, offsets, items), items[::-1].copy()))
 
 
 def outputs():
@@ -327,8 +338,11 @@ def outputs():
     wide = sample_profile(MallowsParams(Ranking(Stream.from_seed(14).permutation(100)), 1.0), big.selection, Stream.from_seed(15))
     dp = [np.array([*seq, total]) for seq, total in (_dp_window_max(wins, radius) for wins, radius in windows)]
     likelihood = np.array([log_likelihood(Ranking(Stream.from_seed(11).permutation(100)), big, 0.7)])
-    written = [np.frombuffer(text.encode(), np.uint8) for text in (fileio.format_profile(big, beta=1.0), fileio.format_selection(one_row))]
-    return [a for cell in rows for a in cell] + drawn + [profile.rank_items, accumulate_counts(profile).wins, wide.rank_items] + dp + [likelihood] + written
+    written = [fileio.format_profile(big, beta=1.0), fileio.format_selection(one_row)]
+    written += [text for e in edges for text in (fileio.format_profile(e), fileio.format_selection(e.selection))]
+    written = [np.frombuffer(text.encode(), np.uint8) for text in written]
+    grouped = [core._pair_counts(e.n, e.offsets, e.rank_items, groups=3) for e in edges[:5]]
+    return [a for cell in rows for a in cell] + drawn + [profile.rank_items, accumulate_counts(profile).wins, wide.rank_items] + dp + [likelihood] + written + grouped
 
 
 core._row_kernels = lambda: sanitized
@@ -376,6 +390,14 @@ def ragged_rows(draw):
     return np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))), rng.integers(0, n, size=sum(sizes)), relabel
 
 
+def edge_rows(n: int, groups: int = 1, seed: int = 0) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """``(n, groups, offsets, items)``: rows of 2 to 9 distinct items below n, every remainder of the C kernels'
+    four-item steps, and one of all n items, in equal runs per group."""
+    rng = np.random.default_rng(seed)
+    sizes = [*range(2, 10), n] * groups
+    return n, groups, np.concatenate(([0], np.cumsum(sizes))), np.concatenate([rng.permutation(n)[:m] for m in sizes])
+
+
 class TestCompiledRowKernels:
     """The C row kernels of ``_rows.c`` against their numpy forms, and how ``core`` builds and loads them."""
 
@@ -390,6 +412,8 @@ class TestCompiledRowKernels:
         seed=st.integers(0, 2**32),
         start=st.integers(0, 10**6),
     )
+    @example(rows=edge_rows(9), beta=1.0, seed=1, start=0)
+    @example(rows=edge_rows(13, groups=3, seed=2), beta=0.05, seed=3, start=5)
     def test_samples_and_counts_equal_the_numpy_forms(self, rows, beta, seed, start):
         n, groups, offsets, restricted = rows
         keys = Stream.from_seed(seed).child_keys(len(offsets) - 1)
@@ -403,6 +427,14 @@ class TestCompiledRowKernels:
         assert native_counts.dtype == numpy_counts.dtype and np.array_equal(native_counts, numpy_counts)
 
     @needs_cc
+    def test_every_routine_starts_a_64_byte_line(self):
+        # where a routine starts does not move with the code before it, nor its speed with that: a 0x50-byte shift of
+        # pair_counts once took a files_io-sized count from 1.8 to 2.6 ms
+        lib = core._row_kernels()
+        offsets = {name: ctypes.cast(getattr(lib, name), ctypes.c_void_p).value % 64 for name in COMPILED_CALLERS}
+        assert offsets == dict.fromkeys(COMPILED_CALLERS, 0)
+
+    @needs_cc
     def test_rows_outside_the_counts_are_refused(self):
         # the compiled kernel checks each row before it counts it, where a write past the counts would corrupt memory
         offsets = np.array([0, 2, 4, 6])
@@ -412,6 +444,9 @@ class TestCompiledRowKernels:
 
     @settings(max_examples=300, deadline=None)
     @given(ragged_rows())
+    @example((*edge_rows(9)[2:], None))
+    @example((*edge_rows(14, seed=4)[2:], np.random.default_rng(5).permutation(14)))
+    @example((*edge_rows(11, seed=6)[2:], np.random.default_rng(7).integers(-3, 3, size=11)))
     def test_discordances_equal_the_numpy_form(self, rows):
         offsets, items, relabel = rows
         with pytest.MonkeyPatch.context() as patch:
@@ -465,24 +500,39 @@ class TestCompiledRowKernels:
         assert core._rows_library(tmp_path) is not None
         assert len(list(tmp_path.iterdir())) == 2
 
+    @staticmethod
+    def run_sanitized(tmp_path, flags, **env):
+        src = str(Path(core.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **env)
+        result = subprocess.run(
+            [sys.executable, "-c", SANITIZER_SCRIPT, str(tmp_path), flags], capture_output=True, text=True, env=env,
+            timeout=300,
+        )
+        assert (result.returncode, result.stdout) == (0, "equal\n"), result.stderr
+        assert [path.suffix for path in tmp_path.iterdir()] == [".so"]
+
     @needs_cc
     def test_the_kernels_run_clean_under_the_undefined_behaviour_sanitizer(self, tmp_path):
         # a build that aborts at the first undefined operation runs figure cells (an ltn cell, a planted cell whose two
         # complete sets leave many scores tied, an n = 2 cell, and cells at beta = 0.05 and 40, the two ends of the
         # insertion search, among them), a sampled profile and its count, a profile sampled at n = 100, whose
         # restricted centers take two bitmap words, the windowed DP at every radius below
-        # n = 1, 2, 9 and 14, a likelihood, and the writer on a files_io-sized profile and on a one-row selection, each
-        # equal to the numpy forms' result; the byte pass of that profile's file and of a body for each way it declines,
+        # n = 1, 2, 9 and 14, a likelihood, the writer on a files_io-sized profile, on a one-row selection and on rows
+        # of 2 to 9 items over labels of one to four digits, and pair counts of those rows in three groups, each equal
+        # to the numpy forms' result; the byte pass of that profile's file and of a body for each way it declines,
         # each read equal to the per-line reading of its text; and scan_rows itself on the two bodies without a final
         # newline.  One cell runs trials 17 to 39, so the kernel derives keys from a first trial index above 0, and
         # generate_selection draws Bernoulli sets from a used stream and in the rejection tail of n = 3, p = 0.04
-        src = str(Path(core.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        result = subprocess.run(
-            [sys.executable, "-c", UBSAN_SCRIPT, str(tmp_path)], capture_output=True, text=True, env=env, timeout=300
-        )
-        assert (result.returncode, result.stdout) == (0, "equal\n"), result.stderr
-        assert [path.suffix for path in tmp_path.iterdir()] == [".so"]
+        self.run_sanitized(tmp_path, "-fsanitize=undefined -fno-sanitize-recover=all")
+
+    @needs_cc
+    def test_the_kernels_run_clean_under_the_address_sanitizer(self, tmp_path):
+        # the same runs in a build that aborts at the first read or write outside a buffer: the writer's whole-label
+        # copies end within its buffer's slack at every label width, and no kernel reads past a numpy array
+        runtime = subprocess.run(["cc", "-print-file-name=libasan.so"], capture_output=True, text=True).stdout.strip()
+        if not Path(runtime).is_absolute() or not Path(runtime).exists():
+            pytest.skip("the compiler has no AddressSanitizer runtime")
+        self.run_sanitized(tmp_path, "-fsanitize=address", LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0")
 
     @needs_cc
     def test_a_directory_that_cannot_be_made_or_a_bad_library_leaves_the_numpy_forms(self, tmp_path):

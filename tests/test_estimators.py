@@ -422,6 +422,7 @@ class TestLogLikelihood:
         profile = widened(random_incomplete_profile(n=6, r=12, stream=stream), 4)
         cases.append((Ranking(stream.permutation(10)), profile, 1.3))
         cases.append((Ranking(stream.permutation(12)), profile, 0.4))  # pi also ranks items beyond n
+        cases.append((Ranking(stream.permutation(6)), profile, 0.8))  # pi leaves out the four items no sample holds
         for _ in row_kernel_paths(monkeypatch, split=True):
             for pi, profile, beta in cases:
                 assert log_likelihood(pi, profile, beta) == sequential_log_likelihood(pi, profile, beta)

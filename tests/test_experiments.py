@@ -475,6 +475,8 @@ class TestBlockWins:
     # both ends of the insertion search: draws spread over every threshold of 64 items, and all below the first
     @example(case=dict(n=64, p=1.0, r=3, selection_kind="complete"), beta=0.05, seed=7, trials=6, first=0)
     @example(case=dict(n=20, p=1 / 6, r=64, selection_kind="bernoulli_random"), beta=40.0, seed=8, trials=3, first=0)
+    # complete rows of 9 items: two of the pair count's four-item steps and a one-item tail
+    @example(case=dict(n=9, p=1.0, r=4, selection_kind="complete"), beta=1.0, seed=10, trials=4, first=0)
     def test_compiled_block_equals_the_numpy_block(self, case, beta, seed, trials, first):
         compiled, numpy = self.both_paths(seed, first, trials, **{**case, "beta": beta})
         n = case["n"]

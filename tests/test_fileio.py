@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import legacy_scan, needs_cc, row_kernel_paths
@@ -416,11 +416,25 @@ def csr_profiles(draw):
     return SampleProfile._from_arrays(SelectionSequence._from_arrays(n, offsets, set_items), rank_items)
 
 
+def one_width_profile(low: int, n: int, seed: int) -> SampleProfile:
+    """Rows of 2 to 9 items, every remainder of four, labels drawn from [low, n) (of one width where low and n - 1
+    have as many digits): each set ascending, each ranking shuffled."""
+    rng = np.random.default_rng(seed)
+    sets = [np.sort(rng.choice(np.arange(low, n), size=m, replace=False)) for m in range(2, 10)]
+    offsets = np.concatenate(([0], np.cumsum([len(s) for s in sets])))
+    rank_items = np.concatenate([rng.permutation(s) for s in sets])
+    return SampleProfile._from_arrays(SelectionSequence._from_arrays(n, offsets, np.concatenate(sets)), rank_items)
+
+
 class TestRowFormatter:
     """``format_profile`` and ``format_selection`` on each row-kernel path against the lines of ``_row_texts``."""
 
     @settings(max_examples=300, deadline=None)
     @given(csr_profiles(), st.sampled_from([None, 0.5, 2.0]))
+    @example(one_width_profile(0, 10, 1), None)
+    @example(one_width_profile(10, 100, 2), 0.5)
+    @example(one_width_profile(100, 1000, 3), None)
+    @example(one_width_profile(1000, 8192, 4), 2.0)
     def test_writes_the_row_texts_form_and_reads_back(self, profile, beta):
         n, offsets = profile.n, profile.offsets
         sets, ranks = (fileio._row_texts(n, offsets, items) for items in (profile.set_items, profile.rank_items))
