@@ -286,7 +286,8 @@ static void subset_sums(int64_t n, const int64_t *wins, int64_t lo, int64_t w, i
 }
 
 /* The windowed DP of mle._dp_window_max on wins (n x n, relabeled so the anchor is the identity) at radius R, with
- * n >= 2 and 0 <= R <= n - 1: writes the placement sequence to seq and returns its score.
+ * n >= 2 and 0 <= R <= n - 1, and the largest and total layer sizes of mle._buffer_sizes, the most masks of one
+ * position and the masks of positions 0..n-1: writes the placement sequence to seq and returns its score.
  *
  * Position t's states are its window's masks in ascending order, stepped by next_mask, so a state's index is its
  * index in mle._popcount_masks.  Sweeping t down from n - 1, a state's value is the best over its free slots c of
@@ -296,20 +297,13 @@ static void subset_sums(int64_t n, const int64_t *wins, int64_t lo, int64_t w, i
  * then reads the stored choices from the empty mask.
  *
  * Every buffer is the caller's, with W the widest state mask: base holds n values, half (2^(W/2) + 2^(W - W/2)) *
- * (W + 1), rank 2^W, values twice the largest layer and choices every layer of positions 0..n-1.  A layer's indices
- * fit rank's int32 up to W = 33, past any table that memory holds.  Every value is a sum of wins entries, which the
- * caller keeps below 2^53 in magnitude, so no sum overflows.
+ * (W + 1), rank 2^W, values 2 largest and choices total.  A layer's indices fit rank's int32 up to W = 33, past any
+ * table that memory holds.  Every value is a sum of wins entries, their magnitudes below 2^53 in all: none overflows.
  */
-int64_t window_dp(int64_t n, int64_t R, const int64_t *wins, int64_t *base, int64_t *half, int32_t *rank,
-                  int64_t *values, uint8_t *choices, int64_t *seq)
+int64_t window_dp(int64_t n, int64_t R, int64_t largest, int64_t total, const int64_t *wins, int64_t *base,
+                  int64_t *half, int32_t *rank, int64_t *values, uint8_t *choices, int64_t *seq)
 {
-    int64_t lo, hi, width, k, offset = 0, largest = 1;
-    for (int64_t t = 0; t < n; t++) {
-        window(n, R, t, &lo, &hi, &width, &k);
-        int64_t count = (int64_t)choose(width, k);
-        offset += count;
-        largest = count > largest ? count : largest;
-    }
+    int64_t lo, hi, width, k, offset = total;
     /* position n holds the full mask alone, of value 0 */
     window(n, R, n, &lo, &hi, &width, &k);
     int64_t *v_next = values, *v = values + largest, *swap;
@@ -365,30 +359,6 @@ int64_t window_dp(int64_t n, int64_t R, const int64_t *wins, int64_t *base, int6
     return v_next[0];
 }
 
-/* Sort x[0..m) ascending in place by heapsort: O(m log m) for any order, with no buffer */
-static void heap_sort(int64_t m, int64_t *x)
-{
-    for (int64_t end = m, i = m / 2; end > 1;) {
-        int64_t top, root, child;
-        if (i > 0) { /* heapify: sift x[--i] down */
-            top = x[--i];
-            root = i;
-        } else { /* move the largest to the end, then sift the last item down from the root */
-            top = x[--end];
-            x[end] = x[0];
-            root = 0;
-        }
-        while ((child = 2 * root + 1) < end) {
-            child += child + 1 < end && x[child + 1] > x[child];
-            if (x[child] <= top)
-                break;
-            x[root] = x[child];
-            root = child;
-        }
-        x[root] = top;
-    }
-}
-
 /* One part of a line at *at: runs of one to nine ASCII digits joined by single commas, written to out from index
  * *count while it stays below capacity.  Each value v lies below n with low <= stamp[v] < mark and is then stamped
  * mark; *rising is cleared at a value no larger than the one before.  Returns the byte after the part, or NULL
@@ -415,18 +385,18 @@ static inline __attribute__((always_inline)) const uint8_t *scan_tokens(const ui
 }
 
 /* The byte pass of fileio._byte_pass over text, its lines each ended by a newline: 0 once every line takes one
- * layout, "S:<set>|R:<ranking>\n" where ranked and "S:<set>\n" otherwise, with a set of two or more distinct items
- * below n and a ranking that is a permutation of its set; nonzero at the first line that breaks a rule.
+ * layout, "S:<set>|R:<ranking>\n" where ranked and "S:<set>\n" otherwise, with a set of two or more items below n in
+ * ascending order and a ranking that is a permutation of its set; nonzero at the first line that breaks a rule.
  *
- * On 0, offsets (lines + 1) and set_items hold the CSR rows of the sets, each sorted (a row that is not ascending
- * by a heapsort), and rank_items the rankings, where ranked; the item arrays hold exactly set_capacity and
- * rank_capacity items.  stamp holds n zeros: an item's entry marks the last line whose set (2l + 1) or ranking
- * (2l + 2) holds it, each token checked as it is read, so each ranking holds distinct items of its set, and, the two
- * capacities being equal for a ranked file, as many as its set.  A part ends at a byte that is neither a digit nor a
- * comma and a line at a newline, and the text must end in one, so no read passes its last byte.
+ * On 0, offsets (lines + 1) and set_items hold the CSR rows of the sets, as written, and rank_items the rankings,
+ * where ranked; each item array holds exactly capacity items.  A file with an unsorted set is left to the per-line
+ * checks, which sort it.  stamp holds n zeros: an item's entry marks the last line whose set (2l + 1) or ranking
+ * (2l + 2) holds it, each token checked as it is read, so each ranking holds distinct items of its set, and, the
+ * rankings holding as many items as the sets in all, as many as its set.  A part ends at a byte that is neither a
+ * digit nor a comma and a line at a newline, and the text must end in one, so no read passes its last byte.
  */
-int scan_rows(const uint8_t *text, int64_t size, int64_t lines, int64_t n, int ranked, int64_t set_capacity,
-              int64_t rank_capacity, int64_t *stamp, int64_t *offsets, int64_t *set_items, int64_t *rank_items)
+int scan_rows(const uint8_t *text, int64_t size, int64_t lines, int64_t n, int ranked, int64_t capacity,
+              int64_t *stamp, int64_t *offsets, int64_t *set_items, int64_t *rank_items)
 {
     const uint8_t *at = text, *end = text + size;
     int64_t sets = 0, ranks = 0;
@@ -438,15 +408,13 @@ int scan_rows(const uint8_t *text, int64_t size, int64_t lines, int64_t n, int r
         int rising = 1;
         if (at == end || at[0] != 'S' || at[1] != ':')
             return 1;
-        at = scan_tokens(at + 2, n, set_capacity, stamp, 0, 2 * l + 1, &sets, set_items, &rising);
-        if (at == NULL || sets - first < 2)
+        at = scan_tokens(at + 2, n, capacity, stamp, 0, 2 * l + 1, &sets, set_items, &rising);
+        if (at == NULL || sets - first < 2 || !rising)
             return 1;
-        if (!rising)
-            heap_sort(sets - first, set_items + first);
         if (ranked) {
             if (at[0] != '|' || at[1] != 'R' || at[2] != ':')
                 return 1;
-            at = scan_tokens(at + 3, n, rank_capacity, stamp, 2 * l + 1, 2 * l + 2, &ranks, rank_items, &rising);
+            at = scan_tokens(at + 3, n, capacity, stamp, 2 * l + 1, 2 * l + 2, &ranks, rank_items, &rising);
             if (at == NULL)
                 return 1;
         }
@@ -454,7 +422,7 @@ int scan_rows(const uint8_t *text, int64_t size, int64_t lines, int64_t n, int r
             return 1;
         offsets[l + 1] = sets;
     }
-    return at != end || sets != set_capacity || ranks != (ranked ? rank_capacity : 0);
+    return at != end || sets != capacity || ranks != (ranked ? capacity : 0);
 }
 
 /* out[l] = the pairs a < b of row l whose items x (or their relabel entries, where relabel is not NULL, copied once

@@ -312,8 +312,8 @@ def dispatch(argv: list[str]) -> int:
         if args.command.startswith("exp-"):
             args.threads = _threads(parser, args.threads)
         return _COMMANDS[args.command](args)
-    # ValueError covers FileFormatError and InfeasibleSpecError; a MemoryError is a setting too large for the host
-    except (BudgetExceededError, xp.SearchCapError, ValueError, OSError, MemoryError) as exc:
+    # ValueError covers FileFormatError and InfeasibleSpecError; MemoryError and OverflowError, a setting too large
+    except (BudgetExceededError, xp.SearchCapError, ValueError, OSError, MemoryError, OverflowError) as exc:
         reason = "out of memory" if isinstance(exc, MemoryError) and not str(exc) else exc
         print(f"mallows-select: error: {reason}", file=sys.stderr)
         return 2

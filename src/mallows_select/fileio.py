@@ -17,11 +17,11 @@ load; where they do not, every file is read line by line.  The pass
 reads a body whose lines, ended by ``\\n`` or ``\\r\\n`` and blank only
 at its ends, all take the form that :func:`format_profile` writes, or
 all the form of :func:`format_selection`, and whose invariants all
-hold: the line shape, no empty token, no duplicate, every item in
-``[0, n)``, a set of at least two, a ranking whose items are the set's.
-Its arrays are then the file's.  Only a file it declines is decoded and
-split into lines, for the per-line checks, so a file reads, and fails,
-exactly as it would line by line, errors and their order included.
+hold: the line shape, no empty token, items in ``[0, n)``, each set
+ascending with two items or more and each ranking a permutation of
+its set.  Its arrays are then the file's.  Only a file it declines is
+decoded and split into lines, for the per-line checks, so a file reads,
+and fails, exactly as line by line, errors and their order included.
 Readers pass the CSR arrays to the core types as they are.  Writers read
 them: one pass of ``format_rows`` in ``_rows.c`` writes every line into
 one buffer where the compiled kernels load, and the rows are joined from
@@ -177,16 +177,16 @@ def _byte_pass(data: bytes, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray 
     """Read every line of ``data``, the UTF-8 of a file's body after its header line, or decline the whole file.
 
     Returns ``(offsets, set_items, rank_items)``, the CSR arrays of the
-    lines in order, sets sorted, when every line is canonical and valid,
+    lines in order, as written, when every line is canonical and valid,
     and None as soon as any check fails.  All lines, each ended by a
     newline, take the layout of the first: ``S:<set>|R:<ranking>``, or
     ``S:<set>``, for which ``rank_items`` is None; an empty body reads as
     the former.  Each part is runs of at most nine ASCII digits joined by
-    single commas, a set holds at least two distinct items below n, and a
-    ranking is a permutation of its set.  The C pass, ``scan_rows``, reads
-    the bytes once into arrays sized by the token count, commas plus one
-    per part.  Where core's compiled kernels do not load, every file is
-    declined, and the per-line checks read it.
+    single commas, a set holds at least two items below n in ascending
+    order, and a ranking is a permutation of its set.  The C pass,
+    ``scan_rows``, reads the bytes once into arrays sized by the token
+    count, commas plus one per part.  Without core's compiled kernels,
+    every file is declined, and the per-line checks read it.
     """
     kernels = core._row_kernels()
     if kernels is None or data and not data.endswith(b"\n"):
@@ -200,8 +200,8 @@ def _byte_pass(data: bytes, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray 
     set_items = np.empty(tokens // parts, np.int64)
     rank_items = np.empty(len(set_items), np.int64) if parts == 2 else None
     failed = kernels.scan_rows(
-        data, len(data), lines, n, parts == 2, len(set_items), len(set_items), stamp.ctypes.data,
-        offsets.ctypes.data, set_items.ctypes.data, None if rank_items is None else rank_items.ctypes.data,
+        data, len(data), lines, n, parts == 2, len(set_items), stamp.ctypes.data, offsets.ctypes.data,
+        set_items.ctypes.data, None if rank_items is None else rank_items.ctypes.data,
     )
     return None if failed else (offsets, set_items, rank_items)
 

@@ -158,8 +158,8 @@ def _dp_window_max(wins_rel: np.ndarray, radius: int) -> tuple[list[int], int]:
         base, seq, values = np.empty(n, np.int64), np.empty(n, np.int64), np.empty(2 * largest, np.int64)
         half = np.empty(((1 << widest // 2) + (1 << widest - widest // 2)) * (widest + 1), np.int64)
         rank, choices = np.empty(1 << widest, np.int32), np.empty(total, np.uint8)
-        score = kernels.window_dp(n, R, wins.ctypes.data, base.ctypes.data, half.ctypes.data, rank.ctypes.data,
-                                  values.ctypes.data, choices.ctypes.data, seq.ctypes.data)
+        score = kernels.window_dp(n, R, largest, total, wins.ctypes.data, base.ctypes.data, half.ctypes.data,
+                                  rank.ctypes.data, values.ctypes.data, choices.ctypes.data, seq.ctypes.data)
         return seq.tolist(), score
     bounds, keys = _windows(n, R)
     wins_t = np.ascontiguousarray(wins_rel.T, dtype=np.float64)

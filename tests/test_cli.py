@@ -222,6 +222,26 @@ class TestCliErrors:
         code, out, err = run(capsys, "sample", "--n", "5", "--beta", "1", "--r", "1000000000000")
         assert (code, out, err) == (2, "", f"mallows-select: error: {reason}\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--n", "5", "--beta", "1", "--r"],
+            ["select", "--n", "5", "--r"],
+            ["exp-adversarial", "--r"],
+            ["exp-distance", "--n", "6", "--beta", "1", "--r-grid"],
+            ["exp-topk", "--n", "6", "--beta", "1", "--k", "2", "--r-grid"],
+            ["exp-complexity", "--n", "6", "--beta", "1", "--trials"],
+            ["exp-adversarial", "--trials"],
+        ],
+        ids=" ".join,
+    )
+    def test_an_integer_setting_past_int64_exits_two_without_a_traceback(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.csv"
+        threads = ["--threads", "1"] if argv[0].startswith("exp-") else []
+        code, stdout, err = run(capsys, *argv, str(10**23), *threads, "--out", str(out))
+        assert (code, stdout) == (2, "") and not out.exists()
+        assert "Traceback" not in err and err.splitlines()[-1].startswith("mallows-select: error: ")
+
     def test_verify_invalid_profile_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("3,1\nS:0,1,2|R:0,1,1\n")

@@ -347,6 +347,32 @@ class TestCompiledBytePass:
             patch.setattr(core, "_row_kernels", lambda: None)
             assert _byte_pass(*case) is None
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(profile_texts(), selection_texts()).filter(lambda text: text.count("\n") > 1), st.data())
+    def test_a_written_file_with_unsorted_sets_is_declined_and_read_as_written(self, text, data):
+        # the set tokens of some lines permuted out of ascending order, the rankings left as they are
+        header, _, body = text.partition("\n")
+        lines = body.splitlines()
+        for l in data.draw(st.sets(st.sampled_from(range(len(lines))), min_size=1)):
+            s_text, bar, r_text = lines[l][2:].partition("|")
+            tokens = data.draw(st.permutations(s_text.split(",")))
+            tokens = tokens[::-1] if tokens == sorted(tokens, key=int) else tokens
+            lines[l] = f"S:{','.join(tokens)}{bar}{r_text}"
+        unsorted = "".join(f"{line}\n" for line in [header, *lines])
+        assert fileio._byte_pass(unsorted.partition("\n")[2].encode(), int(header.split(",")[0])) is None
+
+        def arrays(text):
+            if "|" not in text:
+                selection = parse_selection(text)
+                return selection.offsets, selection.items
+            profile = parse_profile(text)[0]
+            return profile.offsets, profile.set_items, profile.rank_items
+
+        written = arrays(text)
+        with pytest.MonkeyPatch.context() as patch:
+            for _ in row_kernel_paths(patch):
+                assert all(np.array_equal(a, b) for a, b in zip(arrays(unsorted), written, strict=True))
+
     @pytest.mark.parametrize(
         "body, sets",
         [
@@ -357,7 +383,9 @@ class TestCompiledBytePass:
             (["S:1,1|R:1,1"], None),  # a duplicate
             (["S:2,3", "S:1,1"], None),
             (["S:0,1|R:1,1"], None),
-            (["S:3,0,2|R:2,3,0", "S:2,1|R:1,2"], [0, 2, 3, 1, 2]),  # unsorted sets
+            (["S:3,0,2|R:2,3,0", "S:2,1|R:1,2"], None),  # unsorted sets, left to the per-line checks
+            (["S:0,2,3|R:2,3,0", "S:2,1|R:1,2"], None),  # the second set unsorted
+            (["S:0,2,3|R:2,3,0", "S:1,2|R:1,2"], [0, 2, 3, 1, 2]),
             (["S:0,1,2|R:1,0"], None),  # a ranking one item short
             (["S:0,1|R:1,0,2"], None),  # one item long
             (["S:0,1|R:1,\u00e90"], None),

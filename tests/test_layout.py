@@ -1,6 +1,8 @@
-"""Static checks of the package source, read with ``ast``: every import is used, and the CSR row kernels have one home."""
+"""Static checks of the package source, read with ``ast`` (``_rows.c`` as text): every import is used, the CSR row
+kernels have one home, and each compiled routine's ctypes declaration matches its C prototype."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -111,6 +113,39 @@ def test_compiled_routines_are_loaded_by_core_and_called_from_one_place():
                 if isinstance(node, ast.Attribute) and node.attr in reached:
                     reached[node.attr].add((path.name, getattr(top, "name", None)))
     assert reached == {name: {("core.py", "_rows_library"), caller} for name, caller in COMPILED_CALLERS.items()}
+
+
+def _c_prototypes() -> dict[str, tuple[str, int]]:
+    """``{routine: (return type, parameter count)}`` of every routine ``_rows.c`` exports, read from its source."""
+    text = re.sub(r"/\*.*?\*/", "", (SRC / "_rows.c").read_text(), flags=re.S)
+    found = re.findall(r"^(?!static\b)(\w+)\s+(\w+)\(([^)]*)\)\s*\{", text, flags=re.M)
+    return {name: (returns, len(params.split(","))) for returns, name, params in found}
+
+
+def _ctypes_declarations() -> dict[str, dict[str, ast.expr]]:
+    """``{routine: {"argtypes": node, "restype": node}}`` of what core's loader assigns on each routine."""
+    loader = next(node for node in _tree(SRC / "core.py").body if getattr(node, "name", None) == "_rows_library")
+    declared = {}
+    for node in ast.walk(loader):
+        target = node.targets[0] if isinstance(node, ast.Assign) else None
+        if isinstance(target, ast.Attribute) and target.attr in ("argtypes", "restype"):
+            declared.setdefault(target.value.attr, {})[target.attr] = node.value
+    return declared
+
+
+def test_each_compiled_routine_is_declared_as_its_c_prototype():
+    """core's loader gives every routine of ``_rows.c`` as many ``argtypes`` as its prototype has parameters, and a
+    ``restype``, None where it returns void.
+
+    ctypes does not read the prototype: a call with one argument too many or too few is undefined behaviour that
+    nothing reports, so a signature changed on one side alone fails here.
+    """
+    prototypes, declared = _c_prototypes(), _ctypes_declarations()
+    assert set(prototypes) == set(declared) == set(COMPILED_CALLERS)
+    for name, (returns, count) in prototypes.items():
+        argtypes, restype = declared[name].get("argtypes"), declared[name].get("restype")
+        assert isinstance(argtypes, ast.List) and len(argtypes.elts) == count, name
+        assert restype is not None and (returns == "void") == (ast.unparse(restype) == "None"), name
 
 
 def _cache_decorators(tree: ast.Module):
